@@ -1,0 +1,78 @@
+"""Byte-exact output of `tq compute --json`, `tq sweep --json`, `tq selftest`
+and the tame complex's JSON, pinned in fixtures/golden_output.json.
+
+A refactor that is meant to leave behaviour alone must keep every case
+byte-identical.  When an output change is intended, regenerate the fixture
+with
+
+    PYTHONPATH=src python tests/test_golden_output.py
+
+and review the diff of the fixture.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from tq.cli import main
+from tq.grouprings import V4_A, V4_B
+from tq.localterms import TameComplexSpec, build_tame_complex
+
+FIXTURE = Path(__file__).parent / "fixtures" / "golden_output.json"
+
+COMMANDS = {
+    "compute-5-13": ["compute", "--d1", "5", "--d2", "13", "--json"],
+    "compute-3-11": ["compute", "--d1", "3", "--d2", "11", "--json"],
+    "compute-2-5": ["compute", "--d1", "2", "--d2", "5", "--json"],
+    "compute-2-17": ["compute", "--d1", "2", "--d2", "17", "--json"],
+    "compute-33-42": ["compute", "--d1", "33", "--d2", "42", "--json"],
+    "compute-minus3-5": ["compute", "--d1", "-3", "--d2", "5", "--json",
+                         "--allow-imaginary"],
+    "compute-5-13-options": ["compute", "--d1", "5", "--d2", "13", "--json",
+                             "--m", "2", "--sign", "minus", "--extra-s", "3,7"],
+    "sweep-60": ["sweep", "--max", "60", "--json"],
+    "selftest": ["selftest"],
+}
+
+
+def run_command(argv: list[str]) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return {"argv": argv, "exit": code, "stdout": out.getvalue()}
+
+
+def tame_complex_output() -> dict:
+    complex_ = build_tame_complex(TameComplexSpec(5, V4_A, V4_B))
+    return {"stdout": json.dumps(complex_.to_json_dict(), indent=2)}
+
+
+def current_output(name: str) -> dict:
+    if name == "tame-complex-5":
+        return tame_complex_output()
+    return run_command(COMMANDS[name])
+
+
+CASES = [*COMMANDS, "tame-complex-5"]
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(FIXTURE.read_text())
+
+
+def test_fixture_covers_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_output_is_byte_identical(golden, name):
+    assert current_output(name) == golden[name]
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(json.dumps({name: current_output(name) for name in CASES},
+                                  indent=1) + "\n")
