@@ -17,10 +17,9 @@ from .invariant import (AnalyticCheck, InvariantReport, ResolventCheck,
 from .errors import (ContractViolationError, InputError, TqError,
                      UnsupportedGroupError)
 from .grouprings import (GaloisChar, GroupElement, GroupRingElem,
-                         GroupRingMatrix, HOMREP_KEYS, Q8, Q8_CHARS, V4,
-                         V4_A, V4_AB, V4_B, V4_CHARS, V4_E, apply_char,
-                         apply_char_matrix, char_by_label, group_elements,
-                         idempotent)
+                         GroupRingMatrix, HOMREP_KEYS, V4_A, V4_AB, V4_B,
+                         V4_CHARS, V4_E, apply_char, apply_char_matrix,
+                         char_by_label, group_elements, idempotent)
 from .localterms import (LatticeExponent, TameComplexSpec, build_tame_complex,
                          local_term_closed_form, local_term_via_complex,
                          residue_class, valuation_iso, verify_residue_resolution)

@@ -17,8 +17,8 @@ from typing import Mapping
 
 from .arith import is_prime, is_squarefree, kronecker_symbol, prime_factors, squarefree_kernel
 from .errors import InputError
-from .grouprings import (HOMREP_KEYS, V4, V4_CHARS, V4_E, GaloisChar,
-                         GroupElement, group_elements)
+from .grouprings import (V4_E, GaloisChar, GroupElement, char_by_label,
+                         element_name, group_elements)
 
 
 def quad_field_disc(d: int) -> int:
@@ -92,7 +92,6 @@ class PrimeLocalData:
         return len(self.decomposition) == 4
 
     def to_json_dict(self) -> dict:
-        from .grouprings import element_name
         return {
             "p": self.p,
             "in_s": self.in_s,
@@ -107,12 +106,12 @@ class PrimeLocalData:
 def _char_of_subfield(f: FieldData, d: int) -> GaloisChar:
     for label, sub in f.char_to_subfield.items():
         if sub == d:
-            return next(c for c in V4_CHARS if c.label == label)
+            return char_by_label(label)
     raise AssertionError(d)
 
 
 def _kernel(chi: GaloisChar) -> frozenset[GroupElement]:
-    return frozenset(g for g in group_elements(V4) if chi(g) == 1)
+    return frozenset(g for g in group_elements() if chi(g) == 1)
 
 
 def _splits_at_2(d: int) -> bool:
@@ -131,9 +130,8 @@ def _frobenius_signs(f: FieldData, p: int) -> dict[str, int]:
 
 
 def _element_with_signs(signs: Mapping[str, int]) -> GroupElement:
-    for g in group_elements(V4):
-        if all(next(c for c in V4_CHARS if c.label == lbl)(g) == s
-               for lbl, s in signs.items()):
+    for g in group_elements():
+        if all(char_by_label(lbl)(g) == s for lbl, s in signs.items()):
             return g
     raise AssertionError(signs)
 
@@ -156,7 +154,7 @@ def local_galois(f: FieldData, p: int) -> PrimeLocalData:
     unramified = [d for d in f.subfields if d not in ramified]
     if not unramified:
         # only possible at p = 2: all three subfields ramify
-        full = frozenset(group_elements(V4))
+        full = frozenset(group_elements())
         return PrimeLocalData(p, in_s=True, inertia=full, decomposition=full,
                               frob=V4_E)
     d_u = unramified[0]
@@ -169,10 +167,10 @@ def local_galois(f: FieldData, p: int) -> PrimeLocalData:
     if sym == 1:
         return PrimeLocalData(p, in_s=True, inertia=inertia,
                               decomposition=inertia, frob=V4_E)
-    frob = next(g for g in group_elements(V4) if g not in inertia)
+    frob = next(g for g in group_elements() if g not in inertia)
     a_p = next(g for g in inertia if g != V4_E)
     return PrimeLocalData(p, in_s=True, inertia=inertia,
-                          decomposition=frozenset(group_elements(V4)),
+                          decomposition=frozenset(group_elements()),
                           frob=frob, a_p=a_p, b_p=frob)
 
 
@@ -188,16 +186,14 @@ def ramified_set(f: FieldData) -> list[int]:
 def euler_factor(chi: GaloisChar, p: int, local: PrimeLocalData) -> Fraction:
     """det(1 - p^-1 Frob^-1 | chi^I): one when chi is nontrivial on
     inertia, else 1 - chi(Frob)/p."""
-    if any(chi(g) != 1 for g in local.inertia):
+    if not chi.fixes(local.inertia):
         return Fraction(1)
     return 1 - Fraction(chi(local.frob), p)
 
 
 def frob_det_quotient(chi: GaloisChar, local: PrimeLocalData) -> Fraction:
     """det(1 - Frob^-1 | chi^I / chi^D)."""
-    dim_i = 1 if all(chi(g) == 1 for g in local.inertia) else 0
-    dim_d = 1 if all(chi(g) == 1 for g in local.decomposition) else 0
-    if dim_i - dim_d == 1:
+    if chi.fixes(local.inertia) - chi.fixes(local.decomposition) == 1:
         return 1 - Fraction(chi(local.frob))
     return Fraction(1)
 

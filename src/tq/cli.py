@@ -44,7 +44,11 @@ def _parse_lattice(args) -> LatticeExponent:
 def _parse_extra(text: str | None) -> list[int]:
     if not text:
         return []
-    return [int(x) for x in text.split(",") if x.strip()]
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise InputError(f"--extra-s expects comma-separated integers, "
+                         f"got {text!r}") from None
 
 
 def cmd_compute(args) -> int:
@@ -94,10 +98,10 @@ def cmd_sweep(args) -> int:
 
 
 def _selftest_cases():
-    from .grouprings import idempotent, GroupRingElem, V4
+    from .grouprings import idempotent, GroupRingElem
     yield ("idempotents sum to 1 and are orthogonal",
            lambda: sum((idempotent(c) for c in V4_CHARS),
-                       GroupRingElem.zero(V4)) == GroupRingElem.one(V4)
+                       GroupRingElem.zero()) == GroupRingElem.one()
            and all((idempotent(c) * idempotent(d)).is_zero()
                    for c in V4_CHARS for d in V4_CHARS if c != d))
 

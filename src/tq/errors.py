@@ -10,7 +10,8 @@ class InputError(TqError, ValueError):
 
 
 class UnsupportedGroupError(TqError):
-    """Operation invoked on a group it is not defined for."""
+    """A group element, element name, character label or character sign
+    that is not one of V4's."""
 
 
 class ContractViolationError(TqError):

@@ -1,14 +1,9 @@
-"""Exact arithmetic in the rational group rings of the Klein four-group V4
-and (at the level of labels and one-dimensional characters) the quaternion
-group Q8.
+"""Exact arithmetic in the rational group ring Q[V4] of the Klein four-group
+V4 = <a, b> = Gal(E/Q), and its four one-dimensional characters.
 
-Element normal forms are fixed once and for all so that dictionaries keyed
-by group elements are deterministic:
-
-  * V4: pairs (i, j) with i, j in {0, 1}, meaning a^i b^j;
-  * Q8: pairs (i, j) with i in {0, 1}, j in {0, 1, 2, 3}, meaning x^i y^j,
-    subject to x^2 = y^2, y^4 = 1, x y x = y;
-  * C2: (i, 0);  Trivial: (0, 0).
+Elements are pairs (i, j) with i, j in {0, 1}, meaning a^i b^j; the product
+is the componentwise XOR of the pairs.  The normal form is fixed once and
+for all so that dictionaries keyed by group elements are deterministic.
 """
 
 from __future__ import annotations
@@ -19,87 +14,53 @@ from typing import Iterable, Mapping
 
 from .errors import UnsupportedGroupError
 
-V4 = "V4"
-Q8 = "Q8"
-C2 = "C2"
-TRIVIAL = "Trivial"
-
-GROUP_TAGS = (V4, Q8, C2, TRIVIAL)
-
 Rational = Fraction | int
 
 
 @dataclass(frozen=True, order=True)
 class GroupElement:
-    group: str
     word: tuple[int, int]
 
     def __post_init__(self):
-        if self.group not in GROUP_TAGS:
-            raise UnsupportedGroupError(f"unknown group tag {self.group!r}")
         i, j = self.word
-        limits = {V4: (2, 2), Q8: (2, 4), C2: (2, 1), TRIVIAL: (1, 1)}[self.group]
-        if not (0 <= i < limits[0] and 0 <= j < limits[1]):
-            raise UnsupportedGroupError(
-                f"word {self.word} is not a normal form in {self.group}")
+        if i not in (0, 1) or j not in (0, 1):
+            raise UnsupportedGroupError(f"word {self.word} is not a normal form in V4")
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if self.group != other.group:
-            raise UnsupportedGroupError("cannot multiply across groups")
         i, j = self.word
         k, l = other.word
-        if self.group == V4:
-            return GroupElement(V4, ((i + k) % 2, (j + l) % 2))
-        if self.group == Q8:
-            # y x = x y^3 and x^2 = y^2
-            jj = (j * (3 if k else 1) + l + 2 * (i * k)) % 4
-            return GroupElement(Q8, ((i + k) % 2, jj))
-        if self.group == C2:
-            return GroupElement(C2, ((i + k) % 2, 0))
-        return self
+        return _BY_WORD[i ^ k, j ^ l]
 
     def inverse(self) -> "GroupElement":
-        for g in group_elements(self.group):
-            if (self * g) == identity(self.group):
-                return g
-        raise AssertionError("group axiom violation")
+        # every element of V4 is its own inverse
+        return self
 
     def __repr__(self):
-        return f"<{self.group}:{element_name(self)}>"
+        return f"<V4:{element_name(self)}>"
 
 
-def identity(group: str) -> GroupElement:
-    return GroupElement(group, (0, 0))
+V4_E = GroupElement((0, 0))
+V4_A = GroupElement((1, 0))
+V4_B = GroupElement((0, 1))
+V4_AB = GroupElement((1, 1))
 
-
-def group_elements(group: str) -> tuple[GroupElement, ...]:
-    """All elements in canonical order."""
-    if group == V4:
-        return tuple(GroupElement(V4, (i, j)) for i, j in
-                     ((0, 0), (1, 0), (0, 1), (1, 1)))
-    if group == Q8:
-        return tuple(GroupElement(Q8, (i, j)) for i in (0, 1) for j in range(4))
-    if group == C2:
-        return (GroupElement(C2, (0, 0)), GroupElement(C2, (1, 0)))
-    return (GroupElement(TRIVIAL, (0, 0)),)
-
-
-V4_E = GroupElement(V4, (0, 0))
-V4_A = GroupElement(V4, (1, 0))
-V4_B = GroupElement(V4, (0, 1))
-V4_AB = GroupElement(V4, (1, 1))
-
+_ELEMENTS = (V4_E, V4_A, V4_B, V4_AB)
+_BY_WORD = {g.word: g for g in _ELEMENTS}
 _V4_NAMES = {V4_E: "e", V4_A: "a", V4_B: "b", V4_AB: "ab"}
 _V4_BY_NAME = {v: k for k, v in _V4_NAMES.items()}
 
 
+def identity() -> GroupElement:
+    return V4_E
+
+
+def group_elements() -> tuple[GroupElement, ...]:
+    """All elements in canonical order."""
+    return _ELEMENTS
+
+
 def element_name(g: GroupElement) -> str:
-    if g.group == V4:
-        return _V4_NAMES[g]
-    i, j = g.word
-    if g.group == Q8:
-        return ("x^%d*y^%d" % (i, j)) if (i or j) else "1"
-    return "g" if g.word[0] else "1"
+    return _V4_NAMES[g]
 
 
 def v4_element_by_name(name: str) -> GroupElement:
@@ -111,55 +72,42 @@ def v4_element_by_name(name: str) -> GroupElement:
 
 @dataclass(frozen=True)
 class GaloisChar:
-    """A one-dimensional character, stored by its signs on the two canonical
-    generators (a, b for V4; x, y for Q8)."""
+    """A one-dimensional character of V4, stored by its signs on the
+    generators a and b."""
 
-    group: str
     label: str
     signs: tuple[int, int]
 
     def __post_init__(self):
-        if self.group not in (V4, Q8):
-            raise UnsupportedGroupError(
-                f"one-dimensional characters carried only for V4/Q8, not {self.group}")
         if any(s not in (1, -1) for s in self.signs):
             raise UnsupportedGroupError("character signs must be +-1")
 
     def __call__(self, g: GroupElement) -> int:
-        if g.group != self.group:
-            raise UnsupportedGroupError("character applied to foreign group element")
         i, j = g.word
         return (self.signs[0] ** i) * (self.signs[1] ** j)
 
     def is_trivial(self) -> bool:
         return self.signs == (1, 1)
 
-    def values_map(self) -> dict[GroupElement, int]:
-        return {g: self(g) for g in group_elements(self.group)}
+    def fixes(self, elements: Iterable[GroupElement]) -> int:
+        """dim chi^H for the subgroup H generated by `elements`: 1 when chi
+        is trivial on H, else 0."""
+        return 1 if all(self(g) == 1 for g in elements) else 0
 
 
 HOMREP_KEYS = ("1", "chi1", "chi2", "chi1chi2")
 
-# chi1(x) = -1 = chi2(y), chi1(y) = 1 = chi2(x); on V4 the images of x, y
-# are the canonical generators a, b.
+# chi1(a) = -1 = chi2(b), chi1(b) = 1 = chi2(a)
 V4_CHARS = (
-    GaloisChar(V4, "1", (1, 1)),
-    GaloisChar(V4, "chi1", (-1, 1)),
-    GaloisChar(V4, "chi2", (1, -1)),
-    GaloisChar(V4, "chi1chi2", (-1, -1)),
-)
-
-Q8_CHARS = (
-    GaloisChar(Q8, "1", (1, 1)),
-    GaloisChar(Q8, "chi1", (-1, 1)),
-    GaloisChar(Q8, "chi2", (1, -1)),
-    GaloisChar(Q8, "chi1chi2", (-1, -1)),
+    GaloisChar("1", (1, 1)),
+    GaloisChar("chi1", (-1, 1)),
+    GaloisChar("chi2", (1, -1)),
+    GaloisChar("chi1chi2", (-1, -1)),
 )
 
 
-def char_by_label(label: str, group: str = V4) -> GaloisChar:
-    chars = V4_CHARS if group == V4 else Q8_CHARS
-    for chi in chars:
+def char_by_label(label: str) -> GaloisChar:
+    for chi in V4_CHARS:
         if chi.label == label:
             return chi
     raise UnsupportedGroupError(f"unknown character label {label!r}")
@@ -169,14 +117,11 @@ class GroupRingElem:
     """A finitely supported rational combination of group elements.
     Immutable after construction; zero coefficients are dropped."""
 
-    __slots__ = ("group", "_coeffs", "_key")
+    __slots__ = ("_coeffs", "_key")
 
-    def __init__(self, group: str, coeffs: Mapping[GroupElement, Rational] | None = None):
-        self.group = group
+    def __init__(self, coeffs: Mapping[GroupElement, Rational] | None = None):
         clean: dict[GroupElement, Fraction] = {}
         for g, c in (coeffs or {}).items():
-            if g.group != group:
-                raise UnsupportedGroupError("coefficient keyed by foreign group element")
             c = Fraction(c)
             if c != 0:
                 clean[g] = c
@@ -184,16 +129,16 @@ class GroupRingElem:
         self._key = tuple(sorted(clean.items()))
 
     @classmethod
-    def zero(cls, group: str) -> "GroupRingElem":
-        return cls(group, {})
+    def zero(cls) -> "GroupRingElem":
+        return cls({})
 
     @classmethod
-    def one(cls, group: str) -> "GroupRingElem":
-        return cls(group, {identity(group): Fraction(1)})
+    def one(cls) -> "GroupRingElem":
+        return cls({V4_E: Fraction(1)})
 
     @classmethod
     def of(cls, g: GroupElement) -> "GroupRingElem":
-        return cls(g.group, {g: Fraction(1)})
+        return cls({g: Fraction(1)})
 
     def coeff(self, g: GroupElement) -> Fraction:
         return self._coeffs.get(g, Fraction(0))
@@ -210,11 +155,9 @@ class GroupRingElem:
 
     def _coerce(self, other) -> "GroupRingElem | None":
         if isinstance(other, GroupRingElem):
-            if other.group != self.group:
-                raise UnsupportedGroupError("mixed-group arithmetic")
             return other
         if isinstance(other, (int, Fraction)):
-            return GroupRingElem(self.group, {identity(self.group): Fraction(other)})
+            return GroupRingElem({V4_E: Fraction(other)})
         return None
 
     def __add__(self, other):
@@ -224,12 +167,12 @@ class GroupRingElem:
         out = dict(self._coeffs)
         for g, c in o._coeffs.items():
             out[g] = out.get(g, Fraction(0)) + c
-        return GroupRingElem(self.group, out)
+        return GroupRingElem(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GroupRingElem(self.group, {g: -c for g, c in self._coeffs.items()})
+        return GroupRingElem({g: -c for g, c in self._coeffs.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -246,7 +189,7 @@ class GroupRingElem:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return GroupRingElem(self.group, {g: c * v for g, v in self._coeffs.items()})
+            return GroupRingElem({g: c * v for g, v in self._coeffs.items()})
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -255,7 +198,7 @@ class GroupRingElem:
             for h, d in o._coeffs.items():
                 gh = g * h
                 out[gh] = out.get(gh, Fraction(0)) + c * d
-        return GroupRingElem(self.group, out)
+        return GroupRingElem(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -267,10 +210,10 @@ class GroupRingElem:
             other = self._coerce(other)
         if not isinstance(other, GroupRingElem):
             return NotImplemented
-        return self.group == other.group and self._key == other._key
+        return self._key == other._key
 
     def __hash__(self):
-        return hash((self.group, self._key))
+        return hash(self._key)
 
     def __repr__(self):
         if self.is_zero():
@@ -279,22 +222,14 @@ class GroupRingElem:
         return " + ".join(terms)
 
 
-def group_ring(group: str, coeffs: Mapping[GroupElement, Rational]) -> GroupRingElem:
-    return GroupRingElem(group, coeffs)
-
-
 def idempotent(chi: GaloisChar) -> GroupRingElem:
     """The primitive idempotent sigma_chi = (1/|G|) sum_g chi(g) g of Q[V4]."""
-    if chi.group != V4:
-        raise UnsupportedGroupError("idempotents implemented for V4 only")
-    n = len(group_elements(V4))
-    return GroupRingElem(V4, {g: Fraction(chi(g), n) for g in group_elements(V4)})
+    n = len(_ELEMENTS)
+    return GroupRingElem({g: Fraction(chi(g), n) for g in _ELEMENTS})
 
 
 def apply_char(chi: GaloisChar, x: GroupRingElem) -> Fraction:
     """Linear extension of chi to the group ring."""
-    if chi.group != x.group:
-        raise UnsupportedGroupError("character/group-ring group mismatch")
     total = Fraction(0)
     for g, c in x.items():
         total += c * chi(g)
@@ -303,25 +238,19 @@ def apply_char(chi: GaloisChar, x: GroupRingElem) -> Fraction:
 
 @dataclass(frozen=True)
 class GroupRingMatrix:
-    """A rows x cols matrix over a group ring.  A map of free modules
-    P -> Q is stored row-wise: row i lists the coefficients of the image
-    of the i-th basis vector of P in the basis of Q."""
+    """A rows x cols matrix over Q[V4].  A map of free modules P -> Q is
+    stored row-wise: row i lists the coefficients of the image of the i-th
+    basis vector of P in the basis of Q."""
 
-    group: str
     entries: tuple[tuple[GroupRingElem, ...], ...]
 
     def __post_init__(self):
         width = {len(r) for r in self.entries}
         if len(width) > 1:
             raise ValueError("ragged matrix")
-        for row in self.entries:
-            for x in row:
-                if x.group != self.group:
-                    raise UnsupportedGroupError("matrix entry from foreign group ring")
 
     @classmethod
-    def from_rows(cls, group: str,
-                  rows: Iterable[Iterable[GroupRingElem | Rational]]) -> "GroupRingMatrix":
+    def from_rows(cls, rows: Iterable[Iterable[GroupRingElem | Rational]]) -> "GroupRingMatrix":
         out = []
         for row in rows:
             conv = []
@@ -329,9 +258,9 @@ class GroupRingMatrix:
                 if isinstance(x, GroupRingElem):
                     conv.append(x)
                 else:
-                    conv.append(GroupRingElem(group, {identity(group): Fraction(x)}))
+                    conv.append(GroupRingElem({V4_E: Fraction(x)}))
             out.append(tuple(conv))
-        return cls(group, tuple(out))
+        return cls(tuple(out))
 
     @property
     def rows(self) -> int:
@@ -342,8 +271,6 @@ class GroupRingMatrix:
         return len(self.entries[0]) if self.entries else 0
 
     def __matmul__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
-        if self.group != other.group:
-            raise UnsupportedGroupError("mixed-group matrix product")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ "
                              f"{other.rows}x{other.cols}")
@@ -351,22 +278,22 @@ class GroupRingMatrix:
         for i in range(self.rows):
             row = []
             for j in range(other.cols):
-                acc = GroupRingElem.zero(self.group)
+                acc = GroupRingElem.zero()
                 for k in range(self.cols):
                     acc = acc + self.entries[i][k] * other.entries[k][j]
                 row.append(acc)
             out.append(tuple(row))
-        return GroupRingMatrix(self.group, tuple(out))
+        return GroupRingMatrix(tuple(out))
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.entries for x in row)
 
     @classmethod
-    def identity(cls, group: str, n: int) -> "GroupRingMatrix":
-        one = GroupRingElem.one(group)
-        zero = GroupRingElem.zero(group)
-        return cls(group, tuple(tuple(one if i == j else zero for j in range(n))
-                                for i in range(n)))
+    def identity(cls, n: int) -> "GroupRingMatrix":
+        one = GroupRingElem.one()
+        zero = GroupRingElem.zero()
+        return cls(tuple(tuple(one if i == j else zero for j in range(n))
+                         for i in range(n)))
 
 
 def apply_char_matrix(chi: GaloisChar, m: GroupRingMatrix) -> list[list[Fraction]]:

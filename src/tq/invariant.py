@@ -36,8 +36,8 @@ def delta1_term(f: FieldData, p: int, local: PrimeLocalData | None = None) -> Ho
     ratio = len(local.decomposition) // len(local.inertia)
 
     def value(chi: GaloisChar) -> Fraction:
-        dim_d = 1 if all(chi(g) == 1 for g in local.decomposition) else 0
-        return Fraction(1, ratio ** dim_d) * frob_det_quotient(chi, local)
+        return (Fraction(1, ratio ** chi.fixes(local.decomposition))
+                * frob_det_quotient(chi, local))
 
     return HomRep.from_char_function(value)
 
@@ -182,34 +182,33 @@ def omega_loc_torsion(d1: int, d2: int,
 
     locals_map = {p: local_galois(f, p) for p in s_f}
     local_2 = locals_map.get(2) or local_galois(f, 2)
+    admissible = len(local_2.decomposition) != 4
+    per_prime = {}
+    for p, loc in locals_map.items():
+        term = None
+        if admissible and loc.full_decomposition and p % 2 == 1:
+            term = local_term_closed_form(p, loc, lat)
+        per_prime[p] = PrimeReport(loc, delta1_term(f, p, loc),
+                                   tuple(euler_factor(chi, p, loc) for chi in V4_CHARS),
+                                   term)
+
     note = None if f.totally_real else "outside the totally real default"
-    if len(local_2.decomposition) == 4:
-        report = {p: PrimeReport(loc, delta1_term(f, p, loc),
-                                 tuple(euler_factor(chi, p, loc) for chi in V4_CHARS),
-                                 None)
-                  for p, loc in locals_map.items()}
-        return InvariantReport(f, s_f, report, None, resolvent_factor_check(f),
+    if not admissible:
+        return InvariantReport(f, s_f, per_prime, None, resolvent_factor_check(f),
                                None, VERDICT_INADMISSIBLE, lat,
                                note="decomposition group at 2 is everything"
                                     + (f"; {note}" if note else ""))
 
-    per_prime = {}
-    total = ts_representative(f, s_f, locals_map)
-    for p in s_f:
-        loc = locals_map[p]
-        delta = delta1_term(f, p, loc)
-        euler = tuple(euler_factor(chi, p, loc) for chi in V4_CHARS)
-        term = None
-        if loc.full_decomposition and p % 2 == 1:
-            term = local_term_closed_form(p, loc, lat)
-            total = total * term.inverse()
-        total = total * delta
-        per_prime[p] = PrimeReport(loc, delta, euler, term)
-
+    ts_rep = ts_representative(f, s_f, locals_map)
+    total = ts_rep
+    for report in per_prime.values():
+        if report.local_term is not None:
+            total = total * report.local_term.inverse()
+        total = total * report.delta1
     torsion = torsion_class(total)
     verdict = VERDICT_VANISHES if torsion.is_trivial() else VERDICT_NONZERO
-    return InvariantReport(f, s_f, per_prime, ts_representative(f, s_f, locals_map),
-                           resolvent_factor_check(f), torsion, verdict, lat, note)
+    return InvariantReport(f, s_f, per_prime, ts_rep, resolvent_factor_check(f),
+                           torsion, verdict, lat, note)
 
 
 def leading_ratio_exact(chi: GaloisChar | str, f: FieldData) -> Fraction:

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_prime
+from .biquadratic import euler_factor, frob_det_quotient
 from .errors import ContractViolationError, InputError
-from .grouprings import (V4, V4_CHARS, V4_E, GaloisChar, GroupElement,
+from .grouprings import (V4_CHARS, V4_E, GaloisChar, GroupElement,
                          GroupRingElem, GroupRingMatrix, apply_char)
 from .perfectcomplex import (CohomologyIso, CohomologyIsoComponent,
                              PerfectComplex, char_specialize, class_representative,
@@ -36,8 +37,6 @@ class TameComplexSpec:
     def __post_init__(self):
         if self.p < 3 or self.p % 2 == 0 or not is_prime(self.p):
             raise InputError(f"{self.p} is not an odd prime")
-        if self.a.group != V4 or self.b.group != V4:
-            raise InputError("generators must be V4 elements")
         if self.a == V4_E:
             raise InputError("inertia generator must be nontrivial")
         if self.b in (V4_E, self.a):
@@ -63,7 +62,7 @@ def inertia_unit(spec: TameComplexSpec) -> GroupRingElem:
     """(p+1)/2 + ((p-1)/2) a, the group-ring element realizing the residue
     field as a quotient."""
     p = spec.p
-    return GroupRingElem(V4, {V4_E: Fraction(p + 1, 2), spec.a: Fraction(p - 1, 2)})
+    return GroupRingElem({V4_E: Fraction(p + 1, 2), spec.a: Fraction(p - 1, 2)})
 
 
 def build_tame_complex(spec: TameComplexSpec) -> PerfectComplex:
@@ -72,11 +71,10 @@ def build_tame_complex(spec: TameComplexSpec) -> PerfectComplex:
     map z1 |-> (a-1)t, z2 |-> (b-1)t."""
     a = GroupRingElem.of(spec.a)
     b = GroupRingElem.of(spec.b)
-    one = GroupRingElem.one(V4)
-    lam = GroupRingMatrix.from_rows(V4, [[b * inertia_unit(spec) - one,
-                                          -(a - one)]])
-    minus_phi = GroupRingMatrix.from_rows(V4, [[-(a - one)], [-(b - one)]])
-    return PerfectComplex(V4, DEGREES, {-2: 1, -1: 2, 0: 1},
+    one = GroupRingElem.one()
+    lam = GroupRingMatrix.from_rows([[b * inertia_unit(spec) - one, -(a - one)]])
+    minus_phi = GroupRingMatrix.from_rows([[-(a - one)], [-(b - one)]])
+    return PerfectComplex(DEGREES, {-2: 1, -1: 2, 0: 1},
                           {-2: lam, -1: minus_phi})
 
 
@@ -120,7 +118,7 @@ def residue_class(p: int, a: GroupElement) -> HomRep:
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise InputError(f"{p} is not an odd prime")
     return HomRep.from_char_function(
-        lambda chi: Fraction(p) if chi(a) == 1 else Fraction(1))
+        lambda chi: Fraction(p) if chi.fixes((a,)) else Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -152,9 +150,9 @@ def verify_residue_resolution(p: int, a: GroupElement) -> ResidueResolutionRepor
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise InputError(f"{p} is not an odd prime")
-    if a.group != V4 or a == V4_E:
+    if a == V4_E:
         raise InputError("inertia generator must be a nontrivial V4 element")
-    x = GroupRingElem(V4, {V4_E: Fraction(p + 1, 2), a: Fraction(p - 1, 2)})
+    x = GroupRingElem({V4_E: Fraction(p + 1, 2), a: Fraction(p - 1, 2)})
     # (i) residue-field model on a normal basis (v, v-bar): inertia acts
     # trivially, everything outside inertia acts by the swap
     def model(g: GroupElement) -> list[list[Fraction]]:
@@ -170,13 +168,13 @@ def verify_residue_resolution(p: int, a: GroupElement) -> ResidueResolutionRepor
                 acting[i][j] += c * mg[i][j]
     mult_by_p = acting == [[Fraction(p), Fraction(0)], [Fraction(0), Fraction(p)]]
     # (ii)
-    one = GroupRingElem.one(V4)
+    one = GroupRingElem.one()
     a_elem = GroupRingElem.of(a)
     displayed = (x - a_elem * x) == (one - a_elem)
     # (iii)
     values = tuple(apply_char(chi, x) for chi in V4_CHARS)
     chars_ok = all(
-        v == (p if chi(a) == 1 else 1)
+        v == (p if chi.fixes((a,)) else 1)
         for chi, v in zip(V4_CHARS, values))
     return ResidueResolutionReport(p, mult_by_p, displayed, chars_ok, values)
 
@@ -197,24 +195,20 @@ def local_term_closed_form(p: int, local, lat: LatticeExponent) -> HomRep:
         eps(chi) * (|G|/|I|)^(-dim chi^D) * det(1 - Frob^-1 | chi^I/chi^D)
         / ( p^(1 +- m dim chi^I) * det(1 - p^-1 Frob^-1 | chi^I) )
 
-    with eps(chi) = (-1)^(dim(chi^I/chi^D)).
+    with eps(chi) = (-1)^(dim(chi^I/chi^D)) and |G|/|I| = 2.
     """
     _require_full_decomposition(p, local)
-    a, b = local.a_p, local.b_p
-    values = {}
-    for chi in V4_CHARS:
-        dim_i = 1 if chi(a) == 1 else 0
-        dim_d = 1 if chi.is_trivial() else 0
-        dim_quot = dim_i - dim_d
-        eps = -1 if dim_quot % 2 else 1
-        num = Fraction(1, 2 ** dim_d)
-        if dim_quot:
-            num *= 1 - Fraction(chi(b))
-        denom = Fraction(p) ** (1 + lat.sign * lat.m * dim_i)
-        if dim_i:
-            denom *= 1 - Fraction(chi(b), p)
-        values[chi.label] = eps * num / denom
-    return HomRep(values)
+
+    def value(chi: GaloisChar) -> Fraction:
+        dim_i = chi.fixes(local.inertia)
+        dim_d = chi.fixes(local.decomposition)
+        eps = -1 if dim_i - dim_d else 1
+        num = Fraction(1, 2 ** dim_d) * frob_det_quotient(chi, local)
+        denom = (Fraction(p) ** (1 + lat.sign * lat.m * dim_i)
+                 * euler_factor(chi, p, local))
+        return eps * num / denom
+
+    return HomRep.from_char_function(value)
 
 
 def local_term_via_complex(p: int, local, lat: LatticeExponent) -> HomRep:
@@ -226,6 +220,5 @@ def local_term_via_complex(p: int, local, lat: LatticeExponent) -> HomRep:
     p_complex = build_tame_complex(spec)
     rep = class_representative(p_complex, valuation_iso(spec, p_complex))
     correction = HomRep.from_char_function(
-        lambda chi: Fraction(p) ** (lat.m * (1 if chi(local.a_p) == 1 else 0)
-                                    + lat.sign))
+        lambda chi: Fraction(p) ** (lat.m * chi.fixes(local.inertia) + lat.sign))
     return rep * correction

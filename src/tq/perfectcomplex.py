@@ -18,12 +18,14 @@ from typing import Mapping
 
 from . import linalg
 from .errors import ContractViolationError, InputError
-from .grouprings import (V4, V4_CHARS, GaloisChar, GroupElement, GroupRingElem,
-                         GroupRingMatrix, apply_char_matrix, element_name,
-                         group_elements, v4_element_by_name)
+from .grouprings import (V4_CHARS, GaloisChar, GroupRingElem, GroupRingMatrix,
+                         apply_char_matrix, element_name, v4_element_by_name)
 from .relk0 import HomRep
 
 Mat = linalg.Mat
+
+# The group named in the JSON form; V4 is the only one there is.
+JSON_GROUP = "V4"
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,6 @@ class PerfectComplex:
     zero.  The composite of consecutive differentials must vanish in the
     group ring."""
 
-    group: str
     degrees: tuple[int, int]
     ranks: Mapping[int, int]
     differentials: Mapping[int, GroupRingMatrix]
@@ -73,14 +74,14 @@ class PerfectComplex:
                 rows.append([{element_name(g): f"{c.numerator}/{c.denominator}"
                               for g, c in x.items()} for x in row])
             diffs[str(j)] = rows
-        return {"group": self.group,
+        return {"group": JSON_GROUP,
                 "degrees": list(self.degrees),
                 "ranks": {str(j): self.rank(j) for j in self.degree_list()},
                 "differentials": diffs}
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "PerfectComplex":
-        if d["group"] != V4:
+        if d["group"] != JSON_GROUP:
             raise InputError("only V4 complexes are serialized")
         degrees = tuple(d["degrees"])
         ranks = {int(j): int(r) for j, r in d["ranks"].items()}
@@ -88,11 +89,11 @@ class PerfectComplex:
         for j, rows in d["differentials"].items():
             entries = []
             for row in rows:
-                entries.append([GroupRingElem(V4, {v4_element_by_name(name): Fraction(val)
-                                                   for name, val in x.items()})
+                entries.append([GroupRingElem({v4_element_by_name(name): Fraction(val)
+                                               for name, val in x.items()})
                                 for x in row])
-            diffs[int(j)] = GroupRingMatrix.from_rows(V4, entries)
-        return cls(V4, degrees, ranks, diffs)
+            diffs[int(j)] = GroupRingMatrix.from_rows(entries)
+        return cls(degrees, ranks, diffs)
 
 
 def euler_characteristic(p: PerfectComplex) -> int:

@@ -11,8 +11,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import InputError
-from .grouprings import (HOMREP_KEYS, V4, GaloisChar, GroupElement, V4_CHARS,
-                         group_elements, identity)
+from .grouprings import HOMREP_KEYS, V4_CHARS, GaloisChar, GroupElement, identity
 
 Rational = Fraction | int
 
@@ -85,10 +84,6 @@ class RankVector:
     def __add__(self, other: "RankVector") -> "RankVector":
         return RankVector(tuple(a + b for a, b in zip(self.exps, other.exps)))
 
-    @classmethod
-    def from_map(cls, exps: Mapping[str, int]) -> "RankVector":
-        return cls(tuple(int(exps[k]) for k in HOMREP_KEYS))
-
 
 class HomRep:
     """A Hom-description representative: nonzero rational value per
@@ -122,9 +117,6 @@ class HomRep:
 
     def inverse(self) -> "HomRep":
         return HomRep(tuple(1 / v for v in self._values))
-
-    def __pow__(self, n: int) -> "HomRep":
-        return HomRep(tuple(v ** n for v in self._values))
 
     def __eq__(self, other):
         if not isinstance(other, HomRep):
@@ -173,10 +165,7 @@ def _validate_subgroup(elements: Iterable[GroupElement]) -> frozenset[GroupEleme
     elems = frozenset(elements)
     if not elems:
         raise InputError("empty subgroup")
-    group = next(iter(elems)).group
-    if group != V4:
-        raise InputError("subgroups of V4 expected")
-    if identity(V4) not in elems:
+    if identity() not in elems:
         raise InputError("subgroup must contain the identity")
     for g in elems:
         for h in elems:
@@ -201,15 +190,10 @@ def induce_from_subgroup(subgroup: Iterable[GroupElement],
     f_triv = Fraction(f["1"])
     if f_triv == 0:
         raise InputError("character values must be nonzero")
-    if len(elems) == 1:
-        exps = tuple(v2(f_triv) for _ in HOMREP_KEYS)
-        return RankVector(exps), TorsionClass.one()
-    gen = next(g for g in elems if g != identity(V4))
-    f_sign = Fraction(f["sign"])
-    if f_sign == 0:
-        raise InputError("character values must be nonzero")
-    exps = []
-    for chi in V4_CHARS:
-        restricted_trivial = chi(gen) == 1
-        exps.append(v2(f_triv if restricted_trivial else f_sign))
-    return RankVector(tuple(exps)), TorsionClass.one()
+    f_sign = f_triv  # unused when |H| = 1: every character fixes H
+    if len(elems) == 2:
+        f_sign = Fraction(f["sign"])
+        if f_sign == 0:
+            raise InputError("character values must be nonzero")
+    exps = tuple(v2(f_triv if chi.fixes(elems) else f_sign) for chi in V4_CHARS)
+    return RankVector(exps), TorsionClass.one()

@@ -10,7 +10,7 @@ from tq.biquadratic import (artin_conductor, euler_factor, field_data,
 from tq.invariant import squarefree_pairs
 from tq.errors import InputError
 from tq.grouprings import (V4_A, V4_AB, V4_B, V4_CHARS, V4_E, char_by_label,
-                           group_elements, V4)
+                           group_elements)
 
 
 # ---------- field data ----------
@@ -82,14 +82,14 @@ def test_local_galois_2_5_at_2():
     loc = local_galois(f, 2)
     # inertia = kernel of chi_5; 5 = 5 mod 8 means 2 is inert in Q(sqrt 5)
     chi2 = char_by_label("chi2")
-    assert loc.inertia == frozenset(g for g in group_elements(V4) if chi2(g) == 1)
+    assert loc.inertia == frozenset(g for g in group_elements() if chi2(g) == 1)
     assert loc.full_decomposition
 
 
 def test_local_galois_totally_ramified_at_2():
     f = field_data(2, 3)
     loc = local_galois(f, 2)
-    assert loc.inertia == frozenset(group_elements(V4))
+    assert loc.inertia == frozenset(group_elements())
     assert loc.full_decomposition
 
 

@@ -52,6 +52,14 @@ def test_compute_input_error(capsys):
     assert "input error" in err
 
 
+def test_compute_bad_extra_s_is_input_error(capsys):
+    code, _, err = run(capsys, "compute", "--d1", "5", "--d2", "13",
+                       "--extra-s", "3,x")
+    assert code == 4
+    assert err.startswith("input error: ")
+    assert "Traceback" not in err
+
+
 def test_compute_imaginary_requires_flag(capsys):
     code, _, err = run(capsys, "compute", "--d1", "-3", "--d2", "5")
     assert code == 4

@@ -8,7 +8,7 @@ import pytest
 from tq.arith import odd_primes_up_to
 from tq.biquadratic import PrimeLocalData, field_data, local_galois
 from tq.errors import ContractViolationError, InputError
-from tq.grouprings import (V4, V4_A, V4_AB, V4_B, V4_CHARS, V4_E,
+from tq.grouprings import (V4_A, V4_AB, V4_B, V4_CHARS, V4_E,
                            GroupRingElem, GroupRingMatrix, apply_char,
                            char_by_label, group_elements)
 from tq.localterms import (LatticeExponent, TameComplexSpec,
@@ -31,7 +31,7 @@ def all_labelings():
 
 def full_local_data(p, a, b):
     inertia = frozenset({V4_E, a})
-    return PrimeLocalData(p, True, inertia, frozenset(group_elements(V4)),
+    return PrimeLocalData(p, True, inertia, frozenset(group_elements()),
                           frob=b, a_p=a, b_p=b)
 
 
@@ -56,7 +56,7 @@ def test_lambda_coefficients_p3():
     lam = cplx.differentials[-2]
     a = GroupRingElem.of(V4_A)
     b = GroupRingElem.of(V4_B)
-    one = GroupRingElem.one(V4)
+    one = GroupRingElem.one()
     assert lam.entries[0][0] == b * (2 + a) - one
     assert lam.entries[0][1] == -(a - one)
 
@@ -87,12 +87,12 @@ def test_valuation_iso_shapes():
 def test_valuation_iso_detects_differential_bug():
     spec = TameComplexSpec(5, V4_A, V4_B)
     a = GroupRingElem.of(V4_A)
-    one = GroupRingElem.one(V4)
+    one = GroupRingElem.one()
     broken = PerfectComplex(
-        V4, (-2, 0), {-2: 1, -1: 2, 0: 1},
-        {-2: GroupRingMatrix.from_rows(V4, [[a - one, GroupRingElem.zero(V4)]]),
-         -1: GroupRingMatrix.from_rows(V4, [[GroupRingElem.zero(V4)],
-                                            [a - one]])})
+        (-2, 0), {-2: 1, -1: 2, 0: 1},
+        {-2: GroupRingMatrix.from_rows([[a - one, GroupRingElem.zero()]]),
+         -1: GroupRingMatrix.from_rows([[GroupRingElem.zero()],
+                                        [a - one]])})
     with pytest.raises(ContractViolationError):
         valuation_iso(spec, broken)
 
@@ -172,7 +172,7 @@ def test_displayed_identity_directly():
         spec = TameComplexSpec(p, V4_A, V4_B)
         x = inertia_unit(spec)
         a = GroupRingElem.of(V4_A)
-        assert x - a * x == GroupRingElem.one(V4) - a
+        assert x - a * x == GroupRingElem.one() - a
 
 
 # ---------- closed form ----------

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from tq.errors import ContractViolationError, InputError
-from tq.grouprings import (V4, V4_A, V4_B, V4_CHARS, GroupRingElem,
+from tq.grouprings import (V4_A, V4_B, V4_CHARS, GroupRingElem,
                            GroupRingMatrix, char_by_label)
 from tq.localterms import TameComplexSpec, build_tame_complex, valuation_iso
 from tq.perfectcomplex import (CohomologyIso, CohomologyIsoComponent,
@@ -30,26 +30,26 @@ def sign_pattern(chi, a=V4_A, b=V4_B):
 # ---------- construction ----------
 
 def test_composite_zero_enforced():
-    one = GroupRingElem.one(V4)
+    one = GroupRingElem.one()
     a = GroupRingElem.of(V4_A)
-    d0 = GroupRingMatrix.from_rows(V4, [[one]])
-    d1 = GroupRingMatrix.from_rows(V4, [[a]])
+    d0 = GroupRingMatrix.from_rows([[one]])
+    d1 = GroupRingMatrix.from_rows([[a]])
     with pytest.raises(InputError):
-        PerfectComplex(V4, (0, 2), {0: 1, 1: 1, 2: 1}, {0: d0, 1: d1})
+        PerfectComplex((0, 2), {0: 1, 1: 1, 2: 1}, {0: d0, 1: d1})
 
 
 def test_differential_shape_enforced():
-    d = GroupRingMatrix.identity(V4, 2)
+    d = GroupRingMatrix.identity(2)
     with pytest.raises(InputError):
-        PerfectComplex(V4, (0, 1), {0: 1, 1: 2}, {0: d})
+        PerfectComplex((0, 1), {0: 1, 1: 2}, {0: d})
 
 
 def test_euler_characteristic_examples():
     _, p = tame(5)
     assert euler_characteristic(p) == 0
-    empty = PerfectComplex(V4, (0, 0), {0: 0}, {})
+    empty = PerfectComplex((0, 0), {0: 0}, {})
     assert euler_characteristic(empty) == 0
-    single = PerfectComplex(V4, (0, 0), {0: 3}, {})
+    single = PerfectComplex((0, 0), {0: 3}, {})
     assert euler_characteristic(single) == -3
 
 
@@ -70,7 +70,7 @@ def test_specialize_lambda_row_unramified_char():
 
 
 def test_specialize_zero_complex():
-    zero = PerfectComplex(V4, (0, 1), {0: 0, 1: 0}, {})
+    zero = PerfectComplex((0, 1), {0: 0, 1: 0}, {})
     c = char_specialize(zero, char_by_label("1"))
     assert c.rank(0) == 0 and c.rank(1) == 0
 
@@ -78,9 +78,9 @@ def test_specialize_zero_complex():
 # ---------- cohomology ----------
 
 def test_cohomology_of_multiplication_by_two():
-    two = GroupRingElem.one(V4) * 2
-    p = PerfectComplex(V4, (0, 1), {0: 1, 1: 1},
-                       {0: GroupRingMatrix.from_rows(V4, [[two]])})
+    two = GroupRingElem.one() * 2
+    p = PerfectComplex((0, 1), {0: 1, 1: 1},
+                       {0: GroupRingMatrix.from_rows([[two]])})
     c = char_specialize(p, char_by_label("1"))
     data = cohomology_basis(c)
     assert data.kernels[0] == []
@@ -122,9 +122,9 @@ def test_representative_at_thirteen():
 
 
 def test_zero_differential_identity_iso_gives_constant_one():
-    p = PerfectComplex(V4, (-1, 0), {-1: 2, 0: 2},
+    p = PerfectComplex((-1, 0), {-1: 2, 0: 2},
                        {-1: GroupRingMatrix.from_rows(
-                           V4, [[GroupRingElem.zero(V4)] * 2] * 2)})
+                           [[GroupRingElem.zero()] * 2] * 2)})
     ident = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     comps = {chi.label: CohomologyIsoComponent(
         odd_reps={-1: [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]},
