@@ -34,6 +34,7 @@ COMMANDS = {
     "compute-5-13-options": ["compute", "--d1", "5", "--d2", "13", "--json",
                              "--m", "2", "--sign", "minus", "--extra-s", "3,7"],
     "sweep-60": ["sweep", "--max", "60", "--json"],
+    "sweep-200": ["sweep", "--max", "200", "--json"],
     "selftest": ["selftest"],
 }
 
