@@ -6,16 +6,17 @@ Gal(E/Q), identified with V4 so that
 
 hence chi1 = chi_{d1}, chi2 = chi_{d2}, chi1chi2 = chi_{d3} where d3 is the
 squarefree kernel of d1*d2.  Everything is decided by Kronecker symbols; no
-ideal factorization is needed for quadratic subfields.
+ideal factorization is needed for quadratic subfields, and only d1 and d2
+are ever factored, never their product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from math import gcd
 
-from .arith import is_prime, is_squarefree, kronecker_symbol, prime_factors, squarefree_kernel
+from .arith import is_prime, is_squarefree, kronecker_symbol, prime_factors
 from .errors import InputError
 from .grouprings import (V4_E, GaloisChar, GroupElement, char_by_label,
                          element_name, group_elements)
@@ -67,7 +68,8 @@ def field_data(d1: int, d2: int, allow_imaginary: bool = False) -> FieldData:
     if (d1 < 0 or d2 < 0) and not allow_imaginary:
         raise InputError("negative d makes E imaginary; pass allow_imaginary "
                          "to compute outside the totally real default")
-    d3 = squarefree_kernel(d1 * d2)
+    # the squarefree kernel of d1*d2, since d1 and d2 are squarefree
+    d3 = d1 * d2 // gcd(d1, d2) ** 2
     if d3 in (d1, d2) or d3 == 1:
         raise InputError(f"degenerate pair: third subfield collapses (d3={d3})")
     return FieldData(d1, d2, d3, totally_real=(d1 > 0 and d2 > 0))
@@ -103,37 +105,12 @@ class PrimeLocalData:
         }
 
 
-def _char_of_subfield(f: FieldData, d: int) -> GaloisChar:
-    for label, sub in f.char_to_subfield.items():
-        if sub == d:
-            return char_by_label(label)
-    raise AssertionError(d)
-
-
-def _kernel(chi: GaloisChar) -> frozenset[GroupElement]:
-    return frozenset(g for g in group_elements() if chi(g) == 1)
-
-
-def _splits_at_2(d: int) -> bool:
-    return d % 8 == 1
-
-
-def _frobenius_signs(f: FieldData, p: int) -> dict[str, int]:
-    """chi_d(Frob_p) for the three quadratic characters, p unramified."""
-    signs = {}
-    for label, d in f.char_to_subfield.items():
-        if p == 2:
-            signs[label] = 1 if _splits_at_2(d) else -1
-        else:
-            signs[label] = kronecker_symbol(quad_field_disc(d), p)
-    return signs
-
-
-def _element_with_signs(signs: Mapping[str, int]) -> GroupElement:
-    for g in group_elements():
-        if all(char_by_label(lbl)(g) == s for lbl, s in signs.items()):
-            return g
-    raise AssertionError(signs)
+def _frob_sign(d: int, p: int) -> int:
+    """The quadratic character of Q(sqrt(d)) at Frob_p: 1 when p splits,
+    -1 when p is inert, 0 when p ramifies."""
+    if p == 2:
+        return 0 if quad_field_disc(d) % 2 == 0 else (1 if d % 8 == 1 else -1)
+    return kronecker_symbol(quad_field_disc(d), p)
 
 
 def local_galois(f: FieldData, p: int) -> PrimeLocalData:
@@ -141,30 +118,23 @@ def local_galois(f: FieldData, p: int) -> PrimeLocalData:
     splitting behavior of p in the three quadratic subfields."""
     if p < 2 or not is_prime(p):
         raise InputError(f"{p} is not prime")
-    if p == 2:
-        ramified = [d for d in f.subfields if quad_field_disc(d) % 2 == 0]
-    else:
-        ramified = [d for d in f.subfields if d % p == 0]
-    if not ramified:
-        signs = _frobenius_signs(f, p)
-        frob = _element_with_signs(signs)
-        dec = frozenset({V4_E, frob})
+    signs = [(char_by_label(label), _frob_sign(d, p))
+             for label, d in f.char_to_subfield.items()]
+    unramified = [(chi, s) for chi, s in signs if s != 0]
+    if len(unramified) == 3:
+        frob = next(g for g in group_elements()
+                    if all(chi(g) == s for chi, s in signs))
         return PrimeLocalData(p, in_s=False, inertia=frozenset({V4_E}),
-                              decomposition=dec, frob=frob)
-    unramified = [d for d in f.subfields if d not in ramified]
+                              decomposition=frozenset({V4_E, frob}), frob=frob)
     if not unramified:
         # only possible at p = 2: all three subfields ramify
         full = frozenset(group_elements())
         return PrimeLocalData(p, in_s=True, inertia=full, decomposition=full,
                               frob=V4_E)
-    d_u = unramified[0]
-    chi_u = _char_of_subfield(f, d_u)
-    inertia = _kernel(chi_u)
-    if p == 2:
-        sym = 1 if _splits_at_2(d_u) else -1
-    else:
-        sym = kronecker_symbol(quad_field_disc(d_u), p)
-    if sym == 1:
+    # inertia has order two: the kernel of the one unramified character
+    chi_u, sign_u = unramified[0]
+    inertia = frozenset(g for g in group_elements() if chi_u(g) == 1)
+    if sign_u == 1:
         return PrimeLocalData(p, in_s=True, inertia=inertia,
                               decomposition=inertia, frob=V4_E)
     frob = next(g for g in group_elements() if g not in inertia)
@@ -177,25 +147,30 @@ def local_galois(f: FieldData, p: int) -> PrimeLocalData:
 def ramified_set(f: FieldData) -> list[int]:
     """Rational primes dividing the discriminant of E (minimal admissible
     set of finite places)."""
-    primes = set(prime_factors(f.d1 * f.d2))
+    primes = set(prime_factors(f.d1)) | set(prime_factors(f.d2))
     if any(quad_field_disc(d) % 2 == 0 for d in f.subfields):
         primes.add(2)
     return sorted(primes)
 
 
-def euler_factor(chi: GaloisChar, p: int, local: PrimeLocalData) -> Fraction:
-    """det(1 - p^-1 Frob^-1 | chi^I): one when chi is nontrivial on
-    inertia, else 1 - chi(Frob)/p."""
+def euler_pair(chi: GaloisChar, p: int, local: PrimeLocalData) -> tuple[int, int]:
+    """det(1 - p^-1 Frob^-1 | chi^I) as (numerator, denominator): (1, 1)
+    when chi is nontrivial on inertia, else (p - chi(Frob), p)."""
     if not chi.fixes(local.inertia):
-        return Fraction(1)
-    return 1 - Fraction(chi(local.frob), p)
+        return 1, 1
+    return p - chi(local.frob), p
 
 
-def frob_det_quotient(chi: GaloisChar, local: PrimeLocalData) -> Fraction:
-    """det(1 - Frob^-1 | chi^I / chi^D)."""
+def euler_factor(chi: GaloisChar, p: int, local: PrimeLocalData) -> Fraction:
+    """det(1 - p^-1 Frob^-1 | chi^I) as an exact rational."""
+    return Fraction(*euler_pair(chi, p, local))
+
+
+def frob_det_quotient(chi: GaloisChar, local: PrimeLocalData) -> int:
+    """det(1 - Frob^-1 | chi^I / chi^D), an integer."""
     if chi.fixes(local.inertia) - chi.fixes(local.decomposition) == 1:
-        return 1 - Fraction(chi(local.frob))
-    return Fraction(1)
+        return 1 - chi(local.frob)
+    return 1
 
 
 def artin_conductor(chi: GaloisChar | str, f: FieldData) -> int:

@@ -84,7 +84,8 @@ class GaloisChar:
 
     def __call__(self, g: GroupElement) -> int:
         i, j = g.word
-        return (self.signs[0] ** i) * (self.signs[1] ** j)
+        s_a, s_b = self.signs
+        return (s_a if i else 1) * (s_b if j else 1)
 
     def is_trivial(self) -> bool:
         return self.signs == (1, 1)
@@ -92,7 +93,7 @@ class GaloisChar:
     def fixes(self, elements: Iterable[GroupElement]) -> int:
         """dim chi^H for the subgroup H generated by `elements`: 1 when chi
         is trivial on H, else 0."""
-        return 1 if all(self(g) == 1 for g in elements) else 0
+        return 0 if -1 in map(self, elements) else 1
 
 
 HOMREP_KEYS = ("1", "chi1", "chi2", "chi1chi2")

@@ -1,7 +1,8 @@
 """Assembly of the torsion invariant in (Z/4)* for a biquadratic field:
 the simplified global representative (inverse Euler-factor products over
 the ramified set), the per-prime power-of-two terms, and the local classes
-at fully decomposed odd primes; plus the analytic cross-checks (the exact
+at fully decomposed odd primes; the integer core `torsion_unit` that turns
+them into the verdict; plus the analytic cross-checks (the exact
 ratio L*(1)/L*(0) squared, its numeric verification) and the standalone
 resolvent quotient check for the supported shapes of the completion at 2.
 """
@@ -15,48 +16,45 @@ from typing import Iterable, Mapping
 
 from .arith import is_prime
 from .biquadratic import (FieldData, PrimeLocalData, artin_conductor,
-                          euler_factor, field_data, frob_det_quotient,
-                          local_galois, quad_field_disc, ramified_set)
+                          euler_factor, euler_pair, field_data,
+                          frob_det_quotient, local_galois, quad_field_disc,
+                          ramified_set)
 from .errors import InputError, TqError
 from .grouprings import HOMREP_KEYS, V4_CHARS, GaloisChar
-from .localterms import LatticeExponent, local_term_closed_form
+from .localterms import LatticeExponent, local_term_closed_form, local_term_pair
 from .lseries import l_one_logsin, l_prime_zero_lgamma
-from .relk0 import HomRep, TorsionClass, odd_part_mod4, torsion_class
+from .relk0 import HomRep, TorsionClass, odd_part_mod4, odd_unit
 
 VERDICT_VANISHES = "vanishes"
 VERDICT_NONZERO = "nonzero"
 VERDICT_INADMISSIBLE = "inadmissible"
 
 
+def delta1_pair(chi: GaloisChar, local: PrimeLocalData) -> tuple[int, int]:
+    """The value at chi of the power-of-two class attached to p,
+    (|D|/|I|)^(-dim chi^D) det(1 - Frob^-1 | chi^I/chi^D), as
+    (numerator, denominator) ints."""
+    ratio = len(local.decomposition) // len(local.inertia)
+    return frob_det_quotient(chi, local), ratio ** chi.fixes(local.decomposition)
+
+
 def delta1_term(f: FieldData, p: int, local: PrimeLocalData | None = None) -> HomRep:
-    """The power-of-two class attached to p:
-    chi |-> (|D|/|I|)^(-dim chi^D) det(1 - Frob^-1 | chi^I/chi^D)."""
+    """The power-of-two class attached to p (see `delta1_pair`)."""
     if local is None:
         local = local_galois(f, p)
-    ratio = len(local.decomposition) // len(local.inertia)
-
-    def value(chi: GaloisChar) -> Fraction:
-        return (Fraction(1, ratio ** chi.fixes(local.decomposition))
-                * frob_det_quotient(chi, local))
-
-    return HomRep.from_char_function(value)
+    return HomRep.from_char_function(lambda chi: Fraction(*delta1_pair(chi, local)))
 
 
 def ts_representative(f: FieldData, s_f: Iterable[int],
                       locals_map: Mapping[int, PrimeLocalData] | None = None) -> HomRep:
     """Simplified global representative: per character, the inverse of the
     product of Euler factors over the finite places of S."""
-    primes = sorted(set(s_f))
     locals_map = locals_map or {}
-
-    def value(chi: GaloisChar) -> Fraction:
-        prod = Fraction(1)
-        for p in primes:
-            local = locals_map.get(p) or local_galois(f, p)
-            prod *= euler_factor(chi, p, local)
-        return 1 / prod
-
-    return HomRep.from_char_function(value)
+    prod = HomRep.constant_one()
+    for p in sorted(set(s_f)):
+        local = locals_map.get(p) or local_galois(f, p)
+        prod = prod * HomRep(euler_factor(chi, p, local) for chi in V4_CHARS)
+    return prod.inverse()
 
 
 @dataclass(frozen=True)
@@ -164,51 +162,85 @@ class InvariantReport:
         }
 
 
-def omega_loc_torsion(d1: int, d2: int,
-                      s_extra: Iterable[int] | None = None,
-                      lat: LatticeExponent = LatticeExponent(),
-                      allow_imaginary: bool = False) -> InvariantReport:
-    """Full pipeline: field data, local data over the ramified set (plus
-    any extra odd primes), the simplified global representative, the
-    power-of-two terms, the local classes at fully decomposed odd primes,
-    and the resulting torsion class with its verdict."""
-    f = field_data(d1, d2, allow_imaginary=allow_imaginary)
+def _has_local_term(local: PrimeLocalData) -> bool:
+    """Local classes enter at the fully decomposed odd primes."""
+    return local.full_decomposition and local.p % 2 == 1
+
+
+def torsion_unit(local_2: PrimeLocalData, locals_s: Iterable[PrimeLocalData],
+                 lat: LatticeExponent = LatticeExponent()) -> int | None:
+    """The torsion class of a field as the unit 1 or 3 of (Z/4)*, from its
+    local data at 2 and over S; None, without consuming `locals_s`, when
+    the decomposition group at 2 is everything (inadmissible).  The odd
+    part mod 4 of the product over S and the characters of the inverse
+    Euler factors, the power-of-two terms and the inverse local terms is
+    multiplicative, so each factor is reduced on its own, in ints."""
+    if local_2.full_decomposition:
+        return None
+    unit = 1
+    for loc in locals_s:
+        p = loc.p
+        local_term = _has_local_term(loc)
+        for chi in V4_CHARS:
+            # a unit mod 4 is its own inverse, so numerators and
+            # denominators count alike, inverted factors or not
+            n = math.prod(euler_pair(chi, p, loc)) * math.prod(delta1_pair(chi, loc))
+            if local_term:
+                n *= math.prod(local_term_pair(chi, p, loc, lat))
+            unit = unit * odd_unit(n) % 4
+    return unit
+
+
+def _verdict(unit: int | None) -> str:
+    if unit is None:
+        return VERDICT_INADMISSIBLE
+    return VERDICT_VANISHES if unit == 1 else VERDICT_NONZERO
+
+
+def _s_set(f: FieldData, s_extra: Iterable[int] | None) -> tuple[int, ...]:
+    """The ramified set of f enlarged by the extra odd primes, sorted."""
     s_f = set(ramified_set(f))
     for p in (s_extra or ()):
         if p == 2 or not is_prime(p):
             raise InputError(f"extra primes must be odd primes, got {p}")
         s_f.add(p)
-    s_f = tuple(sorted(s_f))
+    return tuple(sorted(s_f))
 
+
+def omega_loc_torsion(d1: int, d2: int,
+                      s_extra: Iterable[int] | None = None,
+                      lat: LatticeExponent = LatticeExponent(),
+                      allow_imaginary: bool = False) -> InvariantReport:
+    """Full pipeline: field data, local data over the ramified set (plus
+    any extra odd primes), the torsion class from `torsion_unit` with its
+    verdict, and the exact values behind it: the simplified global
+    representative, the power-of-two terms and the local classes at fully
+    decomposed odd primes."""
+    f = field_data(d1, d2, allow_imaginary=allow_imaginary)
+    s_f = _s_set(f, s_extra)
     locals_map = {p: local_galois(f, p) for p in s_f}
     local_2 = locals_map.get(2) or local_galois(f, 2)
-    admissible = len(local_2.decomposition) != 4
+    unit = torsion_unit(local_2, locals_map.values(), lat)
     per_prime = {}
     for p, loc in locals_map.items():
         term = None
-        if admissible and loc.full_decomposition and p % 2 == 1:
+        if unit is not None and _has_local_term(loc):
             term = local_term_closed_form(p, loc, lat)
         per_prime[p] = PrimeReport(loc, delta1_term(f, p, loc),
                                    tuple(euler_factor(chi, p, loc) for chi in V4_CHARS),
                                    term)
 
     note = None if f.totally_real else "outside the totally real default"
-    if not admissible:
+    if unit is None:
         return InvariantReport(f, s_f, per_prime, None, resolvent_factor_check(f),
                                None, VERDICT_INADMISSIBLE, lat,
                                note="decomposition group at 2 is everything"
                                     + (f"; {note}" if note else ""))
 
-    ts_rep = ts_representative(f, s_f, locals_map)
-    total = ts_rep
-    for report in per_prime.values():
-        if report.local_term is not None:
-            total = total * report.local_term.inverse()
-        total = total * report.delta1
-    torsion = torsion_class(total)
-    verdict = VERDICT_VANISHES if torsion.is_trivial() else VERDICT_NONZERO
+    # the global representative from the Euler factors already computed
+    ts_rep = HomRep(map(math.prod, zip(*(r.euler for r in per_prime.values())))).inverse()
     return InvariantReport(f, s_f, per_prime, ts_rep, resolvent_factor_check(f),
-                           torsion, verdict, lat, note)
+                           TorsionClass(unit), _verdict(unit), lat, note)
 
 
 def leading_ratio_exact(chi: GaloisChar | str, f: FieldData) -> Fraction:
@@ -257,7 +289,6 @@ class SweepSummary:
     counts: dict[str, int] = field(default_factory=lambda: {
         VERDICT_VANISHES: 0, VERDICT_NONZERO: 0, VERDICT_INADMISSIBLE: 0})
     nonzero_fields: list[tuple[int, int]] = field(default_factory=list)
-    reports: dict[tuple[int, int], InvariantReport] | None = None
 
     @property
     def n_fields(self) -> int:
@@ -279,20 +310,30 @@ def squarefree_pairs(dmax: int):
                 yield d1, d2
 
 
+def field_verdict(d1: int, d2: int, s_extra: Iterable[int] | None = None,
+                  lat: LatticeExponent = LatticeExponent()) -> str:
+    """The verdict of `omega_loc_torsion` for the real field
+    Q(sqrt(d1), sqrt(d2)), from its local data and `torsion_unit` alone,
+    with no report.  Local data at odd primes is computed only when the
+    field is admissible."""
+    f = field_data(d1, d2)
+    local_2 = local_galois(f, 2)
+    locals_s = (local_2 if p == 2 else local_galois(f, p)
+                for p in _s_set(f, s_extra))
+    return _verdict(torsion_unit(local_2, locals_s, lat))
+
+
 def sweep(dmax: int, s_extra: Iterable[int] | None = None,
-          lat: LatticeExponent = LatticeExponent(),
-          keep_reports: bool = False) -> SweepSummary:
-    """Run the pipeline over all squarefree pairs 1 < d1 < d2 <= dmax.
+          lat: LatticeExponent = LatticeExponent()) -> SweepSummary:
+    """Decide every squarefree pair 1 < d1 < d2 <= dmax.
     Any nonzero torsion is collected for prominent reporting: it means the
     predicted universal vanishing fails for that field."""
     if dmax < 3:
         raise InputError("dmax must be at least 3")
-    summary = SweepSummary(dmax, reports={} if keep_reports else None)
+    summary = SweepSummary(dmax)
     for d1, d2 in squarefree_pairs(dmax):
-        report = omega_loc_torsion(d1, d2, s_extra=s_extra, lat=lat)
-        summary.counts[report.verdict] += 1
-        if report.verdict == VERDICT_NONZERO:
+        verdict = field_verdict(d1, d2, s_extra, lat)
+        summary.counts[verdict] += 1
+        if verdict == VERDICT_NONZERO:
             summary.nonzero_fields.append((d1, d2))
-        if summary.reports is not None:
-            summary.reports[(d1, d2)] = report
     return summary

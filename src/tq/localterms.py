@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_prime
-from .biquadratic import euler_factor, frob_det_quotient
+from .biquadratic import euler_pair, frob_det_quotient
 from .errors import ContractViolationError, InputError
 from .grouprings import (V4_CHARS, V4_E, GaloisChar, GroupElement,
                          GroupRingElem, GroupRingMatrix, apply_char)
@@ -189,26 +189,32 @@ def _require_full_decomposition(p, local) -> None:
             f"|I| = {len(local.inertia)})")
 
 
-def local_term_closed_form(p: int, local, lat: LatticeExponent) -> HomRep:
-    """Closed formula for the local class at a fully decomposed odd prime:
+def local_term_pair(chi: GaloisChar, p: int, local,
+                    lat: LatticeExponent) -> tuple[int, int]:
+    """The value at chi of the closed formula for the local class at a fully
+    decomposed odd prime, as (numerator, denominator) ints:
 
         eps(chi) * (|G|/|I|)^(-dim chi^D) * det(1 - Frob^-1 | chi^I/chi^D)
         / ( p^(1 +- m dim chi^I) * det(1 - p^-1 Frob^-1 | chi^I) )
 
     with eps(chi) = (-1)^(dim(chi^I/chi^D)) and |G|/|I| = 2.
     """
+    dim_i = chi.fixes(local.inertia)
+    dim_d = chi.fixes(local.decomposition)
+    eps = -1 if dim_i - dim_d else 1
+    e_num, e_den = euler_pair(chi, p, local)
+    p_exp = 1 + lat.sign * lat.m * dim_i
+    num = eps * frob_det_quotient(chi, local) * e_den * p ** max(-p_exp, 0)
+    den = 2 ** dim_d * p ** max(p_exp, 0) * e_num
+    return num, den
+
+
+def local_term_closed_form(p: int, local, lat: LatticeExponent) -> HomRep:
+    """The local class at a fully decomposed odd prime by the closed
+    formula of `local_term_pair`."""
     _require_full_decomposition(p, local)
-
-    def value(chi: GaloisChar) -> Fraction:
-        dim_i = chi.fixes(local.inertia)
-        dim_d = chi.fixes(local.decomposition)
-        eps = -1 if dim_i - dim_d else 1
-        num = Fraction(1, 2 ** dim_d) * frob_det_quotient(chi, local)
-        denom = (Fraction(p) ** (1 + lat.sign * lat.m * dim_i)
-                 * euler_factor(chi, p, local))
-        return eps * num / denom
-
-    return HomRep.from_char_function(value)
+    return HomRep.from_char_function(
+        lambda chi: Fraction(*local_term_pair(chi, p, local, lat)))
 
 
 def local_term_via_complex(p: int, local, lat: LatticeExponent) -> HomRep:

@@ -57,19 +57,20 @@ class TorsionClass:
         return cls(1)
 
 
+def odd_unit(n: int) -> int:
+    """The odd part of the nonzero integer n (sign kept), reduced mod 4:
+    1 or 3."""
+    return n // (n & -n) % 4
+
+
 def odd_part_mod4(q: Rational) -> TorsionClass:
     """Strip all factors of 2 from q and reduce the remaining odd rational
     mod 4 (odd denominators are inverted mod 4)."""
     q = Fraction(q)
     if q == 0:
         raise InputError("odd part mod 4 of 0 is undefined")
-    n, d = q.numerator, q.denominator
-    while n % 2 == 0:
-        n //= 2
-    while d % 2 == 0:
-        d //= 2
     # for odd d, the inverse of d mod 4 is d itself
-    return TorsionClass((n * d) % 4)
+    return TorsionClass(odd_unit(q.numerator) * odd_unit(q.denominator) % 4)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,3 +100,16 @@ def test_analytic_ratio_command(capsys):
                        "--tol", "1e-8")
     assert code == 0
     assert "0 failures" in out
+
+
+def test_compute_large_prime_pair_finishes():
+    """d1 and d2 are factored separately, never their product (~1e18)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tq.cli", "compute",
+         "--d1", "1000000007", "--d2", "998244353"],
+        capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr

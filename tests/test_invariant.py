@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,10 @@ from tq.biquadratic import (field_data, local_galois, quad_field_disc,
                             ramified_set)
 from tq.invariant import (VERDICT_INADMISSIBLE, VERDICT_NONZERO,
                                VERDICT_VANISHES, AnalyticCheck, delta1_term,
-                               leading_ratio_check, leading_ratio_exact,
-                               omega_loc_torsion, resolvent_factor_check,
-                               squarefree_pairs, sweep, ts_representative)
+                               field_verdict, leading_ratio_check,
+                               leading_ratio_exact, omega_loc_torsion,
+                               resolvent_factor_check, squarefree_pairs, sweep,
+                               ts_representative)
 from tq.errors import InputError
 from tq.grouprings import V4_CHARS, V4_E, char_by_label
 from tq.localterms import LatticeExponent, local_term_closed_form
@@ -223,6 +225,47 @@ def test_lattice_invariance():
                     == base
 
 
+def fraction_torsion(report):
+    """The reference torsion of an admissible report: its Fraction classes
+    ts_rep * prod delta1 * prod local_term^-1 through `torsion_class`."""
+    total = report.ts_rep
+    for pr in report.per_prime.values():
+        total = total * pr.delta1
+        if pr.local_term is not None:
+            total = total * pr.local_term.inverse()
+    return torsion_class(total)
+
+
+def test_integer_verdicts_match_fraction_reports_to_100():
+    verdicts = {}
+    for d1, d2 in squarefree_pairs(100):
+        report = omega_loc_torsion(d1, d2)
+        assert field_verdict(d1, d2) == report.verdict, (d1, d2)
+        if report.verdict != VERDICT_INADMISSIBLE:
+            assert report.torsion == fraction_torsion(report), (d1, d2)
+        verdicts[d1, d2] = report.verdict
+    summary = sweep(100)
+    assert summary.counts == {v: list(verdicts.values()).count(v)
+                              for v in summary.counts}
+    assert summary.nonzero_fields == [pair for pair, v in verdicts.items()
+                                      if v == VERDICT_NONZERO]
+
+
+def test_integer_verdicts_match_fraction_reports_with_options():
+    pairs = [(5, 13), (3, 11), (21, 33), (2, 17), (2, 5), (5, 21), (3, 19),
+             (17, 26), (33, 42), (7, 15), (13, 17), (10, 26)]
+    lattices = [LatticeExponent(m, sign) for m in (1, 2, 3) for sign in (1, -1)]
+    for d1, d2 in pairs:
+        for extra in (None, [3, 7]):
+            for lat in lattices:
+                report = omega_loc_torsion(d1, d2, s_extra=extra, lat=lat)
+                assert field_verdict(d1, d2, extra, lat) == report.verdict, \
+                    (d1, d2, extra, lat)
+                if report.verdict != VERDICT_INADMISSIBLE:
+                    assert report.torsion == fraction_torsion(report), \
+                        (d1, d2, extra, lat)
+
+
 def test_imaginary_field_is_flagged():
     report = omega_loc_torsion(-3, 5, allow_imaginary=True)
     assert report.note is not None
@@ -268,6 +311,27 @@ def test_sweep_20_counts_and_parity():
         expected = VERDICT_VANISHES if parity_prediction(d1, d2) == 1 \
             else VERDICT_NONZERO
         assert report.verdict == expected, (d1, d2)
+
+
+def test_sweep_400_matches_parity_law():
+    """The README's law for every pair with d2 <= 400: inadmissible exactly
+    when none of d1, d2, d3 is 1 mod 8, else nonzero exactly when the
+    parity prediction is -1."""
+    counts = {VERDICT_VANISHES: 0, VERDICT_NONZERO: 0, VERDICT_INADMISSIBLE: 0}
+    nonzero = []
+    for d1, d2 in squarefree_pairs(400):
+        d3 = d1 * d2 // math.gcd(d1, d2) ** 2
+        if all(d % 8 != 1 for d in (d1, d2, d3)):
+            verdict = VERDICT_INADMISSIBLE
+        elif parity_prediction(d1, d2) == 1:
+            verdict = VERDICT_VANISHES
+        else:
+            verdict = VERDICT_NONZERO
+            nonzero.append((d1, d2))
+        counts[verdict] += 1
+    summary = sweep(400)
+    assert summary.counts == counts
+    assert summary.nonzero_fields == nonzero
 
 
 def test_sweep_s_enlargement_identical():

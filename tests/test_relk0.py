@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from tq.errors import InputError
 from tq.grouprings import HOMREP_KEYS, V4_A, V4_AB, V4_B, V4_CHARS, V4_E
 from tq.relk0 import (HomRep, RankVector, TorsionClass, induce_from_subgroup,
-                      odd_part_mod4, rank_vector, torsion_class, v2)
+                      odd_part_mod4, odd_unit, rank_vector, torsion_class, v2)
 
 nonzero_fractions = st.fractions(min_value=-50, max_value=50,
                                  max_denominator=48).filter(lambda q: q != 0)
@@ -21,6 +21,14 @@ def test_odd_part_examples():
     assert odd_part_mod4(Fraction(6, 5)).unit == 3
     assert odd_part_mod4(Fraction(-1, 24)).unit == 1
     assert odd_part_mod4(Fraction(17, 1024)).unit == 1
+
+
+def test_odd_unit_strips_twos_and_keeps_sign():
+    for n in [*range(-300, 0), *range(1, 300), 3 * 2 ** 80, -(2 ** 80)]:
+        odd = n
+        while odd % 2 == 0:
+            odd //= 2
+        assert odd_unit(n) == odd % 4, n
 
 
 def test_odd_part_zero_rejected():
