@@ -1,5 +1,6 @@
-"""Byte-exact output of `tq compute --json`, `tq sweep --json`, `tq selftest`
-and the tame complex's JSON, pinned in fixtures/golden_output.json.
+"""Byte-exact output of `tq compute --json`, `tq sweep --json`, `tq selftest`,
+`tq lemma38` and the tame complex's JSON, pinned in
+fixtures/golden_output.json.
 
 A refactor that is meant to leave behaviour alone must keep every case
 byte-identical.  When an output change is intended, regenerate the fixture
@@ -36,6 +37,7 @@ COMMANDS = {
     "sweep-60": ["sweep", "--max", "60", "--json"],
     "sweep-200": ["sweep", "--max", "200", "--json"],
     "selftest": ["selftest"],
+    "lemma38-200": ["lemma38", "--conductor-max", "200"],
 }
 
 
