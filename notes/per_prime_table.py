@@ -1,0 +1,107 @@
+"""Measure where the nonzero torsion classes of acceptance criteria 4 and 9
+come from, for notes/decisions.md.
+
+Run from the repository root:
+
+    PYTHONPATH=src python notes/per_prime_table.py
+
+For every admissible squarefree pair d1 < d2 <= 100 it splits the torsion
+unit in (Z/4)* by prime of S and by part: the inverse Euler factors, the
+power-of-two term and, at fully decomposed odd primes, the inverse local
+term, itself split into eps(chi) = (-1)^dim(chi^I/chi^D) and the rest.
+Each part is the product over the four characters of the odd parts mod 4
+of its numerators and denominators, as in `invariant.torsion_unit`.  It
+then lists the supported 2-ramified fields whose resolvent quotient check
+fails, with the odd part of the square root of the conductor product.
+"""
+
+import math
+from collections import Counter
+
+from tq.biquadratic import (artin_conductor, euler_pair, field_data,
+                            local_galois, ramified_set)
+from tq.grouprings import V4_CHARS
+from tq.invariant import (delta1_pair, omega_loc_torsion, squarefree_pairs,
+                          torsion_unit)
+from tq.localterms import LatticeExponent, local_term_pair
+from tq.relk0 import odd_unit
+
+DMAX = 100
+LAT = LatticeExponent()
+
+
+def part_unit(pairs) -> int:
+    """Odd part mod 4 of the product of (numerator, denominator) pairs."""
+    unit = 1
+    for pair in pairs:
+        unit = unit * odd_unit(math.prod(pair)) % 4
+    return unit
+
+
+def eps(chi, loc) -> int:
+    return -1 if chi.fixes(loc.inertia) - chi.fixes(loc.decomposition) else 1
+
+
+def main() -> None:
+    fields = Counter()
+    full, partial = Counter(), Counter()
+    for d1, d2 in squarefree_pairs(DMAX):
+        f = field_data(d1, d2)
+        local_2 = local_galois(f, 2)
+        locals_s = [local_galois(f, p) for p in ramified_set(f)]
+        unit = torsion_unit(local_2, locals_s, LAT)
+        if unit is None:
+            fields["inadmissible"] += 1
+            continue
+        fields["admissible"] += 1
+        fields["nonzero"] += unit == 3
+        product = 1
+        n_full = 0
+        for loc in locals_s:
+            p = loc.p
+            euler = part_unit(euler_pair(chi, p, loc) for chi in V4_CHARS)
+            delta1 = part_unit(delta1_pair(chi, loc) for chi in V4_CHARS)
+            row = (f"euler {euler}", f"delta1 {delta1}")
+            total = euler * delta1 % 4
+            if loc.full_decomposition and p % 2:
+                term = part_unit(local_term_pair(chi, p, loc, LAT)
+                                 for chi in V4_CHARS)
+                sign = part_unit((eps(chi, loc), 1) for chi in V4_CHARS)
+                total = total * term % 4
+                full[row + (f"local {term} = eps {sign} x rest {term * sign % 4}",
+                            f"prime {total}")] += 1
+                n_full += 1
+            else:
+                partial[row + (f"p {'2' if p == 2 else 'odd'}",)] += 1
+            product = product * total % 4
+        assert product == unit == (3 if n_full % 2 else 1), (d1, d2)
+        fields["odd number of full primes"] += n_full % 2
+    print(f"squarefree pairs d1 < d2 <= {DMAX}: {dict(fields)}")
+    print(f"fully decomposed odd primes: {sum(full.values())}")
+    for row, n in sorted(full.items()):
+        print(f"  {n:5d}  {', '.join(row)}")
+    print(f"other primes of S: {sum(partial.values())}")
+    for row, n in sorted(partial.items()):
+        print(f"  {n:5d}  {', '.join(row)}")
+
+    print("criterion 9: supported 2-ramified fields failing the quotient check")
+    checked = 0
+    for d1, d2 in squarefree_pairs(DMAX):
+        report = omega_loc_torsion(d1, d2)
+        rc = report.resolvent_check
+        if report.torsion is None or rc is None or rc.status == "unsupported":
+            continue
+        checked += 1
+        if rc.status != "pass":
+            root = math.isqrt(math.prod(artin_conductor(chi, report.field)
+                                        for chi in V4_CHARS))
+            cofactor = root // (root & -root)
+            print(f"  ({d1}, {d2}): r = {rc.value}, {rc.completion}, "
+                  f"sqrt of conductor product {root}, odd part {cofactor} "
+                  f"= {cofactor % 4} mod 4, "
+                  f"torsion {report.torsion.unit}")
+    print(f"  of {checked} supported fields")
+
+
+if __name__ == "__main__":
+    main()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .arith import is_prime
+from .arith import is_prime, is_squarefree
 from .biquadratic import (FieldData, PrimeLocalData, artin_conductor,
                           euler_factor, euler_pair, field_data,
                           frob_det_quotient, local_galois, quad_field_disc,
@@ -301,13 +301,11 @@ class SweepSummary:
 
 
 def squarefree_pairs(dmax: int):
-    from .arith import is_squarefree
-    for d2 in range(3, dmax + 1):
-        if not is_squarefree(d2):
-            continue
-        for d1 in range(2, d2):
-            if is_squarefree(d1):
-                yield d1, d2
+    """The pairs 1 < d1 < d2 <= dmax of squarefree ints, by d2 then d1."""
+    ds = [d for d in range(2, dmax + 1) if is_squarefree(d)]
+    for i, d2 in enumerate(ds):
+        for d1 in ds[:i]:
+            yield d1, d2
 
 
 def field_verdict(d1: int, d2: int, s_extra: Iterable[int] | None = None,

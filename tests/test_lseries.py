@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from tq.arith import is_squarefree
+from tq.arith import is_squarefree, kronecker_symbol
 from tq.biquadratic import quad_field_disc
 from tq.errors import InputError
 from tq.lseries import (l_one_logsin, l_one_series, l_prime_zero_lgamma,
@@ -25,6 +25,19 @@ def test_quad_char_basics():
     assert chi[1:5] == [1, -1, -1, 1]
     chi8 = quad_char_values(8)
     assert [chi8[n % 8] for n in (1, 3, 5, 7)] == [1, -1, -1, 1]
+
+
+@pytest.mark.parametrize("discs", [
+    range(-600, 601),
+    # the ten largest real fundamental discriminants up to 16000
+    [15973, 15976, 15977, 15980, 15981, 15985, 15989, 15992, 15996, 15997],
+])
+def test_quad_char_values_equals_kronecker_table(discs):
+    # every integer, not only fundamental discriminants: negative ones,
+    # non-fundamental ones such as 12 and 48, 0 and +-1
+    for disc in discs:
+        assert quad_char_values(disc) == [kronecker_symbol(disc, n)
+                                          for n in range(abs(disc))], disc
 
 
 def test_character_even_and_periodic():
