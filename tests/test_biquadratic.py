@@ -192,3 +192,67 @@ def test_conductor_product_is_perfect_square():
         for chi in V4_CHARS:
             prod *= artin_conductor(chi, f)
         assert isqrt(prod) ** 2 == prod, (d1, d2, prod)
+
+
+def _oracle_sign(d, p, squares):
+    """Splitting of p in Q(sqrt d) without Kronecker symbols: 0 when p
+    divides the discriminant, 1 when p splits, -1 when p is inert.  An odd
+    p splits iff the discriminant is a nonzero square mod p (`squares` is
+    the set of nonzero squares mod p); 2 splits iff d = 1 mod 8."""
+    disc = quad_field_disc(d)
+    if disc % p == 0:
+        return 0
+    if p == 2:
+        return 1 if d % 8 == 1 else -1
+    return 1 if disc % p in squares else -1
+
+
+def _expected_local(signs):
+    """Local data at p from the signs of p in Q(sqrt d1), Q(sqrt d2) and
+    Q(sqrt d3).  a^i b^j acts on the three square roots by (-1)^i, (-1)^j
+    and (-1)^(i+j); it lies in inertia when it fixes every root with sign
+    != 0 and in the decomposition group when it fixes every root with sign
+    1.  Frobenius is the first element, in the order e, a, b, ab, acting on
+    each unramified root by its sign."""
+    def acts(g):
+        i, j = g.word
+        return ((-1) ** i, (-1) ** j, (-1) ** (i + j))
+    elems = group_elements()
+    inertia = frozenset(g for g in elems
+                        if all(a == 1 for a, s in zip(acts(g), signs) if s))
+    decomposition = frozenset(g for g in elems
+                              if all(a == 1 for a, s in zip(acts(g), signs) if s == 1))
+    frob = next(g for g in elems
+                if all(a == s for a, s in zip(acts(g), signs) if s))
+    a_p = b_p = None
+    if len(decomposition) == 4 and len(inertia) == 2:
+        a_p = next(g for g in inertia if g != V4_E)
+        b_p = frob
+    return (len(inertia) > 1, inertia, decomposition, frob, a_p, b_p)
+
+
+def test_local_galois_against_brute_force_oracle():
+    """Every field Q(sqrt d1, sqrt d2) with squarefree |d1|, |d2| <= 60,
+    imaginary ones included, at every prime p <= 400."""
+    primes = [2] + odd_primes_up_to(400)
+    squares = {p: {x * x % p for x in range(1, p)} for p in primes}
+    ds = [d for d in range(-60, 61) if d not in (0, 1) and is_squarefree(d)]
+    sign = {}  # (d, p) -> oracle sign
+    expected = {}  # sign triple -> expected local data
+    n_cases = 0
+    for i, d2 in enumerate(ds):
+        for d1 in ds[:i]:
+            f = field_data(d1, d2, allow_imaginary=True)
+            for p in primes:
+                for d in f.subfields:
+                    if (d, p) not in sign:
+                        sign[d, p] = _oracle_sign(d, p, squares[p])
+                signs = tuple(sign[d, p] for d in f.subfields)
+                if signs not in expected:
+                    expected[signs] = _expected_local(signs)
+                loc = local_galois(f, p)
+                got = (loc.in_s, loc.inertia, loc.decomposition, loc.frob,
+                       loc.a_p, loc.b_p)
+                assert got == expected[signs], (d1, d2, p, signs)
+                n_cases += 1
+    assert n_cases == 2628 * 78

@@ -57,6 +57,39 @@ def test_exactly_four_one_dim_characters():
     assert len(seen) == 4
 
 
+# values on (e, a, b, ab): chi1(a) = -1 = chi2(b), chi1(b) = 1 = chi2(a)
+CHAR_TABLE = {
+    "1": (1, 1, 1, 1),
+    "chi1": (1, -1, 1, -1),
+    "chi2": (1, 1, -1, -1),
+    "chi1chi2": (1, -1, -1, 1),
+}
+
+SUBGROUPS = ({V4_E}, {V4_E, V4_A}, {V4_E, V4_B}, {V4_E, V4_AB},
+             {V4_E, V4_A, V4_B, V4_AB})
+
+# dim chi^H for H in SUBGROUPS, in that order
+FIXES_TABLE = {
+    "1": (1, 1, 1, 1, 1),
+    "chi1": (1, 0, 1, 0, 0),
+    "chi2": (1, 1, 0, 0, 0),
+    "chi1chi2": (1, 0, 0, 1, 0),
+}
+
+
+def test_character_table_literal():
+    assert [chi.label for chi in V4_CHARS] == list(CHAR_TABLE)
+    for chi in V4_CHARS:
+        assert tuple(chi(g) for g in (V4_E, V4_A, V4_B, V4_AB)) == \
+            CHAR_TABLE[chi.label]
+        assert chi.is_trivial() == (chi.label == "1")
+
+
+def test_fixes_table_literal():
+    for chi in V4_CHARS:
+        assert tuple(chi.fixes(h) for h in SUBGROUPS) == FIXES_TABLE[chi.label]
+
+
 def test_fixes_is_invariant_dimension():
     # dim chi^H is 1 exactly when H lies in the kernel of chi
     subgroups = [{V4_E}, {V4_E, V4_A}, {V4_E, V4_B}, {V4_E, V4_AB},

@@ -1,0 +1,24 @@
+"""The scripts under notes/ that back notes/decisions.md, run as they are
+documented and compared byte for byte with their recorded output."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def test_per_prime_table_output():
+    """notes/per_prime_table.py: 640 admissible pairs with d2 <= 100, 156
+    nonzero; 942 fully decomposed odd primes, each contributing 3 through
+    eps; 1 198 other primes of S; criterion 9 fails on (33, 42), (42, 57)
+    and (57, 66)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "notes" / "per_prime_table.py")],
+        capture_output=True, text=True, timeout=120, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (FIXTURES / "per_prime_table.txt").read_text()
