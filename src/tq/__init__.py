@@ -26,7 +26,7 @@ from .localterms import (LatticeExponent, TameComplexSpec, build_tame_complex,
 from .perfectcomplex import (CohomologyIso, CohomologyIsoComponent,
                              PerfectComplex, RationalComplex, char_specialize,
                              class_representative, cohomology_basis,
-                             euler_characteristic, torsion_determinant)
+                             torsion_determinant)
 from .relk0 import (HomRep, RankVector, TorsionClass, induce_from_subgroup,
                     odd_part_mod4, rank_vector, torsion_class, v2)
 

@@ -8,6 +8,11 @@ hence chi1 = chi_{d1}, chi2 = chi_{d2}, chi1chi2 = chi_{d3} where d3 is the
 squarefree kernel of d1*d2.  Everything is decided by Kronecker symbols; no
 ideal factorization is needed for quadratic subfields, and only d1 and d2
 are ever factored, never their product.
+
+By the Galois correspondence, the inertia group I_p is the intersection of
+the kernels of the characters unramified at p, and the decomposition group
+D_p the intersection of the kernels of the characters split at p; the
+kernel of the trivial character, all of V4, starts both.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from math import gcd
 
 from .arith import is_prime, is_squarefree, kronecker_symbol, prime_factors
 from .errors import InputError
-from .grouprings import (V4_E, GaloisChar, GroupElement, char_by_label,
+from .grouprings import (V4_CHARS, V4_E, GaloisChar, GroupElement,
                          element_name, group_elements)
 
 
@@ -115,33 +120,27 @@ def _frob_sign(d: int, p: int) -> int:
 
 def local_galois(f: FieldData, p: int) -> PrimeLocalData:
     """Inertia, decomposition and Frobenius at p, read off from the
-    splitting behavior of p in the three quadratic subfields."""
+    splitting behavior of p in the three quadratic subfields as kernel
+    intersections (see the module docstring).  Frobenius is the first
+    element of D outside I, or e when D = I."""
     if p < 2 or not is_prime(p):
         raise InputError(f"{p} is not prime")
-    signs = [(char_by_label(label), _frob_sign(d, p))
-             for label, d in f.char_to_subfield.items()]
-    unramified = [(chi, s) for chi, s in signs if s != 0]
-    if len(unramified) == 3:
-        frob = next(g for g in group_elements()
-                    if all(chi(g) == s for chi, s in signs))
-        return PrimeLocalData(p, in_s=False, inertia=frozenset({V4_E}),
-                              decomposition=frozenset({V4_E, frob}), frob=frob)
-    if not unramified:
-        # only possible at p = 2: all three subfields ramify
-        full = frozenset(group_elements())
-        return PrimeLocalData(p, in_s=True, inertia=full, decomposition=full,
-                              frob=V4_E)
-    # inertia has order two: the kernel of the one unramified character
-    chi_u, sign_u = unramified[0]
-    inertia = frozenset(g for g in group_elements() if chi_u(g) == 1)
-    if sign_u == 1:
-        return PrimeLocalData(p, in_s=True, inertia=inertia,
-                              decomposition=inertia, frob=V4_E)
-    frob = next(g for g in group_elements() if g not in inertia)
-    a_p = next(g for g in inertia if g != V4_E)
-    return PrimeLocalData(p, in_s=True, inertia=inertia,
-                          decomposition=frozenset(group_elements()),
-                          frob=frob, a_p=a_p, b_p=frob)
+    inertia = decomposition = V4_CHARS[0].kernel
+    for chi, d in zip(V4_CHARS[1:], f.subfields):
+        sign = _frob_sign(d, p)
+        if sign != 0:
+            inertia &= chi.kernel
+        if sign == 1:
+            decomposition &= chi.kernel
+    frob = next((g for g in group_elements()
+                 if g in decomposition and g not in inertia), V4_E)
+    a_p = b_p = None
+    if len(decomposition) == 4 and len(inertia) == 2:
+        (a_p,) = inertia - {V4_E}
+        b_p = frob
+    return PrimeLocalData(p, in_s=len(inertia) > 1, inertia=inertia,
+                          decomposition=decomposition, frob=frob,
+                          a_p=a_p, b_p=b_p)
 
 
 def ramified_set(f: FieldData) -> list[int]:

@@ -8,7 +8,7 @@ Subcommands:
   tq lemma38 --conductor-max N --tol T
 
 Exit codes: 0 vanishes / all checks pass, 2 inadmissible, 3 nonzero torsion
-(or a failed verification), 4 input error.
+(or a failed verification), 4 input error, argument parse errors included.
 """
 
 from __future__ import annotations
@@ -169,6 +169,8 @@ def cmd_selftest(_args) -> int:
 
 
 def cmd_lemma38(args) -> int:
+    if not args.tol > 0:
+        raise InputError(f"--tol must be > 0, got {args.tol}")
     failures = 0
     rows = []
     for d in range(2, args.conductor_max + 1):
@@ -191,8 +193,16 @@ def cmd_lemma38(args) -> int:
     return EXIT_VANISHES if failures == 0 else EXIT_NONZERO
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a parse error as an input error (exit 4), not by argparse's
+    own exit 2, which here means "inadmissible"."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tq",
         description="Exact 2-adic torsion invariant of biquadratic fields")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -225,9 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -4,6 +4,10 @@ V4 = <a, b> = Gal(E/Q), and its four one-dimensional characters.
 Elements are pairs (i, j) with i, j in {0, 1}, meaning a^i b^j; the product
 is the componentwise XOR of the pairs.  The normal form is fixed once and
 for all so that dictionaries keyed by group elements are deterministic.
+
+A character is stored as its kernel, the one fact every question about it
+reduces to: chi(g) is 1 on the kernel and -1 off it, and dim chi^H is 1
+exactly when the subgroup H lies in the kernel.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ V4_AB = GroupElement((1, 1))
 _ELEMENTS = (V4_E, V4_A, V4_B, V4_AB)
 _BY_WORD = {g.word: g for g in _ELEMENTS}
 _V4_NAMES = {V4_E: "e", V4_A: "a", V4_B: "b", V4_AB: "ab"}
-_V4_BY_NAME = {v: k for k, v in _V4_NAMES.items()}
 
 
 def identity() -> GroupElement:
@@ -63,47 +66,33 @@ def element_name(g: GroupElement) -> str:
     return _V4_NAMES[g]
 
 
-def v4_element_by_name(name: str) -> GroupElement:
-    try:
-        return _V4_BY_NAME[name]
-    except KeyError:
-        raise UnsupportedGroupError(f"unknown V4 element name {name!r}") from None
-
-
 @dataclass(frozen=True)
 class GaloisChar:
-    """A one-dimensional character of V4, stored by its signs on the
-    generators a and b."""
+    """A one-dimensional character of V4, stored by its kernel."""
 
     label: str
-    signs: tuple[int, int]
-
-    def __post_init__(self):
-        if any(s not in (1, -1) for s in self.signs):
-            raise UnsupportedGroupError("character signs must be +-1")
+    kernel: frozenset[GroupElement]
 
     def __call__(self, g: GroupElement) -> int:
-        i, j = g.word
-        s_a, s_b = self.signs
-        return (s_a if i else 1) * (s_b if j else 1)
+        return 1 if g in self.kernel else -1
 
     def is_trivial(self) -> bool:
-        return self.signs == (1, 1)
+        return len(self.kernel) == len(_ELEMENTS)
 
     def fixes(self, elements: Iterable[GroupElement]) -> int:
-        """dim chi^H for the subgroup H generated by `elements`: 1 when chi
-        is trivial on H, else 0."""
-        return 0 if -1 in map(self, elements) else 1
+        """dim chi^H for the subgroup H generated by `elements`: 1 when H
+        lies in the kernel of chi, else 0."""
+        return 1 if self.kernel.issuperset(elements) else 0
 
 
 HOMREP_KEYS = ("1", "chi1", "chi2", "chi1chi2")
 
 # chi1(a) = -1 = chi2(b), chi1(b) = 1 = chi2(a)
 V4_CHARS = (
-    GaloisChar("1", (1, 1)),
-    GaloisChar("chi1", (-1, 1)),
-    GaloisChar("chi2", (1, -1)),
-    GaloisChar("chi1chi2", (-1, -1)),
+    GaloisChar("1", frozenset(_ELEMENTS)),
+    GaloisChar("chi1", frozenset({V4_E, V4_B})),
+    GaloisChar("chi2", frozenset({V4_E, V4_A})),
+    GaloisChar("chi1chi2", frozenset({V4_E, V4_AB})),
 )
 
 

@@ -12,14 +12,14 @@ splitting mode exists so tests can check exactly that.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
 from .errors import ContractViolationError, InputError
-from .grouprings import (V4_CHARS, GaloisChar, GroupRingElem, GroupRingMatrix,
-                         apply_char_matrix, element_name, v4_element_by_name)
+from .grouprings import (V4_CHARS, GaloisChar, GroupRingMatrix,
+                         apply_char_matrix, element_name)
 from .relk0 import HomRep
 
 Mat = linalg.Mat
@@ -78,31 +78,6 @@ class PerfectComplex:
                 "degrees": list(self.degrees),
                 "ranks": {str(j): self.rank(j) for j in self.degree_list()},
                 "differentials": diffs}
-
-    @classmethod
-    def from_json_dict(cls, d: Mapping) -> "PerfectComplex":
-        if d["group"] != JSON_GROUP:
-            raise InputError("only V4 complexes are serialized")
-        degrees = tuple(d["degrees"])
-        ranks = {int(j): int(r) for j, r in d["ranks"].items()}
-        diffs = {}
-        for j, rows in d["differentials"].items():
-            entries = []
-            for row in rows:
-                entries.append([GroupRingElem({v4_element_by_name(name): Fraction(val)
-                                               for name, val in x.items()})
-                                for x in row])
-            diffs[int(j)] = GroupRingMatrix.from_rows(entries)
-        return cls(degrees, ranks, diffs)
-
-
-def euler_characteristic(p: PerfectComplex) -> int:
-    """Alternating sum of ranks with sign (-1)^(j+1)."""
-    total = 0
-    for j in p.degree_list():
-        sign = -1 if (j + 1) % 2 else 1
-        total += sign * p.rank(j)
-    return total
 
 
 @dataclass(frozen=True)

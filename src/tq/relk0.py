@@ -144,10 +144,6 @@ class HomRep:
         return {k: f"{v.numerator}/{v.denominator}"
                 for k, v in zip(HOMREP_KEYS, self._values)}
 
-    @classmethod
-    def from_json_dict(cls, d: Mapping[str, str]) -> "HomRep":
-        return cls({k: Fraction(d[k]) for k in HOMREP_KEYS})
-
 
 def rank_vector(h: HomRep) -> RankVector:
     return RankVector(tuple(v2(v) for v in h.as_tuple()))

@@ -234,25 +234,21 @@ def _expected_local(signs):
 def test_local_galois_against_brute_force_oracle():
     """Every field Q(sqrt d1, sqrt d2) with squarefree |d1|, |d2| <= 60,
     imaginary ones included, at every prime p <= 400."""
-    primes = [2] + odd_primes_up_to(400)
-    squares = {p: {x * x % p for x in range(1, p)} for p in primes}
     ds = [d for d in range(-60, 61) if d not in (0, 1) and is_squarefree(d)]
-    sign = {}  # (d, p) -> oracle sign
+    fields = [field_data(d1, d2, allow_imaginary=True)
+              for i, d2 in enumerate(ds) for d1 in ds[:i]]
+    subfields = {d for f in fields for d in f.subfields}
+    primes = [2] + odd_primes_up_to(400)
     expected = {}  # sign triple -> expected local data
-    n_cases = 0
-    for i, d2 in enumerate(ds):
-        for d1 in ds[:i]:
-            f = field_data(d1, d2, allow_imaginary=True)
-            for p in primes:
-                for d in f.subfields:
-                    if (d, p) not in sign:
-                        sign[d, p] = _oracle_sign(d, p, squares[p])
-                signs = tuple(sign[d, p] for d in f.subfields)
-                if signs not in expected:
-                    expected[signs] = _expected_local(signs)
-                loc = local_galois(f, p)
-                got = (loc.in_s, loc.inertia, loc.decomposition, loc.frob,
-                       loc.a_p, loc.b_p)
-                assert got == expected[signs], (d1, d2, p, signs)
-                n_cases += 1
-    assert n_cases == 2628 * 78
+    for p in primes:
+        squares = {x * x % p for x in range(1, p)}
+        sign = {d: _oracle_sign(d, p, squares) for d in subfields}
+        for f in fields:
+            signs = (sign[f.d1], sign[f.d2], sign[f.d3])
+            if signs not in expected:
+                expected[signs] = _expected_local(signs)
+            loc = local_galois(f, p)
+            got = (loc.in_s, loc.inertia, loc.decomposition, loc.frob,
+                   loc.a_p, loc.b_p)
+            assert got == expected[signs], (f.d1, f.d2, p, signs)
+    assert (len(fields), len(primes)) == (2628, 78)

@@ -64,6 +64,20 @@ def test_compute_bad_extra_s_is_input_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "--d1", "5", "--d2", "abc"],
+    ["compute", "--d1", "5"],
+    ["lemma38", "--tol", "nan"],
+    ["lemma38", "--tol", "-1"],
+], ids=["d2-abc", "d2-missing", "tol-nan", "tol-negative"])
+def test_bad_arguments_are_input_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert err.startswith("input error: ")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_compute_imaginary_requires_flag(capsys):
     code, _, err = run(capsys, "compute", "--d1", "-3", "--d2", "5")
     assert code == 4
