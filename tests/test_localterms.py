@@ -1,11 +1,12 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from tq.arith import odd_primes_up_to
+from tq.arith import is_prime, is_squarefree, odd_primes_up_to
 from tq.biquadratic import PrimeLocalData, field_data, local_galois
 from tq.errors import ContractViolationError, InputError
 from tq.grouprings import (V4_A, V4_AB, V4_B, V4_CHARS, V4_E,
@@ -256,6 +257,42 @@ def test_routes_agree_mod4(p):
                 generic = local_term_via_complex(p, loc, lat)
                 assert torsion_class(closed) == torsion_class(generic), \
                     (p, a, b, m, sign)
+
+
+def fully_decomposed_cases(count, seed=20261018):
+    """Seeded (p, local data) with p in [1e3, 1e6) fully decomposed in
+    Q(sqrt(p), sqrt(d)) for a small squarefree d, the field taken in
+    either order."""
+    rng = random.Random(seed)
+    small_d = [d for d in range(2, 200) if is_squarefree(d)]
+    cases = []
+    while len(cases) < count:
+        p = rng.randrange(1_000, 1_000_000) | 1
+        if not is_prime(p):
+            continue
+        d1, d2 = rng.sample((p, rng.choice(small_d)), 2)
+        loc = local_galois(field_data(d1, d2), p)
+        if loc.full_decomposition:
+            cases.append((p, loc))
+    return cases
+
+
+def test_via_complex_exact_values():
+    # the tame closed forms by (chi(a_p), chi(b_p)), times the lattice
+    # correction p^(m dim chi^I + sign)
+    tame = {(1, 1): lambda p: Fraction(1, 2 * p - 2),
+            (-1, -1): lambda p: Fraction(-1),
+            (1, -1): lambda p: Fraction(-2, p + 1),
+            (-1, 1): lambda p: Fraction(-1)}
+    for p, loc in fully_decomposed_cases(20):
+        for m in (1, 2, 3):
+            for sign in (1, -1):
+                rep = local_term_via_complex(p, loc, LatticeExponent(m, sign))
+                for chi in V4_CHARS:
+                    dim_i = 1 if chi(loc.a_p) == 1 else 0
+                    expected = (tame[chi(loc.a_p), chi(loc.b_p)](p)
+                                * Fraction(p) ** (m * dim_i + sign))
+                    assert rep[chi.label] == expected, (p, m, sign, chi.label)
 
 
 def test_sign_flip_leaves_torsion_unchanged():
