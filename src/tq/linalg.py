@@ -170,14 +170,5 @@ def det(a: Mat) -> Fraction:
     return result
 
 
-def inverse(a: Mat) -> Mat:
-    n = len(a)
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
-    r, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in r[:n]]
-
-
 def is_invertible(a: Mat) -> bool:
     return bool(a) and len(a) == len(a[0]) and det(a) != 0

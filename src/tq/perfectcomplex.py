@@ -5,8 +5,11 @@ The per-character determinant is computed by character-specializing the
 complex to a rational complex, choosing splittings of the kernel/image
 exact sequences, and taking the determinant of the composed isomorphism
 from the direct sum of odd-degree terms to the direct sum of even-degree
-terms.  The result does not depend on the splittings; a seeded random
-splitting mode exists so tests can check exactly that.
+terms.  The cocycle representatives supplied with the iso are the section
+of kernel -> cohomology, so the iso matrix is used as given; the class is
+read from odd to even only.  The result does not depend on the splittings
+or on the section (Knudsen-Mumford, Math. Scand. 39, 1976); a seeded
+random mode, which moves both, exists so tests can check exactly that.
 """
 
 from __future__ import annotations
@@ -115,26 +118,24 @@ def char_specialize(p: PerfectComplex, chi: GaloisChar) -> RationalComplex:
 
 @dataclass
 class CohomologyData:
-    """Deterministic kernel/image/cohomology bases of a rational complex,
-    all expressed as row vectors in the ambient term of their degree."""
+    """Deterministic kernel and image bases of a rational complex, as row
+    vectors in the ambient term of their degree."""
 
     kernels: dict[int, Mat]
     images: dict[int, Mat]
-    reps: dict[int, Mat]
 
     def h_dim(self, j: int) -> int:
-        return len(self.reps.get(j, []))
+        return len(self.kernels.get(j, [])) - len(self.images.get(j, []))
 
 
 def cohomology_basis(c: RationalComplex) -> CohomologyData:
     n, m = c.degrees
     kernels: dict[int, Mat] = {}
     images: dict[int, Mat] = {}
-    reps: dict[int, Mat] = {}
     for j in c.degree_list():
         rk = c.rank(j)
         if rk == 0:
-            kernels[j], images[j], reps[j] = [], [], []
+            kernels[j], images[j] = [], []
             continue
         d = c.diff(j)
         if j == m or c.rank(j + 1) == 0 or d is None:
@@ -146,27 +147,15 @@ def cohomology_basis(c: RationalComplex) -> CohomologyData:
             images[j] = []
         else:
             images[j] = linalg.row_space_basis(dprev)
-        # non-pivot completion: kernel basis vectors extending the image span
-        span = [row[:] for row in images[j]]
-        chosen: Mat = []
-        for v in kernels[j]:
-            stacked = span + [v]
-            reduced = linalg.row_space_basis(stacked)
-            if len(reduced) > len(span):
-                span = reduced
-                chosen.append(v)
-        reps[j] = chosen
-        if len(images[j]) + len(chosen) != len(kernels[j]):
-            raise ContractViolationError("image not contained in kernel")
-    return CohomologyData(kernels, images, reps)
+    return CohomologyData(kernels, images)
 
 
 @dataclass(frozen=True)
 class CohomologyIsoComponent:
     """One character's worth of a cohomology isomorphism: explicit cocycle
-    representatives spanning the odd and even cohomology, and the matrix of
-    the isomorphism in those bases (rows indexed by the source basis,
-    ascending degree)."""
+    representatives whose classes form bases of the odd and even
+    cohomology, and the matrix of the isomorphism in those bases (rows
+    indexed by the odd basis, ascending degree)."""
 
     odd_reps: Mapping[int, Mat]
     even_reps: Mapping[int, Mat]
@@ -175,52 +164,39 @@ class CohomologyIsoComponent:
 
 @dataclass(frozen=True)
 class CohomologyIso:
-    """A rational isomorphism between total odd and total even cohomology,
-    one component per character label.  `direction` records which way the
-    supplied matrices map; the class this package computes is always read
-    from odd to even, so an even-to-odd iso contributes the reverse
-    composite (pointwise reciprocal determinants)."""
+    """A rational isomorphism from total odd to total even cohomology, one
+    component per character label.  The supplied cocycles are the section
+    of kernel -> cohomology; the reciprocal class, of the inverse iso, is
+    `HomRep.inverse()`."""
 
     components: Mapping[str, CohomologyIsoComponent]
-    direction: str = "odd_to_even"
-
-    def __post_init__(self):
-        if self.direction not in ("odd_to_even", "even_to_odd"):
-            raise InputError(f"unknown direction {self.direction!r}")
 
 
-def _global_class_coords(c: RationalComplex, data: CohomologyData,
-                         user_reps: Mapping[int, Mat], degs: list[int]) -> Mat:
-    """Rows: coordinates of each user cocycle representative w.r.t. the
-    internal cohomology basis, laid out degree block by degree block."""
-    offsets = {}
-    total = 0
-    for j in degs:
-        offsets[j] = total
-        total += data.h_dim(j)
-    rows: Mat = []
-    for j in degs:
-        supplied = user_reps.get(j, [])
-        if len(supplied) != data.h_dim(j):
+def _section(c: RationalComplex, data: CohomologyData, j: int,
+             supplied: Mat) -> Mat:
+    """Copies of the supplied degree-j cocycles, checked to be cocycles
+    whose classes form a basis of the degree-j cohomology."""
+    if len(supplied) != data.h_dim(j):
+        raise ContractViolationError(
+            f"degree {j}: {len(supplied)} representatives supplied for "
+            f"{data.h_dim(j)}-dimensional cohomology")
+    d = c.diff(j)
+    reps = []
+    for v in supplied:
+        if len(v) != c.rank(j):
+            raise ContractViolationError(f"degree {j}: representative has "
+                                         f"wrong length")
+        v = linalg.vec(v)
+        if d is not None and any(linalg.vec_mat(v, d)):
             raise ContractViolationError(
-                f"degree {j}: {len(supplied)} representatives supplied for "
-                f"{data.h_dim(j)}-dimensional cohomology")
-        d = c.diff(j)
-        for v in supplied:
-            if len(v) != c.rank(j):
-                raise ContractViolationError(f"degree {j}: representative has "
-                                             f"wrong length")
-            if d is not None:
-                if any(x != 0 for x in linalg.vec_mat(list(v), d)):
-                    raise ContractViolationError(
-                        f"degree {j}: supplied representative is not a cocycle")
-            combined = data.images[j] + data.reps[j]
-            coords = linalg.coords_in_basis(combined, list(v))
-            beta = coords[len(data.images[j]):]
-            row = [Fraction(0)] * total
-            row[offsets[j]:offsets[j] + len(beta)] = beta
-            rows.append(row)
-    return rows
+                f"degree {j}: supplied representative is not a cocycle")
+        reps.append(v)
+    # with no representatives the count check above already says H^j = 0
+    if reps and (len(linalg.row_space_basis(data.images[j] + reps))
+                 != len(data.kernels[j])):
+        raise ContractViolationError(
+            f"degree {j}: representatives do not span the cohomology")
+    return reps
 
 
 def _random_fraction(rng: random.Random) -> Fraction:
@@ -228,11 +204,11 @@ def _random_fraction(rng: random.Random) -> Fraction:
 
 
 def torsion_determinant(c: RationalComplex, comp: CohomologyIsoComponent,
-                        direction: str = "odd_to_even",
                         rng: random.Random | None = None) -> Fraction:
     """Determinant of the composed isomorphism from the sum of odd-degree
     terms to the sum of even-degree terms, built from the supplied
-    cohomology iso and (deterministic or seeded-random) splittings.
+    cohomology iso, with its cocycles as the section of kernel ->
+    cohomology, and (deterministic or seeded-random) splittings.
 
     Basis convention: both sides are ordered by ascending degree, then by
     index inside each term.
@@ -247,36 +223,23 @@ def torsion_determinant(c: RationalComplex, comp: CohomologyIsoComponent,
         raise ContractViolationError(
             f"odd total rank {odd_rank} != even total rank {even_rank}")
 
-    u_odd = _global_class_coords(c, data, comp.odd_reps, odd_degs)
-    u_even = _global_class_coords(c, data, comp.even_reps, even_degs)
+    reps = {j: _section(c, data, j,
+                        (comp.odd_reps if j % 2 else comp.even_reps).get(j, []))
+            for j in degs}
     h_odd = sum(data.h_dim(j) for j in odd_degs)
     h_even = sum(data.h_dim(j) for j in even_degs)
     if h_odd != h_even:
         raise ContractViolationError(
             f"cohomology dimension mismatch: odd {h_odd}, even {h_even}")
 
-    psi_user = linalg.mat(comp.matrix) if comp.matrix else []
-    if len(psi_user) != h_odd or (psi_user and len(psi_user[0]) != h_even):
+    psi = linalg.mat(comp.matrix)
+    if len(psi) != h_odd or (psi and len(psi[0]) != h_even):
         raise ContractViolationError("iso matrix shape does not match cohomology")
-    if h_odd and not linalg.is_invertible(psi_user):
+    if h_odd and not linalg.is_invertible(psi):
         raise ContractViolationError("iso matrix is not invertible")
-    if direction == "even_to_odd":
-        psi_oe = linalg.inverse(psi_user) if psi_user else []
-    else:
-        psi_oe = psi_user
 
-    if h_odd:
-        try:
-            psi_int = linalg.mat_mul(linalg.mat_mul(linalg.inverse(u_odd), psi_oe),
-                                     u_even)
-        except ValueError as exc:
-            raise ContractViolationError(f"degenerate representative basis: {exc}")
-    else:
-        psi_int = []
-
-    # sections of the quotient map kernel -> cohomology (may be randomized
-    # by adding image-space vectors: any complement choice is allowed)
-    reps = {j: [row[:] for row in data.reps[j]] for j in degs}
+    # the section may be randomized by adding image-space vectors: any
+    # complement choice is allowed
     if rng is not None:
         for j in degs:
             for v in reps[j]:
@@ -359,7 +322,7 @@ def torsion_determinant(c: RationalComplex, comp: CohomologyIsoComponent,
             if any(x != 0 for x in beta):
                 hvec = [Fraction(0)] * h_odd
                 hvec[odd_offsets[j]:odd_offsets[j] + len(beta)] = beta
-                heven = linalg.vec_mat(hvec, psi_int)
+                heven = linalg.vec_mat(hvec, psi)
                 for k in even_degs:
                     off, dim = even_offsets[k], data.h_dim(k)
                     for t in range(dim):
@@ -373,7 +336,7 @@ def torsion_determinant(c: RationalComplex, comp: CohomologyIsoComponent,
     result = linalg.det(phi)
     if result == 0:
         raise ContractViolationError("composite map is singular")
-    return 1 / result if direction == "even_to_odd" else result
+    return result
 
 
 def class_representative(p: PerfectComplex, iso: CohomologyIso,
@@ -384,5 +347,5 @@ def class_representative(p: PerfectComplex, iso: CohomologyIso,
     for chi in V4_CHARS:
         comp = iso.components[chi.label]
         spec = char_specialize(p, chi)
-        values[chi.label] = torsion_determinant(spec, comp, iso.direction, rng)
+        values[chi.label] = torsion_determinant(spec, comp, rng)
     return HomRep(values)

@@ -74,7 +74,7 @@ def test_criterion_2_splitting_independence():
     for p in PRIMES_42:
         spec = TameComplexSpec(p, V4_A, V4_B)
         cplx = build_tame_complex(spec)
-        iso = valuation_iso(spec, cplx)
+        iso = valuation_iso(spec)
         baseline = class_representative(cplx, iso)
         for trial in range(100):
             sample = class_representative(cplx, iso, rng)

@@ -101,26 +101,6 @@ def test_local_galois_unramified_prime():
     assert len(loc.decomposition) <= 2
 
 
-def brute_splits(d, p):
-    """Independent oracle: odd p unramified in Q(sqrt d) splits iff d is a
-    nonzero square mod p (brute-force search)."""
-    r = d % p
-    return any((x * x) % p == r for x in range(1, p))
-
-
-def test_local_galois_against_brute_force_splitting():
-    for d1, d2 in [(5, 13), (2, 17), (13, 17), (3, 11), (21, 33), (6, 35)]:
-        f = field_data(d1, d2)
-        for p in odd_primes_up_to(50):
-            loc = local_galois(f, p)
-            for label, d in f.char_to_subfield.items():
-                if d % p == 0:
-                    continue  # ramified in this subfield
-                chi = char_by_label(label)
-                expected = 1 if brute_splits(d, p) else -1
-                assert chi(loc.frob) == expected, (d1, d2, p, d)
-
-
 def test_full_decomposition_implies_ramified():
     for d1, d2 in squarefree_pairs(30):
         f = field_data(d1, d2)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tq import linalg
-from tq.linalg import (coords_in_basis, det, identity, inverse,
+from tq.linalg import (coords_in_basis, det, identity,
                        left_kernel_basis, mat, mat_mul, rref, row_space_basis,
                        solve_left, vec_mat)
 
@@ -60,13 +60,6 @@ def test_det_multiplicative():
     a = mat([[1, 2], [3, 5]])
     b = mat([[0, 1], [7, 2]])
     assert det(mat_mul(a, b)) == det(a) * det(b)
-
-
-def test_inverse_roundtrip():
-    a = mat([[1, 2], [3, 5]])
-    assert mat_mul(a, inverse(a)) == identity(2)
-    with pytest.raises(ValueError):
-        inverse(mat([[1, 2], [2, 4]]))
 
 
 def test_exactness_no_float_drift():

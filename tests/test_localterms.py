@@ -95,7 +95,7 @@ def test_valuation_iso_detects_differential_bug():
          -1: GroupRingMatrix.from_rows([[GroupRingElem.zero()],
                                         [a - one]])})
     with pytest.raises(ContractViolationError):
-        valuation_iso(spec, broken)
+        class_representative(broken, valuation_iso(spec))
 
 
 def test_p3_composed_representative():

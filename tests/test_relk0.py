@@ -8,8 +8,12 @@ from tq.grouprings import HOMREP_KEYS, V4_A, V4_AB, V4_B, V4_CHARS, V4_E
 from tq.relk0 import (HomRep, RankVector, TorsionClass, induce_from_subgroup,
                       odd_part_mod4, odd_unit, rank_vector, torsion_class, v2)
 
-nonzero_fractions = st.fractions(min_value=-50, max_value=50,
-                                 max_denominator=48).filter(lambda q: q != 0)
+# the nonzero rationals with |q| <= 50 and denominator <= 48, drawn as an
+# integer numerator over an integer denominator: st.fractions spends most
+# of these tests' time drawing
+nonzero_fractions = st.integers(1, 48).flatmap(
+    lambda d: st.integers(-50 * d, 50 * d).filter(bool).map(
+        lambda n: Fraction(n, d)))
 homreps = st.builds(lambda t: HomRep(t), st.tuples(*[nonzero_fractions] * 4))
 
 
