@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 
 from tq.errors import ContractViolationError, InputError
-from tq.grouprings import (V4_A, V4_B, V4_CHARS, GroupRingElem,
+from tq.grouprings import (V4_A, V4_AB, V4_B, V4_CHARS, GroupRingElem,
                            GroupRingMatrix, char_by_label)
-from tq.localterms import TameComplexSpec, build_tame_complex, valuation_iso
+from tq.localterms import (TameComplexSpec, build_tame_complex,
+                           torsion_cycle, valuation_iso)
 from tq.perfectcomplex import (CohomologyIso, CohomologyIsoComponent,
                                PerfectComplex, char_specialize,
                                class_representative, cohomology_basis,
@@ -188,3 +189,46 @@ def test_complex_json_roundtrip():
     _, p = tame(7)
     data = p.to_json_dict()
     assert json.loads(json.dumps(data)) == data
+
+
+# ---------- two odd degrees ----------
+
+def two_odd_degree_sum(p, q, a, b):
+    """C_p + C_q[1]: the tame complex at p in degrees -2..0 and the tame
+    complex at q shifted to -3..-1, block-diagonal with no sign change, so
+    the ranks on -3..0 are 1, 3, 3, 1.  At the trivial character the odd
+    section at -1 is T_p and the shifted t', the even section is T_q at -2
+    and t at 0; the other characters have no cohomology."""
+    zero = GroupRingElem.zero()
+    dp = build_tame_complex(TameComplexSpec(p, a, b)).differentials
+    dq = build_tame_complex(TameComplexSpec(q, a, b)).differentials
+    (lam_p,), (lam_q,) = dp[-2].entries, dq[-2].entries
+    cplx = PerfectComplex((-3, 0), {-3: 1, -2: 3, -1: 3, 0: 1}, {
+        -3: GroupRingMatrix.from_rows([[zero, *lam_q]]),
+        -2: GroupRingMatrix.from_rows(
+            [[*lam_p, zero]] + [[zero, zero, *row] for row in dq[-1].entries]),
+        -1: GroupRingMatrix.from_rows([*dp[-1].entries, [zero]]),
+    })
+    trivial = char_by_label("1")
+    t_p = torsion_cycle(TameComplexSpec(p, a, b), trivial)
+    t_q = torsion_cycle(TameComplexSpec(q, a, b), trivial)
+    comps = {chi.label: CohomologyIsoComponent({}, {}, []) for chi in V4_CHARS}
+    comps["1"] = CohomologyIsoComponent(
+        odd_reps={-1: [[*t_p, 0], [0, 0, 1]]},
+        even_reps={-2: [[0, *t_q]], 0: [[1]]},
+        matrix=[[Fraction(2), Fraction(1)], [Fraction(-1), Fraction(3, 2)]])
+    return cplx, CohomologyIso(comps)
+
+
+@pytest.mark.parametrize("p, q, a, b, expected", [
+    (5, 7, V4_A, V4_B, (-6, 1, Fraction(4, 3), 1)),
+    (7, 13, V4_B, V4_AB, (-8, Fraction(7, 4), 1, 1)),
+    (11, 13, V4_AB, V4_A, (Fraction(-24, 5), 1, 1, Fraction(7, 6))),
+])
+def test_two_odd_degree_sum_exact_values(p, q, a, b, expected):
+    # targets land in both the j-1 and the j+1 slot across two odd degrees
+    cplx, iso = two_odd_degree_sum(p, q, a, b)
+    assert class_representative(cplx, iso).as_tuple() == expected
+    rng = random.Random(p)
+    for _ in range(5):
+        assert class_representative(cplx, iso, rng).as_tuple() == expected
