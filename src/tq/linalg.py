@@ -134,19 +134,6 @@ def solve_left(a: Mat, b: Vec) -> Vec | None:
     return x
 
 
-def coords_in_basis(basis: Mat, v: Vec) -> Vec:
-    """Coordinates of v in a linearly independent row basis (error if v is
-    outside the span)."""
-    if not basis:
-        if any(v):
-            raise ValueError("vector outside span of empty basis")
-        return []
-    c = solve_left(basis, v)
-    if c is None:
-        raise ValueError("vector outside span of basis")
-    return c
-
-
 def det(a: Mat) -> Fraction:
     n = len(a)
     if n == 0:

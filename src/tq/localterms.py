@@ -44,15 +44,16 @@ class TameComplexSpec:
 
 @dataclass(frozen=True)
 class LatticeExponent:
-    """The free integer parameter m >= 1 scaling the sublattice, and the
-    sign ambiguity of the residue-correction exponent."""
+    """The integer 1 <= m <= 100 scaling the sublattice (the cap keeps p^(m+2)
+    under Python's 4300-digit int printing limit), and the sign ambiguity of
+    the residue-correction exponent."""
 
     m: int = 1
     sign: int = 1
 
     def __post_init__(self):
-        if self.m < 1:
-            raise InputError("lattice exponent m must be >= 1")
+        if not 1 <= self.m <= 100:
+            raise InputError("lattice exponent m must be in [1, 100]")
         if self.sign not in (1, -1):
             raise InputError("sign must be +1 or -1")
 

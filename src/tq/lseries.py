@@ -92,7 +92,7 @@ def l_prime_zero_lgamma(disc: int) -> float:
     return total
 
 
-def _tail_power_sum(k0: int, j: int, terms: int = 4) -> float:
+def _tail_power_sum(k0: int, j: int) -> float:
     """sum_{k >= k0} k^-j by Euler-Maclaurin."""
     x = float(k0)
     s = x ** (1 - j) / (j - 1) + 0.5 * x ** (-j) + j * x ** (-j - 1) / 12.0

@@ -4,12 +4,19 @@ together with a rational isomorphism between odd and even cohomology.
 The per-character determinant is computed by character-specializing the
 complex to a rational complex, choosing splittings of the kernel/image
 exact sequences, and taking the determinant of the composed isomorphism
-from the direct sum of odd-degree terms to the direct sum of even-degree
-terms.  The cocycle representatives supplied with the iso are the section
-of kernel -> cohomology, so the iso matrix is used as given; the class is
-read from odd to even only.  The result does not depend on the splittings
-or on the section (Knudsen-Mumford, Math. Scand. 39, 1976); a seeded
-random mode, which moves both, exists so tests can check exactly that.
+phi = d + s + psi from the direct sum of odd-degree terms to the direct sum
+of even-degree terms.  The cocycle representatives supplied with the iso
+are the section of kernel -> cohomology, so the iso matrix is used as
+given; the class is read from odd to even only.
+
+det phi is read off adapted bases (Knudsen-Mumford, Math. Scand. 39, 1976):
+each odd term C^j has the basis adapted_j of image vectors, section and
+preimages of the next image, and det phi = det(targets) / prod det(adapted_j)
+with targets the images of those rows under phi.  Block by block, phi on
+the standard basis is adapted_j^-1 times its targets, so the quotient is
+det phi exactly, with no coordinate solve.  The result does not depend on
+the splittings or on the section either; a seeded random mode, which moves
+both, exists so tests can check exactly that.
 """
 
 from __future__ import annotations
@@ -211,7 +218,8 @@ def torsion_determinant(c: RationalComplex, comp: CohomologyIsoComponent,
     cohomology, and (deterministic or seeded-random) splittings.
 
     Basis convention: both sides are ordered by ascending degree, then by
-    index inside each term.
+    index inside each term; det phi is det(targets) / prod det(adapted_j),
+    as in the module docstring.
     """
     data = cohomology_basis(c)
     degs = c.degree_list()
@@ -268,72 +276,29 @@ def torsion_determinant(c: RationalComplex, comp: CohomologyIsoComponent,
             rows.append(x)
         s_rows[j] = rows
 
-    odd_offsets = {}
-    acc = 0
-    for j in odd_degs:
-        odd_offsets[j] = acc
-        acc += data.h_dim(j)
-    even_offsets = {}
-    acc = 0
+    slot, acc = {}, 0
     for j in even_degs:
-        even_offsets[j] = acc
-        acc += data.h_dim(j)
-    even_slot = {}
-    acc = 0
-    for j in even_degs:
-        even_slot[j] = acc
+        slot[j] = acc
         acc += c.rank(j)
 
-    phi: Mat = []
-    for j in odd_degs:
-        d = c.diff(j)
-        for i in range(c.rank(j)):
-            e = [Fraction(0)] * c.rank(j)
-            e[i] = Fraction(1)
-            out = [Fraction(0)] * even_rank
-            # boundary part: d_j(e) lands in the image inside C^(j+1)
-            if d is not None:
-                u = list(d[i])
-            else:
-                u = [Fraction(0)] * c.rank(j + 1) if j + 1 <= c.degrees[1] else []
-            if any(x != 0 for x in u):
-                gamma = linalg.coords_in_basis(data.images[j + 1], u)
-                z = [ei - sum(g * s_rows[j][t][col] for t, g in enumerate(gamma))
-                     for col, ei in enumerate(e)]
-                base = even_slot[j + 1]
-                for col, x in enumerate(u):
-                    out[base + col] += x
-            else:
-                z = e
-            # kernel part: split into image coordinates and cohomology class
-            combined = data.images[j] + reps[j]
-            coords = linalg.coords_in_basis(combined, z)
-            alpha = coords[:len(data.images[j])]
-            beta = coords[len(data.images[j]):]
-            # image part travels down one degree through the splitting there
-            if any(x != 0 for x in alpha):
-                rows_prev = s_rows[j - 1]
-                base = even_slot[j - 1]
-                for t, a in enumerate(alpha):
-                    if a:
-                        for col, x in enumerate(rows_prev[t]):
-                            out[base + col] += a * x
-            # cohomology part travels through the iso
-            if any(x != 0 for x in beta):
-                hvec = [Fraction(0)] * h_odd
-                hvec[odd_offsets[j]:odd_offsets[j] + len(beta)] = beta
-                heven = linalg.vec_mat(hvec, psi)
-                for k in even_degs:
-                    off, dim = even_offsets[k], data.h_dim(k)
-                    for t in range(dim):
-                        coeff = heven[off + t]
-                        if coeff:
-                            base = even_slot[k]
-                            for col, x in enumerate(reps[k][t]):
-                                out[base + col] += coeff * x
-            phi.append(out)
+    def placed(j: int, v: linalg.Vec) -> linalg.Vec:
+        out = [Fraction(0)] * even_rank
+        out[slot[j]:slot[j] + len(v)] = v
+        return out
 
-    result = linalg.det(phi)
+    # phi on the adapted basis of each odd term: the image basis goes to its
+    # preimages one degree down, the section through psi to the even
+    # section, the preimages to the image basis one degree up
+    classes = iter(linalg.mat_mul(
+        psi, [placed(k, v) for k in even_degs for v in reps[k]]))
+    targets: Mat = []
+    adapted = Fraction(1)
+    for j in odd_degs:
+        adapted *= linalg.det(data.images[j] + reps[j] + s_rows.get(j, []))
+        targets += [placed(j - 1, v) for v in s_rows.get(j - 1, [])]
+        targets += [next(classes) for _ in reps[j]]
+        targets += [placed(j + 1, v) for v in data.images.get(j + 1, [])]
+    result = linalg.det(targets) / adapted
     if result == 0:
         raise ContractViolationError("composite map is singular")
     return result

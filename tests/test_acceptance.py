@@ -13,16 +13,12 @@ stated rather than weakened to match the implementation.
 import random
 import time
 from fractions import Fraction
-from math import gcd
 
-import pytest
-
-from tq.arith import is_prime, odd_primes_up_to
+from tq.arith import odd_primes_up_to
 from tq.biquadratic import field_data, local_galois, quad_field_disc, ramified_set
 from tq.invariant import (VERDICT_NONZERO, VERDICT_VANISHES,
-                               delta1_term, leading_ratio_check,
-                               omega_loc_torsion, resolvent_factor_check,
-                               squarefree_pairs, sweep)
+                               delta1_term, omega_loc_torsion,
+                               resolvent_factor_check, squarefree_pairs, sweep)
 from tq.grouprings import V4_A, V4_AB, V4_B, V4_CHARS, V4_E
 from tq.localterms import (LatticeExponent, TameComplexSpec,
                            build_tame_complex, valuation_iso,

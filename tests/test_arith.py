@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from tq.arith import (is_prime, is_squarefree, kronecker_symbol,

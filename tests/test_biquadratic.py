@@ -9,7 +9,7 @@ from tq.biquadratic import (artin_conductor, euler_factor, field_data,
                             ramified_set)
 from tq.invariant import squarefree_pairs
 from tq.errors import InputError
-from tq.grouprings import (V4_A, V4_AB, V4_B, V4_CHARS, V4_E, char_by_label,
+from tq.grouprings import (V4_A, V4_B, V4_CHARS, V4_E, char_by_label,
                            group_elements)
 
 

@@ -4,19 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from tq.arith import is_prime, kronecker_symbol
-from tq.biquadratic import (field_data, local_galois, quad_field_disc,
-                            ramified_set)
+from tq.biquadratic import field_data, local_galois, ramified_set
 from tq.invariant import (VERDICT_INADMISSIBLE, VERDICT_NONZERO,
-                               VERDICT_VANISHES, AnalyticCheck, delta1_term,
-                               field_verdict, leading_ratio_check,
-                               leading_ratio_exact, omega_loc_torsion,
-                               resolvent_factor_check, squarefree_pairs, sweep,
-                               ts_representative)
+                               VERDICT_VANISHES, delta1_term, field_verdict,
+                               leading_ratio_check, leading_ratio_exact,
+                               omega_loc_torsion, resolvent_factor_check,
+                               squarefree_pairs, sweep, ts_representative)
 from tq.errors import InputError
-from tq.grouprings import V4_CHARS, V4_E, char_by_label
+from tq.grouprings import V4_CHARS
 from tq.localterms import LatticeExponent, local_term_closed_form
-from tq.relk0 import HomRep, TorsionClass, odd_part_mod4, torsion_class, v2
+from tq.relk0 import HomRep, odd_part_mod4, torsion_class, v2
 
 
 # ---------- delta terms ----------

@@ -1,11 +1,7 @@
 from fractions import Fraction
 
-import pytest
-
-from tq import linalg
-from tq.linalg import (coords_in_basis, det, identity,
-                       left_kernel_basis, mat, mat_mul, rref, row_space_basis,
-                       solve_left, vec_mat)
+from tq.linalg import (det, identity, left_kernel_basis, mat, mat_mul, rref,
+                       row_space_basis, solve_left, vec_mat)
 
 
 def test_rref_pivots_leftmost():
@@ -38,14 +34,6 @@ def test_solve_left():
     x = solve_left(m, [Fraction(1), Fraction(5)])
     assert vec_mat(x, m) == [Fraction(1), Fraction(5)]
     assert solve_left(mat([[1, 0], [2, 0]]), [Fraction(0), Fraction(1)]) is None
-
-
-def test_coords_in_basis():
-    basis = mat([[1, 0, 1], [0, 1, 1]])
-    assert coords_in_basis(basis, [Fraction(2), Fraction(3), Fraction(5)]) == \
-        [Fraction(2), Fraction(3)]
-    with pytest.raises(ValueError):
-        coords_in_basis(basis, [Fraction(0), Fraction(0), Fraction(1)])
 
 
 def test_det_values():

@@ -1,4 +1,3 @@
-import itertools
 import json
 import random
 from fractions import Fraction
@@ -10,8 +9,8 @@ from tq.arith import is_prime, is_squarefree, odd_primes_up_to
 from tq.biquadratic import PrimeLocalData, field_data, local_galois
 from tq.errors import ContractViolationError, InputError
 from tq.grouprings import (V4_A, V4_AB, V4_B, V4_CHARS, V4_E,
-                           GroupRingElem, GroupRingMatrix, apply_char,
-                           char_by_label, group_elements)
+                           GroupRingElem, GroupRingMatrix, char_by_label,
+                           group_elements)
 from tq.localterms import (LatticeExponent, TameComplexSpec,
                            build_tame_complex, inertia_unit,
                            local_term_closed_form, local_term_via_complex,
@@ -19,7 +18,7 @@ from tq.localterms import (LatticeExponent, TameComplexSpec,
                            verify_residue_resolution)
 from tq.perfectcomplex import (PerfectComplex, char_specialize,
                                class_representative)
-from tq.relk0 import torsion_class, v2
+from tq.relk0 import torsion_class
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -305,5 +304,7 @@ def test_sign_flip_leaves_torsion_unchanged():
 def test_lattice_exponent_validation():
     with pytest.raises(InputError):
         LatticeExponent(0, 1)
+    with pytest.raises(InputError):
+        LatticeExponent(101, 1)
     with pytest.raises(InputError):
         LatticeExponent(1, 2)

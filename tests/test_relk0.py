@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from tq.errors import InputError
 from tq.grouprings import HOMREP_KEYS, V4_A, V4_AB, V4_B, V4_CHARS, V4_E
-from tq.relk0 import (HomRep, RankVector, TorsionClass, induce_from_subgroup,
+from tq.relk0 import (HomRep, TorsionClass, induce_from_subgroup,
                       odd_part_mod4, odd_unit, rank_vector, torsion_class, v2)
 
 # the nonzero rationals with |q| <= 50 and denominator <= 48, drawn as an
