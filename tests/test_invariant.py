@@ -9,7 +9,8 @@ from tq.invariant import (VERDICT_INADMISSIBLE, VERDICT_NONZERO,
                                VERDICT_VANISHES, delta1_term, field_verdict,
                                leading_ratio_check, leading_ratio_exact,
                                omega_loc_torsion, resolvent_factor_check,
-                               squarefree_pairs, sweep, ts_representative)
+                               squarefree_pairs, sweep, torsion_unit,
+                               ts_representative)
 from tq.errors import InputError
 from tq.grouprings import V4_CHARS
 from tq.localterms import LatticeExponent, local_term_closed_form
@@ -261,6 +262,41 @@ def test_integer_verdicts_match_fraction_reports_with_options():
                 if report.verdict != VERDICT_INADMISSIBLE:
                     assert report.torsion == fraction_torsion(report), \
                         (d1, d2, extra, lat)
+
+
+def test_prime_units_match_fraction_reports():
+    """Each prime's unit alone, not only the whole-field product, agrees
+    with the odd part mod 4 of its exact Euler, power-of-two and local
+    terms: two wrong per-prime units could cancel in a product."""
+    n_primes = 0
+    lat = LatticeExponent()
+    for d1, d2 in squarefree_pairs(100):
+        report = omega_loc_torsion(d1, d2, lat=lat)
+        if report.verdict == VERDICT_INADMISSIBLE:
+            continue
+        local_2 = local_galois(report.field, 2)
+        for p, pr in report.per_prime.items():
+            total = Fraction(1)
+            for k, chi in enumerate(V4_CHARS):
+                total *= pr.euler[k] * pr.delta1.value(chi)
+                if pr.local_term is not None:
+                    total *= pr.local_term.value(chi)
+            assert torsion_unit(local_2, [pr.local], lat) \
+                == odd_part_mod4(total).unit, (d1, d2, p)
+            n_primes += 1
+    assert n_primes == 2140
+
+
+def test_sweep_with_options_matches_reports():
+    extra = [3, 7]
+    pairs = list(squarefree_pairs(40))
+    for lat in [LatticeExponent(m, sign) for m in (1, 2, 3) for sign in (1, -1)]:
+        verdicts = [omega_loc_torsion(d1, d2, s_extra=extra, lat=lat).verdict
+                    for d1, d2 in pairs]
+        summary = sweep(40, s_extra=extra, lat=lat)
+        assert summary.counts == {v: verdicts.count(v) for v in summary.counts}, lat
+        assert summary.nonzero_fields == [pair for pair, v in zip(pairs, verdicts)
+                                          if v == VERDICT_NONZERO], lat
 
 
 def test_imaginary_field_is_flagged():
