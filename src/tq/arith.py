@@ -8,18 +8,39 @@ from math import isqrt
 from .errors import InputError
 
 
+# The first 13 primes as Miller-Rabin bases decide primality for every
+# n < MR_BOUND (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with the bases `_MR_BASES`; InputError
+    for n >= MR_BOUND, where those bases are no longer proven enough."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    q = 3
-    while q * q <= n:
+    for q in _MR_BASES:
         if n % q == 0:
+            return n == q
+    if n < 43 * 43:
+        return True
+    if n >= MR_BOUND:
+        raise InputError(f"{n} is too large for the primality test "
+                         f"(it must be below {MR_BOUND})")
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        q += 2
     return True
 
 

@@ -12,7 +12,10 @@ are ever factored, never their product.
 By the Galois correspondence, the inertia group I_p is the intersection of
 the kernels of the characters unramified at p, and the decomposition group
 D_p the intersection of the kernels of the characters split at p; the
-kernel of the trivial character, all of V4, starts both.
+kernel of the trivial character, all of V4, starts both.  So the local data
+at p depends on the field only through the three Frobenius signs of p in
+Q(sqrt(d1)), Q(sqrt(d2)), Q(sqrt(d3)) (`frob_signs`): fields that share p
+and its signs share `local_data(p, signs)`.
 """
 
 from __future__ import annotations
@@ -118,16 +121,19 @@ def _frob_sign(d: int, p: int) -> int:
     return kronecker_symbol(quad_field_disc(d), p)
 
 
-def local_galois(f: FieldData, p: int) -> PrimeLocalData:
+def frob_signs(f: FieldData, p: int) -> tuple[int, int, int]:
+    """The Frobenius signs (`_frob_sign`) of p in the subfields of d1, d2
+    and d3."""
+    return _frob_sign(f.d1, p), _frob_sign(f.d2, p), _frob_sign(f.d3, p)
+
+
+def local_data(p: int, signs: tuple[int, int, int]) -> PrimeLocalData:
     """Inertia, decomposition and Frobenius at p, read off from the
-    splitting behavior of p in the three quadratic subfields as kernel
+    Frobenius signs of p in the three quadratic subfields as kernel
     intersections (see the module docstring).  Frobenius is the first
     element of D outside I, or e when D = I."""
-    if p < 2 or not is_prime(p):
-        raise InputError(f"{p} is not prime")
     inertia = decomposition = V4_CHARS[0].kernel
-    for chi, d in zip(V4_CHARS[1:], f.subfields):
-        sign = _frob_sign(d, p)
+    for chi, sign in zip(V4_CHARS[1:], signs):
         if sign != 0:
             inertia &= chi.kernel
         if sign == 1:
@@ -141,6 +147,14 @@ def local_galois(f: FieldData, p: int) -> PrimeLocalData:
     return PrimeLocalData(p, in_s=len(inertia) > 1, inertia=inertia,
                           decomposition=decomposition, frob=frob,
                           a_p=a_p, b_p=b_p)
+
+
+def local_galois(f: FieldData, p: int) -> PrimeLocalData:
+    """The local data of f at the prime p: `local_data` of its Frobenius
+    signs."""
+    if p < 2 or not is_prime(p):
+        raise InputError(f"{p} is not prime")
+    return local_data(p, frob_signs(f, p))
 
 
 def ramified_set(f: FieldData) -> list[int]:

@@ -17,8 +17,8 @@ from typing import Iterable, Mapping
 from .arith import is_prime, is_squarefree
 from .biquadratic import (FieldData, PrimeLocalData, artin_conductor,
                           euler_factor, euler_pair, field_data,
-                          frob_det_quotient, local_galois, quad_field_disc,
-                          ramified_set)
+                          frob_det_quotient, frob_signs, local_data,
+                          local_galois, quad_field_disc, ramified_set)
 from .errors import InputError, TqError
 from .grouprings import HOMREP_KEYS, V4_CHARS, GaloisChar
 from .localterms import LatticeExponent, local_term_closed_form, local_term_pair
@@ -167,27 +167,40 @@ def _has_local_term(local: PrimeLocalData) -> bool:
     return local.full_decomposition and local.p % 2 == 1
 
 
+def prime_unit(loc: PrimeLocalData,
+               lat: LatticeExponent = LatticeExponent()) -> int:
+    """The unit 1 or 3 of (Z/4)* that the prime of `loc` contributes to the
+    torsion class: the odd part mod 4 of the product over the characters of
+    the inverse Euler factor, the power-of-two term and, at a fully
+    decomposed odd prime, the inverse local term.  It depends on the field
+    only through `loc`."""
+    p = loc.p
+    local_term = _has_local_term(loc)
+    unit = 1
+    for chi in V4_CHARS:
+        # a unit mod 4 is its own inverse, so numerators and
+        # denominators count alike, inverted factors or not
+        n = math.prod(euler_pair(chi, p, loc)) * math.prod(delta1_pair(chi, loc))
+        if local_term:
+            n *= math.prod(local_term_pair(chi, p, loc, lat))
+        unit = unit * odd_unit(n) % 4
+    return unit
+
+
 def torsion_unit(local_2: PrimeLocalData, locals_s: Iterable[PrimeLocalData],
                  lat: LatticeExponent = LatticeExponent()) -> int | None:
     """The torsion class of a field as the unit 1 or 3 of (Z/4)*, from its
     local data at 2 and over S; None, without consuming `locals_s`, when
     the decomposition group at 2 is everything (inadmissible).  The odd
-    part mod 4 of the product over S and the characters of the inverse
-    Euler factors, the power-of-two terms and the inverse local terms is
-    multiplicative, so each factor is reduced on its own, in ints."""
+    part mod 4 of the product over S is multiplicative, so it is the
+    product of the `prime_unit`s of the primes of S.  `field_verdict` and
+    `sweep` take the same product from a dict of `prime_unit`s made for
+    one call (`_field_unit`)."""
     if local_2.full_decomposition:
         return None
     unit = 1
     for loc in locals_s:
-        p = loc.p
-        local_term = _has_local_term(loc)
-        for chi in V4_CHARS:
-            # a unit mod 4 is its own inverse, so numerators and
-            # denominators count alike, inverted factors or not
-            n = math.prod(euler_pair(chi, p, loc)) * math.prod(delta1_pair(chi, loc))
-            if local_term:
-                n *= math.prod(local_term_pair(chi, p, loc, lat))
-            unit = unit * odd_unit(n) % 4
+        unit = unit * prime_unit(loc, lat) % 4
     return unit
 
 
@@ -197,14 +210,18 @@ def _verdict(unit: int | None) -> str:
     return VERDICT_VANISHES if unit == 1 else VERDICT_NONZERO
 
 
-def _s_set(f: FieldData, s_extra: Iterable[int] | None) -> tuple[int, ...]:
-    """The ramified set of f enlarged by the extra odd primes, sorted."""
-    s_f = set(ramified_set(f))
-    for p in (s_extra or ()):
+def _extra_primes(s_extra: Iterable[int] | None) -> tuple[int, ...]:
+    """The extra primes of S, each checked to be an odd prime."""
+    extra = tuple(s_extra or ())
+    for p in extra:
         if p == 2 or not is_prime(p):
             raise InputError(f"extra primes must be odd primes, got {p}")
-        s_f.add(p)
-    return tuple(sorted(s_f))
+    return extra
+
+
+def _s_set(f: FieldData, extra: tuple[int, ...]) -> tuple[int, ...]:
+    """The ramified set of f enlarged by the checked extra primes, sorted."""
+    return tuple(sorted(set(ramified_set(f)).union(extra)))
 
 
 def omega_loc_torsion(d1: int, d2: int,
@@ -217,7 +234,7 @@ def omega_loc_torsion(d1: int, d2: int,
     representative, the power-of-two terms and the local classes at fully
     decomposed odd primes."""
     f = field_data(d1, d2, allow_imaginary=allow_imaginary)
-    s_f = _s_set(f, s_extra)
+    s_f = _s_set(f, _extra_primes(s_extra))
     locals_map = {p: local_galois(f, p) for p in s_f}
     local_2 = locals_map.get(2) or local_galois(f, 2)
     unit = torsion_unit(local_2, locals_map.values(), lat)
@@ -308,29 +325,55 @@ def squarefree_pairs(dmax: int):
             yield d1, d2
 
 
+def _field_unit(f: FieldData, extra: tuple[int, ...], lat: LatticeExponent,
+                units: dict[tuple[int, tuple[int, int, int]], tuple[bool, int]]
+                ) -> int | None:
+    """`torsion_unit` of f over `_s_set(f, extra)`, read from `units`,
+    which maps (p, `frob_signs(f, p)`) to the full decomposition flag and
+    the `prime_unit` of `local_data(p, signs)`; an entry is filled on a
+    miss.  Both depend on the field only through that key, so one dict
+    serves every field of a sweep under the same `lat`."""
+    def at(p: int) -> tuple[bool, int]:
+        key = (p, frob_signs(f, p))
+        if key not in units:
+            loc = local_data(*key)
+            units[key] = (loc.full_decomposition, prime_unit(loc, lat))
+        return units[key]
+
+    if at(2)[0]:
+        return None
+    unit = 1
+    for p in _s_set(f, extra):
+        unit = unit * at(p)[1] % 4
+    return unit
+
+
 def field_verdict(d1: int, d2: int, s_extra: Iterable[int] | None = None,
                   lat: LatticeExponent = LatticeExponent()) -> str:
     """The verdict of `omega_loc_torsion` for the real field
-    Q(sqrt(d1), sqrt(d2)), from its local data and `torsion_unit` alone,
-    with no report.  Local data at odd primes is computed only when the
-    field is admissible."""
+    Q(sqrt(d1), sqrt(d2)) as the product of its `prime_unit`s, with no
+    report; the units live in a dict made for this call alone.  Units at
+    odd primes are computed only when the field is admissible."""
     f = field_data(d1, d2)
-    local_2 = local_galois(f, 2)
-    locals_s = (local_2 if p == 2 else local_galois(f, p)
-                for p in _s_set(f, s_extra))
-    return _verdict(torsion_unit(local_2, locals_s, lat))
+    return _verdict(_field_unit(f, _extra_primes(s_extra), lat, {}))
 
 
 def sweep(dmax: int, s_extra: Iterable[int] | None = None,
           lat: LatticeExponent = LatticeExponent()) -> SweepSummary:
-    """Decide every squarefree pair 1 < d1 < d2 <= dmax.
+    """Decide every squarefree pair 1 < d1 < d2 <= dmax, as `field_verdict`
+    does, but with one dict of `prime_unit`s per call, shared by all pairs:
+    each unit is computed once per prime and triple of Frobenius signs,
+    so the dict holds at most 27 entries for each of 2, the primes up to
+    dmax and the extra primes.
     Any nonzero torsion is collected for prominent reporting: it means the
     predicted universal vanishing fails for that field."""
     if dmax < 3:
         raise InputError("dmax must be at least 3")
+    extra = _extra_primes(s_extra)
     summary = SweepSummary(dmax)
+    units = {}
     for d1, d2 in squarefree_pairs(dmax):
-        verdict = field_verdict(d1, d2, s_extra, lat)
+        verdict = _verdict(_field_unit(field_data(d1, d2), extra, lat, units))
         summary.counts[verdict] += 1
         if verdict == VERDICT_NONZERO:
             summary.nonzero_fields.append((d1, d2))

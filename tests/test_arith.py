@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from tq.arith import (is_prime, is_squarefree, kronecker_symbol,
+from tq.arith import (MR_BOUND, is_prime, is_squarefree, kronecker_symbol,
                       odd_primes_up_to, prime_factors, squarefree_kernel)
 from tq.errors import InputError
 
@@ -8,6 +10,25 @@ from tq.errors import InputError
 def test_is_prime_small():
     primes = [p for p in range(60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+    assert [n for n in range(10 ** 5) if is_prime(n)] \
+        == [n for n in range(10 ** 5) if trial(n)]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7, and to the first 12 primes
+    assert not is_prime(3_215_031_751)
+    assert not is_prime(3_825_123_056_546_413_051)
+    assert is_prime(999_999_999_999_999_989)
+
+
+def test_is_prime_refuses_beyond_proven_bound():
+    with pytest.raises(InputError):
+        is_prime(MR_BOUND)
 
 
 def test_squarefree():

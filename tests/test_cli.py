@@ -117,14 +117,33 @@ def test_analytic_ratio_command(capsys):
     assert "0 failures" in out
 
 
-def test_compute_large_prime_pair_finishes():
-    """d1 and d2 are factored separately, never their product (~1e18)."""
+def run_subprocess(*argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "tq.cli", "compute",
-         "--d1", "1000000007", "--d2", "998244353"],
-        capture_output=True, text=True, timeout=30, env=env)
+    return subprocess.run([sys.executable, "-m", "tq.cli", *argv],
+                          capture_output=True, text=True, timeout=30, env=env)
+
+
+def test_compute_large_prime_pair_finishes():
+    """d1 and d2 are factored separately, never their product (~1e18)."""
+    proc = run_subprocess("compute", "--d1", "1000000007", "--d2", "998244353")
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_compute_large_extra_prime_finishes():
+    """An extra prime near 1e18 is tested by Miller-Rabin, not trial division."""
+    proc = run_subprocess("compute", "--d1", "5", "--d2", "13",
+                          "--extra-s", "999999999999999989")
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "999999999999999989" in proc.stdout
+
+
+def test_compute_extra_prime_beyond_bound_is_input_error(capsys):
+    code, out, err = run(capsys, "compute", "--d1", "5", "--d2", "13",
+                         "--extra-s", "3317044064679887385961981")
+    assert code == 4
+    assert err.startswith("input error: ")
+    assert out == ""
