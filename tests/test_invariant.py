@@ -299,6 +299,22 @@ def test_sweep_with_options_matches_reports():
                                           if v == VERDICT_NONZERO], lat
 
 
+@pytest.mark.parametrize("dmax", [3, 4, 5, 90])
+def test_sweep_matches_field_verdicts(dmax):
+    """`sweep` decides its pairs from data made once per d, `field_verdict`
+    each field from `field_data`: they agree on every pair with d2 <= dmax,
+    with and without extra primes, under every lattice with m <= 3."""
+    pairs = list(squarefree_pairs(dmax))
+    for extra in (None, [3, 7]):
+        for lat in [LatticeExponent(m, sign) for m in (1, 2, 3) for sign in (1, -1)]:
+            verdicts = [field_verdict(d1, d2, extra, lat) for d1, d2 in pairs]
+            summary = sweep(dmax, s_extra=extra, lat=lat)
+            assert summary.counts == {v: verdicts.count(v) for v in summary.counts}, \
+                (extra, lat)
+            assert summary.nonzero_fields == [pair for pair, v in zip(pairs, verdicts)
+                                              if v == VERDICT_NONZERO], (extra, lat)
+
+
 def test_imaginary_field_is_flagged():
     report = omega_loc_torsion(-3, 5, allow_imaginary=True)
     assert report.note is not None
