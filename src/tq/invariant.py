@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .arith import is_prime, is_squarefree
-from .biquadratic import (FieldData, PrimeLocalData, artin_conductor,
-                          euler_factor, euler_pair, field_data,
-                          frob_det_quotient, frob_signs, local_data,
+from .arith import is_prime, is_squarefree, prime_factors
+from .biquadratic import (FieldData, PrimeLocalData, _frob_sign,
+                          artin_conductor, euler_factor, euler_pair,
+                          field_data, frob_det_quotient, local_data,
                           local_galois, quad_field_disc, ramified_set)
 from .errors import InputError, TqError
 from .grouprings import HOMREP_KEYS, V4_CHARS, GaloisChar
@@ -320,21 +320,19 @@ class SweepSummary:
 def squarefree_pairs(dmax: int):
     """The pairs 1 < d1 < d2 <= dmax of squarefree ints, by d2 then d1."""
     ds = [d for d in range(2, dmax + 1) if is_squarefree(d)]
-    for i, d2 in enumerate(ds):
-        for d1 in ds[:i]:
-            yield d1, d2
+    return ((d1, d2) for i, d2 in enumerate(ds) for d1 in ds[:i])
 
 
-def _field_unit(f: FieldData, extra: tuple[int, ...], lat: LatticeExponent,
+def _field_unit(d1: int, d2: int, d3: int, s: Iterable[int], lat: LatticeExponent,
                 units: dict[tuple[int, tuple[int, int, int]], tuple[bool, int]]
                 ) -> int | None:
-    """`torsion_unit` of f over `_s_set(f, extra)`, read from `units`,
-    which maps (p, `frob_signs(f, p)`) to the full decomposition flag and
-    the `prime_unit` of `local_data(p, signs)`; an entry is filled on a
-    miss.  Both depend on the field only through that key, so one dict
-    serves every field of a sweep under the same `lat`."""
+    """`torsion_unit` of the field with subfields d1, d2, d3 over the primes
+    `s` of S, from `units`, which maps p and its `_frob_sign`s in the three
+    subfields to the full decomposition flag and the `prime_unit` of
+    `local_data(p, signs)`, filled on a miss.  They depend on the field only
+    through that key, so one dict serves a whole sweep under one `lat`."""
     def at(p: int) -> tuple[bool, int]:
-        key = (p, frob_signs(f, p))
+        key = (p, (_frob_sign(d1, p), _frob_sign(d2, p), _frob_sign(d3, p)))
         if key not in units:
             loc = local_data(*key)
             units[key] = (loc.full_decomposition, prime_unit(loc, lat))
@@ -343,7 +341,7 @@ def _field_unit(f: FieldData, extra: tuple[int, ...], lat: LatticeExponent,
     if at(2)[0]:
         return None
     unit = 1
-    for p in _s_set(f, extra):
+    for p in s:
         unit = unit * at(p)[1] % 4
     return unit
 
@@ -351,29 +349,31 @@ def _field_unit(f: FieldData, extra: tuple[int, ...], lat: LatticeExponent,
 def field_verdict(d1: int, d2: int, s_extra: Iterable[int] | None = None,
                   lat: LatticeExponent = LatticeExponent()) -> str:
     """The verdict of `omega_loc_torsion` for the real field
-    Q(sqrt(d1), sqrt(d2)) as the product of its `prime_unit`s, with no
-    report; the units live in a dict made for this call alone.  Units at
-    odd primes are computed only when the field is admissible."""
+    Q(sqrt(d1), sqrt(d2)), checked by `field_data`: its `_field_unit` over
+    S from a dict made for this call alone, with no report."""
     f = field_data(d1, d2)
-    return _verdict(_field_unit(f, _extra_primes(s_extra), lat, {}))
+    return _verdict(_field_unit(*f.subfields, _s_set(f, _extra_primes(s_extra)), lat, {}))
 
 
 def sweep(dmax: int, s_extra: Iterable[int] | None = None,
           lat: LatticeExponent = LatticeExponent()) -> SweepSummary:
-    """Decide every squarefree pair 1 < d1 < d2 <= dmax, as `field_verdict`
-    does, but with one dict of `prime_unit`s per call, shared by all pairs:
-    each unit is computed once per prime and triple of Frobenius signs,
-    so the dict holds at most 27 entries for each of 2, the primes up to
-    dmax and the extra primes.
-    Any nonzero torsion is collected for prominent reporting: it means the
-    predicted universal vanishing fails for that field."""
+    """Decide every squarefree pair 1 < d1 < d2 <= dmax by the product of
+    `field_verdict`, from data made once per squarefree d: its primes of S
+    (those of d, 2 unless d = 1 mod 4, the extra primes).  A pair's S is
+    the union of two such sets; the checks of `field_data` hold by
+    construction.  One dict of `prime_unit`s serves all pairs.  Any nonzero
+    torsion is collected for prominent reporting: it means the predicted
+    universal vanishing fails for that field."""
     if dmax < 3:
         raise InputError("dmax must be at least 3")
     extra = _extra_primes(s_extra)
+    s_of = {d: set(extra).union(prime_factors(d), () if d % 4 == 1 else (2,))
+            for d in range(2, dmax + 1) if is_squarefree(d)}
     summary = SweepSummary(dmax)
     units = {}
     for d1, d2 in squarefree_pairs(dmax):
-        verdict = _verdict(_field_unit(field_data(d1, d2), extra, lat, units))
+        d3 = d1 * d2 // math.gcd(d1, d2) ** 2
+        verdict = _verdict(_field_unit(d1, d2, d3, s_of[d1] | s_of[d2], lat, units))
         summary.counts[verdict] += 1
         if verdict == VERDICT_NONZERO:
             summary.nonzero_fields.append((d1, d2))
