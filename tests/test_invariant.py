@@ -362,13 +362,13 @@ def test_sweep_20_counts_and_parity():
         assert report.verdict == expected, (d1, d2)
 
 
-def test_sweep_400_matches_parity_law():
-    """The README's law for every pair with d2 <= 400: inadmissible exactly
+def assert_sweep_matches_parity_law(dmax):
+    """The README's law for every pair with d2 <= dmax: inadmissible exactly
     when none of d1, d2, d3 is 1 mod 8, else nonzero exactly when the
     parity prediction is -1."""
     counts = {VERDICT_VANISHES: 0, VERDICT_NONZERO: 0, VERDICT_INADMISSIBLE: 0}
     nonzero = []
-    for d1, d2 in squarefree_pairs(400):
+    for d1, d2 in squarefree_pairs(dmax):
         d3 = d1 * d2 // math.gcd(d1, d2) ** 2
         if all(d % 8 != 1 for d in (d1, d2, d3)):
             verdict = VERDICT_INADMISSIBLE
@@ -378,9 +378,17 @@ def test_sweep_400_matches_parity_law():
             verdict = VERDICT_NONZERO
             nonzero.append((d1, d2))
         counts[verdict] += 1
-    summary = sweep(400)
+    summary = sweep(dmax)
     assert summary.counts == counts
     assert summary.nonzero_fields == nonzero
+
+
+def test_sweep_400_matches_parity_law():
+    assert_sweep_matches_parity_law(400)
+
+
+def test_sweep_1000_matches_parity_law():
+    assert_sweep_matches_parity_law(1000)
 
 
 def test_sweep_s_enlargement_identical():
