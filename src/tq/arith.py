@@ -1,9 +1,10 @@
-"""Elementary number-theoretic helpers: primality, squarefree kernels,
-Kronecker symbols.  Everything here is exact integer arithmetic."""
+"""Elementary number-theoretic helpers: primality, factoring, squarefree
+kernels, Kronecker symbols.  Everything here is exact integer arithmetic."""
 
 from __future__ import annotations
 
-from math import isqrt
+from itertools import count
+from math import gcd, prod
 
 from .errors import InputError
 
@@ -44,14 +45,68 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def is_squarefree(n: int) -> bool:
+# Factoring trial-divides by 2 and the odd q <= TRIAL_BOUND, so it needs
+# no other stage for |n| < 1009**2, the square of the next prime.
+TRIAL_BOUND = 1000
+_RHO_BATCH = 128
+
+
+def _pollard_brent(n: int) -> int:
+    """A divisor 1 < g < n of the composite n by Pollard's rho (BIT 15,
+    1975) on x -> x^2 + c from x = 2, for c = 1, 2, ... until one splits n,
+    with Brent's cycle finding and batched gcds (BIT 20, 1980)."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            # the batch passed the collision: redo it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def factorization(n: int) -> dict[int, int]:
+    """The prime factorization {p: exponent} of |n| ({} for 0 and +-1):
+    trial division up to TRIAL_BOUND, then `is_prime` and `_pollard_brent`
+    on what is left, so it inherits the InputError of `is_prime` on a
+    cofactor of MR_BOUND or more."""
     n = abs(n)
-    if n == 0:
-        return False
-    for q in range(2, isqrt(n) + 1):
-        if n % (q * q) == 0:
-            return False
-    return True
+    out = {}
+    q = 2
+    while q <= TRIAL_BOUND and q * q <= n:
+        while n % q == 0:
+            n //= q
+            out[q] = out.get(q, 0) + 1
+        q += 1 if q == 2 else 2
+    # what is left has no prime factor below q, so it is prime when < q^2
+    todo = [n] if n > 1 else []
+    while todo:
+        m = todo.pop()
+        if m < q * q or is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            g = _pollard_brent(m)
+            todo += [g, m // g]
+    return out
+
+
+def is_squarefree(n: int) -> bool:
+    return n != 0 and all(e == 1 for e in factorization(n).values())
 
 
 def squarefree_kernel(n: int) -> int:
@@ -59,40 +114,12 @@ def squarefree_kernel(n: int) -> int:
     Sign is preserved."""
     if n == 0:
         raise InputError("squarefree kernel of 0 is undefined")
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            e = 0
-            while n % q == 0:
-                n //= q
-                e += 1
-            if e % 2 == 1:
-                out *= q
-        q += 1
-    return sign * out * n
+    return (-1 if n < 0 else 1) * prod(p for p, e in factorization(n).items() if e % 2)
 
 
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of |n| in increasing order."""
-    n = abs(n)
-    out = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1 if q == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def odd_primes_up_to(bound: int) -> list[int]:
-    return [p for p in range(3, bound + 1, 2) if is_prime(p)]
+    return sorted(factorization(n))
 
 
 def kronecker_symbol(a: int, n: int) -> int:

@@ -30,6 +30,12 @@ from .grouprings import (V4_CHARS, V4_E, GaloisChar, GroupElement,
                          element_name, group_elements)
 
 
+# The largest |d| accepted for d1 and d2, which are factored: a composite
+# cofactor of such a d has a prime factor below 10^9, which Pollard-Brent
+# rho finds in some 10^4.5 steps.
+D_BOUND = 10 ** 18
+
+
 def quad_field_disc(d: int) -> int:
     """Discriminant of Q(sqrt(d)) for squarefree d != 1."""
     return d if d % 4 == 1 else 4 * d
@@ -69,6 +75,8 @@ class FieldData:
 
 def field_data(d1: int, d2: int, allow_imaginary: bool = False) -> FieldData:
     for d in (d1, d2):
+        if abs(d) > D_BOUND:
+            raise InputError(f"{d} is outside the supported range |d| <= 10^18")
         if d == 0 or d == 1 or not is_squarefree(d):
             raise InputError(f"{d} is not a squarefree integer != 1")
     if d1 == d2:

@@ -14,7 +14,7 @@ import random
 import time
 from fractions import Fraction
 
-from tq.arith import odd_primes_up_to
+from helpers import odd_primes_up_to
 from tq.biquadratic import field_data, local_galois, quad_field_disc, ramified_set
 from tq.invariant import (VERDICT_NONZERO, VERDICT_VANISHES,
                                delta1_term, omega_loc_torsion,

@@ -1,9 +1,14 @@
 import math
+import random
+from collections import Counter
 
 import pytest
 
-from tq.arith import (MR_BOUND, is_prime, is_squarefree, kronecker_symbol,
-                      odd_primes_up_to, prime_factors, squarefree_kernel)
+from helpers import odd_primes_up_to
+from tq import arith
+from tq.arith import (MR_BOUND, TRIAL_BOUND, factorization, is_prime,
+                      is_squarefree, kronecker_symbol, prime_factors,
+                      squarefree_kernel)
 from tq.errors import InputError
 
 
@@ -51,6 +56,63 @@ def test_prime_factors():
     assert prime_factors(60) == [2, 3, 5]
     assert prime_factors(-65) == [5, 13]
     assert prime_factors(1) == []
+
+
+def trial_factorization(n):
+    out = Counter()
+    q = 2
+    while q * q <= n:
+        while n % q == 0:
+            n //= q
+            out[q] += 1
+        q += 1
+    if n > 1:
+        out[n] += 1
+    return out
+
+
+def rho_factorization(n):
+    """The factorization of n >= 1 by `_pollard_brent` splits alone, with
+    no trial division."""
+    if n == 1:
+        return Counter()
+    if is_prime(n):
+        return Counter({n: 1})
+    g = arith._pollard_brent(n)
+    assert 1 < g < n and n % g == 0, n
+    return rho_factorization(g) + rho_factorization(n // g)
+
+
+def test_rho_matches_trial_division_below_1e5():
+    sample = list(range(1, 2000)) + random.Random(7).sample(range(2000, 10 ** 5), 3000)
+    for n in sample:
+        assert rho_factorization(n) == trial_factorization(n), n
+        assert factorization(n) == trial_factorization(n), n
+
+
+def test_factorization_of_large_semiprimes():
+    primes = [999_999_937, 1_000_000_007, 1_000_000_009]
+    for i, p in enumerate(primes):
+        for q in primes[i:]:
+            n = p * q
+            assert factorization(n) == Counter([p, q]), (p, q)
+            assert prime_factors(-n) == sorted({p, q})
+            assert is_squarefree(n) == (p != q)
+    assert factorization(999_999_999_999_999_989) == {999_999_999_999_999_989: 1}
+    assert squarefree_kernel(2 * 3 ** 2 * 1_000_000_007 ** 2) == 2
+
+
+def test_small_n_need_only_trial_division(monkeypatch):
+    """Every |n| below the square of the first prime past TRIAL_BOUND is
+    factored by trial division alone: neither Miller-Rabin nor rho runs."""
+    def refuse(n):
+        raise AssertionError(f"{n} left the trial-division stage")
+    monkeypatch.setattr(arith, "is_prime", refuse)
+    monkeypatch.setattr(arith, "_pollard_brent", refuse)
+    assert TRIAL_BOUND ** 2 > 3 * 10 ** 5
+    for n in [299_993, 547 * 541, 547 ** 2, 2 * 149_993, 1009 ** 2 - 1] \
+            + random.Random(11).sample(range(2, 3 * 10 ** 5), 2000):
+        assert factorization(n) == trial_factorization(n), n
 
 
 def test_odd_primes_up_to():

@@ -3,7 +3,8 @@ from math import isqrt
 
 import pytest
 
-from tq.arith import is_squarefree, odd_primes_up_to
+from helpers import odd_primes_up_to
+from tq.arith import is_squarefree
 from tq.biquadratic import (artin_conductor, euler_factor, field_data,
                             frob_det_quotient, local_galois, quad_field_disc,
                             ramified_set)
@@ -36,6 +37,10 @@ def test_field_data_rejects_bad_input():
         field_data(1, 5)
     with pytest.raises(InputError):
         field_data(-3, 5)
+    with pytest.raises(InputError):
+        field_data(5, 10 ** 18 + 3)
+    with pytest.raises(InputError):
+        field_data(-(10 ** 18) - 3, 5, allow_imaginary=True)
 
 
 def test_field_data_imaginary_override():

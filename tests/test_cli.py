@@ -132,6 +132,20 @@ def test_compute_large_prime_pair_finishes():
     assert "Traceback" not in proc.stderr
 
 
+def test_compute_prime_near_bound_finishes():
+    """A prime d just below 10^18 is factored in bounded time."""
+    proc = run_subprocess("compute", "--d1", "999999999999999989", "--d2", "5")
+    assert proc.returncode in (0, 2, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_compute_beyond_d_bound_is_input_error():
+    proc = run_subprocess("compute", "--d1", "1000000000000000003", "--d2", "5")
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error: ")
+
+
 def test_compute_large_extra_prime_finishes():
     """An extra prime near 1e18 is tested by Miller-Rabin, not trial division."""
     proc = run_subprocess("compute", "--d1", "5", "--d2", "13",

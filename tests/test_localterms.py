@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from tq.arith import is_prime, is_squarefree, odd_primes_up_to
+from helpers import odd_primes_up_to
+from tq.arith import is_prime, is_squarefree
 from tq.biquadratic import PrimeLocalData, field_data, local_galois
 from tq.errors import ContractViolationError, InputError
 from tq.grouprings import (V4_A, V4_AB, V4_B, V4_CHARS, V4_E,
