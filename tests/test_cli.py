@@ -1,10 +1,14 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tq.cli import main
 
@@ -161,3 +165,50 @@ def test_compute_extra_prime_beyond_bound_is_input_error(capsys):
     assert code == 4
     assert err.startswith("input error: ")
     assert out == ""
+
+
+def numbers(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+GARBAGE = st.text(max_size=8)
+# (flag, values) per subcommand: integers inside and beyond the accepted
+# ranges, and garbage in every slot
+COMPUTE_FLAGS = [
+    ("--d1", numbers(-60, 60) | numbers(-10 ** 19, 10 ** 19)),
+    ("--d2", numbers(-60, 60) | numbers(-10 ** 19, 10 ** 19)),
+    ("--m", numbers(-3, 103)),
+    ("--sign", st.sampled_from(["plus", "minus"])),
+    ("--extra-s", st.lists(numbers(-10, 10 ** 19), max_size=3).map(",".join)),
+    ("--json", st.just(None)),
+    ("--allow-imaginary", st.just(None)),
+]
+SWEEP_FLAGS = [("--max", numbers(-5, 60)), ("--json", st.just(None))]
+
+
+@st.composite
+def cli_argv(draw):
+    command, flags = draw(st.sampled_from([("compute", COMPUTE_FLAGS),
+                                           ("sweep", SWEEP_FLAGS)]))
+    argv = [command]
+    for flag, values in draw(st.lists(st.sampled_from(flags), max_size=len(flags))):
+        value = draw(values | GARBAGE)
+        argv += [flag] if value is None else [flag, value]
+    return argv + draw(st.lists(GARBAGE, max_size=1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(cli_argv())
+def test_cli_fuzz_exits_cleanly_and_fast(argv):
+    """Any bounded or malformed compute/sweep command line ends in a
+    documented exit code within a second, with no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's --help
+            code = exc.code
+    assert time.perf_counter() - start < 1.0, argv
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
