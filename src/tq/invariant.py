@@ -324,8 +324,7 @@ def squarefree_pairs(dmax: int):
 
 
 def _field_unit(d1: int, d2: int, d3: int, s: Iterable[int], lat: LatticeExponent,
-                units: dict[tuple[int, tuple[int, int, int]], tuple[bool, int]]
-                ) -> int | None:
+                units: dict) -> int | None:
     """`torsion_unit` of the field with subfields d1, d2, d3 over the primes
     `s` of S, from `units`, which maps p and its `_frob_sign`s in the three
     subfields to the full decomposition flag and the `prime_unit` of
@@ -369,12 +368,13 @@ def sweep(dmax: int, s_extra: Iterable[int] | None = None,
     extra = _extra_primes(s_extra)
     s_of = {d: set(extra).union(prime_factors(d), () if d % 4 == 1 else (2,))
             for d in range(2, dmax + 1) if is_squarefree(d)}
-    summary = SweepSummary(dmax)
-    units = {}
-    for d1, d2 in squarefree_pairs(dmax):
-        d3 = d1 * d2 // math.gcd(d1, d2) ** 2
-        verdict = _verdict(_field_unit(d1, d2, d3, s_of[d1] | s_of[d2], lat, units))
-        summary.counts[verdict] += 1
-        if verdict == VERDICT_NONZERO:
-            summary.nonzero_fields.append((d1, d2))
+    ds = list(s_of)
+    summary, units = SweepSummary(dmax), {}
+    for i, d2 in enumerate(ds):
+        for d1 in ds[:i]:
+            d3 = d1 * d2 // math.gcd(d1, d2) ** 2
+            verdict = _verdict(_field_unit(d1, d2, d3, s_of[d1] | s_of[d2], lat, units))
+            summary.counts[verdict] += 1
+            if verdict == VERDICT_NONZERO:
+                summary.nonzero_fields.append((d1, d2))
     return summary
