@@ -14,7 +14,7 @@ the kernels of the characters unramified at p, and the decomposition group
 D_p the intersection of the kernels of the characters split at p; the
 kernel of the trivial character, all of V4, starts both.  So the local data
 at p depends on the field only through the three Frobenius signs of p in
-Q(sqrt(d1)), Q(sqrt(d2)), Q(sqrt(d3)) (`frob_signs`): fields that share p
+Q(sqrt(d1)), Q(sqrt(d2)), Q(sqrt(d3)) (`_frob_sign`): fields that share p
 and its signs share `local_data(p, signs)`.
 """
 
@@ -129,12 +129,6 @@ def _frob_sign(d: int, p: int) -> int:
     return kronecker_symbol(quad_field_disc(d), p)
 
 
-def frob_signs(f: FieldData, p: int) -> tuple[int, int, int]:
-    """The Frobenius signs (`_frob_sign`) of p in the subfields of d1, d2
-    and d3."""
-    return _frob_sign(f.d1, p), _frob_sign(f.d2, p), _frob_sign(f.d3, p)
-
-
 def local_data(p: int, signs: tuple[int, int, int]) -> PrimeLocalData:
     """Inertia, decomposition and Frobenius at p, read off from the
     Frobenius signs of p in the three quadratic subfields as kernel
@@ -158,11 +152,11 @@ def local_data(p: int, signs: tuple[int, int, int]) -> PrimeLocalData:
 
 
 def local_galois(f: FieldData, p: int) -> PrimeLocalData:
-    """The local data of f at the prime p: `local_data` of its Frobenius
-    signs."""
+    """The local data of f at the prime p: `local_data` of the Frobenius
+    signs of p in the subfields of d1, d2 and d3."""
     if p < 2 or not is_prime(p):
         raise InputError(f"{p} is not prime")
-    return local_data(p, frob_signs(f, p))
+    return local_data(p, tuple(_frob_sign(d, p) for d in f.subfields))
 
 
 def ramified_set(f: FieldData) -> list[int]:

@@ -320,7 +320,9 @@ class SweepSummary:
 def squarefree_pairs(dmax: int):
     """The pairs 1 < d1 < d2 <= dmax of squarefree ints, by d2 then d1."""
     ds = [d for d in range(2, dmax + 1) if is_squarefree(d)]
-    return ((d1, d2) for i, d2 in enumerate(ds) for d1 in ds[:i])
+    for i, d2 in enumerate(ds):
+        for d1 in ds[:i]:
+            yield d1, d2
 
 
 def _field_unit(d1: int, d2: int, d3: int, s: Iterable[int], lat: LatticeExponent,

@@ -6,9 +6,8 @@ import pytest
 
 from helpers import odd_primes_up_to
 from tq import arith
-from tq.arith import (MR_BOUND, TRIAL_BOUND, factorization, is_prime,
-                      is_squarefree, kronecker_symbol, prime_factors,
-                      squarefree_kernel)
+from tq.arith import (MR_BOUND, factorization, is_prime, is_squarefree,
+                      kronecker_symbol, prime_factors, squarefree_kernel)
 from tq.errors import InputError
 
 
@@ -109,7 +108,6 @@ def test_small_n_need_only_trial_division(monkeypatch):
         raise AssertionError(f"{n} left the trial-division stage")
     monkeypatch.setattr(arith, "is_prime", refuse)
     monkeypatch.setattr(arith, "_pollard_brent", refuse)
-    assert TRIAL_BOUND ** 2 > 3 * 10 ** 5
     for n in [299_993, 547 * 541, 547 ** 2, 2 * 149_993, 1009 ** 2 - 1] \
             + random.Random(11).sample(range(2, 3 * 10 ** 5), 2000):
         assert factorization(n) == trial_factorization(n), n
