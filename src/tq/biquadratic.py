@@ -156,7 +156,7 @@ def local_galois(f: FieldData, p: int) -> PrimeLocalData:
     signs of p in the subfields of d1, d2 and d3."""
     if p < 2 or not is_prime(p):
         raise InputError(f"{p} is not prime")
-    return local_data(p, tuple(_frob_sign(d, p) for d in f.subfields))
+    return local_data(p, (_frob_sign(f.d1, p), _frob_sign(f.d2, p), _frob_sign(f.d3, p)))
 
 
 def ramified_set(f: FieldData) -> list[int]:
