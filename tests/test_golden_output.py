@@ -34,6 +34,10 @@ COMMANDS = {
                          "--allow-imaginary"],
     "compute-5-13-options": ["compute", "--d1", "5", "--d2", "13", "--json",
                              "--m", "2", "--sign", "minus", "--extra-s", "3,7"],
+    "compute-3-11-options": ["compute", "--d1", "3", "--d2", "11", "--m", "3",
+                             "--sign", "minus", "--extra-s", "5,7", "--json"],
+    "compute-7-15-extras-in-s": ["compute", "--d1", "7", "--d2", "15",
+                                 "--extra-s", "3,5", "--json"],
     "sweep-60": ["sweep", "--max", "60", "--json"],
     "sweep-200": ["sweep", "--max", "200", "--json"],
     "selftest": ["selftest"],
