@@ -10,7 +10,8 @@ unit in (Z/4)* by prime of S and by part: the inverse Euler factors, the
 power-of-two term and, at fully decomposed odd primes, the inverse local
 term, itself split into eps(chi) = (-1)^dim(chi^I/chi^D) and the rest.
 Each part is the product over the four characters of the odd parts mod 4
-of its numerators and denominators, as in `invariant.torsion_unit`.  It
+of its numerators and denominators, as in `invariant.prime_unit`, and the
+parts multiply back to the field's unit from `invariant._field_unit`.  It
 then lists the supported 2-ramified fields whose resolvent quotient check
 fails, with the odd part of the square root of the conductor product.
 """
@@ -21,8 +22,8 @@ from collections import Counter
 from tq.biquadratic import (artin_conductor, euler_pair, field_data,
                             local_galois, ramified_set)
 from tq.grouprings import V4_CHARS
-from tq.invariant import (delta1_pair, omega_loc_torsion, squarefree_pairs,
-                          torsion_unit)
+from tq.invariant import (_field_unit, delta1_pair, omega_loc_torsion,
+                          squarefree_pairs)
 from tq.localterms import LatticeExponent, local_term_pair
 from tq.relk0 import odd_unit
 
@@ -47,9 +48,8 @@ def main() -> None:
     full, partial = Counter(), Counter()
     for d1, d2 in squarefree_pairs(DMAX):
         f = field_data(d1, d2)
-        local_2 = local_galois(f, 2)
-        locals_s = [local_galois(f, p) for p in ramified_set(f)]
-        unit = torsion_unit(local_2, locals_s, LAT)
+        s_f = ramified_set(f)
+        unit = _field_unit(*f.subfields, s_f, LAT, {})
         if unit is None:
             fields["inadmissible"] += 1
             continue
@@ -57,8 +57,8 @@ def main() -> None:
         fields["nonzero"] += unit == 3
         product = 1
         n_full = 0
-        for loc in locals_s:
-            p = loc.p
+        for p in s_f:
+            loc = local_galois(f, p)
             euler = part_unit(euler_pair(chi, p, loc) for chi in V4_CHARS)
             delta1 = part_unit(delta1_pair(chi, loc) for chi in V4_CHARS)
             row = (f"euler {euler}", f"delta1 {delta1}")

@@ -159,13 +159,17 @@ def local_galois(f: FieldData, p: int) -> PrimeLocalData:
     return local_data(p, (_frob_sign(f.d1, p), _frob_sign(f.d2, p), _frob_sign(f.d3, p)))
 
 
+def disc_primes(d: int) -> set[int]:
+    """The primes dividing the discriminant of Q(sqrt(d)): those of d, and 2
+    unless d = 1 mod 4."""
+    return set(prime_factors(d)).union(() if d % 4 == 1 else (2,))
+
+
 def ramified_set(f: FieldData) -> list[int]:
     """Rational primes dividing the discriminant of E (minimal admissible
-    set of finite places)."""
-    primes = set(prime_factors(f.d1)) | set(prime_factors(f.d2))
-    if any(quad_field_disc(d) % 2 == 0 for d in f.subfields):
-        primes.add(2)
-    return sorted(primes)
+    set of finite places): those ramified in Q(sqrt(d1)) or Q(sqrt(d2)),
+    since every prime ramified in Q(sqrt(d3)) is one of them."""
+    return sorted(disc_primes(f.d1) | disc_primes(f.d2))
 
 
 def euler_pair(chi: GaloisChar, p: int, local: PrimeLocalData) -> tuple[int, int]:

@@ -1,8 +1,8 @@
 """Assembly of the torsion invariant in (Z/4)* for a biquadratic field:
 the simplified global representative (inverse Euler-factor products over
 the ramified set), the per-prime power-of-two terms, and the local classes
-at fully decomposed odd primes; the integer core `torsion_unit` that turns
-them into the verdict; plus the analytic cross-checks (the exact
+at fully decomposed odd primes; the unit mod 4 each prime of S contributes
+(`prime_unit`), whose product over S (`_field_unit`) gives the verdict; plus the analytic cross-checks (the exact
 ratio L*(1)/L*(0) squared, its numeric verification) and the standalone
 resolvent quotient check for the supported shapes of the completion at 2.
 """
@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .arith import is_prime, is_squarefree, prime_factors
+from .arith import is_prime, is_squarefree
 from .biquadratic import (FieldData, PrimeLocalData, _frob_sign,
-                          artin_conductor, euler_factor, euler_pair,
-                          field_data, frob_det_quotient, local_data,
-                          local_galois, quad_field_disc, ramified_set)
+                          artin_conductor, disc_primes, euler_factor,
+                          euler_pair, field_data, frob_det_quotient,
+                          local_data, local_galois, quad_field_disc,
+                          ramified_set)
 from .errors import InputError, TqError
 from .grouprings import HOMREP_KEYS, V4_CHARS, GaloisChar
 from .localterms import LatticeExponent, local_term_closed_form, local_term_pair
@@ -187,23 +188,6 @@ def prime_unit(loc: PrimeLocalData,
     return unit
 
 
-def torsion_unit(local_2: PrimeLocalData, locals_s: Iterable[PrimeLocalData],
-                 lat: LatticeExponent = LatticeExponent()) -> int | None:
-    """The torsion class of a field as the unit 1 or 3 of (Z/4)*, from its
-    local data at 2 and over S; None, without consuming `locals_s`, when
-    the decomposition group at 2 is everything (inadmissible).  The odd
-    part mod 4 of the product over S is multiplicative, so it is the
-    product of the `prime_unit`s of the primes of S.  `field_verdict` and
-    `sweep` take the same product from a dict of `prime_unit`s made for
-    one call (`_field_unit`)."""
-    if local_2.full_decomposition:
-        return None
-    unit = 1
-    for loc in locals_s:
-        unit = unit * prime_unit(loc, lat) % 4
-    return unit
-
-
 def _verdict(unit: int | None) -> str:
     if unit is None:
         return VERDICT_INADMISSIBLE
@@ -219,9 +203,10 @@ def _extra_primes(s_extra: Iterable[int] | None) -> tuple[int, ...]:
     return extra
 
 
-def _s_set(f: FieldData, extra: tuple[int, ...]) -> tuple[int, ...]:
-    """The ramified set of f enlarged by the checked extra primes, sorted."""
-    return tuple(sorted(set(ramified_set(f)).union(extra)))
+def _s_set(f: FieldData, s_extra: Iterable[int] | None) -> tuple[int, ...]:
+    """The ramified set of f enlarged by the extra primes, each checked to
+    be an odd prime, sorted."""
+    return tuple(sorted(set(ramified_set(f)).union(_extra_primes(s_extra))))
 
 
 def omega_loc_torsion(d1: int, d2: int,
@@ -229,17 +214,16 @@ def omega_loc_torsion(d1: int, d2: int,
                       lat: LatticeExponent = LatticeExponent(),
                       allow_imaginary: bool = False) -> InvariantReport:
     """Full pipeline: field data, local data over the ramified set (plus
-    any extra odd primes), the torsion class from `torsion_unit` with its
+    any extra odd primes), the torsion class from `_field_unit` with its
     verdict, and the exact values behind it: the simplified global
     representative, the power-of-two terms and the local classes at fully
     decomposed odd primes."""
     f = field_data(d1, d2, allow_imaginary=allow_imaginary)
-    s_f = _s_set(f, _extra_primes(s_extra))
-    locals_map = {p: local_galois(f, p) for p in s_f}
-    local_2 = locals_map.get(2) or local_galois(f, 2)
-    unit = torsion_unit(local_2, locals_map.values(), lat)
+    s_f = _s_set(f, s_extra)
+    unit = _field_unit(*f.subfields, s_f, lat, {})
     per_prime = {}
-    for p, loc in locals_map.items():
+    for p in s_f:
+        loc = local_galois(f, p)
         term = None
         if unit is not None and _has_local_term(loc):
             term = local_term_closed_form(p, loc, lat)
@@ -327,11 +311,15 @@ def squarefree_pairs(dmax: int):
 
 def _field_unit(d1: int, d2: int, d3: int, s: Iterable[int], lat: LatticeExponent,
                 units: dict) -> int | None:
-    """`torsion_unit` of the field with subfields d1, d2, d3 over the primes
-    `s` of S, from `units`, which maps p and its `_frob_sign`s in the three
-    subfields to the full decomposition flag and the `prime_unit` of
-    `local_data(p, signs)`, filled on a miss.  They depend on the field only
-    through that key, so one dict serves a whole sweep under one `lat`."""
+    """The torsion class of the field with subfields d1, d2, d3 as the unit
+    1 or 3 of (Z/4)*, over the primes `s` of S; None when the decomposition
+    group at 2 is everything (inadmissible).  The odd part mod 4 of the
+    product over S is multiplicative, so it is the product of the
+    `prime_unit`s of the primes of S, read from `units`.  That dict maps p
+    and its `_frob_sign`s in the three subfields to the full decomposition
+    flag and the `prime_unit` of `local_data(p, signs)`, filled on a miss.
+    They depend on the field only through that key, so one dict serves a
+    whole sweep under one `lat`."""
     def at(p: int) -> tuple[bool, int]:
         key = (p, (_frob_sign(d1, p), _frob_sign(d2, p), _frob_sign(d3, p)))
         if key not in units:
@@ -353,14 +341,14 @@ def field_verdict(d1: int, d2: int, s_extra: Iterable[int] | None = None,
     Q(sqrt(d1), sqrt(d2)), checked by `field_data`: its `_field_unit` over
     S from a dict made for this call alone, with no report."""
     f = field_data(d1, d2)
-    return _verdict(_field_unit(*f.subfields, _s_set(f, _extra_primes(s_extra)), lat, {}))
+    return _verdict(_field_unit(*f.subfields, _s_set(f, s_extra), lat, {}))
 
 
 def sweep(dmax: int, s_extra: Iterable[int] | None = None,
           lat: LatticeExponent = LatticeExponent()) -> SweepSummary:
     """Decide every squarefree pair 1 < d1 < d2 <= dmax by the product of
     `field_verdict`, from data made once per squarefree d: its primes of S
-    (those of d, 2 unless d = 1 mod 4, the extra primes).  A pair's S is
+    (`disc_primes` and the extra primes).  A pair's S is
     the union of two such sets; the checks of `field_data` hold by
     construction.  One dict of `prime_unit`s serves all pairs.  Any nonzero
     torsion is collected for prominent reporting: it means the predicted
@@ -368,7 +356,7 @@ def sweep(dmax: int, s_extra: Iterable[int] | None = None,
     if dmax < 3:
         raise InputError("dmax must be at least 3")
     extra = _extra_primes(s_extra)
-    s_of = {d: set(extra).union(prime_factors(d), () if d % 4 == 1 else (2,))
+    s_of = {d: disc_primes(d).union(extra)
             for d in range(2, dmax + 1) if is_squarefree(d)}
     ds = list(s_of)
     summary, units = SweepSummary(dmax), {}

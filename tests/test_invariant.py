@@ -8,8 +8,8 @@ from tq.biquadratic import field_data, local_galois, ramified_set
 from tq.invariant import (VERDICT_INADMISSIBLE, VERDICT_NONZERO,
                                VERDICT_VANISHES, delta1_term, field_verdict,
                                leading_ratio_check, leading_ratio_exact,
-                               omega_loc_torsion, resolvent_factor_check,
-                               squarefree_pairs, sweep, torsion_unit,
+                               omega_loc_torsion, prime_unit,
+                               resolvent_factor_check, squarefree_pairs, sweep,
                                ts_representative)
 from tq.errors import InputError
 from tq.grouprings import V4_CHARS
@@ -274,15 +274,14 @@ def test_prime_units_match_fraction_reports():
         report = omega_loc_torsion(d1, d2, lat=lat)
         if report.verdict == VERDICT_INADMISSIBLE:
             continue
-        local_2 = local_galois(report.field, 2)
         for p, pr in report.per_prime.items():
             total = Fraction(1)
             for k, chi in enumerate(V4_CHARS):
                 total *= pr.euler[k] * pr.delta1.value(chi)
                 if pr.local_term is not None:
                     total *= pr.local_term.value(chi)
-            assert torsion_unit(local_2, [pr.local], lat) \
-                == odd_part_mod4(total).unit, (d1, d2, p)
+            assert prime_unit(pr.local, lat) == odd_part_mod4(total).unit, \
+                (d1, d2, p)
             n_primes += 1
     assert n_primes == 2140
 
