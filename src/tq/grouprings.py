@@ -130,13 +130,6 @@ class GroupRingElem:
     def of(cls, g: GroupElement) -> "GroupRingElem":
         return cls({g: Fraction(1)})
 
-    def coeff(self, g: GroupElement) -> Fraction:
-        return self._coeffs.get(g, Fraction(0))
-
-    @property
-    def support(self) -> tuple[GroupElement, ...]:
-        return tuple(g for g, _ in self._key)
-
     def items(self):
         return self._key
 

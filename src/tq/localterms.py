@@ -23,6 +23,11 @@ from .relk0 import HomRep
 DEGREES = (-2, 0)
 
 
+def _require_odd_prime(p: int) -> None:
+    if p < 3 or p % 2 == 0 or not is_prime(p):
+        raise InputError(f"{p} is not an odd prime")
+
+
 @dataclass(frozen=True)
 class TameComplexSpec:
     """Input data for the local complex at an odd prime: the inertia
@@ -34,8 +39,7 @@ class TameComplexSpec:
     b: GroupElement
 
     def __post_init__(self):
-        if self.p < 3 or self.p % 2 == 0 or not is_prime(self.p):
-            raise InputError(f"{self.p} is not an odd prime")
+        _require_odd_prime(self.p)
         if self.a == V4_E:
             raise InputError("inertia generator must be nontrivial")
         if self.b in (V4_E, self.a):
@@ -58,11 +62,10 @@ class LatticeExponent:
             raise InputError("sign must be +1 or -1")
 
 
-def inertia_unit(spec: TameComplexSpec) -> GroupRingElem:
+def inertia_unit(p: int, a: GroupElement) -> GroupRingElem:
     """(p+1)/2 + ((p-1)/2) a, the group-ring element realizing the residue
     field as a quotient."""
-    p = spec.p
-    return GroupRingElem({V4_E: Fraction(p + 1, 2), spec.a: Fraction(p - 1, 2)})
+    return GroupRingElem({V4_E: Fraction(p + 1, 2), a: Fraction(p - 1, 2)})
 
 
 def build_tame_complex(spec: TameComplexSpec) -> PerfectComplex:
@@ -72,7 +75,7 @@ def build_tame_complex(spec: TameComplexSpec) -> PerfectComplex:
     a = GroupRingElem.of(spec.a)
     b = GroupRingElem.of(spec.b)
     one = GroupRingElem.one()
-    lam = GroupRingMatrix.from_rows([[b * inertia_unit(spec) - one, -(a - one)]])
+    lam = GroupRingMatrix.from_rows([[b * inertia_unit(spec.p, spec.a) - one, -(a - one)]])
     minus_phi = GroupRingMatrix.from_rows([[-(a - one)], [-(b - one)]])
     return PerfectComplex(DEGREES, {-2: 1, -1: 2, 0: 1},
                           {-2: lam, -1: minus_phi})
@@ -104,8 +107,7 @@ def valuation_iso(spec: TameComplexSpec) -> CohomologyIso:
 def residue_class(p: int, a: GroupElement) -> HomRep:
     """The class of the residue quadratic extension as a function on
     characters: p where chi(a) = 1, else 1."""
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise InputError(f"{p} is not an odd prime")
+    _require_odd_prime(p)
     return HomRep.from_char_function(
         lambda chi: Fraction(p) if chi.fixes((a,)) else Fraction(1))
 
@@ -137,11 +139,10 @@ def verify_residue_resolution(p: int, a: GroupElement) -> ResidueResolutionRepor
     (iii) every character sends x to 1 or p, with p exactly when
           chi(a) = 1.
     """
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise InputError(f"{p} is not an odd prime")
+    _require_odd_prime(p)
     if a == V4_E:
         raise InputError("inertia generator must be a nontrivial V4 element")
-    x = GroupRingElem({V4_E: Fraction(p + 1, 2), a: Fraction(p - 1, 2)})
+    x = inertia_unit(p, a)
     # (i) residue-field model on a normal basis (v, v-bar): inertia acts
     # trivially, everything outside inertia acts by the swap
     def model(g: GroupElement) -> list[list[Fraction]]:
