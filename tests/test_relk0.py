@@ -8,12 +8,13 @@ from tq.grouprings import HOMREP_KEYS, V4_A, V4_AB, V4_B, V4_CHARS, V4_E
 from tq.relk0 import (HomRep, TorsionClass, induce_from_subgroup,
                       odd_part_mod4, odd_unit, rank_vector, torsion_class, v2)
 
-# the nonzero rationals with |q| <= 50 and denominator <= 48, drawn as an
-# integer numerator over an integer denominator: st.fractions spends most
-# of these tests' time drawing
-nonzero_fractions = st.integers(1, 48).flatmap(
-    lambda d: st.integers(-50 * d, 50 * d).filter(bool).map(
-        lambda n: Fraction(n, d)))
+# the nonzero rationals with |q| <= 50 and denominator <= 48, drawn as
+# s*(1 + k mod 50d)/d with a sign s and 0 <= k <= 2399: st.fractions spends
+# most of these tests' time drawing, and a numerator strategy built per
+# denominator by flatmap is rebuilt and revalidated for every draw
+nonzero_fractions = st.builds(lambda d, s, k: Fraction(s * (1 + k % (50 * d)), d),
+                              st.integers(1, 48), st.sampled_from((1, -1)),
+                              st.integers(0, 2399))
 homreps = st.builds(lambda t: HomRep(t), st.tuples(*[nonzero_fractions] * 4))
 
 
