@@ -3,9 +3,11 @@
 Subcommands:
   tq compute --d1 D1 --d2 D2 [--json] [--m M] [--sign plus|minus]
              [--extra-s p,q,...] [--allow-imaginary]
-  tq sweep --max N [--json]
+  tq sweep --max N [--json]              (N <= SWEEP_MAX = 2700)
   tq selftest
-  tq lemma38 --conductor-max N --tol T
+  tq lemma38 --conductor-max N --tol T   (N <= CONDUCTOR_MAX = 7000)
+
+Both take time growing as N^2; each cap runs in about 10 s.
 
 Exit codes: 0 vanishes / all checks pass, 2 inadmissible, 3 nonzero torsion
 (or a failed verification), 4 input error, argument parse errors included.
@@ -35,6 +37,9 @@ EXIT_VANISHES = 0
 EXIT_INADMISSIBLE = 2
 EXIT_NONZERO = 3
 EXIT_INPUT = 4
+
+SWEEP_MAX = 2700
+CONDUCTOR_MAX = 7000
 
 
 def _parse_lattice(args) -> LatticeExponent:
@@ -83,6 +88,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.max > SWEEP_MAX:
+        raise InputError(f"--max must be at most {SWEEP_MAX}, got {args.max}")
     summary = sweep(args.max)
     if args.json:
         print(json.dumps(summary.to_json_dict(), indent=2))
@@ -171,6 +178,9 @@ def cmd_selftest(_args) -> int:
 def cmd_lemma38(args) -> int:
     if not args.tol > 0:
         raise InputError(f"--tol must be > 0, got {args.tol}")
+    if args.conductor_max > CONDUCTOR_MAX:
+        raise InputError(f"--conductor-max must be at most {CONDUCTOR_MAX}, "
+                         f"got {args.conductor_max}")
     failures = 0
     rows = []
     for d in range(2, args.conductor_max + 1):

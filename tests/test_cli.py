@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tq.cli import main
+from tq.cli import CONDUCTOR_MAX, SWEEP_MAX, main
 
 
 def run(capsys, *argv):
@@ -167,6 +167,17 @@ def test_compute_extra_prime_beyond_bound_is_input_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [["sweep", "--max", str(SWEEP_MAX + 1)],
+                                  ["lemma38", "--conductor-max", str(CONDUCTOR_MAX + 1)]])
+def test_bound_plus_one_is_input_error_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.1
+    assert code == 4
+    assert err.startswith("input error: ")
+    assert out == ""
+
+
 def numbers(lo, hi):
     return st.integers(lo, hi).map(str)
 
@@ -183,13 +194,19 @@ COMPUTE_FLAGS = [
     ("--json", st.just(None)),
     ("--allow-imaginary", st.just(None)),
 ]
-SWEEP_FLAGS = [("--max", numbers(-5, 60)), ("--json", st.just(None))]
+SWEEP_FLAGS = [("--max", numbers(-5, 60) | numbers(SWEEP_MAX + 1, 10 ** 19)),
+               ("--json", st.just(None))]
+LEMMA38_FLAGS = [
+    ("--conductor-max", numbers(-5, 200) | numbers(CONDUCTOR_MAX + 1, 10 ** 19)),
+    ("--tol", st.floats().map(str)),
+]
 
 
 @st.composite
 def cli_argv(draw):
     command, flags = draw(st.sampled_from([("compute", COMPUTE_FLAGS),
-                                           ("sweep", SWEEP_FLAGS)]))
+                                           ("sweep", SWEEP_FLAGS),
+                                           ("lemma38", LEMMA38_FLAGS)]))
     argv = [command]
     for flag, values in draw(st.lists(st.sampled_from(flags), max_size=len(flags))):
         value = draw(values | GARBAGE)
@@ -197,11 +214,11 @@ def cli_argv(draw):
     return argv + draw(st.lists(GARBAGE, max_size=1))
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=180, deadline=None)
 @given(cli_argv())
 def test_cli_fuzz_exits_cleanly_and_fast(argv):
-    """Any bounded or malformed compute/sweep command line ends in a
-    documented exit code within a second, with no traceback."""
+    """Any bounded or malformed compute/sweep/lemma38 command line ends in
+    a documented exit code within a second, with no traceback."""
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with redirect_stdout(out), redirect_stderr(err):
