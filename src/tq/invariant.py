@@ -1,10 +1,11 @@
 """Assembly of the torsion invariant in (Z/4)* for a biquadratic field:
 the simplified global representative (inverse Euler-factor products over
 the ramified set), the per-prime power-of-two terms, and the local classes
-at fully decomposed odd primes; the unit mod 4 each prime of S contributes
-(`prime_unit`), whose product over S (`_field_unit`) gives the verdict; plus the analytic cross-checks (the exact
-ratio L*(1)/L*(0) squared, its numeric verification) and the standalone
-resolvent quotient check for the supported shapes of the completion at 2.
+at fully decomposed odd primes; the unit mod 4 each prime contributes
+(`prime_unit`), whose product over S (`_field_unit`) gives the verdict;
+plus the analytic cross-checks (the exact ratio L*(1)/L*(0) squared, its
+numeric verification) and the standalone resolvent quotient check for the
+supported shapes of the completion at 2.
 """
 
 from __future__ import annotations
@@ -311,15 +312,13 @@ def squarefree_pairs(dmax: int):
 
 def _field_unit(d1: int, d2: int, d3: int, s: Iterable[int], lat: LatticeExponent,
                 units: dict) -> int | None:
-    """The torsion class of the field with subfields d1, d2, d3 as the unit
-    1 or 3 of (Z/4)*, over the primes `s` of S; None when the decomposition
-    group at 2 is everything (inadmissible).  The odd part mod 4 of the
-    product over S is multiplicative, so it is the product of the
-    `prime_unit`s of the primes of S, read from `units`.  That dict maps p
-    and its `_frob_sign`s in the three subfields to the full decomposition
-    flag and the `prime_unit` of `local_data(p, signs)`, filled on a miss.
-    They depend on the field only through that key, so one dict serves a
-    whole sweep under one `lat`."""
+    """The torsion class, 1 or 3 in (Z/4)*, of the field with subfields d1,
+    d2, d3 over the primes `s` of S (None when the decomposition group at 2
+    is everything): the product of their `prime_unit`s, read from `units`.
+    That dict maps p and its `_frob_sign`s in the three subfields to the full
+    decomposition flag and the `prime_unit` of `local_data(p, signs)`,
+    filled on a miss; they depend on the field only through that key, so
+    one dict serves a whole sweep under one `lat`."""
     def at(p: int) -> tuple[bool, int]:
         key = (p, (_frob_sign(d1, p), _frob_sign(d2, p), _frob_sign(d3, p)))
         if key not in units:

@@ -4,10 +4,10 @@ from math import isqrt
 import pytest
 
 from helpers import odd_primes_up_to
-from tq.arith import is_squarefree
-from tq.biquadratic import (artin_conductor, euler_factor, field_data,
-                            frob_det_quotient, local_galois, quad_field_disc,
-                            ramified_set)
+from tq.arith import is_squarefree, prime_factors
+from tq.biquadratic import (artin_conductor, disc_primes, euler_factor,
+                            field_data, frob_det_quotient, local_galois,
+                            quad_field_disc, ramified_set)
 from tq.invariant import squarefree_pairs
 from tq.errors import InputError
 from tq.grouprings import (V4_A, V4_B, V4_CHARS, V4_E, char_by_label,
@@ -127,6 +127,20 @@ def test_full_decomposition_implies_ramified():
 ])
 def test_ramified_set(pair, expected):
     assert ramified_set(field_data(*pair)) == expected
+
+
+def test_disc_primes_and_ramified_set_against_discriminants():
+    """disc_primes(d) are the primes of the discriminant of Q(sqrt(d)), and
+    the ramified set is their union over all three quadratic subfields."""
+    ds = [d for d in range(-40, 41) if d not in (0, 1) and is_squarefree(d)]
+    for d in ds:
+        assert disc_primes(d) == set(prime_factors(quad_field_disc(d))), d
+    for i, d2 in enumerate(ds):
+        for d1 in ds[:i]:
+            f = field_data(d1, d2, allow_imaginary=True)
+            expected = set().union(*(prime_factors(quad_field_disc(d))
+                                     for d in f.subfields))
+            assert ramified_set(f) == sorted(expected), (d1, d2)
 
 
 # ---------- Euler factors and conductors ----------
