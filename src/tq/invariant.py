@@ -82,10 +82,9 @@ def resolvent_factor_check(f: FieldData) -> ResolventCheck | None:
     (the dropped factor is then determinantal and contributes nothing),
     and an `unsupported` report when the completion at 2 is not one of the
     two supported quadratic extensions."""
-    discs = [quad_field_disc(d) for d in f.subfields]
-    if all(d % 2 for d in discs):
-        return None
     ram = [d for d in f.subfields if quad_field_disc(d) % 2 == 0]
+    if not ram:
+        return None
     if len(ram) == 3:
         return ResolventCheck("unsupported",
                               reason="2 ramifies in every quadratic subfield")

@@ -172,7 +172,7 @@ def test_compute_extra_prime_beyond_bound_is_input_error(capsys):
 def test_bound_plus_one_is_input_error_at_once(capsys, argv):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
-    assert time.perf_counter() - start < 0.1
+    assert time.perf_counter() - start < 1.0
     assert code == 4
     assert err.startswith("input error: ")
     assert out == ""

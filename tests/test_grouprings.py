@@ -129,9 +129,10 @@ def test_idempotents_complete_and_orthogonal():
 
 # ---------- group ring arithmetic ----------
 
-# the rationals with |q| <= 5 and denominator <= 6, drawn as s*(k mod 5d+1)/d
-# with a sign s and 0 <= k <= 30 (faster to draw than st.fractions, and
-# than a numerator strategy built per denominator by flatmap)
+# the rationals with |q| <= 5 and denominator <= 6, drawn as
+# s*(k mod (5d + 1))/d with a sign s and 0 <= k <= 30 (faster to draw than
+# st.fractions, and than a numerator strategy built per denominator by
+# flatmap)
 small_fractions = st.builds(lambda d, s, k: Fraction(s * (k % (5 * d + 1)), d),
                             st.integers(1, 6), st.sampled_from((1, -1)),
                             st.integers(0, 30))
