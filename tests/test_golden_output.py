@@ -38,6 +38,9 @@ COMMANDS = {
                              "--sign", "minus", "--extra-s", "5,7", "--json"],
     "compute-7-15-extras-in-s": ["compute", "--d1", "7", "--d2", "15",
                                  "--extra-s", "3,5", "--json"],
+    "compute-2-5-extras": ["compute", "--d1", "2", "--d2", "5", "--extra-s", "3,7",
+                           "--json"],
+    "compute-10005-10065": ["compute", "--d1", "10005", "--d2", "10065", "--json"],
     "sweep-60": ["sweep", "--max", "60", "--json"],
     "sweep-200": ["sweep", "--max", "200", "--json"],
     "selftest": ["selftest"],

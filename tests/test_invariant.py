@@ -286,6 +286,18 @@ def test_prime_units_match_fraction_reports():
     assert n_primes == 2140
 
 
+def test_report_local_data_matches_local_galois():
+    """Every per-prime record of a report, admissible or not, carries the
+    local data `local_galois` gives at that prime of S."""
+    for d1, d2 in squarefree_pairs(100):
+        f = field_data(d1, d2)
+        for extra in (None, [3, 7]):
+            report = omega_loc_torsion(d1, d2, s_extra=extra)
+            assert sorted(report.per_prime) == list(report.s_f)
+            for p, pr in report.per_prime.items():
+                assert pr.local == local_galois(f, p), (d1, d2, extra, p)
+
+
 def test_sweep_with_options_matches_reports():
     extra = [3, 7]
     pairs = list(squarefree_pairs(40))
