@@ -1,10 +1,11 @@
 """Assembly of the torsion invariant in (Z/4)* for a biquadratic field:
 the simplified global representative (inverse Euler-factor products over
 the ramified set), the per-prime power-of-two terms, and the local classes
-at fully decomposed odd primes; the unit mod 4 each prime contributes
-(`prime_unit`), whose product over S (`_field_unit`) gives the verdict;
-plus the analytic cross-checks (the exact ratio L*(1)/L*(0) squared, its
-numeric verification) and the standalone resolvent quotient check for the
+at fully decomposed odd primes; one record per prime of S, its local data
+and the unit mod 4 it contributes (`_prime`), whose units multiply to the
+verdict (`_field_unit`) and whose local data the report shows; plus the
+analytic cross-checks (the exact ratio L*(1)/L*(0) squared, its numeric
+verification) and the standalone resolvent quotient check for the
 supported shapes of the completion at 2.
 """
 
@@ -47,14 +48,12 @@ def delta1_term(f: FieldData, p: int, local: PrimeLocalData | None = None) -> Ho
     return HomRep.from_char_function(lambda chi: Fraction(*delta1_pair(chi, local)))
 
 
-def ts_representative(f: FieldData, s_f: Iterable[int],
-                      locals_map: Mapping[int, PrimeLocalData] | None = None) -> HomRep:
+def ts_representative(f: FieldData, s_f: Iterable[int]) -> HomRep:
     """Simplified global representative: per character, the inverse of the
     product of Euler factors over the finite places of S."""
-    locals_map = locals_map or {}
     prod = HomRep.constant_one()
     for p in sorted(set(s_f)):
-        local = locals_map.get(p) or local_galois(f, p)
+        local = local_galois(f, p)
         prod = prod * HomRep(euler_factor(chi, p, local) for chi in V4_CHARS)
     return prod.inverse()
 
@@ -140,7 +139,6 @@ class InvariantReport:
     resolvent_check: ResolventCheck | None
     torsion: TorsionClass | None
     verdict: str
-    lattice: LatticeExponent = LatticeExponent()
     note: str | None = None
 
     def to_json_dict(self) -> dict:
@@ -213,17 +211,18 @@ def omega_loc_torsion(d1: int, d2: int,
                       s_extra: Iterable[int] | None = None,
                       lat: LatticeExponent = LatticeExponent(),
                       allow_imaginary: bool = False) -> InvariantReport:
-    """Full pipeline: field data, local data over the ramified set (plus
-    any extra odd primes), the torsion class from `_field_unit` with its
-    verdict, and the exact values behind it: the simplified global
-    representative, the power-of-two terms and the local classes at fully
-    decomposed odd primes."""
+    """Full pipeline: field data, the `_prime` records over the ramified
+    set (plus any extra odd primes), the torsion class from `_field_unit`
+    with its verdict, and the exact values behind it from each record's
+    local data: the simplified global representative, the power-of-two
+    terms and the local classes at fully decomposed odd primes."""
     f = field_data(d1, d2, allow_imaginary=allow_imaginary)
     s_f = _s_set(f, s_extra)
-    unit = _field_unit(*f.subfields, s_f, lat, {})
+    units = {}
+    unit = _field_unit(*f.subfields, s_f, lat, units)
     per_prime = {}
     for p in s_f:
-        loc = local_galois(f, p)
+        loc = _prime(*f.subfields, p, lat, units)[0]
         term = None
         if unit is not None and _has_local_term(loc):
             term = local_term_closed_form(p, loc, lat)
@@ -234,14 +233,14 @@ def omega_loc_torsion(d1: int, d2: int,
     note = None if f.totally_real else "outside the totally real default"
     if unit is None:
         return InvariantReport(f, s_f, per_prime, None, resolvent_factor_check(f),
-                               None, VERDICT_INADMISSIBLE, lat,
+                               None, VERDICT_INADMISSIBLE,
                                note="decomposition group at 2 is everything"
                                     + (f"; {note}" if note else ""))
 
     # the global representative from the Euler factors already computed
     ts_rep = HomRep(map(math.prod, zip(*(r.euler for r in per_prime.values())))).inverse()
     return InvariantReport(f, s_f, per_prime, ts_rep, resolvent_factor_check(f),
-                           TorsionClass(unit), _verdict(unit), lat, note)
+                           TorsionClass(unit), _verdict(unit), note)
 
 
 def leading_ratio_exact(chi: GaloisChar | str, f: FieldData) -> Fraction:
@@ -309,27 +308,32 @@ def squarefree_pairs(dmax: int):
             yield d1, d2
 
 
+def _prime(d1: int, d2: int, d3: int, p: int, lat: LatticeExponent,
+           units: dict) -> tuple[PrimeLocalData, int]:
+    """The record of the prime p in the field with subfields d1, d2, d3,
+    `(local_data(p, signs), its prime_unit)`, read from `units` under the
+    key (p, signs) of p and its `_frob_sign`s in the three subfields, filled
+    on a miss.  It depends on the field only through that key, so one dict
+    serves a whole sweep under one `lat`."""
+    key = (p, (_frob_sign(d1, p), _frob_sign(d2, p), _frob_sign(d3, p)))
+    record = units.get(key)
+    if record is None:
+        loc = local_data(*key)
+        record = units[key] = (loc, prime_unit(loc, lat))
+    return record
+
+
 def _field_unit(d1: int, d2: int, d3: int, s: Iterable[int], lat: LatticeExponent,
                 units: dict) -> int | None:
     """The torsion class, 1 or 3 in (Z/4)*, of the field with subfields d1,
-    d2, d3 over the primes `s` of S (None when the decomposition group at 2
-    is everything): the product of their `prime_unit`s, read from `units`.
-    That dict maps p and its `_frob_sign`s in the three subfields to the full
-    decomposition flag and the `prime_unit` of `local_data(p, signs)`,
-    filled on a miss; they depend on the field only through that key, so
-    one dict serves a whole sweep under one `lat`."""
-    def at(p: int) -> tuple[bool, int]:
-        key = (p, (_frob_sign(d1, p), _frob_sign(d2, p), _frob_sign(d3, p)))
-        if key not in units:
-            loc = local_data(*key)
-            units[key] = (loc.full_decomposition, prime_unit(loc, lat))
-        return units[key]
-
-    if at(2)[0]:
+    d2, d3 over the primes `s` of S (None when the record at 2, read even
+    when 2 is not in S, has the full decomposition group): the product of
+    the units of their `_prime` records in `units`."""
+    if _prime(d1, d2, d3, 2, lat, units)[0].full_decomposition:
         return None
     unit = 1
     for p in s:
-        unit = unit * at(p)[1] % 4
+        unit = unit * _prime(d1, d2, d3, p, lat, units)[1] % 4
     return unit
 
 
@@ -346,11 +350,11 @@ def sweep(dmax: int, s_extra: Iterable[int] | None = None,
           lat: LatticeExponent = LatticeExponent()) -> SweepSummary:
     """Decide every squarefree pair 1 < d1 < d2 <= dmax by the product of
     `field_verdict`, from data made once per squarefree d: its primes of S
-    (`disc_primes` and the extra primes).  A pair's S is
-    the union of two such sets; the checks of `field_data` hold by
-    construction.  One dict of `prime_unit`s serves all pairs.  Any nonzero
-    torsion is collected for prominent reporting: it means the predicted
-    universal vanishing fails for that field."""
+    (`disc_primes` and the extra primes).  A pair's S is the union of two
+    such sets; the checks of `field_data` hold by construction.  One dict
+    of `_prime` records serves all pairs.  Any nonzero torsion is collected
+    for prominent reporting: it means the predicted universal vanishing
+    fails for that field."""
     if dmax < 3:
         raise InputError("dmax must be at least 3")
     extra = _extra_primes(s_extra)

@@ -298,6 +298,29 @@ def test_report_local_data_matches_local_galois():
                 assert pr.local == local_galois(f, p), (d1, d2, extra, p)
 
 
+@pytest.mark.parametrize("extra, local_data_calls, is_prime_calls",
+                         [(None, 7, 0), ([3, 7], 8, 2)])
+def test_report_makes_each_prime_record_once(monkeypatch, extra,
+                                              local_data_calls, is_prime_calls):
+    """One report makes one `local_data` per prime of S plus one at 2 for
+    admissibility, and runs `is_prime` only on the extra primes: the primes
+    from factoring d1 and d2 are not checked again."""
+    import tq.biquadratic
+    import tq.invariant
+    calls = {"local_data": 0, "is_prime": 0}
+    for name in calls:
+        orig = getattr(tq.biquadratic, name)
+
+        def counted(*args, _name=name, _orig=orig):
+            calls[_name] += 1
+            return _orig(*args)
+        for module in (tq.biquadratic, tq.invariant):
+            monkeypatch.setattr(module, name, counted)
+    report = omega_loc_torsion(10005, 10065, s_extra=extra)
+    assert len(report.s_f) + (2 not in report.s_f) == local_data_calls
+    assert calls == {"local_data": local_data_calls, "is_prime": is_prime_calls}
+
+
 def test_sweep_with_options_matches_reports():
     extra = [3, 7]
     pairs = list(squarefree_pairs(40))
