@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from tq.arith import is_squarefree
 from tq.biquadratic import field_data, local_galois, ramified_set
 from tq.invariant import (VERDICT_INADMISSIBLE, VERDICT_NONZERO,
                                VERDICT_VANISHES, delta1_term, field_verdict,
@@ -347,6 +348,54 @@ def test_sweep_matches_field_verdicts(dmax):
                 (extra, lat)
             assert summary.nonzero_fields == [pair for pair, v in zip(pairs, verdicts)
                                               if v == VERDICT_NONZERO], (extra, lat)
+
+
+@pytest.mark.parametrize("dmax", [30, 90])
+def test_sweep_matches_field_verdicts_with_extras_in_and_above_range(dmax):
+    """With extra primes 5, which divides some d, and 101, which lies above
+    every d, `sweep` agrees with `field_verdict` on every pair with
+    d2 <= dmax under every lattice with m <= 3: at 101 neither d1 nor d2 is
+    divisible, so all three subfields carry a nonzero sign there."""
+    pairs = list(squarefree_pairs(dmax))
+    for lat in [LatticeExponent(m, sign) for m in (1, 2, 3) for sign in (1, -1)]:
+        verdicts = [field_verdict(d1, d2, [5, 101], lat) for d1, d2 in pairs]
+        summary = sweep(dmax, s_extra=[5, 101], lat=lat)
+        assert summary.counts == {v: verdicts.count(v) for v in summary.counts}, lat
+        assert summary.nonzero_fields == [pair for pair, v in zip(pairs, verdicts)
+                                          if v == VERDICT_NONZERO], lat
+
+
+@pytest.mark.parametrize("extra", [None, [3, 7]])
+def test_sweep_rows_match_field_verdicts(extra):
+    """Whole rows d2 = N of a sweep past 1000, for seeded squarefree N in
+    (1000, 1500], one 1 mod 4 and one even: the nonzero fields of the row
+    are exactly the d1 < N whose `field_verdict` is nonzero, in order."""
+    import random
+    candidates = [n for n in range(1001, 1501) if is_squarefree(n)]
+    rng = random.Random(13)
+    rows = [rng.choice([n for n in candidates if n % 4 == 1]),
+            rng.choice([n for n in candidates if n % 2 == 0])]
+    summary = sweep(max(rows), s_extra=extra)
+    for d2 in rows:
+        expected = [d1 for d1 in range(2, d2) if is_squarefree(d1)
+                    and field_verdict(d1, d2, extra) == VERDICT_NONZERO]
+        assert [d1 for d1, n in summary.nonzero_fields if n == d2] == expected, \
+            (d2, extra)
+
+
+def test_sweep_100_makes_each_prime_unit_once(monkeypatch):
+    """`sweep(100)` computes `prime_unit` once per distinct (p, signs)
+    record its pairs reach: 117 of them."""
+    import tq.invariant
+    calls = []
+    orig = tq.invariant.prime_unit
+
+    def counted(*args):
+        calls.append(args[0])
+        return orig(*args)
+    monkeypatch.setattr(tq.invariant, "prime_unit", counted)
+    sweep(100)
+    assert len(calls) == 117
 
 
 def test_imaginary_field_is_flagged():
