@@ -1,11 +1,12 @@
 """Assembly of the torsion invariant in (Z/4)* for a biquadratic field:
 the simplified global representative (inverse Euler-factor products over
 the ramified set), the per-prime power-of-two terms, and the local classes
-at fully decomposed odd primes; one record per prime of S, its local data
-and the unit mod 4 it contributes (`_prime`), whose units multiply to the
-verdict (`_field_unit`) and whose local data the report shows; plus the
-analytic cross-checks (the exact ratio L*(1)/L*(0) squared, its numeric
-verification) and the standalone resolvent quotient check for the
+at fully decomposed odd primes; one record per prime and Frobenius signs,
+its local data and the unit mod 4 it contributes (`_record`), whose units
+multiply to the verdict of one field (`_field_unit`), or XOR as int
+bitmasks to a whole row of a sweep, and whose local data the report shows;
+plus the analytic cross-checks (the exact ratio L*(1)/L*(0) squared, its
+numeric verification) and the standalone resolvent quotient check for the
 supported shapes of the completion at 2.
 """
 
@@ -16,12 +17,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .arith import is_prime, is_squarefree
+from .arith import is_prime, is_squarefree, prime_factors
 from .biquadratic import (FieldData, PrimeLocalData, _frob_sign,
-                          artin_conductor, disc_primes, euler_factor,
-                          euler_pair, field_data, frob_det_quotient,
-                          local_data, local_galois, quad_field_disc,
-                          ramified_set)
+                          artin_conductor, euler_factor, euler_pair,
+                          field_data, frob_det_quotient, local_data,
+                          local_galois, quad_field_disc, ramified_set)
 from .errors import InputError, TqError
 from .grouprings import HOMREP_KEYS, V4_CHARS, GaloisChar
 from .localterms import LatticeExponent, local_term_closed_form, local_term_pair
@@ -308,19 +308,23 @@ def squarefree_pairs(dmax: int):
             yield d1, d2
 
 
-def _prime(d1: int, d2: int, d3: int, p: int, lat: LatticeExponent,
-           units: dict) -> tuple[PrimeLocalData, int]:
-    """The record of the prime p in the field with subfields d1, d2, d3,
-    `(local_data(p, signs), its prime_unit)`, read from `units` under the
-    key (p, signs) of p and its `_frob_sign`s in the three subfields, filled
-    on a miss.  It depends on the field only through that key, so one dict
-    serves a whole sweep under one `lat`."""
-    key = (p, (_frob_sign(d1, p), _frob_sign(d2, p), _frob_sign(d3, p)))
+def _record(key: tuple[int, tuple[int, int, int]], lat: LatticeExponent,
+            units: dict) -> tuple[PrimeLocalData, int]:
+    """The record `(local_data(*key), its prime_unit)` of a prime under key =
+    (p, its Frobenius signs in the three quadratic subfields), read from
+    `units` and filled on a miss: one dict serves a sweep under one `lat`."""
     record = units.get(key)
     if record is None:
         loc = local_data(*key)
         record = units[key] = (loc, prime_unit(loc, lat))
     return record
+
+
+def _prime(d1: int, d2: int, d3: int, p: int, lat: LatticeExponent,
+           units: dict) -> tuple[PrimeLocalData, int]:
+    """The `_record` of p under its `_frob_sign`s in d1, d2 and d3."""
+    return _record((p, (_frob_sign(d1, p), _frob_sign(d2, p), _frob_sign(d3, p))),
+                   lat, units)
 
 
 def _field_unit(d1: int, d2: int, d3: int, s: Iterable[int], lat: LatticeExponent,
@@ -348,25 +352,61 @@ def field_verdict(d1: int, d2: int, s_extra: Iterable[int] | None = None,
 
 def sweep(dmax: int, s_extra: Iterable[int] | None = None,
           lat: LatticeExponent = LatticeExponent()) -> SweepSummary:
-    """Decide every squarefree pair 1 < d1 < d2 <= dmax by the product of
-    `field_verdict`, from data made once per squarefree d: its primes of S
-    (`disc_primes` and the extra primes).  A pair's S is the union of two
-    such sets; the checks of `field_data` hold by construction.  One dict
-    of `_prime` records serves all pairs.  Any nonzero torsion is collected
-    for prominent reporting: it means the predicted universal vanishing
-    fails for that field."""
+    """Decide every squarefree pair 1 < d1 < d2 <= dmax one row d2 at a
+    time, the d1 being the bits of ints (bit i for the i-th squarefree d).
+    At each prime, the d1 of a class share their Frobenius signs with d2
+    and so their `_record`: at 2 a class is the parity of d and its odd
+    part mod 8, at an odd p whether p | d and the Legendre symbol of d, or
+    of d/p when p | d.  The records at 2 mark the admissible d1 (`adm`);
+    XORing into `flip` each class in S whose unit is 3, read only when it
+    meets `adm`, multiplies the units.  Nonzero torsion is collected for
+    prominent reporting: it means the predicted universal vanishing fails."""
     if dmax < 3:
         raise InputError("dmax must be at least 3")
     extra = _extra_primes(s_extra)
-    s_of = {d: disc_primes(d).union(extra)
-            for d in range(2, dmax + 1) if is_squarefree(d)}
-    ds = list(s_of)
+    ds = [d for d in range(2, dmax + 1) if is_squarefree(d)]
+    div = {}  # div[q]: the d that the prime q divides
+    for i, d in enumerate(ds):
+        for q in prime_factors(d):
+            div[q] = div.get(q, 0) | 1 << i
+    odd = sorted(set(div).union(extra) - {2})
+    # neg[p]: the d whose d, or d/p, has Legendre symbol -1 at p: a product
+    # over the other primes of d
+    neg = dict.fromkeys(odd, 0)
+    for p in odd:
+        for q, m in div.items():
+            if q != p and pow(q, p // 2, p) != 1:
+                neg[p] ^= m
+    at2 = {}  # class at 2 (d mod 8, or mod 16 if even) -> [first d, the d]
     summary, units = SweepSummary(dmax), {}
-    for i, d2 in enumerate(ds):
-        for d1 in ds[:i]:
-            d3 = d1 * d2 // math.gcd(d1, d2) ** 2
-            verdict = _verdict(_field_unit(d1, d2, d3, s_of[d1] | s_of[d2], lat, units))
-            summary.counts[verdict] += 1
-            if verdict == VERDICT_NONZERO:
-                summary.nonzero_fields.append((d1, d2))
+    for j, d2 in enumerate(ds):
+        adm = flip = 0
+        for d1, m in at2.values():
+            loc, unit = _prime(d1, d2, d1 * d2 // math.gcd(d1, d2) ** 2, 2, lat, units)
+            if not loc.full_decomposition:
+                adm |= m
+                flip ^= m if loc.in_s and unit == 3 else 0
+        at2.setdefault(d2 % 8 if d2 % 2 else d2 % 16, [d2, 0])[1] |= 1 << j
+        for p in odd:
+            divp, negp, div2 = div.get(p, 0), neg[p], d2 % p == 0
+            b = -1 if negp >> j & 1 else 1
+            if not (div2 or p in extra):  # in S at the d1 it divides alone
+                if divp & adm and _record((p, (0, b, 0)), lat, units)[1] == 3:
+                    flip ^= divp
+                continue
+            for div1, a in ((True, 1), (True, -1), (False, 1), (False, -1)):
+                m = (divp if div1 else ~divp) & (negp if a < 0 else ~negp) & adm
+                if m:
+                    signs = (0 if div1 else a, 0 if div2 else b,
+                             a * b if div1 == div2 else 0)
+                    if _record((p, signs), lat, units)[1] == 3:
+                        flip ^= m
+        nonzero = flip & adm
+        summary.counts[VERDICT_VANISHES] += adm.bit_count() - nonzero.bit_count()
+        summary.counts[VERDICT_NONZERO] += nonzero.bit_count()
+        summary.counts[VERDICT_INADMISSIBLE] += j - adm.bit_count()
+        while nonzero:
+            low = nonzero & -nonzero
+            summary.nonzero_fields.append((ds[low.bit_length() - 1], d2))
+            nonzero ^= low
     return summary
