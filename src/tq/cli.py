@@ -3,7 +3,7 @@
 Subcommands:
   tq compute --d1 D1 --d2 D2 [--json] [--m M] [--sign plus|minus]
              [--extra-s p,q,...] [--allow-imaginary]
-  tq sweep --max N [--json]              (N <= SWEEP_MAX = 5800)
+  tq sweep --max N [--json]              (N <= SWEEP_MAX = 7000)
   tq selftest
   tq lemma38 --conductor-max N --tol T   (N <= CONDUCTOR_MAX = 7000)
 
@@ -38,7 +38,7 @@ EXIT_INADMISSIBLE = 2
 EXIT_NONZERO = 3
 EXIT_INPUT = 4
 
-SWEEP_MAX = 5800
+SWEEP_MAX = 7000
 CONDUCTOR_MAX = 7000
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .arith import is_prime, is_squarefree, prime_factors
+from .arith import is_prime, is_squarefree, kronecker_symbol, prime_factors
 from .biquadratic import (FieldData, PrimeLocalData, _frob_sign,
                           artin_conductor, euler_factor, euler_pair,
                           field_data, frob_det_quotient, local_data,
@@ -369,15 +369,15 @@ def sweep(dmax: int, s_extra: Iterable[int] | None = None,
     for i, d in enumerate(ds):
         for q in prime_factors(d):
             div[q] = div.get(q, 0) | 1 << i
-    odd = sorted(set(div).union(extra) - {2})
-    # neg[p]: the d whose d, or d/p, has Legendre symbol -1 at p: a product
-    # over the other primes of d
+    odd = set(div).union(extra) - {2}
+    # neg[p]: the d whose d, or d/p when p | d, has Legendre symbol -1 at p,
+    # a product over the other primes of d
     neg = dict.fromkeys(odd, 0)
     for p in odd:
         for q, m in div.items():
-            if q != p and pow(q, p // 2, p) != 1:
+            if q != p and kronecker_symbol(q, p) == -1:
                 neg[p] ^= m
-    at2 = {}  # class at 2 (d mod 8, or mod 16 if even) -> [first d, the d]
+    at2 = {}  # class at 2 (d mod 8, or mod 16 if even) -> [first d, mask]
     summary, units = SweepSummary(dmax), {}
     for j, d2 in enumerate(ds):
         adm = flip = 0
@@ -390,7 +390,7 @@ def sweep(dmax: int, s_extra: Iterable[int] | None = None,
         for p in odd:
             divp, negp, div2 = div.get(p, 0), neg[p], d2 % p == 0
             b = -1 if negp >> j & 1 else 1
-            if not (div2 or p in extra):  # in S at the d1 it divides alone
+            if not (div2 or p in extra):  # p in S only where p | d1
                 if divp & adm and _record((p, (0, b, 0)), lat, units)[1] == 3:
                     flip ^= divp
                 continue
