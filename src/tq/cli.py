@@ -7,7 +7,7 @@ Subcommands:
   tq selftest
   tq lemma38 --conductor-max N --tol T   (N <= CONDUCTOR_MAX = 7000)
 
-Both take time growing as N^2; each cap runs in about 10 s.
+Time grows as N^2; at the caps, sweep takes 10.0 s and lemma38 10.3-10.9 s.
 
 Exit codes: 0 vanishes / all checks pass, 2 inadmissible, 3 nonzero torsion
 (or a failed verification), 4 input error, argument parse errors included.
