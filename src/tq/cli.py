@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -176,8 +177,8 @@ def cmd_selftest(_args) -> int:
 
 
 def cmd_lemma38(args) -> int:
-    if not args.tol > 0:
-        raise InputError(f"--tol must be > 0, got {args.tol}")
+    if not 0 < args.tol < math.inf:
+        raise InputError(f"--tol must be a finite number > 0, got {args.tol}")
     if args.conductor_max > CONDUCTOR_MAX:
         raise InputError(f"--conductor-max must be at most {CONDUCTOR_MAX}, "
                          f"got {args.conductor_max}")

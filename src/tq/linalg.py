@@ -5,7 +5,9 @@ map is applied as v |-> v @ M, so a map from Q^r to Q^c is an r x c matrix
 whose i-th row is the image of the i-th standard basis vector.
 
 All reductions use reduced row echelon form with leftmost-pivot
-tie-breaking, so every basis produced here is deterministic.
+tie-breaking, so every basis produced here is deterministic.  The image
+basis of a map, a preimage of each of its vectors and a basis of its left
+kernel all come from one reduction of [a | I] (`reduce_rows`).
 """
 
 from __future__ import annotations
@@ -33,12 +35,6 @@ def identity(n: int) -> Mat:
     for i in range(n):
         out[i][i] = Fraction(1)
     return out
-
-
-def transpose(a: Mat) -> Mat:
-    if not a:
-        return []
-    return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -92,46 +88,22 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
     return r, pivots
 
 
-def row_space_basis(a: Mat) -> Mat:
-    """Deterministic basis (RREF rows) of the span of the rows of a."""
-    r, pivots = rref(a)
-    return [r[i][:] for i in range(len(pivots))]
+def reduce_rows(a: Mat) -> tuple[Mat, Mat, Mat]:
+    """One RREF of [a | I], read as (images, preimages, kernel).
 
-
-def left_kernel_basis(a: Mat) -> Mat:
-    """Deterministic basis of {v : v @ a = 0}."""
+    Every row of [a | I] stays of the form [x @ a | x] under row
+    operations.  The rows with a pivot in the a block carry the RREF rows
+    of a (images, a deterministic basis of its row space) and on the
+    right their preimages x, with x @ a the image row; the remaining rows
+    are [0 | v], and their v are a basis of {v : v @ a = 0}."""
     n = len(a)
     if n == 0:
-        return []
-    if not a[0]:
-        return identity(n)
-    r, pivots = rref(transpose(a))
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [Fraction(0)] * n
-        v[j] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -r[i][j]
-        basis.append(v)
-    return basis
-
-
-def solve_left(a: Mat, b: Vec) -> Vec | None:
-    """One deterministic solution x of x @ a = b, or None.  Free variables
-    are set to zero relative to the RREF pivot structure of a^T."""
-    if not a:
-        return None if any(b) else []
-    at = transpose(a)
-    n = len(a)
-    aug = [at[i] + [b[i]] for i in range(len(at))]
-    r, pivots = rref(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i][n]
-    return x
+        return [], [], []
+    c = len(a[0])
+    r, pivots = rref([row + e for row, e in zip(a, identity(n))])
+    rank = sum(1 for col in pivots if col < c)
+    return ([row[:c] for row in r[:rank]], [row[c:] for row in r[:rank]],
+            [row[c:] for row in r[rank:]])
 
 
 def det(a: Mat) -> Fraction:

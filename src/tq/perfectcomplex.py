@@ -2,12 +2,14 @@
 together with a rational isomorphism between odd and even cohomology.
 
 The per-character determinant is computed by character-specializing the
-complex to a rational complex, choosing splittings of the kernel/image
-exact sequences, and taking the determinant of the composed isomorphism
-phi = d + s + psi from the direct sum of odd-degree terms to the direct sum
-of even-degree terms.  The cocycle representatives supplied with the iso
-are the section of kernel -> cohomology, so the iso matrix is used as
-given; the class is read from odd to even only.
+complex to a rational complex and taking the determinant of the composed
+isomorphism phi = d + s + psi from the direct sum of odd-degree terms to
+the direct sum of even-degree terms.  One reduction of [d_j | I] per
+differential gives the image basis of d_j, a preimage of each image vector
+(the splitting s) and a basis of the kernel of d_j.  The cocycle
+representatives supplied with the iso are the section of kernel ->
+cohomology, so the iso matrix is used as given; the class is read from odd
+to even only.
 
 det phi is read off adapted bases (Knudsen-Mumford, Math. Scand. 39, 1976):
 each odd term C^j has the basis adapted_j of image vectors, section and
@@ -120,36 +122,32 @@ def char_specialize(p: PerfectComplex, chi: GaloisChar) -> RationalComplex:
 
 @dataclass
 class CohomologyData:
-    """Deterministic kernel and image bases of a rational complex, as row
-    vectors in the ambient term of their degree."""
+    """Deterministic bases of a rational complex, as row vectors in the
+    ambient term of their degree: kernels[j] of d_j, images[j] of d_(j-1),
+    and preimages[j], whose i-th row d_j maps to images[j+1][i]."""
 
     kernels: dict[int, Mat]
     images: dict[int, Mat]
+    preimages: dict[int, Mat]
 
     def h_dim(self, j: int) -> int:
         return len(self.kernels.get(j, [])) - len(self.images.get(j, []))
 
 
 def cohomology_basis(c: RationalComplex) -> CohomologyData:
-    n, m = c.degrees
+    """One `linalg.reduce_rows` per differential; a missing differential
+    is the zero map."""
+    degs = c.degree_list()
+    images: dict[int, Mat] = {j: [] for j in degs}
     kernels: dict[int, Mat] = {}
-    images: dict[int, Mat] = {}
-    for j in c.degree_list():
-        rk = c.rank(j)
-        if rk == 0:
-            kernels[j], images[j] = [], []
-            continue
+    preimages: dict[int, Mat] = {}
+    for j in degs:
         d = c.diff(j)
-        if j == m or c.rank(j + 1) == 0 or d is None:
-            kernels[j] = linalg.identity(rk)
+        if d is None:
+            kernels[j], preimages[j] = linalg.identity(c.rank(j)), []
         else:
-            kernels[j] = linalg.left_kernel_basis(d)
-        dprev = c.diff(j - 1)
-        if j == n or dprev is None:
-            images[j] = []
-        else:
-            images[j] = linalg.row_space_basis(dprev)
-    return CohomologyData(kernels, images)
+            images[j + 1], preimages[j], kernels[j] = linalg.reduce_rows(d)
+    return CohomologyData(kernels, images, preimages)
 
 
 @dataclass(frozen=True)
@@ -194,7 +192,7 @@ def _section(c: RationalComplex, data: CohomologyData, j: int,
                 f"degree {j}: supplied representative is not a cocycle")
         reps.append(v)
     # with no representatives the count check above already says H^j = 0
-    if reps and (len(linalg.row_space_basis(data.images[j] + reps))
+    if reps and (len(linalg.rref(data.images[j] + reps)[1])
                  != len(data.kernels[j])):
         raise ContractViolationError(
             f"degree {j}: representatives do not span the cohomology")
@@ -203,6 +201,15 @@ def _section(c: RationalComplex, data: CohomologyData, j: int,
 
 def _random_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def _shift(rows: Mat, by: Mat, rng: random.Random) -> None:
+    """Add a seeded random combination of the rows of `by` to each row."""
+    for v in rows:
+        for b in by:
+            t = _random_fraction(rng)
+            for col in range(len(v)):
+                v[col] += t * b[col]
 
 
 def torsion_determinant(c: RationalComplex, comp: CohomologyIsoComponent,
@@ -239,35 +246,15 @@ def torsion_determinant(c: RationalComplex, comp: CohomologyIsoComponent,
     if h_odd and not linalg.is_invertible(psi):
         raise ContractViolationError("iso matrix is not invertible")
 
-    # the section may be randomized by adding image-space vectors: any
-    # complement choice is allowed
+    # the preimages split d_j : C^j ->> B_(j+1); the seeded mode moves the
+    # section by image vectors and each preimage by kernel vectors, choices
+    # det phi does not depend on
+    s_rows = data.preimages
     if rng is not None:
         for j in degs:
-            for v in reps[j]:
-                for b in data.images[j]:
-                    t = _random_fraction(rng)
-                    for col in range(len(v)):
-                        v[col] += t * b[col]
-
-    # splittings of d_j : C^j ->> B_{j+1} (may be randomized by adding
-    # kernel vectors to each preimage)
-    s_rows: dict[int, Mat] = {}
-    for j in degs[:-1]:
-        image_next = data.images.get(j + 1, [])
-        if not image_next:
-            continue
-        d = c.diff(j)
-        rows = []
-        for b in image_next:
-            x = linalg.solve_left(d, list(b))
-            if x is None:
-                raise ContractViolationError("image vector without preimage")
-            if rng is not None:
-                for k in data.kernels[j]:
-                    t = _random_fraction(rng)
-                    x = [xi + t * ki for xi, ki in zip(x, k)]
-            rows.append(x)
-        s_rows[j] = rows
+            _shift(reps[j], data.images[j], rng)
+        for j in degs:
+            _shift(s_rows[j], data.kernels[j], rng)
 
     slot, acc = {}, 0
     for j in even_degs:

@@ -73,8 +73,10 @@ def test_compute_bad_extra_s_is_input_error(capsys):
     ["compute", "--d1", "5"],
     ["lemma38", "--tol", "nan"],
     ["lemma38", "--tol", "-1"],
+    ["lemma38", "--tol", "inf"],
     ["compute", "--d1", "5", "--d2", "13", "--m", "3859", "--json"],
-], ids=["d2-abc", "d2-missing", "tol-nan", "tol-negative", "m-too-large"])
+], ids=["d2-abc", "d2-missing", "tol-nan", "tol-negative", "tol-inf",
+        "m-too-large"])
 def test_bad_arguments_are_input_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 4

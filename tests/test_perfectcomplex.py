@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from tq import linalg
 from tq.errors import ContractViolationError, InputError
 from tq.grouprings import (V4_A, V4_AB, V4_B, V4_CHARS, GroupRingElem,
                            GroupRingMatrix, char_by_label)
@@ -234,3 +235,25 @@ def test_two_odd_degree_sum_exact_values():
         rng = random.Random(p)
         for _ in range(5):
             assert class_representative(cplx, iso, rng).as_tuple() == expected, (p, q)
+
+
+def assert_preimages_map_to_images(c):
+    data = cohomology_basis(c)
+    for j in c.degree_list():
+        d = c.diff(j)
+        if d is None:
+            assert data.preimages[j] == []
+            continue
+        assert len(data.preimages[j]) == len(data.images[j + 1])
+        for x, b in zip(data.preimages[j], data.images[j + 1]):
+            assert linalg.vec_mat(x, d) == b, j
+
+
+def test_preimages_map_to_images():
+    for p in (3, 7, 13, 101):
+        for chi in V4_CHARS:
+            assert_preimages_map_to_images(char_specialize(tame(p)[1], chi))
+    for p, q, a, b, _ in TWO_ODD_DEGREE_CASES:
+        cplx, _ = two_odd_degree_sum(p, q, a, b)
+        for chi in V4_CHARS:
+            assert_preimages_map_to_images(char_specialize(cplx, chi))
