@@ -1,6 +1,6 @@
 """Byte-exact output of `tq compute --json`, `tq sweep --json`, `tq selftest`,
-`tq lemma38` and the tame complex's JSON, pinned in
-fixtures/golden_output.json.
+`tq lemma38`, the tame complex's JSON, and the help and parse errors of the
+command line (stderr included), pinned in fixtures/golden_output.json.
 
 A refactor that is meant to leave behaviour alone must keep every case
 byte-identical.  When an output change is intended, regenerate the fixture
@@ -14,7 +14,9 @@ and review the diff of the fixture.
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -47,12 +49,45 @@ COMMANDS = {
     "lemma38-200": ["lemma38", "--conductor-max", "200"],
 }
 
+# Help and parse errors, whose stderr is pinned too: with argparse's
+# wording, prog strings, abbreviations and usage lines.
+PARSE_COMMANDS = {
+    "parse-no-command": [],
+    "parse-help": ["-h"],
+    "parse-bogus-command": ["bogus"],
+    "parse-abbreviated-command": ["comp", "--d1", "5", "--d2", "13"],
+    "parse-compute-help": ["compute", "-h"],
+    "parse-sweep-help": ["sweep", "-h"],
+    "parse-selftest-help": ["selftest", "-h"],
+    "parse-lemma38-help": ["lemma38", "-h"],
+    "parse-compute-missing-d2": ["compute", "--d1", "5", "--json"],
+    "parse-compute-unrecognized": ["compute", "--d1", "5", "--d2", "13", "--bogus"],
+    "parse-sweep-abbreviated-max": ["sweep", "--ma", "30"],
+    "parse-compute-ambiguous-d": ["compute", "--d", "5"],
+    "parse-compute-bad-sign": ["compute", "--d1", "5", "--d2", "13", "--sign", "foo"],
+    "parse-compute-equals": ["compute", "--d1=5", "--d2=13", "--json"],
+}
+
 
 def run_command(argv: list[str]) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
     return {"argv": argv, "exit": code, "stdout": out.getvalue()}
+
+
+def run_parse_command(argv: list[str]) -> dict:
+    """`run_command` with stderr, under a fixed terminal width (argparse
+    wraps help to $COLUMNS), and with the SystemExit of -h caught."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
 
 
 def tame_complex_output() -> dict:
@@ -63,10 +98,12 @@ def tame_complex_output() -> dict:
 def current_output(name: str) -> dict:
     if name == "tame-complex-5":
         return tame_complex_output()
+    if name in PARSE_COMMANDS:
+        return run_parse_command(PARSE_COMMANDS[name])
     return run_command(COMMANDS[name])
 
 
-CASES = [*COMMANDS, "tame-complex-5"]
+CASES = [*COMMANDS, "tame-complex-5", *PARSE_COMMANDS]
 
 
 @pytest.fixture(scope="module")
