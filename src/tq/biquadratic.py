@@ -23,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Iterable
 
-from .arith import is_prime, is_squarefree, kronecker_symbol, prime_factors
+from .arith import factorization, is_prime, kronecker_symbol, prime_factors
 from .errors import InputError
 from .grouprings import (V4_CHARS, V4_E, GaloisChar, GroupElement,
                          element_name, group_elements)
@@ -73,12 +74,22 @@ class FieldData:
                 "subfield_discs": {str(d): quad_field_disc(d) for d in self.subfields}}
 
 
-def field_data(d1: int, d2: int, allow_imaginary: bool = False) -> FieldData:
-    for d in (d1, d2):
-        if abs(d) > D_BOUND:
-            raise InputError(f"{d} is outside the supported range |d| <= 10^18")
-        if d == 0 or d == 1 or not is_squarefree(d):
-            raise InputError(f"{d} is not a squarefree integer != 1")
+def _squarefree_primes(d: int) -> list[int]:
+    """The primes of d, checked to be a squarefree integer != 1 with
+    |d| <= D_BOUND, from one factorization."""
+    if abs(d) > D_BOUND:
+        raise InputError(f"{d} is outside the supported range |d| <= 10^18")
+    exponents = factorization(d)
+    if d in (0, 1) or any(e > 1 for e in exponents.values()):
+        raise InputError(f"{d} is not a squarefree integer != 1")
+    return sorted(exponents)
+
+
+def field_and_ramified_set(d1: int, d2: int, allow_imaginary: bool = False
+                           ) -> tuple[FieldData, list[int]]:
+    """`field_data(d1, d2)` and its `ramified_set`, from one factorization
+    of d1 and one of d2."""
+    primes1, primes2 = _squarefree_primes(d1), _squarefree_primes(d2)
     if d1 == d2:
         raise InputError("d1 and d2 must define distinct quadratic fields")
     if (d1 < 0 or d2 < 0) and not allow_imaginary:
@@ -88,7 +99,12 @@ def field_data(d1: int, d2: int, allow_imaginary: bool = False) -> FieldData:
     d3 = d1 * d2 // gcd(d1, d2) ** 2
     if d3 in (d1, d2) or d3 == 1:
         raise InputError(f"degenerate pair: third subfield collapses (d3={d3})")
-    return FieldData(d1, d2, d3, totally_real=(d1 > 0 and d2 > 0))
+    return (FieldData(d1, d2, d3, totally_real=(d1 > 0 and d2 > 0)),
+            sorted(disc_primes(d1, primes1) | disc_primes(d2, primes2)))
+
+
+def field_data(d1: int, d2: int, allow_imaginary: bool = False) -> FieldData:
+    return field_and_ramified_set(d1, d2, allow_imaginary)[0]
 
 
 @dataclass(frozen=True)
@@ -159,10 +175,12 @@ def local_galois(f: FieldData, p: int) -> PrimeLocalData:
     return local_data(p, (_frob_sign(f.d1, p), _frob_sign(f.d2, p), _frob_sign(f.d3, p)))
 
 
-def disc_primes(d: int) -> set[int]:
-    """The primes dividing the discriminant of Q(sqrt(d)): those of d, and 2
-    unless d = 1 mod 4."""
-    return set(prime_factors(d)).union(() if d % 4 == 1 else (2,))
+def disc_primes(d: int, primes: Iterable[int] | None = None) -> set[int]:
+    """The primes dividing the discriminant of Q(sqrt(d)): those of d
+    (`primes`, when the caller has them), and 2 unless d = 1 mod 4."""
+    if primes is None:
+        primes = prime_factors(d)
+    return set(primes).union(() if d % 4 == 1 else (2,))
 
 
 def ramified_set(f: FieldData) -> list[int]:

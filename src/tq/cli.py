@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .arith import is_squarefree
@@ -93,7 +94,9 @@ def cmd_sweep(args) -> int:
         raise InputError(f"--max must be at most {SWEEP_MAX}, got {args.max}")
     summary = sweep(args.max)
     if args.json:
-        print(json.dumps(summary.to_json_dict(), indent=2))
+        # to_json_dict, but the pairs stay tuples: they encode alike, without a list each
+        doc = replace(summary, nonzero_fields=[]).to_json_dict()
+        print(json.dumps({**doc, "nonzero_fields": summary.nonzero_fields}, indent=2))
     else:
         print(f"pairs scanned: {summary.n_fields} (1 < d1 < d2 <= {args.max}, squarefree)")
         for verdict in (VERDICT_VANISHES, VERDICT_NONZERO, VERDICT_INADMISSIBLE):
@@ -212,42 +215,46 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name: (help, handler, {option flag: the keywords of its add_argument})
+COMMANDS = {
+    "compute": ("one field", cmd_compute, {
+        "--d1": dict(type=int, required=True),
+        "--d2": dict(type=int, required=True),
+        "--json": dict(action="store_true"),
+        "--m": dict(type=int, default=1),
+        "--sign": dict(choices=("plus", "minus"), default="plus"),
+        "--extra-s": dict(type=str, default="",
+                          help="comma-separated extra odd primes to enlarge S"),
+        "--allow-imaginary": dict(action="store_true")}),
+    "sweep": ("all squarefree pairs up to a bound", cmd_sweep, {
+        "--max": dict(type=int, required=True), "--json": dict(action="store_true")}),
+    "selftest": ("run the built-in fixture checks", cmd_selftest, {}),
+    "lemma38": ("numeric check of the leading-coefficient ratio against 4/f", cmd_lemma38,
+                {"--conductor-max": dict(type=int, default=60),
+                 "--tol": dict(type=float, default=1e-8)}),
+}
+
+
+def build_parser(argv: list[str] = ()) -> argparse.ArgumentParser:
+    """The `tq` parser with only the command that argv[0] names, or all of
+    them if it names none: argv parses alike, help and errors included."""
     parser = _Parser(
         prog="tq",
         description="Exact 2-adic torsion invariant of biquadratic fields")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pc = sub.add_parser("compute", help="one field")
-    pc.add_argument("--d1", type=int, required=True)
-    pc.add_argument("--d2", type=int, required=True)
-    pc.add_argument("--json", action="store_true")
-    pc.add_argument("--m", type=int, default=1)
-    pc.add_argument("--sign", choices=("plus", "minus"), default="plus")
-    pc.add_argument("--extra-s", type=str, default="",
-                    help="comma-separated extra odd primes to enlarge S")
-    pc.add_argument("--allow-imaginary", action="store_true")
-    pc.set_defaults(func=cmd_compute)
-
-    ps = sub.add_parser("sweep", help="all squarefree pairs up to a bound")
-    ps.add_argument("--max", type=int, required=True)
-    ps.add_argument("--json", action="store_true")
-    ps.set_defaults(func=cmd_sweep)
-
-    pt = sub.add_parser("selftest", help="run the built-in fixture checks")
-    pt.set_defaults(func=cmd_selftest)
-
-    pl = sub.add_parser("lemma38", help="numeric check of the leading-"
-                                        "coefficient ratio against 4/f")
-    pl.add_argument("--conductor-max", type=int, default=60)
-    pl.add_argument("--tol", type=float, default=1e-8)
-    pl.set_defaults(func=cmd_lemma38)
+    for name in argv[:1] if argv and argv[0] in COMMANDS else COMMANDS:
+        help_, func, options = COMMANDS[name]
+        command = sub.add_parser(name, help=help_)
+        for flag, kwargs in options.items():
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

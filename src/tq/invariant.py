@@ -20,8 +20,8 @@ from typing import Iterable, Mapping
 from .arith import is_prime, is_squarefree, kronecker_symbol, prime_factors
 from .biquadratic import (FieldData, PrimeLocalData, _frob_sign,
                           artin_conductor, euler_factor, euler_pair,
-                          field_data, frob_det_quotient, local_data,
-                          local_galois, quad_field_disc, ramified_set)
+                          field_and_ramified_set, frob_det_quotient,
+                          local_data, local_galois, quad_field_disc)
 from .errors import InputError, TqError
 from .grouprings import HOMREP_KEYS, V4_CHARS, GaloisChar
 from .localterms import LatticeExponent, local_term_closed_form, local_term_pair
@@ -201,10 +201,10 @@ def _extra_primes(s_extra: Iterable[int] | None) -> tuple[int, ...]:
     return extra
 
 
-def _s_set(f: FieldData, s_extra: Iterable[int] | None) -> tuple[int, ...]:
-    """The ramified set of f enlarged by the extra primes, each checked to
-    be an odd prime, sorted."""
-    return tuple(sorted(set(ramified_set(f)).union(_extra_primes(s_extra))))
+def _s_set(ramified: Iterable[int], s_extra: Iterable[int] | None) -> tuple[int, ...]:
+    """The ramified set enlarged by the extra primes, each checked to be an
+    odd prime, sorted."""
+    return tuple(sorted(set(ramified).union(_extra_primes(s_extra))))
 
 
 def omega_loc_torsion(d1: int, d2: int,
@@ -216,13 +216,15 @@ def omega_loc_torsion(d1: int, d2: int,
     with its verdict, and the exact values behind it from each record's
     local data: the simplified global representative, the power-of-two
     terms and the local classes at fully decomposed odd primes."""
-    f = field_data(d1, d2, allow_imaginary=allow_imaginary)
-    s_f = _s_set(f, s_extra)
+    f, ramified = field_and_ramified_set(d1, d2, allow_imaginary=allow_imaginary)
+    s_f = _s_set(ramified, s_extra)
     units = {}
     unit = _field_unit(*f.subfields, s_f, lat, units)
     per_prime = {}
     for p in s_f:
-        loc = _prime(*f.subfields, p, lat, units)[0]
+        key = (p, _signs(*f.subfields, p))
+        # an inadmissible report shows the local data alone, with no unit
+        loc = local_data(*key) if unit is None else _record(key, lat, units)[0]
         term = None
         if unit is not None and _has_local_term(loc):
             term = local_term_closed_form(p, loc, lat)
@@ -320,11 +322,15 @@ def _record(key: tuple[int, tuple[int, int, int]], lat: LatticeExponent,
     return record
 
 
+def _signs(d1: int, d2: int, d3: int, p: int) -> tuple[int, int, int]:
+    """The `_frob_sign`s of p in d1, d2 and d3."""
+    return _frob_sign(d1, p), _frob_sign(d2, p), _frob_sign(d3, p)
+
+
 def _prime(d1: int, d2: int, d3: int, p: int, lat: LatticeExponent,
            units: dict) -> tuple[PrimeLocalData, int]:
-    """The `_record` of p under its `_frob_sign`s in d1, d2 and d3."""
-    return _record((p, (_frob_sign(d1, p), _frob_sign(d2, p), _frob_sign(d3, p))),
-                   lat, units)
+    """The `_record` of p under its `_signs`."""
+    return _record((p, _signs(d1, d2, d3, p)), lat, units)
 
 
 def _field_unit(d1: int, d2: int, d3: int, s: Iterable[int], lat: LatticeExponent,
@@ -344,10 +350,11 @@ def _field_unit(d1: int, d2: int, d3: int, s: Iterable[int], lat: LatticeExponen
 def field_verdict(d1: int, d2: int, s_extra: Iterable[int] | None = None,
                   lat: LatticeExponent = LatticeExponent()) -> str:
     """The verdict of `omega_loc_torsion` for the real field
-    Q(sqrt(d1), sqrt(d2)), checked by `field_data`: its `_field_unit` over
-    S from a dict made for this call alone, with no report."""
-    f = field_data(d1, d2)
-    return _verdict(_field_unit(*f.subfields, _s_set(f, s_extra), lat, {}))
+    Q(sqrt(d1), sqrt(d2)), checked by `field_and_ramified_set`: its
+    `_field_unit` over S from a dict made for this call alone, with no
+    report."""
+    f, ramified = field_and_ramified_set(d1, d2)
+    return _verdict(_field_unit(*f.subfields, _s_set(ramified, s_extra), lat, {}))
 
 
 def sweep(dmax: int, s_extra: Iterable[int] | None = None,

@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 import time
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tq.cli
 from tq.cli import CONDUCTOR_MAX, SWEEP_MAX, main
 
 
@@ -121,6 +122,44 @@ def test_analytic_ratio_command(capsys):
                        "--tol", "1e-8")
     assert code == 0
     assert "0 failures" in out
+
+
+ALL_PROGS = ["tq", "tq compute", "tq sweep", "tq selftest", "tq lemma38"]
+
+
+@pytest.mark.parametrize("argv, progs", [
+    (["compute", "--d1", "5", "--d2", "13", "--json"], ["tq", "tq compute"]),
+    (["sweep", "-h"], ["tq", "tq sweep"]),
+    (["lemma38", "--tol", "nan"], ["tq", "tq lemma38"]),
+    ([], ALL_PROGS),
+    (["-h"], ALL_PROGS),
+    (["bogus"], ALL_PROGS),
+    (["comp", "--d1", "5"], ALL_PROGS),
+    (["--", "compute"], ALL_PROGS),
+], ids=["compute", "sweep-help", "lemma38", "empty", "help", "bogus",
+        "abbreviated", "double-dash"])
+def test_main_builds_the_parser_of_the_named_command_only(monkeypatch, capsys,
+                                                          argv, progs):
+    """A command line that names a command builds the top-level parser and
+    that command's; any other builds all five."""
+    built = []
+    init = tq.cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+    monkeypatch.setattr(tq.cli._Parser, "__init__", counted)
+    with pytest.raises(SystemExit) if "-h" in argv else nullcontext():
+        main(argv)
+    capsys.readouterr()
+    assert built == progs
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv",
+                        ["tq", "compute", "--d1", "5", "--d2", "13", "--json"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "vanishes"
 
 
 def run_subprocess(*argv):

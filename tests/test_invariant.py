@@ -322,6 +322,46 @@ def test_report_makes_each_prime_record_once(monkeypatch, extra,
     assert calls == {"local_data": local_data_calls, "is_prime": is_prime_calls}
 
 
+def test_report_factors_d1_and_d2_once_each(monkeypatch):
+    """`omega_loc_torsion` and `field_verdict` check d1 and d2 and take
+    their ramified primes from one factorization of each."""
+    import tq.arith
+    import tq.biquadratic
+    calls = []
+    orig = tq.arith.factorization
+
+    def counted(n):
+        calls.append(n)
+        return orig(n)
+    for module in (tq.arith, tq.biquadratic):
+        monkeypatch.setattr(module, "factorization", counted)
+    omega_loc_torsion(10009, 20001)
+    assert calls == [10009, 20001]
+    field_verdict(10009, 20001)
+    assert calls == [10009, 20001] * 2
+
+
+def test_inadmissible_report_makes_only_the_unit_at_2(monkeypatch):
+    """An inadmissible report shows local data alone: over the pairs with
+    d2 <= 100, `omega_loc_torsion` makes one `prime_unit` per inadmissible
+    field, the one at 2 that decides admissibility."""
+    import tq.invariant
+    primes = []
+    orig = tq.invariant.prime_unit
+
+    def counted(loc, *args):
+        primes.append(loc.p)
+        return orig(loc, *args)
+    monkeypatch.setattr(tq.invariant, "prime_unit", counted)
+    inadmissible = 0
+    for d1, d2 in squarefree_pairs(100):
+        before = len(primes)
+        if omega_loc_torsion(d1, d2).verdict == VERDICT_INADMISSIBLE:
+            inadmissible += 1
+            assert primes[before:] == [2], (d1, d2)
+    assert inadmissible == 1130
+
+
 def test_sweep_with_options_matches_reports():
     extra = [3, 7]
     pairs = list(squarefree_pairs(40))
