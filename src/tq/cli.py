@@ -94,7 +94,7 @@ def cmd_sweep(args) -> int:
         raise InputError(f"--max must be at most {SWEEP_MAX}, got {args.max}")
     summary = sweep(args.max)
     if args.json:
-        # to_json_dict, but the pairs stay tuples: they encode alike, without a list each
+        # to_json_dict with the pairs kept as tuples, which encode as its lists do
         doc = replace(summary, nonzero_fields=[]).to_json_dict()
         print(json.dumps({**doc, "nonzero_fields": summary.nonzero_fields}, indent=2))
     else:
