@@ -220,11 +220,14 @@ def omega_loc_torsion(d1: int, d2: int,
     s_f = _s_set(ramified, s_extra)
     units = {}
     unit = _field_unit(*f.subfields, s_f, lat, units)
+    # `units` was made for this field: it holds the record of 2 and, on an
+    # admissible field, of every prime of S; an inadmissible report shows
+    # the local data of the other primes alone, with no unit
+    records = {p: record for (p, _), record in units.items()}
     per_prime = {}
     for p in s_f:
-        key = (p, _signs(*f.subfields, p))
-        # an inadmissible report shows the local data alone, with no unit
-        loc = local_data(*key) if unit is None else _record(key, lat, units)[0]
+        record = records.get(p)
+        loc = record[0] if record else local_data(p, _signs(*f.subfields, p))
         term = None
         if unit is not None and _has_local_term(loc):
             term = local_term_closed_form(p, loc, lat)
@@ -339,11 +342,12 @@ def _field_unit(d1: int, d2: int, d3: int, s: Iterable[int], lat: LatticeExponen
     d2, d3 over the primes `s` of S (None when the record at 2, read even
     when 2 is not in S, has the full decomposition group): the product of
     the units of their `_prime` records in `units`."""
-    if _prime(d1, d2, d3, 2, lat, units)[0].full_decomposition:
+    at_2 = _prime(d1, d2, d3, 2, lat, units)
+    if at_2[0].full_decomposition:
         return None
     unit = 1
     for p in s:
-        unit = unit * _prime(d1, d2, d3, p, lat, units)[1] % 4
+        unit = unit * (at_2 if p == 2 else _prime(d1, d2, d3, p, lat, units))[1] % 4
     return unit
 
 

@@ -13,44 +13,61 @@ sum chi(a) = 0 and, for even chi, sum chi(a) a = 0 pairs off).
 an analytic tail estimate; it exists to validate the closed form above and
 is accurate to roughly 1e-12 at the default depth.
 
-Each evaluator builds its own table chi(0..f-1) with `quad_char_values`.
+The table chi(0..f-1) is built once per check: `quad_char_values` copies
+it from a one-entry memo (`_char_table`, which keeps the table of the last
+disc only), so the second evaluator of `invariant.leading_ratio_check`
+finds the table of the first, and no caller holds a shared, mutable table.
 For a fixed top argument the Kronecker symbol (D/n) is completely
 multiplicative in n > 0 (H. Cohen, A Course in Computational Algebraic
-Number Theory, 1.4.2), so the table evaluates the symbol only at the primes
+Number Theory, 1.4.2), so the table needs the symbol only at the primes
 below f, found by a sieve of Eratosthenes, and spreads each value to the
-multiples of the prime.  The table equals the symbol at every n; the
-evaluators' sums take the same terms in the same order as with a table of
-symbols, so their floats do not depend on how the table is built.
+multiples of the prime.  At an odd prime p the symbol is the Legendre
+symbol, which Euler's criterion gives as D^((p-1)/2) mod p, one of 0, 1 and
+p - 1 (K. Ireland and M. Rosen, A Classical Introduction to Modern Number
+Theory, Prop. 5.1.2); `kronecker_symbol` gives it at 0 and 2.  The table
+equals the symbol at every n; the evaluators' sums take the same terms in
+the same order as with a table of symbols, so their floats do not depend on
+how the table is built.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import compress
+from operator import neg
 
 from .arith import kronecker_symbol
 from .errors import InputError
 
 
 def quad_char_values(disc: int) -> list[int]:
-    """chi(0..f-1) for the quadratic character attached to a fundamental
-    discriminant: [kronecker_symbol(disc, n) for n in range(abs(disc))],
-    built by the multiplicative sieve of the module docstring."""
+    """chi(0..f-1), f = |disc|, for any integer disc:
+    [kronecker_symbol(disc, n) for n in range(abs(disc))], a fresh list
+    copied from the table that `_char_table` keeps for the last disc."""
+    return list(_char_table(disc))
+
+
+@lru_cache(maxsize=1)
+def _char_table(disc: int) -> tuple[int, ...]:
+    """The table of `quad_char_values`, built by the multiplicative sieve of
+    the module docstring."""
     f = abs(disc)
     if f == 0:
-        return []
+        return ()
     vals = [1] * f
     vals[0] = kronecker_symbol(disc, 0)
     for p in _primes_below(f):
-        chi_p = kronecker_symbol(disc, p)
+        # Euler's criterion at odd p: 0, 1 or p - 1
+        chi_p = kronecker_symbol(disc, 2) if p == 2 else pow(disc, p >> 1, p)
         if chi_p == 0:
             vals[p::p] = [0] * len(range(p, f, p))
-        elif chi_p < 0:
+        elif chi_p != 1:
             q = p
             while q < f:
-                vals[q::q] = [-v for v in vals[q::q]]
+                vals[q::q] = map(neg, vals[q::q])
                 q *= p
-    return vals
+    return tuple(vals)
 
 
 def _primes_below(n: int) -> list[int]:

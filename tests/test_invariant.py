@@ -362,6 +362,24 @@ def test_inadmissible_report_makes_only_the_unit_at_2(monkeypatch):
     assert inadmissible == 1130
 
 
+def test_report_takes_each_primes_signs_once(monkeypatch):
+    """`omega_loc_torsion` evaluates the Frobenius signs of each prime of S,
+    and of 2, once: the report reads the records `_field_unit` made."""
+    import tq.invariant
+    primes = []
+    orig = tq.invariant._signs
+
+    def counted(d1, d2, d3, p):
+        primes.append(p)
+        return orig(d1, d2, d3, p)
+    monkeypatch.setattr(tq.invariant, "_signs", counted)
+    cases = [(d1, d2, None) for d1, d2 in squarefree_pairs(60)] + [(5, 13, [3, 7])]
+    for d1, d2, extra in cases:
+        del primes[:]
+        report = omega_loc_torsion(d1, d2, s_extra=extra)
+        assert sorted(primes) == sorted({2, *report.s_f}), (d1, d2, extra)
+
+
 def test_sweep_with_options_matches_reports():
     extra = [3, 7]
     pairs = list(squarefree_pairs(40))

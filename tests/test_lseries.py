@@ -3,10 +3,11 @@ import math
 import pytest
 
 from tq.arith import is_squarefree, kronecker_symbol
-from tq.biquadratic import quad_field_disc
+from tq.biquadratic import field_data, quad_field_disc
 from tq.errors import InputError
-from tq.lseries import (l_one_logsin, l_one_series, l_prime_zero_lgamma,
-                        quad_char_values)
+from tq.invariant import leading_ratio_check
+from tq.lseries import (_char_table, l_one_logsin, l_one_series,
+                        l_prime_zero_lgamma, quad_char_values)
 
 
 def even_discs_up_to(bound):
@@ -31,6 +32,8 @@ def test_quad_char_basics():
     range(-600, 601),
     # the ten largest real fundamental discriminants up to 16000
     [15973, 15976, 15977, 15980, 15981, 15985, 15989, 15992, 15996, 15997],
+    # conductors near 7000, where Euler's criterion runs at primes near f
+    [*range(-7010, -6999), *range(7000, 7011)],
 ])
 def test_quad_char_values_equals_kronecker_table(discs):
     # every integer, not only fundamental discriminants: negative ones,
@@ -38,6 +41,20 @@ def test_quad_char_values_equals_kronecker_table(discs):
     for disc in discs:
         assert quad_char_values(disc) == [kronecker_symbol(disc, n)
                                           for n in range(abs(disc))], disc
+
+
+def test_quad_char_values_gives_a_fresh_list():
+    # mutating one result leaves the memoised table alone
+    chi = quad_char_values(13)
+    chi[1:] = [0] * 12
+    assert quad_char_values(13) == [kronecker_symbol(13, n) for n in range(13)]
+
+
+def test_leading_ratio_check_builds_one_table():
+    _char_table.cache_clear()
+    check = leading_ratio_check("chi1", field_data(8005, 3))
+    assert check.ok
+    assert _char_table.cache_info().misses == 1
 
 
 def test_character_even_and_periodic():
