@@ -14,14 +14,15 @@ the kernels of the characters unramified at p, and the decomposition group
 D_p the intersection of the kernels of the characters split at p; the
 kernel of the trivial character, all of V4, starts both.  So the local data
 at p depends on the field only through the three Frobenius signs of p in
-Q(sqrt(d1)), Q(sqrt(d2)), Q(sqrt(d3)) (`_frob_sign`): fields that share p
-and its signs share `local_data(p, signs)`.
+Q(sqrt(d1)), Q(sqrt(d2)), Q(sqrt(d3)) (`_frob_sign`); its groups and Frobenius
+do not depend on p at all, so `local_data` derives them once per sign triple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterable
 
@@ -125,6 +126,10 @@ class PrimeLocalData:
     def full_decomposition(self) -> bool:
         return len(self.decomposition) == 4
 
+    def char_facts(self, chi: GaloisChar) -> tuple[int, int, int]:
+        """(dim chi^I, dim chi^D, chi(Frob)), all that the formulas' int cores read."""
+        return chi.fixes(self.inertia), chi.fixes(self.decomposition), chi(self.frob)
+
     def to_json_dict(self) -> dict:
         return {
             "p": self.p,
@@ -146,10 +151,15 @@ def _frob_sign(d: int, p: int) -> int:
 
 
 def local_data(p: int, signs: tuple[int, int, int]) -> PrimeLocalData:
-    """Inertia, decomposition and Frobenius at p, read off from the
-    Frobenius signs of p in the three quadratic subfields as kernel
-    intersections (see the module docstring).  Frobenius is the first
-    element of D outside I, or e when D = I."""
+    """Inertia, decomposition and Frobenius at p (the first element of D
+    outside I, else e), read off from the Frobenius signs of p in the three
+    quadratic subfields by `_group_data`, once per sign triple."""
+    return PrimeLocalData(p, *_group_data(signs))
+
+
+@lru_cache(maxsize=None)  # at most 27 sign triples, filled on use
+def _group_data(signs: tuple[int, int, int]) -> tuple:
+    """The fields of `local_data` after p, as kernel intersections."""
     inertia = decomposition = V4_CHARS[0].kernel
     for chi, sign in zip(V4_CHARS[1:], signs):
         if sign != 0:
@@ -162,9 +172,7 @@ def local_data(p: int, signs: tuple[int, int, int]) -> PrimeLocalData:
     if len(decomposition) == 4 and len(inertia) == 2:
         (a_p,) = inertia - {V4_E}
         b_p = frob
-    return PrimeLocalData(p, in_s=len(inertia) > 1, inertia=inertia,
-                          decomposition=decomposition, frob=frob,
-                          a_p=a_p, b_p=b_p)
+    return len(inertia) > 1, inertia, decomposition, frob, a_p, b_p
 
 
 def local_galois(f: FieldData, p: int) -> PrimeLocalData:
@@ -193,9 +201,11 @@ def ramified_set(f: FieldData) -> list[int]:
 def euler_pair(chi: GaloisChar, p: int, local: PrimeLocalData) -> tuple[int, int]:
     """det(1 - p^-1 Frob^-1 | chi^I) as (numerator, denominator): (1, 1)
     when chi is nontrivial on inertia, else (p - chi(Frob), p)."""
-    if not chi.fixes(local.inertia):
-        return 1, 1
-    return p - chi(local.frob), p
+    return _euler(p, *local.char_facts(chi))
+
+
+def _euler(p: int, dim_i: int, dim_d: int, frob: int):
+    return (p - frob, p) if dim_i else (1, 1)
 
 
 def euler_factor(chi: GaloisChar, p: int, local: PrimeLocalData) -> Fraction:
@@ -205,9 +215,11 @@ def euler_factor(chi: GaloisChar, p: int, local: PrimeLocalData) -> Fraction:
 
 def frob_det_quotient(chi: GaloisChar, local: PrimeLocalData) -> int:
     """det(1 - Frob^-1 | chi^I / chi^D), an integer."""
-    if chi.fixes(local.inertia) - chi.fixes(local.decomposition) == 1:
-        return 1 - chi(local.frob)
-    return 1
+    return _frob_det(*local.char_facts(chi))
+
+
+def _frob_det(dim_i: int, dim_d: int, frob: int):
+    return 1 - frob if dim_i - dim_d == 1 else 1
 
 
 def artin_conductor(chi: GaloisChar | str, f: FieldData) -> int:

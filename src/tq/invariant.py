@@ -17,14 +17,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .arith import is_prime, is_squarefree, kronecker_symbol, prime_factors
-from .biquadratic import (FieldData, PrimeLocalData, _frob_sign,
-                          artin_conductor, euler_factor, euler_pair,
-                          field_and_ramified_set, frob_det_quotient,
+from .arith import is_prime, is_squarefree, prime_factors
+from .biquadratic import (FieldData, PrimeLocalData, _euler, _frob_det, _frob_sign,
+                          artin_conductor, euler_factor, field_and_ramified_set,
                           local_data, local_galois, quad_field_disc)
 from .errors import InputError, TqError
 from .grouprings import HOMREP_KEYS, V4_CHARS, GaloisChar
-from .localterms import LatticeExponent, local_term_closed_form, local_term_pair
+from .localterms import LatticeExponent, _local_term, local_term_closed_form
 from .lseries import l_one_logsin, l_prime_zero_lgamma
 from .relk0 import HomRep, TorsionClass, odd_part_mod4, odd_unit
 
@@ -37,8 +36,12 @@ def delta1_pair(chi: GaloisChar, local: PrimeLocalData) -> tuple[int, int]:
     """The value at chi of the power-of-two class attached to p,
     (|D|/|I|)^(-dim chi^D) det(1 - Frob^-1 | chi^I/chi^D), as
     (numerator, denominator) ints."""
+    return _delta1(local, *local.char_facts(chi))
+
+
+def _delta1(local: PrimeLocalData, dim_i: int, dim_d: int, frob: int):
     ratio = len(local.decomposition) // len(local.inertia)
-    return frob_det_quotient(chi, local), ratio ** chi.fixes(local.decomposition)
+    return _frob_det(dim_i, dim_d, frob), ratio ** dim_d
 
 
 def delta1_term(f: FieldData, p: int, local: PrimeLocalData | None = None) -> HomRep:
@@ -171,19 +174,19 @@ def prime_unit(loc: PrimeLocalData,
     """The unit 1 or 3 of (Z/4)* that the prime of `loc` contributes to the
     torsion class: the odd part mod 4 of the product over the characters of
     the inverse Euler factor, the power-of-two term and, at a fully
-    decomposed odd prime, the inverse local term.  It depends on the field
-    only through `loc`."""
-    p = loc.p
+    decomposed odd prime, the inverse local term, from each character's
+    `char_facts`, read once.  It depends on the field only through `loc`."""
     local_term = _has_local_term(loc)
-    unit = 1
+    n = 1
     for chi in V4_CHARS:
+        dim_i, dim_d, frob = loc.char_facts(chi)
         # a unit mod 4 is its own inverse, so numerators and
         # denominators count alike, inverted factors or not
-        n = math.prod(euler_pair(chi, p, loc)) * math.prod(delta1_pair(chi, loc))
+        n *= math.prod(_euler(loc.p, dim_i, dim_d, frob))
+        n *= math.prod(_delta1(loc, dim_i, dim_d, frob))
         if local_term:
-            n *= math.prod(local_term_pair(chi, p, loc, lat))
-        unit = unit * odd_unit(n) % 4
-    return unit
+            n *= math.prod(_local_term(loc.p, lat, dim_i, dim_d, frob))
+    return odd_unit(n)
 
 
 def _verdict(unit: int | None) -> str:
@@ -367,8 +370,9 @@ def sweep(dmax: int, s_extra: Iterable[int] | None = None,
     time, the d1 being the bits of ints (bit i for the i-th squarefree d).
     At each prime, the d1 of a class share their Frobenius signs with d2
     and so their `_record`: at 2 a class is the parity of d and its odd
-    part mod 8, at an odd p whether p | d and the Legendre symbol of d, or
-    of d/p when p | d.  The records at 2 mark the admissible d1 (`adm`);
+    part mod 8, its record read once per pair of classes (`two`); at an odd
+    p whether p | d and the Legendre symbol of d, or of d/p when p | d, by
+    Euler's criterion.  The records at 2 mark the admissible d1 (`adm`);
     XORing into `flip` each class in S whose unit is 3, read only when it
     meets `adm`, multiplies the units.  Nonzero torsion is collected for
     prominent reporting: it means the predicted universal vanishing fails."""
@@ -386,18 +390,20 @@ def sweep(dmax: int, s_extra: Iterable[int] | None = None,
     neg = dict.fromkeys(odd, 0)
     for p in odd:
         for q, m in div.items():
-            if q != p and kronecker_symbol(q, p) == -1:
+            if q != p and pow(q, p >> 1, p) == p - 1:
                 neg[p] ^= m
     at2 = {}  # class at 2 (d mod 8, or mod 16 if even) -> [first d, mask]
-    summary, units = SweepSummary(dmax), {}
+    summary, units, two = SweepSummary(dmax), {}, {}
     for j, d2 in enumerate(ds):
-        adm = flip = 0
-        for d1, m in at2.values():
-            loc, unit = _prime(d1, d2, d1 * d2 // math.gcd(d1, d2) ** 2, 2, lat, units)
+        c2, adm, flip = d2 % 8 if d2 % 2 else d2 % 16, 0, 0
+        for c1, (d1, m) in at2.items():
+            if (c1, c2) not in two:
+                two[c1, c2] = _prime(d1, d2, d1 * d2 // math.gcd(d1, d2) ** 2, 2, lat, units)
+            loc, unit = two[c1, c2]
             if not loc.full_decomposition:
                 adm |= m
                 flip ^= m if loc.in_s and unit == 3 else 0
-        at2.setdefault(d2 % 8 if d2 % 2 else d2 % 16, [d2, 0])[1] |= 1 << j
+        at2.setdefault(c2, [d2, 0])[1] |= 1 << j
         for p in odd:
             divp, negp, div2 = div.get(p, 0), neg[p], d2 % p == 0
             b = -1 if negp >> j & 1 else 1

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_prime
-from .biquadratic import euler_pair, frob_det_quotient
+from .biquadratic import _euler, _frob_det
 from .errors import InputError
 from .grouprings import (V4_CHARS, V4_E, GaloisChar, GroupElement,
                          GroupRingElem, GroupRingMatrix, apply_char)
@@ -189,12 +189,14 @@ def local_term_pair(chi: GaloisChar, p: int, local,
 
     with eps(chi) = (-1)^(dim(chi^I/chi^D)) and |G|/|I| = 2.
     """
-    dim_i = chi.fixes(local.inertia)
-    dim_d = chi.fixes(local.decomposition)
+    return _local_term(p, lat, *local.char_facts(chi))
+
+
+def _local_term(p: int, lat: LatticeExponent, dim_i: int, dim_d: int, frob: int):
     eps = -1 if dim_i - dim_d else 1
-    e_num, e_den = euler_pair(chi, p, local)
+    e_num, e_den = _euler(p, dim_i, dim_d, frob)
     p_exp = 1 + lat.sign * lat.m * dim_i
-    num = eps * frob_det_quotient(chi, local) * e_den * p ** max(-p_exp, 0)
+    num = eps * _frob_det(dim_i, dim_d, frob) * e_den * p ** max(-p_exp, 0)
     den = 2 ** dim_d * p ** max(p_exp, 0) * e_num
     return num, den
 

@@ -130,6 +130,18 @@ def test_kronecker_matches_legendre_at_odd_primes():
             assert kronecker_symbol(a, p) == brute_legendre(a, p), (a, p)
 
 
+def test_euler_criterion_matches_kronecker_at_odd_primes():
+    """For primes p, q < 1000 with p odd and q != p, q^((p-1)/2) is -1 mod p
+    exactly when (q/p) = -1: the test `invariant.sweep` makes for its table
+    of Legendre symbols."""
+    primes = [2] + odd_primes_up_to(1000)
+    for p in primes[1:]:
+        for q in primes:
+            if q != p:
+                assert ((pow(q, p >> 1, p) == p - 1)
+                        == (kronecker_symbol(q, p) == -1)), (p, q)
+
+
 def test_kronecker_at_two():
     # (a/2) = 0 for even a, +1 for a = +-1 mod 8, -1 for a = +-3 mod 8
     for a in range(-20, 21):

@@ -268,23 +268,29 @@ def test_integer_verdicts_match_fraction_reports_with_options():
 def test_prime_units_match_fraction_reports():
     """Each prime's unit alone, not only the whole-field product, agrees
     with the odd part mod 4 of its exact Euler, power-of-two and local
-    terms: two wrong per-prime units could cancel in a product."""
-    n_primes = 0
-    lat = LatticeExponent()
-    for d1, d2 in squarefree_pairs(100):
-        report = omega_loc_torsion(d1, d2, lat=lat)
-        if report.verdict == VERDICT_INADMISSIBLE:
-            continue
-        for p, pr in report.per_prime.items():
-            total = Fraction(1)
-            for k, chi in enumerate(V4_CHARS):
-                total *= pr.euler[k] * pr.delta1.value(chi)
-                if pr.local_term is not None:
-                    total *= pr.local_term.value(chi)
-            assert prime_unit(pr.local, lat) == odd_part_mod4(total).unit, \
-                (d1, d2, p)
-            n_primes += 1
-    assert n_primes == 2140
+    terms: two wrong per-prime units could cancel in a product.  The
+    default lattice and S first, then the lattices (1, +1), (2, -1) and
+    (3, +1), each with S enlarged by 3 and 7 as well: the lattice enters
+    the local term through dim chi^I."""
+    cases = [(LatticeExponent(m, sign), extra, n)
+             for m, sign in ((1, 1), (2, -1), (3, 1))
+             for extra, n in ((None, 2140), ([3, 7], 3011))]
+    for lat, extra, expected in cases:
+        n_primes = 0
+        for d1, d2 in squarefree_pairs(100):
+            report = omega_loc_torsion(d1, d2, s_extra=extra, lat=lat)
+            if report.verdict == VERDICT_INADMISSIBLE:
+                continue
+            for p, pr in report.per_prime.items():
+                total = Fraction(1)
+                for k, chi in enumerate(V4_CHARS):
+                    total *= pr.euler[k] * pr.delta1.value(chi)
+                    if pr.local_term is not None:
+                        total *= pr.local_term.value(chi)
+                assert prime_unit(pr.local, lat) == odd_part_mod4(total).unit, \
+                    (d1, d2, p, lat, extra)
+                n_primes += 1
+        assert n_primes == expected, (lat, extra)
 
 
 def test_report_local_data_matches_local_galois():
@@ -454,6 +460,74 @@ def test_sweep_100_makes_each_prime_unit_once(monkeypatch):
     monkeypatch.setattr(tq.invariant, "prime_unit", counted)
     sweep(100)
     assert len(calls) == 117
+
+
+def test_sweep_100_reads_the_record_at_2_once_per_pair_of_classes(monkeypatch):
+    """The record at 2 depends on d1 and d2 only through their classes at
+    2 (d mod 8, or mod 16 when d is even; 8 classes): `sweep(100)` reaches
+    `_prime` at 2 once for each of the 64 pairs of classes, not once per
+    row and class (439 times)."""
+    import tq.invariant
+    primes = []
+    orig = tq.invariant._prime
+
+    def counted(*args):
+        primes.append(args[3])
+        return orig(*args)
+    monkeypatch.setattr(tq.invariant, "_prime", counted)
+    sweep(100)
+    assert primes == [2] * 64
+
+
+def test_sweep_makes_no_kronecker_symbol_call(monkeypatch):
+    """`sweep` takes the Legendre symbols of its `neg` table by Euler's
+    criterion and its classes at 2 from d mod 8 or 16: it makes no
+    `kronecker_symbol` call, with or without extra primes, where
+    `field_verdict` makes one per subfield and odd prime of S."""
+    import sys
+    import tq.arith
+    calls = []
+    orig = tq.arith.kronecker_symbol
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tq" and hasattr(module, "kronecker_symbol"):
+            monkeypatch.setattr(module, "kronecker_symbol", counted)
+    sweep(100)
+    sweep(60, s_extra=[5, 101])
+    assert calls == []
+    field_verdict(5, 13)
+    assert len(calls) == 6
+
+
+def test_sweep_100_derives_group_data_once_per_sign_triple():
+    """The 117 records of `sweep(100)` fall under 11 sign triples, and the
+    group data of each triple is derived once: 11 derivations, the other
+    106 `local_data` calls read them."""
+    from tq.biquadratic import _group_data
+    _group_data.cache_clear()
+    sweep(100)
+    info = _group_data.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (11, 106, 11)
+
+
+def test_importing_tq_derives_no_group_data():
+    """The group data cache starts empty in a new process that has
+    imported `tq` and `tq.cli`: it is filled on use, not at import."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import tq, tq.cli; from tq.biquadratic import _group_data; "
+            "print(_group_data.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
 def test_imaginary_field_is_flagged():
