@@ -9,9 +9,10 @@ For every admissible squarefree pair d1 < d2 <= 100 it splits the torsion
 unit in (Z/4)* by prime of S and by part: the inverse Euler factors, the
 power-of-two term and, at fully decomposed odd primes, the inverse local
 term, itself split into eps(chi) = (-1)^dim(chi^I/chi^D) and the rest.
-Each part is the product over the four characters of the odd parts mod 4
-of its numerators and denominators, as in `invariant.prime_unit`, and the
-parts multiply back to the field's unit from `invariant._field_unit`.  It
+Each part is the odd part mod 4 of the product over the four characters of
+its exact values (that of a reduced fraction is that of the numerator and
+denominator `invariant.prime_unit` multiplies unreduced), and the parts
+multiply back to the field's unit from `invariant._field_unit`.  It
 then lists the supported 2-ramified fields whose resolvent quotient check
 fails, with the odd part of the square root of the conductor product.
 """
@@ -19,24 +20,21 @@ fails, with the odd part of the square root of the conductor product.
 import math
 from collections import Counter
 
-from tq.biquadratic import (artin_conductor, euler_pair, field_data,
+from tq.biquadratic import (artin_conductor, euler_factor, field_data,
                             local_galois, ramified_set)
 from tq.grouprings import V4_CHARS
-from tq.invariant import (_field_unit, delta1_pair, omega_loc_torsion,
+from tq.invariant import (_field_unit, delta1_term, omega_loc_torsion,
                           squarefree_pairs)
-from tq.localterms import LatticeExponent, local_term_pair
-from tq.relk0 import odd_unit
+from tq.localterms import LatticeExponent, local_term_closed_form
+from tq.relk0 import odd_part_mod4
 
 DMAX = 100
 LAT = LatticeExponent()
 
 
-def part_unit(pairs) -> int:
-    """Odd part mod 4 of the product of (numerator, denominator) pairs."""
-    unit = 1
-    for pair in pairs:
-        unit = unit * odd_unit(math.prod(pair)) % 4
-    return unit
+def part_unit(values) -> int:
+    """Odd part mod 4 of the product of exact values."""
+    return odd_part_mod4(math.prod(values)).unit
 
 
 def eps(chi, loc) -> int:
@@ -59,14 +57,13 @@ def main() -> None:
         n_full = 0
         for p in s_f:
             loc = local_galois(f, p)
-            euler = part_unit(euler_pair(chi, p, loc) for chi in V4_CHARS)
-            delta1 = part_unit(delta1_pair(chi, loc) for chi in V4_CHARS)
+            euler = part_unit(euler_factor(chi, p, loc) for chi in V4_CHARS)
+            delta1 = part_unit(delta1_term(f, p, loc).as_tuple())
             row = (f"euler {euler}", f"delta1 {delta1}")
             total = euler * delta1 % 4
             if loc.full_decomposition and p % 2:
-                term = part_unit(local_term_pair(chi, p, loc, LAT)
-                                 for chi in V4_CHARS)
-                sign = part_unit((eps(chi, loc), 1) for chi in V4_CHARS)
+                term = part_unit(local_term_closed_form(p, loc, LAT).as_tuple())
+                sign = part_unit(eps(chi, loc) for chi in V4_CHARS)
                 total = total * term % 4
                 full[row + (f"local {term} = eps {sign} x rest {term * sign % 4}",
                             f"prime {total}")] += 1

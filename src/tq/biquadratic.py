@@ -9,20 +9,22 @@ squarefree kernel of d1*d2.  Everything is decided by Kronecker symbols; no
 ideal factorization is needed for quadratic subfields, and only d1 and d2
 are ever factored, never their product.
 
-By the Galois correspondence, the inertia group I_p is the intersection of
-the kernels of the characters unramified at p, and the decomposition group
-D_p the intersection of the kernels of the characters split at p; the
-kernel of the trivial character, all of V4, starts both.  So the local data
-at p depends on the field only through the three Frobenius signs of p in
-Q(sqrt(d1)), Q(sqrt(d2)), Q(sqrt(d3)) (`_frob_sign`); its groups and Frobenius
-do not depend on p at all, so `local_data` derives them once per sign triple.
+The local data at p depends on the field only through the Frobenius signs
+s of p in Q(sqrt(d1)), Q(sqrt(d2)), Q(sqrt(d3)) (`frob_signs`), s = 1 for
+the trivial character.  By the Galois correspondence, I_p and D_p are the
+annihilators of the subgroups U (s != 0, unramified) and Z (s = 1, split)
+of the character group.  So dim chi^I = [s != 0], dim chi^D = [s = 1],
+chi(Frob) = s where chi is unramified, and, as the annihilator of a subgroup
+H has order 4/|H|, |D|/|I| = |U|/|Z| (`sign_facts`); D = V4 exactly when no
+sign is 1 (`full_decomposition`), and I != 1, putting p in S, exactly when
+some sign is 0.  `local_data` builds the groups themselves, as
+intersections of kernels, for a report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from typing import Iterable
 
@@ -142,24 +144,10 @@ class PrimeLocalData:
         }
 
 
-def _frob_sign(d: int, p: int) -> int:
-    """The quadratic character of Q(sqrt(d)) at Frob_p: 1 when p splits,
-    -1 when p is inert, 0 when p ramifies."""
-    if p == 2:
-        return 0 if quad_field_disc(d) % 2 == 0 else (1 if d % 8 == 1 else -1)
-    return kronecker_symbol(quad_field_disc(d), p)
-
-
 def local_data(p: int, signs: tuple[int, int, int]) -> PrimeLocalData:
     """Inertia, decomposition and Frobenius at p (the first element of D
     outside I, else e), read off from the Frobenius signs of p in the three
-    quadratic subfields by `_group_data`, once per sign triple."""
-    return PrimeLocalData(p, *_group_data(signs))
-
-
-@lru_cache(maxsize=None)  # at most 27 sign triples, filled on use
-def _group_data(signs: tuple[int, int, int]) -> tuple:
-    """The fields of `local_data` after p, as kernel intersections."""
+    quadratic subfields as kernel intersections."""
     inertia = decomposition = V4_CHARS[0].kernel
     for chi, sign in zip(V4_CHARS[1:], signs):
         if sign != 0:
@@ -172,15 +160,37 @@ def _group_data(signs: tuple[int, int, int]) -> tuple:
     if len(decomposition) == 4 and len(inertia) == 2:
         (a_p,) = inertia - {V4_E}
         b_p = frob
-    return len(inertia) > 1, inertia, decomposition, frob, a_p, b_p
+    return PrimeLocalData(p, len(inertia) > 1, inertia, decomposition, frob, a_p, b_p)
+
+
+def frob_signs(d1: int, d2: int, d3: int, p: int) -> tuple[int, int, int]:
+    """The quadratic characters of Q(sqrt(d1)), Q(sqrt(d2)), Q(sqrt(d3)) at
+    Frob_p: 1 where p splits, -1 where it is inert, 0 where it ramifies."""
+    if p == 2:
+        return tuple(0 if quad_field_disc(d) % 2 == 0 else 1 if d % 8 == 1 else -1
+                     for d in (d1, d2, d3))
+    return tuple(kronecker_symbol(quad_field_disc(d), p) for d in (d1, d2, d3))
+
+
+def sign_facts(signs: tuple[int, int, int]) -> tuple[int, list[tuple[int, int, int]]]:
+    """|D|/|I| and the `char_facts` of 1, chi1, chi2, chi1chi2 at a prime of
+    these Frobenius signs (see the module docstring), chi(Frob) exact where
+    dim chi^I = 1, the only place the formulas' int cores read it."""
+    signs = (1, *signs)
+    facts = [(int(s != 0), int(s == 1), s) for s in signs]
+    return (4 - signs.count(0)) // signs.count(1), facts
+
+
+def full_decomposition(signs: tuple[int, int, int]) -> bool:
+    """D = V4 at a prime of these Frobenius signs (see the module docstring)."""
+    return 1 not in signs
 
 
 def local_galois(f: FieldData, p: int) -> PrimeLocalData:
-    """The local data of f at the prime p: `local_data` of the Frobenius
-    signs of p in the subfields of d1, d2 and d3."""
+    """The local data of f at the prime p: `local_data` of its `frob_signs`."""
     if p < 2 or not is_prime(p):
         raise InputError(f"{p} is not prime")
-    return local_data(p, (_frob_sign(f.d1, p), _frob_sign(f.d2, p), _frob_sign(f.d3, p)))
+    return local_data(p, frob_signs(*f.subfields, p))
 
 
 def disc_primes(d: int, primes: Iterable[int] | None = None) -> set[int]:
@@ -198,19 +208,14 @@ def ramified_set(f: FieldData) -> list[int]:
     return sorted(disc_primes(f.d1) | disc_primes(f.d2))
 
 
-def euler_pair(chi: GaloisChar, p: int, local: PrimeLocalData) -> tuple[int, int]:
-    """det(1 - p^-1 Frob^-1 | chi^I) as (numerator, denominator): (1, 1)
-    when chi is nontrivial on inertia, else (p - chi(Frob), p)."""
-    return _euler(p, *local.char_facts(chi))
-
-
 def _euler(p: int, dim_i: int, dim_d: int, frob: int):
     return (p - frob, p) if dim_i else (1, 1)
 
 
 def euler_factor(chi: GaloisChar, p: int, local: PrimeLocalData) -> Fraction:
-    """det(1 - p^-1 Frob^-1 | chi^I) as an exact rational."""
-    return Fraction(*euler_pair(chi, p, local))
+    """det(1 - p^-1 Frob^-1 | chi^I) as an exact rational: 1 when chi is
+    nontrivial on inertia, else (p - chi(Frob))/p."""
+    return Fraction(*_euler(p, *local.char_facts(chi)))
 
 
 def frob_det_quotient(chi: GaloisChar, local: PrimeLocalData) -> int:

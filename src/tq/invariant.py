@@ -1,13 +1,13 @@
 """Assembly of the torsion invariant in (Z/4)* for a biquadratic field:
 the simplified global representative (inverse Euler-factor products over
 the ramified set), the per-prime power-of-two terms, and the local classes
-at fully decomposed odd primes; one record per prime and Frobenius signs,
-its local data and the unit mod 4 it contributes (`_record`), whose units
-multiply to the verdict of one field (`_field_unit`), or XOR as int
-bitmasks to a whole row of a sweep, and whose local data the report shows;
-plus the analytic cross-checks (the exact ratio L*(1)/L*(0) squared, its
-numeric verification) and the standalone resolvent quotient check for the
-supported shapes of the completion at 2.
+at fully decomposed odd primes; one unit mod 4 per prime and Frobenius
+signs, read from the signs alone (`_record`), whose units multiply to the
+verdict of one field (`_field_unit`), or XOR as int bitmasks to a whole row
+of a sweep, while a report builds each prime's local data for the exact
+values it shows; plus the analytic cross-checks (the exact ratio
+L*(1)/L*(0) squared, its numeric verification) and the standalone
+resolvent quotient check for the supported shapes of the completion at 2.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .arith import is_prime, is_squarefree, prime_factors
-from .biquadratic import (FieldData, PrimeLocalData, _euler, _frob_det, _frob_sign,
+from .biquadratic import (FieldData, PrimeLocalData, _euler, _frob_det,
                           artin_conductor, euler_factor, field_and_ramified_set,
-                          local_data, local_galois, quad_field_disc)
+                          frob_signs, full_decomposition, local_data, local_galois,
+                          quad_field_disc, sign_facts)
 from .errors import InputError, TqError
 from .grouprings import HOMREP_KEYS, V4_CHARS, GaloisChar
 from .localterms import LatticeExponent, _local_term, local_term_closed_form
@@ -32,23 +33,17 @@ VERDICT_NONZERO = "nonzero"
 VERDICT_INADMISSIBLE = "inadmissible"
 
 
-def delta1_pair(chi: GaloisChar, local: PrimeLocalData) -> tuple[int, int]:
-    """The value at chi of the power-of-two class attached to p,
-    (|D|/|I|)^(-dim chi^D) det(1 - Frob^-1 | chi^I/chi^D), as
-    (numerator, denominator) ints."""
-    return _delta1(local, *local.char_facts(chi))
-
-
-def _delta1(local: PrimeLocalData, dim_i: int, dim_d: int, frob: int):
-    ratio = len(local.decomposition) // len(local.inertia)
+def _delta1(ratio: int, dim_i: int, dim_d: int, frob: int):
     return _frob_det(dim_i, dim_d, frob), ratio ** dim_d
 
 
 def delta1_term(f: FieldData, p: int, local: PrimeLocalData | None = None) -> HomRep:
-    """The power-of-two class attached to p (see `delta1_pair`)."""
-    if local is None:
-        local = local_galois(f, p)
-    return HomRep.from_char_function(lambda chi: Fraction(*delta1_pair(chi, local)))
+    """The power-of-two class attached to p, whose value at chi is
+    (|D|/|I|)^(-dim chi^D) det(1 - Frob^-1 | chi^I/chi^D)."""
+    local = local or local_galois(f, p)
+    ratio = len(local.decomposition) // len(local.inertia)
+    return HomRep.from_char_function(
+        lambda chi: Fraction(*_delta1(ratio, *local.char_facts(chi))))
 
 
 def ts_representative(f: FieldData, s_f: Iterable[int]) -> HomRep:
@@ -164,28 +159,27 @@ class InvariantReport:
         }
 
 
-def _has_local_term(local: PrimeLocalData) -> bool:
+def _has_local_term(p: int, signs: tuple[int, int, int]) -> bool:
     """Local classes enter at the fully decomposed odd primes."""
-    return local.full_decomposition and local.p % 2 == 1
+    return p % 2 == 1 and full_decomposition(signs)
 
 
-def prime_unit(loc: PrimeLocalData,
+def prime_unit(p: int, signs: tuple[int, int, int],
                lat: LatticeExponent = LatticeExponent()) -> int:
-    """The unit 1 or 3 of (Z/4)* that the prime of `loc` contributes to the
-    torsion class: the odd part mod 4 of the product over the characters of
-    the inverse Euler factor, the power-of-two term and, at a fully
-    decomposed odd prime, the inverse local term, from each character's
-    `char_facts`, read once.  It depends on the field only through `loc`."""
-    local_term = _has_local_term(loc)
+    """The unit 1 or 3 of (Z/4)* that a prime p of these Frobenius signs
+    contributes to the torsion class: the odd part mod 4 of the product over
+    the characters' `sign_facts` of the inverse Euler factor, the power-of-two
+    term and, at a fully decomposed odd prime, the inverse local term."""
+    local_term = _has_local_term(p, signs)
+    ratio, facts = sign_facts(signs)
     n = 1
-    for chi in V4_CHARS:
-        dim_i, dim_d, frob = loc.char_facts(chi)
+    for dim_i, dim_d, frob in facts:
         # a unit mod 4 is its own inverse, so numerators and
         # denominators count alike, inverted factors or not
-        n *= math.prod(_euler(loc.p, dim_i, dim_d, frob))
-        n *= math.prod(_delta1(loc, dim_i, dim_d, frob))
+        n *= math.prod(_euler(p, dim_i, dim_d, frob))
+        n *= math.prod(_delta1(ratio, dim_i, dim_d, frob))
         if local_term:
-            n *= math.prod(_local_term(loc.p, lat, dim_i, dim_d, frob))
+            n *= math.prod(_local_term(p, lat, dim_i, dim_d, frob))
     return odd_unit(n)
 
 
@@ -216,24 +210,21 @@ def omega_loc_torsion(d1: int, d2: int,
                       allow_imaginary: bool = False) -> InvariantReport:
     """Full pipeline: field data, the `_prime` records over the ramified
     set (plus any extra odd primes), the torsion class from `_field_unit`
-    with its verdict, and the exact values behind it from each record's
-    local data: the simplified global representative, the power-of-two
-    terms and the local classes at fully decomposed odd primes."""
+    with its verdict, and the exact values behind it from each prime's local
+    data: the simplified global representative, the power-of-two terms and
+    the local classes at fully decomposed odd primes."""
     f, ramified = field_and_ramified_set(d1, d2, allow_imaginary=allow_imaginary)
     s_f = _s_set(ramified, s_extra)
     units = {}
     unit = _field_unit(*f.subfields, s_f, lat, units)
-    # `units` was made for this field: it holds the record of 2 and, on an
-    # admissible field, of every prime of S; an inadmissible report shows
-    # the local data of the other primes alone, with no unit
-    records = {p: record for (p, _), record in units.items()}
+    # the keys (p, signs) of `units`: 2 and, if admissible, every prime of S
+    known = dict(units.keys())
     per_prime = {}
     for p in s_f:
-        record = records.get(p)
-        loc = record[0] if record else local_data(p, _signs(*f.subfields, p))
-        term = None
-        if unit is not None and _has_local_term(loc):
-            term = local_term_closed_form(p, loc, lat)
+        signs = known.get(p) or frob_signs(*f.subfields, p)
+        loc = local_data(p, signs)
+        term = (local_term_closed_form(p, loc, lat)
+                if unit is not None and _has_local_term(p, signs) else None)
         per_prime[p] = PrimeReport(loc, delta1_term(f, p, loc),
                                    tuple(euler_factor(chi, p, loc) for chi in V4_CHARS),
                                    term)
@@ -317,41 +308,34 @@ def squarefree_pairs(dmax: int):
 
 
 def _record(key: tuple[int, tuple[int, int, int]], lat: LatticeExponent,
-            units: dict) -> tuple[PrimeLocalData, int]:
-    """The record `(local_data(*key), its prime_unit)` of a prime under key =
-    (p, its Frobenius signs in the three quadratic subfields), read from
-    `units` and filled on a miss: one dict serves a sweep under one `lat`."""
-    record = units.get(key)
-    if record is None:
-        loc = local_data(*key)
-        record = units[key] = (loc, prime_unit(loc, lat))
-    return record
-
-
-def _signs(d1: int, d2: int, d3: int, p: int) -> tuple[int, int, int]:
-    """The `_frob_sign`s of p in d1, d2 and d3."""
-    return _frob_sign(d1, p), _frob_sign(d2, p), _frob_sign(d3, p)
+            units: dict) -> int:
+    """The `prime_unit` of a prime under key = (p, its Frobenius signs in
+    the three quadratic subfields), read from `units` and filled on a miss:
+    one dict serves a sweep under one `lat`."""
+    unit = units.get(key)
+    if unit is None:
+        unit = units[key] = prime_unit(*key, lat)
+    return unit
 
 
 def _prime(d1: int, d2: int, d3: int, p: int, lat: LatticeExponent,
-           units: dict) -> tuple[PrimeLocalData, int]:
-    """The `_record` of p under its `_signs`."""
-    return _record((p, _signs(d1, d2, d3, p)), lat, units)
+           units: dict) -> tuple[tuple[int, int, int], int]:
+    """The `frob_signs` of p and the `_record` under them."""
+    signs = frob_signs(d1, d2, d3, p)
+    return signs, _record((p, signs), lat, units)
 
 
 def _field_unit(d1: int, d2: int, d3: int, s: Iterable[int], lat: LatticeExponent,
                 units: dict) -> int | None:
     """The torsion class, 1 or 3 in (Z/4)*, of the field with subfields d1,
-    d2, d3 over the primes `s` of S (None when the record at 2, read even
-    when 2 is not in S, has the full decomposition group): the product of
+    d2, d3 over the primes `s` of S (None when the signs of 2, read even
+    when 2 is not in S, give the full decomposition group): the product of
     the units of their `_prime` records in `units`."""
-    at_2 = _prime(d1, d2, d3, 2, lat, units)
-    if at_2[0].full_decomposition:
+    signs, at_2 = _prime(d1, d2, d3, 2, lat, units)
+    if full_decomposition(signs):
         return None
-    unit = 1
-    for p in s:
-        unit = unit * (at_2 if p == 2 else _prime(d1, d2, d3, p, lat, units))[1] % 4
-    return unit
+    return math.prod(at_2 if p == 2 else _prime(d1, d2, d3, p, lat, units)[1]
+                     for p in s) % 4
 
 
 def field_verdict(d1: int, d2: int, s_extra: Iterable[int] | None = None,
@@ -372,10 +356,11 @@ def sweep(dmax: int, s_extra: Iterable[int] | None = None,
     and so their `_record`: at 2 a class is the parity of d and its odd
     part mod 8, its record read once per pair of classes (`two`); at an odd
     p whether p | d and the Legendre symbol of d, or of d/p when p | d, by
-    Euler's criterion.  The records at 2 mark the admissible d1 (`adm`);
-    XORing into `flip` each class in S whose unit is 3, read only when it
-    meets `adm`, multiplies the units.  Nonzero torsion is collected for
-    prominent reporting: it means the predicted universal vanishing fails."""
+    Euler's criterion.  The signs at 2 mark the admissible d1 (`adm`);
+    XORing into `flip` each class in S whose unit is 3 (at odd p, read only
+    when it meets `adm`) multiplies the units.  Nonzero torsion, `flip & adm`,
+    is collected for prominent reporting: it means the predicted universal
+    vanishing fails."""
     if dmax < 3:
         raise InputError("dmax must be at least 3")
     extra = _extra_primes(s_extra)
@@ -398,17 +383,18 @@ def sweep(dmax: int, s_extra: Iterable[int] | None = None,
         c2, adm, flip = d2 % 8 if d2 % 2 else d2 % 16, 0, 0
         for c1, (d1, m) in at2.items():
             if (c1, c2) not in two:
-                two[c1, c2] = _prime(d1, d2, d1 * d2 // math.gcd(d1, d2) ** 2, 2, lat, units)
-            loc, unit = two[c1, c2]
-            if not loc.full_decomposition:
-                adm |= m
-                flip ^= m if loc.in_s and unit == 3 else 0
+                signs, unit = _prime(d1, d2, d1 * d2 // math.gcd(d1, d2) ** 2, 2, lat, units)
+                # admissible, and 2 in S (some sign 0) with unit 3
+                two[c1, c2] = not full_decomposition(signs), 0 in signs and unit == 3
+            admissible, flips = two[c1, c2]
+            adm |= m if admissible else 0
+            flip ^= m if flips else 0
         at2.setdefault(c2, [d2, 0])[1] |= 1 << j
         for p in odd:
             divp, negp, div2 = div.get(p, 0), neg[p], d2 % p == 0
             b = -1 if negp >> j & 1 else 1
             if not (div2 or p in extra):  # p in S only where p | d1
-                if divp & adm and _record((p, (0, b, 0)), lat, units)[1] == 3:
+                if divp & adm and _record((p, (0, b, 0)), lat, units) == 3:
                     flip ^= divp
                 continue
             for div1, a in ((True, 1), (True, -1), (False, 1), (False, -1)):
@@ -416,7 +402,7 @@ def sweep(dmax: int, s_extra: Iterable[int] | None = None,
                 if m:
                     signs = (0 if div1 else a, 0 if div2 else b,
                              a * b if div1 == div2 else 0)
-                    if _record((p, signs), lat, units)[1] == 3:
+                    if _record((p, signs), lat, units) == 3:
                         flip ^= m
         nonzero = flip & adm
         summary.counts[VERDICT_VANISHES] += adm.bit_count() - nonzero.bit_count()

@@ -179,19 +179,6 @@ def _require_full_decomposition(p, local) -> None:
             f"|I| = {len(local.inertia)})")
 
 
-def local_term_pair(chi: GaloisChar, p: int, local,
-                    lat: LatticeExponent) -> tuple[int, int]:
-    """The value at chi of the closed formula for the local class at a fully
-    decomposed odd prime, as (numerator, denominator) ints:
-
-        eps(chi) * (|G|/|I|)^(-dim chi^D) * det(1 - Frob^-1 | chi^I/chi^D)
-        / ( p^(1 +- m dim chi^I) * det(1 - p^-1 Frob^-1 | chi^I) )
-
-    with eps(chi) = (-1)^(dim(chi^I/chi^D)) and |G|/|I| = 2.
-    """
-    return _local_term(p, lat, *local.char_facts(chi))
-
-
 def _local_term(p: int, lat: LatticeExponent, dim_i: int, dim_d: int, frob: int):
     eps = -1 if dim_i - dim_d else 1
     e_num, e_den = _euler(p, dim_i, dim_d, frob)
@@ -203,10 +190,16 @@ def _local_term(p: int, lat: LatticeExponent, dim_i: int, dim_d: int, frob: int)
 
 def local_term_closed_form(p: int, local, lat: LatticeExponent) -> HomRep:
     """The local class at a fully decomposed odd prime by the closed
-    formula of `local_term_pair`."""
+    formula, whose value at chi is
+
+        eps(chi) * (|G|/|I|)^(-dim chi^D) * det(1 - Frob^-1 | chi^I/chi^D)
+        / ( p^(1 +- m dim chi^I) * det(1 - p^-1 Frob^-1 | chi^I) )
+
+    with eps(chi) = (-1)^(dim(chi^I/chi^D)) and |G|/|I| = 2.
+    """
     _require_full_decomposition(p, local)
     return HomRep.from_char_function(
-        lambda chi: Fraction(*local_term_pair(chi, p, local, lat)))
+        lambda chi: Fraction(*_local_term(p, lat, *local.char_facts(chi))))
 
 
 def local_term_via_complex(p: int, local, lat: LatticeExponent) -> HomRep:

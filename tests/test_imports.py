@@ -31,3 +31,25 @@ def test_no_unused_imports():
             if rel not in EXEMPT:
                 found += [f"{rel}: {name}" for name in unused_imports(path.read_text())]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_traced_names_exist(monkeypatch):
+    """Every function and method that the benchmark's span tracer wraps
+    (`TRACED` in perfbench/spans.py, loaded from its file without running
+    the benchmark or writing its bytecode) still resolves in `tq`."""
+    import importlib
+    import importlib.util
+    import sys
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for name in spans.TRACED:
+        module, *path = name.split(".")
+        obj = importlib.import_module(f"tq.{module}")
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(name)
+    assert spans.TRACED and not missing, f"traced names missing from tq: {missing}"

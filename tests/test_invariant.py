@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from tq.arith import is_squarefree
-from tq.biquadratic import field_data, local_galois, ramified_set
+from tq.arith import is_prime, is_squarefree
+from tq.biquadratic import (euler_factor, field_and_ramified_set, field_data,
+                            frob_signs, full_decomposition, local_data,
+                            local_galois, ramified_set, sign_facts)
 from tq.invariant import (VERDICT_INADMISSIBLE, VERDICT_NONZERO,
                                VERDICT_VANISHES, delta1_term, field_verdict,
                                leading_ratio_check, leading_ratio_exact,
@@ -287,10 +289,64 @@ def test_prime_units_match_fraction_reports():
                     total *= pr.euler[k] * pr.delta1.value(chi)
                     if pr.local_term is not None:
                         total *= pr.local_term.value(chi)
-                assert prime_unit(pr.local, lat) == odd_part_mod4(total).unit, \
+                signs = frob_signs(*report.field.subfields, p)
+                assert prime_unit(p, signs, lat) == odd_part_mod4(total).unit, \
                     (d1, d2, p, lat, extra)
                 n_primes += 1
         assert n_primes == expected, (lat, extra)
+
+
+# the Frobenius sign triples of the primes p <= 400 over the pairs of
+# squarefree |d| <= 60, imaginary fields included: every triple a prime
+# can have, (0, 0, 0) only at 2
+SIGN_TRIPLES = [(-1, -1, 1), (-1, 0, 0), (-1, 1, -1), (0, -1, 0), (0, 0, -1),
+                (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, -1, -1), (1, 0, 0), (1, 1, 1)]
+
+
+def test_sign_rules_match_local_data_and_fraction_units():
+    """The sign rules of `sign_facts` and `full_decomposition` agree with the
+    kernel intersections of `local_data` on every sign triple, wherever the
+    int cores read them (chi(Frob) only where dim chi^I = 1), and the unit
+    `prime_unit` reads from the signs alone is the odd part mod 4 of the
+    exact Euler, power-of-two and local terms, at a few primes of each
+    triple and under every lattice with m <= 3."""
+    ds = [d for d in range(-60, 61) if d not in (0, 1) and is_squarefree(abs(d))]
+    primes = [p for p in range(2, 401) if is_prime(p)]
+    found = {}  # signs -> {p: a field where p has these signs}
+    for i, d2 in enumerate(ds):
+        for d1 in ds[:i]:
+            try:
+                f, _ = field_and_ramified_set(d1, d2, allow_imaginary=True)
+            except InputError:
+                continue
+            for p in primes:
+                found.setdefault(frob_signs(*f.subfields, p), {}).setdefault(p, f)
+    assert sorted(found) == SIGN_TRIPLES
+    lats = [LatticeExponent(m, sign) for m in (1, 2, 3) for sign in (1, -1)]
+    for signs, fields in found.items():
+        ratio, facts = sign_facts(signs)
+        assert facts == [(int(s != 0), int(s == 1), s) for s in (1, *signs)]
+        for p in sorted(fields)[:2] + sorted(fields)[-1:]:
+            loc = local_data(p, signs)
+            assert loc == local_galois(fields[p], p)
+            assert ratio == len(loc.decomposition) // len(loc.inertia), signs
+            assert full_decomposition(signs) == loc.full_decomposition, signs
+            assert (0 in signs) == loc.in_s, signs
+            for chi, (dim_i, dim_d, frob) in zip(V4_CHARS, facts):
+                got = loc.char_facts(chi)
+                assert got[:2] == (dim_i, dim_d), (signs, chi.label)
+                assert got[2] == frob or not dim_i, (signs, chi.label)
+            delta1 = delta1_term(fields[p], p, loc)
+            for lat in lats:
+                term = (local_term_closed_form(p, loc, lat)
+                        if p % 2 and loc.full_decomposition else None)
+                total = Fraction(1)
+                for chi in V4_CHARS:
+                    total *= euler_factor(chi, p, loc) * delta1.value(chi)
+                    if term is not None:
+                        total *= term.value(chi)
+                assert prime_unit(p, signs, lat) == odd_part_mod4(total).unit, \
+                    (signs, p, lat)
 
 
 def test_report_local_data_matches_local_galois():
@@ -306,12 +362,13 @@ def test_report_local_data_matches_local_galois():
 
 
 @pytest.mark.parametrize("extra, local_data_calls, is_prime_calls",
-                         [(None, 7, 0), ([3, 7], 8, 2)])
+                         [(None, 6, 0), ([3, 7], 7, 2)])
 def test_report_makes_each_prime_record_once(monkeypatch, extra,
                                               local_data_calls, is_prime_calls):
-    """One report makes one `local_data` per prime of S plus one at 2 for
-    admissibility, and runs `is_prime` only on the extra primes: the primes
-    from factoring d1 and d2 are not checked again."""
+    """One report makes one `local_data` per prime of S, none at 2 when 2
+    is not in S (admissibility is read from the signs of 2), and runs
+    `is_prime` only on the extra primes: the primes from factoring d1 and
+    d2 are not checked again."""
     import tq.biquadratic
     import tq.invariant
     calls = {"local_data": 0, "is_prime": 0}
@@ -324,7 +381,7 @@ def test_report_makes_each_prime_record_once(monkeypatch, extra,
         for module in (tq.biquadratic, tq.invariant):
             monkeypatch.setattr(module, name, counted)
     report = omega_loc_torsion(10005, 10065, s_extra=extra)
-    assert len(report.s_f) + (2 not in report.s_f) == local_data_calls
+    assert 2 not in report.s_f and len(report.s_f) == local_data_calls
     assert calls == {"local_data": local_data_calls, "is_prime": is_prime_calls}
 
 
@@ -355,9 +412,9 @@ def test_inadmissible_report_makes_only_the_unit_at_2(monkeypatch):
     primes = []
     orig = tq.invariant.prime_unit
 
-    def counted(loc, *args):
-        primes.append(loc.p)
-        return orig(loc, *args)
+    def counted(p, *args):
+        primes.append(p)
+        return orig(p, *args)
     monkeypatch.setattr(tq.invariant, "prime_unit", counted)
     inadmissible = 0
     for d1, d2 in squarefree_pairs(100):
@@ -373,12 +430,12 @@ def test_report_takes_each_primes_signs_once(monkeypatch):
     and of 2, once: the report reads the records `_field_unit` made."""
     import tq.invariant
     primes = []
-    orig = tq.invariant._signs
+    orig = tq.invariant.frob_signs
 
     def counted(d1, d2, d3, p):
         primes.append(p)
         return orig(d1, d2, d3, p)
-    monkeypatch.setattr(tq.invariant, "_signs", counted)
+    monkeypatch.setattr(tq.invariant, "frob_signs", counted)
     cases = [(d1, d2, None) for d1, d2 in squarefree_pairs(60)] + [(5, 13, [3, 7])]
     for d1, d2, extra in cases:
         del primes[:]
@@ -502,32 +559,29 @@ def test_sweep_makes_no_kronecker_symbol_call(monkeypatch):
     assert len(calls) == 6
 
 
-def test_sweep_100_derives_group_data_once_per_sign_triple():
-    """The 117 records of `sweep(100)` fall under 11 sign triples, and the
-    group data of each triple is derived once: 11 derivations, the other
-    106 `local_data` calls read them."""
-    from tq.biquadratic import _group_data
-    _group_data.cache_clear()
-    sweep(100)
-    info = _group_data.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (11, 106, 11)
-
-
-def test_importing_tq_derives_no_group_data():
-    """The group data cache starts empty in a new process that has
-    imported `tq` and `tq.cli`: it is filled on use, not at import."""
-    import os
-    import subprocess
+def test_verdicts_build_no_local_data(monkeypatch):
+    """`sweep` and `field_verdict` read each prime's unit from its Frobenius
+    signs alone: with and without extra primes they make no `local_data`
+    call, where a report makes one per prime of S."""
     import sys
-    from pathlib import Path
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import tq, tq.cli; from tq.biquadratic import _group_data; "
-            "print(_group_data.cache_info().currsize)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=60, env=env)
-    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+    import tq.biquadratic
+    calls = []
+    orig = tq.biquadratic.local_data
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tq" and hasattr(module, "local_data"):
+            monkeypatch.setattr(module, "local_data", counted)
+    sweep(100)
+    sweep(60, s_extra=[5, 101])
+    for d1, d2 in [(5, 13), (3, 11), (10005, 10065), (2, 3)]:
+        field_verdict(d1, d2)
+        field_verdict(d1, d2, [3, 7])
+    assert calls == []
+    omega_loc_torsion(5, 13)
+    assert [p for p, _ in calls] == [5, 13]
 
 
 def test_imaginary_field_is_flagged():
