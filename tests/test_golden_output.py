@@ -43,6 +43,9 @@ COMMANDS = {
     "compute-2-5-extras": ["compute", "--d1", "2", "--d2", "5", "--extra-s", "3,7",
                            "--json"],
     "compute-10005-10065": ["compute", "--d1", "10005", "--d2", "10065", "--json"],
+    "compute-21-33-every-sign-branch": ["compute", "--d1", "21", "--d2", "33",
+                                        "--extra-s", "5", "--m", "3", "--sign",
+                                        "minus", "--json"],
     "sweep-60": ["sweep", "--max", "60", "--json"],
     "sweep-200": ["sweep", "--max", "200", "--json"],
     "selftest": ["selftest"],
