@@ -12,7 +12,7 @@ term, itself split into eps(chi) = (-1)^dim(chi^I/chi^D) and the rest.
 Each part is the odd part mod 4 of the product over the four characters of
 its exact values (that of a reduced fraction is that of the numerator and
 denominator `invariant.prime_unit` multiplies unreduced), and the parts
-multiply back to the field's unit from `invariant._field_unit`.  It
+multiply back to the field's unit from `invariant.field_verdict`.  It
 then lists the supported 2-ramified fields whose resolvent quotient check
 fails, with the odd part of the square root of the conductor product.
 """
@@ -23,8 +23,8 @@ from collections import Counter
 from tq.biquadratic import (artin_conductor, euler_factor, field_data,
                             local_galois, ramified_set)
 from tq.grouprings import V4_CHARS
-from tq.invariant import (_field_unit, delta1_term, omega_loc_torsion,
-                          squarefree_pairs)
+from tq.invariant import (VERDICT_INADMISSIBLE, VERDICT_NONZERO, delta1_term,
+                          field_verdict, omega_loc_torsion, squarefree_pairs)
 from tq.localterms import LatticeExponent, local_term_closed_form
 from tq.relk0 import odd_part_mod4
 
@@ -47,11 +47,12 @@ def main() -> None:
     for d1, d2 in squarefree_pairs(DMAX):
         f = field_data(d1, d2)
         s_f = ramified_set(f)
-        unit = _field_unit(*f.subfields, s_f, LAT, {})
-        if unit is None:
+        verdict = field_verdict(d1, d2, lat=LAT)
+        if verdict == VERDICT_INADMISSIBLE:
             fields["inadmissible"] += 1
             continue
         fields["admissible"] += 1
+        unit = 3 if verdict == VERDICT_NONZERO else 1
         fields["nonzero"] += unit == 3
         product = 1
         n_full = 0

@@ -19,7 +19,7 @@ from .errors import (ContractViolationError, InputError, TqError,
 from .grouprings import (GaloisChar, GroupElement, GroupRingElem,
                          GroupRingMatrix, HOMREP_KEYS, V4_A, V4_AB, V4_B,
                          V4_CHARS, V4_E, apply_char, apply_char_matrix,
-                         char_by_label, group_elements, idempotent)
+                         group_elements, idempotent)
 from .localterms import (LatticeExponent, TameComplexSpec, build_tame_complex,
                          local_term_closed_form, local_term_via_complex,
                          residue_class, valuation_iso, verify_residue_resolution)

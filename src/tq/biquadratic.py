@@ -165,11 +165,17 @@ def local_data(p: int, signs: tuple[int, int, int]) -> PrimeLocalData:
 
 def frob_signs(d1: int, d2: int, d3: int, p: int) -> tuple[int, int, int]:
     """The quadratic characters of Q(sqrt(d1)), Q(sqrt(d2)), Q(sqrt(d3)) at
-    Frob_p: 1 where p splits, -1 where it is inert, 0 where it ramifies."""
+    Frob_p: 1 where p splits, -1 where it is inert, 0 where it ramifies.
+    An odd p ramifies where it divides d; where it divides neither d1 nor
+    d2, chi_{d3}(p) = chi_{d1}(p) chi_{d2}(p), as d3 = d1 d2 / gcd^2."""
     if p == 2:
         return tuple(0 if quad_field_disc(d) % 2 == 0 else 1 if d % 8 == 1 else -1
                      for d in (d1, d2, d3))
-    return tuple(kronecker_symbol(quad_field_disc(d), p) for d in (d1, d2, d3))
+    s1, s2 = (0 if d % p == 0 else kronecker_symbol(quad_field_disc(d), p)
+              for d in (d1, d2))
+    if s1 and s2:
+        return s1, s2, s1 * s2
+    return s1, s2, 0 if d3 % p == 0 else kronecker_symbol(quad_field_disc(d3), p)
 
 
 def sign_facts(signs: tuple[int, int, int]) -> tuple[int, list[tuple[int, int, int]]]:

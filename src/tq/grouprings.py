@@ -96,13 +96,6 @@ V4_CHARS = (
 )
 
 
-def char_by_label(label: str) -> GaloisChar:
-    for chi in V4_CHARS:
-        if chi.label == label:
-            return chi
-    raise UnsupportedGroupError(f"unknown character label {label!r}")
-
-
 class GroupRingElem:
     """A finitely supported rational combination of group elements.
     Immutable after construction; zero coefficients are dropped."""

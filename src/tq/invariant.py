@@ -1,13 +1,15 @@
 """Assembly of the torsion invariant in (Z/4)* for a biquadratic field:
 the simplified global representative (inverse Euler-factor products over
 the ramified set), the per-prime power-of-two terms, and the local classes
-at fully decomposed odd primes; one unit mod 4 per prime and Frobenius
-signs, read from the signs alone (`_record`), whose units multiply to the
-verdict of one field (`_field_unit`), or XOR as int bitmasks to a whole row
-of a sweep, while a report builds each prime's local data for the exact
-values it shows; plus the analytic cross-checks (the exact ratio
-L*(1)/L*(0) squared, its numeric verification) and the standalone
-resolvent quotient check for the supported shapes of the completion at 2.
+at fully decomposed odd primes.  All of them are read, per prime and
+character, as int (numerator, denominator) pairs from the prime's
+Frobenius signs alone (`prime_parts`).  The odd part mod 4 of their product
+is the prime's unit (`prime_unit`); the units multiply to the verdict of
+one field (`_field_unit`), or XOR as int bitmasks to a whole row of a sweep
+(`_record`), and a report makes one `Fraction` of each pair it shows.  Plus
+the analytic cross-checks (the exact ratio L*(1)/L*(0) squared, its numeric
+verification) and the standalone resolvent quotient check for the
+supported shapes of the completion at 2.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .biquadratic import (FieldData, PrimeLocalData, _euler, _frob_det,
                           quad_field_disc, sign_facts)
 from .errors import InputError, TqError
 from .grouprings import HOMREP_KEYS, V4_CHARS, GaloisChar
-from .localterms import LatticeExponent, _local_term, local_term_closed_form
+from .localterms import LatticeExponent, _local_term
 from .lseries import l_one_logsin, l_prime_zero_lgamma
 from .relk0 import HomRep, TorsionClass, odd_part_mod4, odd_unit
 
@@ -140,17 +142,16 @@ class InvariantReport:
     note: str | None = None
 
     def to_json_dict(self) -> dict:
+        # each prime's delta1 and local term dicts, made once, appear twice
+        per_prime = {str(p): r.to_json_dict() for p, r in sorted(self.per_prime.items())}
         return {
             "field": self.field.to_json_dict(),
             "s_f": list(self.s_f),
-            "per_prime": {str(p): r.to_json_dict()
-                          for p, r in sorted(self.per_prime.items())},
+            "per_prime": per_prime,
             "ts_rep": self.ts_rep.to_json_dict() if self.ts_rep else None,
-            "delta1": {str(p): r.delta1.to_json_dict()
-                       for p, r in sorted(self.per_prime.items())},
-            "local_terms": {str(p): r.local_term.to_json_dict()
-                            for p, r in sorted(self.per_prime.items())
-                            if r.local_term is not None},
+            "delta1": {p: r["delta1"] for p, r in per_prime.items()},
+            "local_terms": {p: r["local_term"] for p, r in per_prime.items()
+                            if r["local_term"] is not None},
             "resolvent_check": (self.resolvent_check.to_json_dict()
                                 if self.resolvent_check else None),
             "torsion": self.torsion.unit if self.torsion else None,
@@ -164,23 +165,55 @@ def _has_local_term(p: int, signs: tuple[int, int, int]) -> bool:
     return p % 2 == 1 and full_decomposition(signs)
 
 
+Pair = tuple[int, int]
+
+
+def prime_parts(p: int, signs: tuple[int, int, int], lat: LatticeExponent
+                ) -> list[tuple[Pair, Pair, Pair | None]]:
+    """Per character 1, chi1, chi2, chi1chi2, the (numerator, denominator)
+    pairs of the Euler factor, the power-of-two term and, at a fully
+    decomposed odd prime, the local term (else None), at a prime p of these
+    Frobenius signs: the int cores of `euler_factor`, `delta1_term` and
+    `local_term_closed_form` on the characters' `sign_facts`."""
+    local_term = _has_local_term(p, signs)
+    ratio, facts = sign_facts(signs)
+    return [(_euler(p, dim_i, dim_d, frob), _delta1(ratio, dim_i, dim_d, frob),
+             _local_term(p, lat, dim_i, dim_d, frob) if local_term else None)
+            for dim_i, dim_d, frob in facts]
+
+
+def _parts_unit(parts: list[tuple[Pair, Pair, Pair | None]]) -> int:
+    n = 1
+    for (e_num, e_den), (d_num, d_den), local in parts:
+        # a unit mod 4 is its own inverse, so numerators and
+        # denominators count alike, inverted factors or not
+        n *= e_num * e_den * d_num * d_den
+        if local:
+            n *= local[0] * local[1]
+    return odd_unit(n)
+
+
 def prime_unit(p: int, signs: tuple[int, int, int],
                lat: LatticeExponent = LatticeExponent()) -> int:
     """The unit 1 or 3 of (Z/4)* that a prime p of these Frobenius signs
-    contributes to the torsion class: the odd part mod 4 of the product over
-    the characters' `sign_facts` of the inverse Euler factor, the power-of-two
-    term and, at a fully decomposed odd prime, the inverse local term."""
-    local_term = _has_local_term(p, signs)
-    ratio, facts = sign_facts(signs)
-    n = 1
-    for dim_i, dim_d, frob in facts:
-        # a unit mod 4 is its own inverse, so numerators and
-        # denominators count alike, inverted factors or not
-        n *= math.prod(_euler(p, dim_i, dim_d, frob))
-        n *= math.prod(_delta1(ratio, dim_i, dim_d, frob))
-        if local_term:
-            n *= math.prod(_local_term(p, lat, dim_i, dim_d, frob))
-    return odd_unit(n)
+    contributes to the torsion class: the odd part mod 4 of the product of
+    its `prime_parts`, that is of the inverse Euler factors, the
+    power-of-two terms and, at a fully decomposed odd prime, the inverse
+    local terms."""
+    return _parts_unit(prime_parts(p, signs, lat))
+
+
+def _prime_report(p: int, signs: tuple[int, int, int],
+                  parts: list[tuple[Pair, Pair, Pair | None]],
+                  admissible: bool) -> PrimeReport:
+    """The report of p from its `prime_parts`, one `Fraction` per value,
+    and its `local_data`; the local term only in an admissible field."""
+    euler, delta1, local = zip(*parts)
+    return PrimeReport(local_data(p, signs),
+                       HomRep([Fraction(n, d) for n, d in delta1]),
+                       tuple([Fraction(n, d) for n, d in euler]),
+                       HomRep([Fraction(n, d) for n, d in local])
+                       if admissible and local[0] else None)
 
 
 def _verdict(unit: int | None) -> str:
@@ -208,26 +241,22 @@ def omega_loc_torsion(d1: int, d2: int,
                       s_extra: Iterable[int] | None = None,
                       lat: LatticeExponent = LatticeExponent(),
                       allow_imaginary: bool = False) -> InvariantReport:
-    """Full pipeline: field data, the `_prime` records over the ramified
-    set (plus any extra odd primes), the torsion class from `_field_unit`
-    with its verdict, and the exact values behind it from each prime's local
-    data: the simplified global representative, the power-of-two terms and
-    the local classes at fully decomposed odd primes."""
+    """Full pipeline: field data; the Frobenius signs of 2 and of each
+    prime of S, the ramified set plus any extra odd primes; each prime's
+    `prime_parts`, read once for both its unit and its report; the torsion
+    class, the `_field_unit` of those units, with its verdict; and the exact
+    values behind it, one `Fraction` per value shown: per prime its local
+    data, Euler factors, power-of-two terms and, at the fully decomposed odd
+    primes of an admissible field, local class, and the simplified global
+    representative."""
     f, ramified = field_and_ramified_set(d1, d2, allow_imaginary=allow_imaginary)
     s_f = _s_set(ramified, s_extra)
-    units = {}
-    unit = _field_unit(*f.subfields, s_f, lat, units)
-    # the keys (p, signs) of `units`: 2 and, if admissible, every prime of S
-    known = dict(units.keys())
-    per_prime = {}
-    for p in s_f:
-        signs = known.get(p) or frob_signs(*f.subfields, p)
-        loc = local_data(p, signs)
-        term = (local_term_closed_form(p, loc, lat)
-                if unit is not None and _has_local_term(p, signs) else None)
-        per_prime[p] = PrimeReport(loc, delta1_term(f, p, loc),
-                                   tuple(euler_factor(chi, p, loc) for chi in V4_CHARS),
-                                   term)
+    at_2 = frob_signs(*f.subfields, 2)
+    parts = {p: (signs, prime_parts(p, signs, lat))
+             for p, signs in _s_signs(*f.subfields, s_f, at_2)}
+    unit = _field_unit(at_2, (_parts_unit(pp) for _, pp in parts.values()))
+    per_prime = {p: _prime_report(p, signs, pp, unit is not None)
+                 for p, (signs, pp) in parts.items()}
 
     note = None if f.totally_real else "outside the totally real default"
     if unit is None:
@@ -236,8 +265,11 @@ def omega_loc_torsion(d1: int, d2: int,
                                note="decomposition group at 2 is everything"
                                     + (f"; {note}" if note else ""))
 
-    # the global representative from the Euler factors already computed
-    ts_rep = HomRep(map(math.prod, zip(*(r.euler for r in per_prime.values())))).inverse()
+    # the global representative, per character the inverse of the product
+    # of the Euler factors over S, from the fractions already made
+    ts_rep = HomRep([Fraction(math.prod([e.denominator for e in col]),
+                              math.prod([e.numerator for e in col]))
+                     for col in zip(*(r.euler for r in per_prime.values()))])
     return InvariantReport(f, s_f, per_prime, ts_rep, resolvent_factor_check(f),
                            TorsionClass(unit), _verdict(unit), note)
 
@@ -325,27 +357,32 @@ def _prime(d1: int, d2: int, d3: int, p: int, lat: LatticeExponent,
     return signs, _record((p, signs), lat, units)
 
 
-def _field_unit(d1: int, d2: int, d3: int, s: Iterable[int], lat: LatticeExponent,
-                units: dict) -> int | None:
-    """The torsion class, 1 or 3 in (Z/4)*, of the field with subfields d1,
-    d2, d3 over the primes `s` of S (None when the signs of 2, read even
-    when 2 is not in S, give the full decomposition group): the product of
-    the units of their `_prime` records in `units`."""
-    signs, at_2 = _prime(d1, d2, d3, 2, lat, units)
-    if full_decomposition(signs):
+def _s_signs(d1: int, d2: int, d3: int, s: Iterable[int],
+             at_2: tuple[int, int, int]):
+    """(p, the `frob_signs` of p) for each prime p of `s`, read as reached,
+    those of 2 being `at_2`."""
+    return ((p, at_2 if p == 2 else frob_signs(d1, d2, d3, p)) for p in s)
+
+
+def _field_unit(at_2: tuple[int, int, int], units: Iterable[int]) -> int | None:
+    """The torsion class, 1 or 3 in (Z/4)*, of a field whose primes of S
+    have these units: their product, or None, with `units` not consumed,
+    when the signs of 2 (read even when 2 is not in S) give the full
+    decomposition group."""
+    if full_decomposition(at_2):
         return None
-    return math.prod(at_2 if p == 2 else _prime(d1, d2, d3, p, lat, units)[1]
-                     for p in s) % 4
+    return math.prod(units) % 4
 
 
 def field_verdict(d1: int, d2: int, s_extra: Iterable[int] | None = None,
                   lat: LatticeExponent = LatticeExponent()) -> str:
     """The verdict of `omega_loc_torsion` for the real field
-    Q(sqrt(d1), sqrt(d2)), checked by `field_and_ramified_set`: its
-    `_field_unit` over S from a dict made for this call alone, with no
-    report."""
+    Q(sqrt(d1), sqrt(d2)), checked by `field_and_ramified_set`: the
+    `_field_unit` of its `prime_unit`s over S, with no report."""
     f, ramified = field_and_ramified_set(d1, d2)
-    return _verdict(_field_unit(*f.subfields, _s_set(ramified, s_extra), lat, {}))
+    at_2 = frob_signs(*f.subfields, 2)
+    s_signs = _s_signs(*f.subfields, _s_set(ramified, s_extra), at_2)
+    return _verdict(_field_unit(at_2, (prime_unit(p, signs, lat) for p, signs in s_signs)))
 
 
 def sweep(dmax: int, s_extra: Iterable[int] | None = None,

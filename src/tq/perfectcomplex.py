@@ -288,9 +288,6 @@ def class_representative(p: PerfectComplex, iso: CohomologyIso,
                          rng: random.Random | None = None) -> HomRep:
     """The Hom-description representative of the class of (p, iso): the
     per-character torsion determinant."""
-    values = {}
-    for chi in V4_CHARS:
-        comp = iso.components[chi.label]
-        spec = char_specialize(p, chi)
-        values[chi.label] = torsion_determinant(spec, comp, rng)
-    return HomRep(values)
+    return HomRep(torsion_determinant(char_specialize(p, chi),
+                                      iso.components[chi.label], rng)
+                  for chi in V4_CHARS)

@@ -93,13 +93,12 @@ class HomRep:
 
     __slots__ = ("_values",)
 
-    def __init__(self, values: Mapping[str, Rational] | Iterable[Rational]):
-        if isinstance(values, Mapping):
-            vals = tuple(Fraction(values[k]) for k in HOMREP_KEYS)
-        else:
-            vals = tuple(Fraction(v) for v in values)
-            if len(vals) != 4:
-                raise InputError("a HomRep needs exactly four values")
+    def __init__(self, values: Iterable[Rational]):
+        """`values` in the order of HOMREP_KEYS; a `Fraction` is kept as
+        given."""
+        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+        if len(vals) != 4:
+            raise InputError("a HomRep needs exactly four values")
         if any(v == 0 for v in vals):
             raise InputError("HomRep values must be nonzero")
         self._values = vals
@@ -137,8 +136,9 @@ class HomRep:
 
     @classmethod
     def from_char_function(cls, fn) -> "HomRep":
-        """Build from a callable on the canonical V4 characters."""
-        return cls({chi.label: fn(chi) for chi in V4_CHARS})
+        """Build from a callable on the canonical V4 characters, whose
+        order is that of HOMREP_KEYS."""
+        return cls(map(fn, V4_CHARS))
 
     def to_json_dict(self) -> dict[str, str]:
         return {k: f"{v.numerator}/{v.denominator}"

@@ -4,14 +4,13 @@ from math import isqrt
 import pytest
 
 from helpers import odd_primes_up_to
-from tq.arith import is_squarefree, prime_factors
+from tq.arith import is_squarefree, kronecker_symbol, prime_factors
 from tq.biquadratic import (artin_conductor, disc_primes, euler_factor,
-                            field_data, frob_det_quotient, local_galois,
-                            quad_field_disc, ramified_set)
+                            field_data, frob_det_quotient, frob_signs,
+                            local_galois, quad_field_disc, ramified_set)
 from tq.invariant import squarefree_pairs
 from tq.errors import InputError
-from tq.grouprings import (V4_A, V4_B, V4_CHARS, V4_E, char_by_label,
-                           group_elements)
+from tq.grouprings import V4_A, V4_B, V4_CHARS, V4_E, group_elements
 
 
 # ---------- field data ----------
@@ -56,7 +55,7 @@ def test_char_subfield_binding():
     assert f.char_to_subfield == {"chi1": 5, "chi2": 13, "chi1chi2": 65}
     # chi_d is trivial exactly on the subgroup fixing sqrt(d): a flips
     # sqrt(d1), so chi1(a) = -1 and chi1(b) = 1
-    chi1 = char_by_label("chi1")
+    chi1 = V4_CHARS[1]
     assert chi1(V4_A) == -1 and chi1(V4_B) == 1
 
 
@@ -86,7 +85,7 @@ def test_local_galois_2_5_at_2():
     f = field_data(2, 5)
     loc = local_galois(f, 2)
     # inertia = kernel of chi_5; 5 = 5 mod 8 means 2 is inert in Q(sqrt 5)
-    chi2 = char_by_label("chi2")
+    chi2 = V4_CHARS[2]
     assert loc.inertia == frozenset(g for g in group_elements() if chi2(g) == 1)
     assert loc.full_decomposition
 
@@ -148,18 +147,18 @@ def test_disc_primes_and_ramified_set_against_discriminants():
 def test_euler_factor_examples():
     f = field_data(5, 13)
     loc = local_galois(f, 5)
-    assert euler_factor(char_by_label("1"), 5, loc) == Fraction(4, 5)
-    assert euler_factor(char_by_label("chi2"), 5, loc) == Fraction(6, 5)
-    assert euler_factor(char_by_label("chi1"), 5, loc) == 1
-    assert euler_factor(char_by_label("chi1chi2"), 5, loc) == 1
+    assert euler_factor(V4_CHARS[0], 5, loc) == Fraction(4, 5)
+    assert euler_factor(V4_CHARS[2], 5, loc) == Fraction(6, 5)
+    assert euler_factor(V4_CHARS[1], 5, loc) == 1
+    assert euler_factor(V4_CHARS[3], 5, loc) == 1
 
 
 def test_frob_det_quotient_examples():
     f = field_data(5, 13)
     loc = local_galois(f, 5)
-    assert frob_det_quotient(char_by_label("1"), loc) == 1
-    assert frob_det_quotient(char_by_label("chi2"), loc) == 2
-    assert frob_det_quotient(char_by_label("chi1"), loc) == 1
+    assert frob_det_quotient(V4_CHARS[0], loc) == 1
+    assert frob_det_quotient(V4_CHARS[2], loc) == 2
+    assert frob_det_quotient(V4_CHARS[1], loc) == 1
 
 
 def test_euler_multiset_even_multiplicity_when_not_full():
@@ -228,6 +227,21 @@ def _expected_local(signs):
         a_p = next(g for g in inertia if g != V4_E)
         b_p = frob
     return (len(inertia) > 1, inertia, decomposition, frob, a_p, b_p)
+
+
+def test_frob_signs_are_the_three_kronecker_symbols():
+    """At every odd prime p <= 100, over the pairs of squarefree |d| <= 40,
+    imaginary ones included, `frob_signs` equals the Kronecker symbols of
+    the three subfield discriminants at p, which it evaluates only where p
+    does not divide d."""
+    ds = [d for d in range(-40, 41) if d not in (0, 1) and is_squarefree(d)]
+    fields = [field_data(d1, d2, allow_imaginary=True)
+              for i, d2 in enumerate(ds) for d1 in ds[:i]]
+    for p in odd_primes_up_to(100):
+        for f in fields:
+            assert frob_signs(*f.subfields, p) == tuple(
+                kronecker_symbol(quad_field_disc(d), p) for d in f.subfields), \
+                (f.d1, f.d2, p)
 
 
 def test_local_galois_against_brute_force_oracle():

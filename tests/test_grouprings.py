@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from tq.grouprings import (V4_A, V4_AB, V4_B, V4_CHARS, V4_E, GroupRingElem,
                            GroupRingMatrix, apply_char, apply_char_matrix,
-                           char_by_label, group_elements, idempotent, identity)
+                           group_elements, idempotent, identity)
 
 
 # ---------- group law ----------
@@ -105,11 +105,11 @@ def test_fixes_is_invariant_dimension():
 def test_idempotent_trivial_char():
     quarter = Fraction(1, 4)
     expected = GroupRingElem({g: quarter for g in group_elements()})
-    assert idempotent(char_by_label("1")) == expected
+    assert idempotent(V4_CHARS[0]) == expected
 
 
 def test_idempotent_sign_char():
-    chi = char_by_label("chi1chi2")  # chi(a) = chi(b) = -1
+    chi = V4_CHARS[3]  # chi(a) = chi(b) = -1
     expected = GroupRingElem({V4_E: Fraction(1, 4), V4_A: Fraction(-1, 4),
                               V4_B: Fraction(-1, 4), V4_AB: Fraction(1, 4)})
     assert idempotent(chi) == expected
@@ -170,10 +170,10 @@ def residue_unit(p, a=V4_A):
 
 def test_apply_char_residue_unit_values():
     x = residue_unit(5)
-    assert apply_char(char_by_label("1"), x) == 5
-    assert apply_char(char_by_label("chi2"), x) == 5  # chi2(a) = 1
-    assert apply_char(char_by_label("chi1"), x) == 1  # chi1(a) = -1
-    assert apply_char(char_by_label("chi1chi2"), x) == 1
+    assert apply_char(V4_CHARS[0], x) == 5
+    assert apply_char(V4_CHARS[2], x) == 5  # chi2(a) = 1
+    assert apply_char(V4_CHARS[1], x) == 1  # chi1(a) = -1
+    assert apply_char(V4_CHARS[3], x) == 1
 
 
 def test_apply_char_zero():
@@ -202,7 +202,7 @@ def test_apply_char_matrix_single_entry():
     a = GroupRingElem.of(V4_A)
     one = GroupRingElem.one()
     m = GroupRingMatrix.from_rows([[a - one]])
-    chi = char_by_label("chi1")  # chi(a) = -1
+    chi = V4_CHARS[1]  # chi(a) = -1
     assert apply_char_matrix(chi, m) == [[-2]]
 
 
@@ -211,7 +211,7 @@ def test_apply_char_matrix_one_by_two():
     b = GroupRingElem.of(V4_B)
     one = GroupRingElem.one()
     m = GroupRingMatrix.from_rows([[a - one, b - one]])
-    chi = char_by_label("chi1chi2")  # chi(a) = chi(b) = -1
+    chi = V4_CHARS[3]  # chi(a) = chi(b) = -1
     assert apply_char_matrix(chi, m) == [[-2, -2]]
 
 

@@ -404,25 +404,86 @@ def test_report_factors_d1_and_d2_once_each(monkeypatch):
     assert calls == [10009, 20001] * 2
 
 
-def test_inadmissible_report_makes_only_the_unit_at_2(monkeypatch):
-    """An inadmissible report shows local data alone: over the pairs with
-    d2 <= 100, `omega_loc_torsion` makes one `prime_unit` per inadmissible
-    field, the one at 2 that decides admissibility."""
+def test_inadmissible_report_multiplies_no_prime_unit(monkeypatch):
+    """Admissibility is read from the signs of 2 alone: over the pairs with
+    d2 <= 100, `omega_loc_torsion` reduces no prime's parts to a unit on an
+    inadmissible field, and one per prime of S on an admissible one."""
     import tq.invariant
-    primes = []
-    orig = tq.invariant.prime_unit
+    calls = []
+    orig = tq.invariant.odd_unit
 
-    def counted(p, *args):
-        primes.append(p)
-        return orig(p, *args)
-    monkeypatch.setattr(tq.invariant, "prime_unit", counted)
+    def counted(n):
+        calls.append(n)
+        return orig(n)
+    monkeypatch.setattr(tq.invariant, "odd_unit", counted)
     inadmissible = 0
     for d1, d2 in squarefree_pairs(100):
-        before = len(primes)
-        if omega_loc_torsion(d1, d2).verdict == VERDICT_INADMISSIBLE:
+        del calls[:]
+        report = omega_loc_torsion(d1, d2)
+        if report.verdict == VERDICT_INADMISSIBLE:
             inadmissible += 1
-            assert primes[before:] == [2], (d1, d2)
+            assert calls == [], (d1, d2)
+        else:
+            assert len(calls) == len(report.s_f), (d1, d2)
     assert inadmissible == 1130
+
+
+def test_report_reads_no_group_data_and_inverts_nothing(monkeypatch):
+    """A report takes its values from the int pairs of `prime_parts`: it
+    asks no `PrimeLocalData.char_facts` (group elements hashed per
+    character) and makes `ts_rep` without `HomRep.inverse`."""
+    from tq.biquadratic import PrimeLocalData
+    calls = []
+    for cls, name in ((PrimeLocalData, "char_facts"), (HomRep, "inverse")):
+        orig = getattr(cls, name)
+
+        def counted(*args, _name=name, _orig=orig):
+            calls.append(_name)
+            return _orig(*args)
+        monkeypatch.setattr(cls, name, counted)
+    for extra in (None, [3, 7]):
+        report = omega_loc_torsion(10005, 10065, s_extra=extra)
+        assert report.ts_rep is not None and report.to_json_dict()["ts_rep"]
+    assert calls == []
+    ts_representative(report.field, report.s_f)
+    assert calls.count("inverse") == 1 and calls.count("char_facts") == 4 * len(report.s_f)
+
+
+def test_report_values_match_fraction_functions():
+    """Every `PrimeReport` value equals the `Fraction` function that states
+    its formula on `local_galois(f, p)`: `delta1_term`, `euler_factor` and,
+    exactly at the fully decomposed odd primes of an admissible field,
+    `local_term_closed_form`; and `ts_rep` is the inverse of the product of
+    the Euler factors over S.  Every pair with d2 <= 60, with and without
+    extra primes 3 and 7, under the lattices (1, +1), (2, -1) and (3, +1)."""
+    lats = [LatticeExponent(m, sign) for m, sign in ((1, 1), (2, -1), (3, 1))]
+    n_terms = 0
+    for d1, d2 in squarefree_pairs(60):
+        f = field_data(d1, d2)
+        for extra in (None, [3, 7]):
+            s_f = sorted(set(ramified_set(f)).union(extra or ()))
+            locals_ = {p: local_galois(f, p) for p in s_f}
+            for lat in lats:
+                report = omega_loc_torsion(d1, d2, s_extra=extra, lat=lat)
+                assert sorted(report.per_prime) == s_f
+                admissible = report.verdict != VERDICT_INADMISSIBLE
+                for p, pr in report.per_prime.items():
+                    loc = locals_[p]
+                    assert pr.local == loc, (d1, d2, p)
+                    assert pr.delta1 == delta1_term(f, p, loc), (d1, d2, p)
+                    assert pr.euler == tuple(euler_factor(chi, p, loc)
+                                             for chi in V4_CHARS), (d1, d2, p)
+                    if admissible and p % 2 and loc.full_decomposition:
+                        assert pr.local_term == local_term_closed_form(p, loc, lat), \
+                            (d1, d2, p, lat)
+                        n_terms += 1
+                    else:
+                        assert pr.local_term is None, (d1, d2, p, lat)
+                if admissible:
+                    assert report.ts_rep == ts_representative(f, s_f), (d1, d2, extra)
+                else:
+                    assert report.ts_rep is None
+    assert n_terms == 1776
 
 
 def test_report_takes_each_primes_signs_once(monkeypatch):
@@ -540,7 +601,9 @@ def test_sweep_makes_no_kronecker_symbol_call(monkeypatch):
     """`sweep` takes the Legendre symbols of its `neg` table by Euler's
     criterion and its classes at 2 from d mod 8 or 16: it makes no
     `kronecker_symbol` call, with or without extra primes, where
-    `field_verdict` makes one per subfield and odd prime of S."""
+    `field_verdict` makes one per subfield that an odd prime of S does not
+    divide: 2 for (5, 13), whose S is {5, 13}, d3 = 65 and 5 and 13 each
+    divide two of the three subfields."""
     import sys
     import tq.arith
     calls = []
@@ -556,7 +619,29 @@ def test_sweep_makes_no_kronecker_symbol_call(monkeypatch):
     sweep(60, s_extra=[5, 101])
     assert calls == []
     field_verdict(5, 13)
-    assert len(calls) == 6
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("d1, d2, extra, n_calls", [
+    (10005, 10065, None, 6),  # each of the 6 primes of S divides d1 or d2
+    (21, 33, [5], 5),  # 3 | d1, d2; 7 | d1; 11 | d2; 5 divides neither
+])
+def test_report_reads_a_kronecker_symbol_per_subfield_not_divided(
+        monkeypatch, d1, d2, extra, n_calls):
+    """`frob_signs` evaluates a Kronecker symbol at an odd p only for a
+    subfield that p does not divide, and takes chi_{d3}(p) as
+    chi_{d1}(p) chi_{d2}(p) when p divides neither d1 nor d2."""
+    import sys
+    calls = []
+
+    def counted(*args, _orig=sys.modules["tq.arith"].kronecker_symbol):
+        calls.append(args)
+        return _orig(*args)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tq" and hasattr(module, "kronecker_symbol"):
+            monkeypatch.setattr(module, "kronecker_symbol", counted)
+    omega_loc_torsion(d1, d2, s_extra=extra)
+    assert len(calls) == n_calls
 
 
 def test_verdicts_build_no_local_data(monkeypatch):

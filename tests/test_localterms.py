@@ -10,8 +10,7 @@ from tq.arith import is_prime, is_squarefree
 from tq.biquadratic import PrimeLocalData, field_data, local_galois
 from tq.errors import ContractViolationError, InputError
 from tq.grouprings import (V4_A, V4_AB, V4_B, V4_CHARS, V4_E,
-                           GroupRingElem, GroupRingMatrix, char_by_label,
-                           group_elements)
+                           GroupRingElem, GroupRingMatrix, group_elements)
 from tq.localterms import (LatticeExponent, TameComplexSpec,
                            build_tame_complex, inertia_unit,
                            local_term_closed_form, local_term_via_complex,
@@ -70,7 +69,7 @@ def test_composite_zero_symbolically():
 
 def test_trivial_char_specialization_p5():
     spec = TameComplexSpec(5, V4_A, V4_B)
-    c = char_specialize(build_tame_complex(spec), char_by_label("1"))
+    c = char_specialize(build_tame_complex(spec), V4_CHARS[0])
     assert c.diff(-2) == [[Fraction(4), Fraction(0)]]
     assert c.diff(-1) == [[Fraction(0)], [Fraction(0)]]
 

@@ -8,7 +8,7 @@ import pytest
 from tq import linalg
 from tq.errors import ContractViolationError, InputError
 from tq.grouprings import (V4_A, V4_AB, V4_B, V4_CHARS, GroupRingElem,
-                           GroupRingMatrix, char_by_label)
+                           GroupRingMatrix)
 from tq.localterms import (TameComplexSpec, build_tame_complex,
                            torsion_cycle, valuation_iso)
 from tq.perfectcomplex import (CohomologyIso, CohomologyIsoComponent,
@@ -49,7 +49,7 @@ def test_differential_shape_enforced():
 
 def test_specialize_lambda_row_trivial_char():
     _, p = tame(5)
-    c = char_specialize(p, char_by_label("1"))
+    c = char_specialize(p, V4_CHARS[0])
     assert c.diff(-2) == [[Fraction(4), Fraction(0)]]
     assert c.diff(-1) == [[Fraction(0)], [Fraction(0)]]
 
@@ -57,13 +57,13 @@ def test_specialize_lambda_row_trivial_char():
 def test_specialize_lambda_row_unramified_char():
     # chi(a) = 1, chi(b) = -1: first entry -(p+1)
     _, p = tame(5)
-    c = char_specialize(p, char_by_label("chi2"))
+    c = char_specialize(p, V4_CHARS[2])
     assert c.diff(-2) == [[Fraction(-6), Fraction(0)]]
 
 
 def test_specialize_zero_complex():
     zero = PerfectComplex((0, 1), {0: 0, 1: 0}, {})
-    c = char_specialize(zero, char_by_label("1"))
+    c = char_specialize(zero, V4_CHARS[0])
     assert c.rank(0) == 0 and c.rank(1) == 0
 
 
@@ -73,7 +73,7 @@ def test_cohomology_of_multiplication_by_two():
     two = GroupRingElem.one() * 2
     p = PerfectComplex((0, 1), {0: 1, 1: 1},
                        {0: GroupRingMatrix.from_rows([[two]])})
-    c = char_specialize(p, char_by_label("1"))
+    c = char_specialize(p, V4_CHARS[0])
     data = cohomology_basis(c)
     assert data.kernels[0] == []
     assert data.images[1] == [[Fraction(1)]]
@@ -178,7 +178,7 @@ def test_degenerate_representative_rejected():
 
 def test_representative_count_mismatch_rejected():
     spec, cplx = tame(5)
-    c2 = char_specialize(cplx, char_by_label("chi2"))
+    c2 = char_specialize(cplx, V4_CHARS[2])
     bad = CohomologyIsoComponent({-1: [[Fraction(1), Fraction(0)]]}, {}, [])
     with pytest.raises(ContractViolationError):
         torsion_determinant(c2, bad)
@@ -210,7 +210,7 @@ def two_odd_degree_sum(p, q, a, b):
             [[*lam_p, zero]] + [[zero, zero, *row] for row in dq[-1].entries]),
         -1: GroupRingMatrix.from_rows([*dp[-1].entries, [zero]]),
     })
-    trivial = char_by_label("1")
+    trivial = V4_CHARS[0]
     t_p, t_q = torsion_cycle(sp, trivial), torsion_cycle(sq, trivial)
     comps = {chi.label: CohomologyIsoComponent({}, {}, []) for chi in V4_CHARS}
     comps["1"] = CohomologyIsoComponent(

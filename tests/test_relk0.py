@@ -165,3 +165,27 @@ def test_homrep_json_roundtrip():
 def test_homrep_rejects_zero():
     with pytest.raises(InputError):
         HomRep((1, 0, 1, 1))
+
+
+def test_homrep_keeps_fractions_and_checks_values():
+    """A `Fraction` value is kept as the object given, an int is converted;
+    a zero value or a count other than four is rejected, from any
+    iterable."""
+    values = (Fraction(1, 3), Fraction(-2), Fraction(5, 7), Fraction(1))
+    h = HomRep(iter(values))
+    assert all(a is b for a, b in zip(h.as_tuple(), values))
+    assert HomRep((1, -2, 3, 4)).as_tuple() == (1, -2, 3, 4)
+    assert all(type(v) is Fraction for v in HomRep((1, -2, 3, 4)).as_tuple())
+    for bad in ((Fraction(1), Fraction(0), Fraction(1), Fraction(1)),
+                (Fraction(1),) * 3, (Fraction(1),) * 5, (1, 1, 1, 0), ()):
+        with pytest.raises(InputError):
+            HomRep(iter(bad))
+
+
+def test_from_char_function_orders_values_by_homrep_keys():
+    values = {"1": Fraction(2), "chi1": Fraction(3), "chi2": Fraction(5),
+              "chi1chi2": Fraction(7)}
+    h = HomRep.from_char_function(lambda chi: values[chi.label])
+    assert h.as_tuple() == tuple(values[k] for k in HOMREP_KEYS)
+    assert [h[k] for k in HOMREP_KEYS] == [2, 3, 5, 7]
+    assert [h.value(chi) for chi in V4_CHARS] == [2, 3, 5, 7]
