@@ -1,6 +1,7 @@
-"""Byte-exact output of `tq compute --json`, `tq sweep --json`, `tq selftest`,
-`tq lemma38`, the tame complex's JSON, and the help and parse errors of the
-command line (stderr included), pinned in fixtures/golden_output.json.
+"""Byte-exact output of `tq compute` and `tq sweep` (JSON and text),
+`tq selftest`, `tq lemma38`, the tame complex's JSON, and the help and parse
+errors of the command line (stderr included), pinned in
+fixtures/golden_output.json.
 
 A refactor that is meant to leave behaviour alone must keep every case
 byte-identical.  When an output change is intended, regenerate the fixture
@@ -46,7 +47,14 @@ COMMANDS = {
     "compute-21-33-every-sign-branch": ["compute", "--d1", "21", "--d2", "33",
                                         "--extra-s", "5", "--m", "3", "--sign",
                                         "minus", "--json"],
+    "compute-21-33-extra-5-text": ["compute", "--d1", "21", "--d2", "33",
+                                   "--extra-s", "5"],
+    "compute-2-17-text": ["compute", "--d1", "2", "--d2", "17"],
+    "compute-33-42-text": ["compute", "--d1", "33", "--d2", "42"],
+    "compute-3-11-text": ["compute", "--d1", "3", "--d2", "11"],
+    "compute-2-5-text": ["compute", "--d1", "2", "--d2", "5"],
     "sweep-60": ["sweep", "--max", "60", "--json"],
+    "sweep-60-text": ["sweep", "--max", "60"],
     "sweep-200": ["sweep", "--max", "200", "--json"],
     "selftest": ["selftest"],
     "lemma38-200": ["lemma38", "--conductor-max", "200"],
