@@ -5,7 +5,7 @@ Subcommands:
              [--extra-s p,q,...] [--allow-imaginary]
   tq sweep --max N [--json]              (N <= SWEEP_MAX = 7000)
   tq selftest
-  tq lemma38 --conductor-max N --tol T   (N <= CONDUCTOR_MAX = 7000)
+  tq lemma38 --conductor-max N --tol T   (5 <= N <= CONDUCTOR_MAX = 7000)
 
 Time grows as N^2; at the caps, sweep takes 9.9 s and lemma38 7.2 s.
 
@@ -185,6 +185,9 @@ def cmd_lemma38(args) -> int:
     if args.conductor_max > CONDUCTOR_MAX:
         raise InputError(f"--conductor-max must be at most {CONDUCTOR_MAX}, "
                          f"got {args.conductor_max}")
+    if args.conductor_max < 5:
+        raise InputError(f"--conductor-max must be at least 5, the least conductor "
+                         f"of an even quadratic character, got {args.conductor_max}")
     failures = 0
     rows = []
     for d in range(2, args.conductor_max + 1):

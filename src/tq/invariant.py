@@ -6,7 +6,11 @@ character, as int (numerator, denominator) pairs from the prime's
 Frobenius signs alone (`prime_parts`).  The odd part mod 4 of their product
 is the prime's unit (`prime_unit`); the units multiply to the verdict of
 one field (`_field_unit`), or XOR as int bitmasks to a whole row of a sweep
-(`_record`), and a report makes one `Fraction` of each pair it shows.  Plus
+(`_record`), and a report makes one `Fraction` of each pair it shows.  A
+report (`omega_loc_torsion`) takes extra primes of S and a lattice, which
+change values it shows; the verdict paths (`field_verdict`, `sweep`) take
+S to be the ramified set and the default lattice, since neither choice can
+change a unit (`prime_unit`).  Plus
 the analytic cross-checks (the exact ratio L*(1)/L*(0) squared, its numeric
 verification) and the standalone resolvent quotient check for the
 supported shapes of the completion at 2.
@@ -160,11 +164,6 @@ class InvariantReport:
         }
 
 
-def _has_local_term(p: int, signs: tuple[int, int, int]) -> bool:
-    """Local classes enter at the fully decomposed odd primes."""
-    return p % 2 == 1 and full_decomposition(signs)
-
-
 Pair = tuple[int, int]
 
 
@@ -175,7 +174,7 @@ def prime_parts(p: int, signs: tuple[int, int, int], lat: LatticeExponent
     decomposed odd prime, the local term (else None), at a prime p of these
     Frobenius signs: the int cores of `euler_factor`, `delta1_term` and
     `local_term_closed_form` on the characters' `sign_facts`."""
-    local_term = _has_local_term(p, signs)
+    local_term = p % 2 == 1 and full_decomposition(signs)
     ratio, facts = sign_facts(signs)
     return [(_euler(p, dim_i, dim_d, frob), _delta1(ratio, dim_i, dim_d, frob),
              _local_term(p, lat, dim_i, dim_d, frob) if local_term else None)
@@ -193,14 +192,26 @@ def _parts_unit(parts: list[tuple[Pair, Pair, Pair | None]]) -> int:
     return odd_unit(n)
 
 
-def prime_unit(p: int, signs: tuple[int, int, int],
-               lat: LatticeExponent = LatticeExponent()) -> int:
+def prime_unit(p: int, signs: tuple[int, int, int]) -> int:
     """The unit 1 or 3 of (Z/4)* that a prime p of these Frobenius signs
     contributes to the torsion class: the odd part mod 4 of the product of
     its `prime_parts`, that is of the inverse Euler factors, the
     power-of-two terms and, at a fully decomposed odd prime, the inverse
-    local terms."""
-    return _parts_unit(prime_parts(p, signs, lat))
+    local terms.  Neither auxiliary choice of the class can change it, so
+    it takes neither:
+
+    - the lattice enters only the local term, at an odd p with D = V4.
+      There |I| = 2 and exactly two of the four characters have
+      dim chi^I = 1, so the term's net power of p over the four is
+      p^-(4 + 2 sign m): an even power of an odd prime, 1 mod 4.  The
+      parts are read under `LatticeExponent()`.
+    - an extra prime of S is unramified: its three signs are nonzero and
+      chi(Frob) is {1, 1, 1, 1} or {1, 1, -1, -1} over the characters.
+      The Euler parts then carry the odd part of p^4 (p-1)^4 or
+      p^4 (p-1)^2 (p+1)^2, an odd square, the power-of-two parts are
+      powers of 2, and D is not V4, so there is no local term: its unit
+      is 1, and the ramified set decides the verdict."""
+    return _parts_unit(prime_parts(p, signs, LatticeExponent()))
 
 
 def _prime_report(p: int, signs: tuple[int, int, int],
@@ -222,21 +233,6 @@ def _verdict(unit: int | None) -> str:
     return VERDICT_VANISHES if unit == 1 else VERDICT_NONZERO
 
 
-def _extra_primes(s_extra: Iterable[int] | None) -> tuple[int, ...]:
-    """The extra primes of S, each checked to be an odd prime."""
-    extra = tuple(s_extra or ())
-    for p in extra:
-        if p == 2 or not is_prime(p):
-            raise InputError(f"extra primes must be odd primes, got {p}")
-    return extra
-
-
-def _s_set(ramified: Iterable[int], s_extra: Iterable[int] | None) -> tuple[int, ...]:
-    """The ramified set enlarged by the extra primes, each checked to be an
-    odd prime, sorted."""
-    return tuple(sorted(set(ramified).union(_extra_primes(s_extra))))
-
-
 def omega_loc_torsion(d1: int, d2: int,
                       s_extra: Iterable[int] | None = None,
                       lat: LatticeExponent = LatticeExponent(),
@@ -250,7 +246,11 @@ def omega_loc_torsion(d1: int, d2: int,
     primes of an admissible field, local class, and the simplified global
     representative."""
     f, ramified = field_and_ramified_set(d1, d2, allow_imaginary=allow_imaginary)
-    s_f = _s_set(ramified, s_extra)
+    extra = tuple(s_extra or ())
+    for p in extra:
+        if p == 2 or not is_prime(p):
+            raise InputError(f"extra primes must be odd primes, got {p}")
+    s_f = tuple(sorted(set(ramified).union(extra)))
     at_2 = frob_signs(*f.subfields, 2)
     parts = {p: (signs, prime_parts(p, signs, lat))
              for p, signs in _s_signs(*f.subfields, s_f, at_2)}
@@ -331,30 +331,21 @@ class SweepSummary:
                 "nonzero_fields": [list(t) for t in self.nonzero_fields]}
 
 
-def squarefree_pairs(dmax: int):
-    """The pairs 1 < d1 < d2 <= dmax of squarefree ints, by d2 then d1."""
-    ds = [d for d in range(2, dmax + 1) if is_squarefree(d)]
-    for i, d2 in enumerate(ds):
-        for d1 in ds[:i]:
-            yield d1, d2
-
-
-def _record(key: tuple[int, tuple[int, int, int]], lat: LatticeExponent,
-            units: dict) -> int:
+def _record(key: tuple[int, tuple[int, int, int]], units: dict) -> int:
     """The `prime_unit` of a prime under key = (p, its Frobenius signs in
     the three quadratic subfields), read from `units` and filled on a miss:
-    one dict serves a sweep under one `lat`."""
+    one dict serves a whole sweep."""
     unit = units.get(key)
     if unit is None:
-        unit = units[key] = prime_unit(*key, lat)
+        unit = units[key] = prime_unit(*key)
     return unit
 
 
-def _prime(d1: int, d2: int, d3: int, p: int, lat: LatticeExponent,
+def _prime(d1: int, d2: int, d3: int, p: int,
            units: dict) -> tuple[tuple[int, int, int], int]:
     """The `frob_signs` of p and the `_record` under them."""
     signs = frob_signs(d1, d2, d3, p)
-    return signs, _record((p, signs), lat, units)
+    return signs, _record((p, signs), units)
 
 
 def _s_signs(d1: int, d2: int, d3: int, s: Iterable[int],
@@ -374,39 +365,38 @@ def _field_unit(at_2: tuple[int, int, int], units: Iterable[int]) -> int | None:
     return math.prod(units) % 4
 
 
-def field_verdict(d1: int, d2: int, s_extra: Iterable[int] | None = None,
-                  lat: LatticeExponent = LatticeExponent()) -> str:
+def field_verdict(d1: int, d2: int) -> str:
     """The verdict of `omega_loc_torsion` for the real field
-    Q(sqrt(d1), sqrt(d2)), checked by `field_and_ramified_set`: the
-    `_field_unit` of its `prime_unit`s over S, with no report."""
+    Q(sqrt(d1), sqrt(d2)), checked by `field_and_ramified_set`, under any
+    lattice and any enlargement of S (see `prime_unit`): the `_field_unit`
+    of its `prime_unit`s over the ramified set, with no report."""
     f, ramified = field_and_ramified_set(d1, d2)
     at_2 = frob_signs(*f.subfields, 2)
-    s_signs = _s_signs(*f.subfields, _s_set(ramified, s_extra), at_2)
-    return _verdict(_field_unit(at_2, (prime_unit(p, signs, lat) for p, signs in s_signs)))
+    s_signs = _s_signs(*f.subfields, ramified, at_2)
+    return _verdict(_field_unit(at_2, (prime_unit(p, signs) for p, signs in s_signs)))
 
 
-def sweep(dmax: int, s_extra: Iterable[int] | None = None,
-          lat: LatticeExponent = LatticeExponent()) -> SweepSummary:
+def sweep(dmax: int) -> SweepSummary:
     """Decide every squarefree pair 1 < d1 < d2 <= dmax one row d2 at a
     time, the d1 being the bits of ints (bit i for the i-th squarefree d).
     At each prime, the d1 of a class share their Frobenius signs with d2
     and so their `_record`: at 2 a class is the parity of d and its odd
     part mod 8, its record read once per pair of classes (`two`); at an odd
     p whether p | d and the Legendre symbol of d, or of d/p when p | d, by
-    Euler's criterion.  The signs at 2 mark the admissible d1 (`adm`);
-    XORing into `flip` each class in S whose unit is 3 (at odd p, read only
-    when it meets `adm`) multiplies the units.  Nonzero torsion, `flip & adm`,
-    is collected for prominent reporting: it means the predicted universal
-    vanishing fails."""
+    Euler's criterion.  S is the ramified set of each field, the verdict
+    being the same under any lattice and any larger S (see `prime_unit`).
+    The signs at 2 mark the admissible d1 (`adm`); XORing into `flip` each
+    class in S whose unit is 3 (at odd p, read only when it meets `adm`)
+    multiplies the units.  Nonzero torsion, `flip & adm`, is collected for
+    prominent reporting: it means the predicted universal vanishing fails."""
     if dmax < 3:
         raise InputError("dmax must be at least 3")
-    extra = _extra_primes(s_extra)
     ds = [d for d in range(2, dmax + 1) if is_squarefree(d)]
     div = {}  # div[q]: the d that the prime q divides
     for i, d in enumerate(ds):
         for q in prime_factors(d):
             div[q] = div.get(q, 0) | 1 << i
-    odd = set(div).union(extra) - {2}
+    odd = set(div) - {2}
     # neg[p]: the d whose d, or d/p when p | d, has Legendre symbol -1 at p,
     # a product over the other primes of d
     neg = dict.fromkeys(odd, 0)
@@ -420,7 +410,7 @@ def sweep(dmax: int, s_extra: Iterable[int] | None = None,
         c2, adm, flip = d2 % 8 if d2 % 2 else d2 % 16, 0, 0
         for c1, (d1, m) in at2.items():
             if (c1, c2) not in two:
-                signs, unit = _prime(d1, d2, d1 * d2 // math.gcd(d1, d2) ** 2, 2, lat, units)
+                signs, unit = _prime(d1, d2, d1 * d2 // math.gcd(d1, d2) ** 2, 2, units)
                 # admissible, and 2 in S (some sign 0) with unit 3
                 two[c1, c2] = not full_decomposition(signs), 0 in signs and unit == 3
             admissible, flips = two[c1, c2]
@@ -428,18 +418,17 @@ def sweep(dmax: int, s_extra: Iterable[int] | None = None,
             flip ^= m if flips else 0
         at2.setdefault(c2, [d2, 0])[1] |= 1 << j
         for p in odd:
-            divp, negp, div2 = div.get(p, 0), neg[p], d2 % p == 0
+            divp, negp = div[p], neg[p]
             b = -1 if negp >> j & 1 else 1
-            if not (div2 or p in extra):  # p in S only where p | d1
-                if divp & adm and _record((p, (0, b, 0)), lat, units) == 3:
+            if d2 % p:  # p in S only where p | d1
+                if divp & adm and _record((p, (0, b, 0)), units) == 3:
                     flip ^= divp
                 continue
             for div1, a in ((True, 1), (True, -1), (False, 1), (False, -1)):
                 m = (divp if div1 else ~divp) & (negp if a < 0 else ~negp) & adm
                 if m:
-                    signs = (0 if div1 else a, 0 if div2 else b,
-                             a * b if div1 == div2 else 0)
-                    if _record((p, signs), lat, units) == 3:
+                    signs = (0, 0, a * b) if div1 else (a, 0, 0)
+                    if _record((p, signs), units) == 3:
                         flip ^= m
         nonzero = flip & adm
         summary.counts[VERDICT_VANISHES] += adm.bit_count() - nonzero.bit_count()

@@ -14,11 +14,11 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import odd_primes_up_to
+from helpers import odd_primes_up_to, squarefree_pairs
 from tq.biquadratic import field_data, local_galois, quad_field_disc, ramified_set
 from tq.invariant import (VERDICT_NONZERO, VERDICT_VANISHES,
                                delta1_term, omega_loc_torsion,
-                               resolvent_factor_check, squarefree_pairs, sweep)
+                               resolvent_factor_check, sweep)
 from tq.grouprings import V4_A, V4_AB, V4_B, V4_CHARS, V4_E
 from tq.localterms import (LatticeExponent, TameComplexSpec,
                            build_tame_complex, valuation_iso,

@@ -3,12 +3,11 @@ from math import isqrt
 
 import pytest
 
-from helpers import odd_primes_up_to
+from helpers import odd_primes_up_to, squarefree_pairs
 from tq.arith import is_squarefree, kronecker_symbol, prime_factors
 from tq.biquadratic import (artin_conductor, disc_primes, euler_factor,
                             field_data, frob_det_quotient, frob_signs,
                             local_galois, quad_field_disc, ramified_set)
-from tq.invariant import squarefree_pairs
 from tq.errors import InputError
 from tq.grouprings import V4_A, V4_B, V4_CHARS, V4_E, group_elements
 

@@ -124,6 +124,20 @@ def test_analytic_ratio_command(capsys):
     assert "0 failures" in out
 
 
+@pytest.mark.parametrize("n", ["-5", "0", "4"])
+def test_lemma38_below_the_least_conductor_is_input_error(capsys, n):
+    """No even quadratic character has conductor below 5 (that of Q(sqrt 5)):
+    such a bound would check nothing and pass, so it exits 4."""
+    code, out, err = run(capsys, "lemma38", "--conductor-max", n)
+    assert code == 4
+    assert err == ("input error: --conductor-max must be at least 5, the least "
+                   f"conductor of an even quadratic character, got {n}\n")
+    assert out == ""
+    code, out, _ = run(capsys, "lemma38", "--conductor-max", "5")
+    assert code == 0
+    assert out.endswith("1 characters checked, 0 failures (tol 1e-08)\n")
+
+
 ALL_PROGS = ["tq", "tq compute", "tq sweep", "tq selftest", "tq lemma38"]
 
 

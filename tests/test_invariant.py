@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import odd_primes_up_to, squarefree_pairs
 from tq.arith import is_prime, is_squarefree
 from tq.biquadratic import (euler_factor, field_and_ramified_set, field_data,
                             frob_signs, full_decomposition, local_data,
@@ -12,8 +13,7 @@ from tq.invariant import (VERDICT_INADMISSIBLE, VERDICT_NONZERO,
                                VERDICT_VANISHES, delta1_term, field_verdict,
                                leading_ratio_check, leading_ratio_exact,
                                omega_loc_torsion, prime_unit,
-                               resolvent_factor_check, squarefree_pairs, sweep,
-                               ts_representative)
+                               resolvent_factor_check, sweep, ts_representative)
 from tq.errors import InputError
 from tq.grouprings import V4_CHARS
 from tq.localterms import LatticeExponent, local_term_closed_form
@@ -253,15 +253,17 @@ def test_integer_verdicts_match_fraction_reports_to_100():
 
 
 def test_integer_verdicts_match_fraction_reports_with_options():
+    """`field_verdict`, which takes neither extra primes nor a lattice, is
+    the verdict of the report under each choice of both."""
     pairs = [(5, 13), (3, 11), (21, 33), (2, 17), (2, 5), (5, 21), (3, 19),
              (17, 26), (33, 42), (7, 15), (13, 17), (10, 26)]
     lattices = [LatticeExponent(m, sign) for m in (1, 2, 3) for sign in (1, -1)]
     for d1, d2 in pairs:
+        verdict = field_verdict(d1, d2)
         for extra in (None, [3, 7]):
             for lat in lattices:
                 report = omega_loc_torsion(d1, d2, s_extra=extra, lat=lat)
-                assert field_verdict(d1, d2, extra, lat) == report.verdict, \
-                    (d1, d2, extra, lat)
+                assert verdict == report.verdict, (d1, d2, extra, lat)
                 if report.verdict != VERDICT_INADMISSIBLE:
                     assert report.torsion == fraction_torsion(report), \
                         (d1, d2, extra, lat)
@@ -273,7 +275,8 @@ def test_prime_units_match_fraction_reports():
     terms: two wrong per-prime units could cancel in a product.  The
     default lattice and S first, then the lattices (1, +1), (2, -1) and
     (3, +1), each with S enlarged by 3 and 7 as well: the lattice enters
-    the local term through dim chi^I."""
+    the local term through dim chi^I, and `prime_unit`, read under the
+    default lattice, is the unit under each."""
     cases = [(LatticeExponent(m, sign), extra, n)
              for m, sign in ((1, 1), (2, -1), (3, 1))
              for extra, n in ((None, 2140), ([3, 7], 3011))]
@@ -290,7 +293,7 @@ def test_prime_units_match_fraction_reports():
                     if pr.local_term is not None:
                         total *= pr.local_term.value(chi)
                 signs = frob_signs(*report.field.subfields, p)
-                assert prime_unit(p, signs, lat) == odd_part_mod4(total).unit, \
+                assert prime_unit(p, signs) == odd_part_mod4(total).unit, \
                     (d1, d2, p, lat, extra)
                 n_primes += 1
         assert n_primes == expected, (lat, extra)
@@ -309,7 +312,7 @@ def test_sign_rules_match_local_data_and_fraction_units():
     int cores read them (chi(Frob) only where dim chi^I = 1), and the unit
     `prime_unit` reads from the signs alone is the odd part mod 4 of the
     exact Euler, power-of-two and local terms, at a few primes of each
-    triple and under every lattice with m <= 3."""
+    triple and under every lattice with m <= 3 (`prime_unit` takes none)."""
     ds = [d for d in range(-60, 61) if d not in (0, 1) and is_squarefree(abs(d))]
     primes = [p for p in range(2, 401) if is_prime(p)]
     found = {}  # signs -> {p: a field where p has these signs}
@@ -337,6 +340,7 @@ def test_sign_rules_match_local_data_and_fraction_units():
                 assert got[:2] == (dim_i, dim_d), (signs, chi.label)
                 assert got[2] == frob or not dim_i, (signs, chi.label)
             delta1 = delta1_term(fields[p], p, loc)
+            unit = prime_unit(p, signs)
             for lat in lats:
                 term = (local_term_closed_form(p, loc, lat)
                         if p % 2 and loc.full_decomposition else None)
@@ -345,8 +349,36 @@ def test_sign_rules_match_local_data_and_fraction_units():
                     total *= euler_factor(chi, p, loc) * delta1.value(chi)
                     if term is not None:
                         total *= term.value(chi)
-                assert prime_unit(p, signs, lat) == odd_part_mod4(total).unit, \
-                    (signs, p, lat)
+                assert unit == odd_part_mod4(total).unit, (signs, p, lat)
+
+
+def test_prime_unit_needs_no_lattice_and_no_extra_prime_below_1000():
+    """`prime_unit(p, signs)`, read under the default lattice, is the odd
+    part mod 4 of the exact Euler, power-of-two and local terms of
+    `local_data(p, signs)` under every lattice with m <= 3, at 2 and at
+    every odd p < 1000, for each triple p can have ((0, 0, 0) only at 2);
+    and an unramified prime, as an extra prime of S is, has unit 1."""
+    lats = [LatticeExponent(m, sign) for m in (1, 2, 3) for sign in (1, -1)]
+    unramified = [signs for signs in SIGN_TRIPLES if 0 not in signs]
+    assert len(unramified) == 4
+    n_cases = 0
+    for p in [2, *odd_primes_up_to(999)]:
+        for signs in [s for s in SIGN_TRIPLES if p == 2 or s != (0, 0, 0)]:
+            loc = local_data(p, signs)
+            unit = prime_unit(p, signs)
+            # f is read only when the local data is not given
+            delta1 = delta1_term(None, p, loc)
+            base = math.prod(euler_factor(chi, p, loc) * delta1.value(chi)
+                             for chi in V4_CHARS)
+            for lat in lats:
+                total = base
+                if p % 2 and loc.full_decomposition:
+                    total *= math.prod(local_term_closed_form(p, loc, lat).as_tuple())
+                assert unit == odd_part_mod4(total).unit, (p, signs, lat)
+                n_cases += 1
+            if signs in unramified:
+                assert unit == 1, (p, signs)
+    assert n_cases == 6 * (11 + 10 * 167)
 
 
 def test_report_local_data_matches_local_galois():
@@ -505,12 +537,15 @@ def test_report_takes_each_primes_signs_once(monkeypatch):
 
 
 def test_sweep_with_options_matches_reports():
+    """`sweep`, which takes neither extra primes nor a lattice, decides
+    every pair as its report does with S enlarged by 3 and 7, under every
+    lattice with m <= 3."""
     extra = [3, 7]
     pairs = list(squarefree_pairs(40))
+    summary = sweep(40)
     for lat in [LatticeExponent(m, sign) for m in (1, 2, 3) for sign in (1, -1)]:
         verdicts = [omega_loc_torsion(d1, d2, s_extra=extra, lat=lat).verdict
                     for d1, d2 in pairs]
-        summary = sweep(40, s_extra=extra, lat=lat)
         assert summary.counts == {v: verdicts.count(v) for v in summary.counts}, lat
         assert summary.nonzero_fields == [pair for pair, v in zip(pairs, verdicts)
                                           if v == VERDICT_NONZERO], lat
@@ -519,36 +554,16 @@ def test_sweep_with_options_matches_reports():
 @pytest.mark.parametrize("dmax", [3, 4, 5, 90])
 def test_sweep_matches_field_verdicts(dmax):
     """`sweep` decides its pairs from data made once per d, `field_verdict`
-    each field from `field_data`: they agree on every pair with d2 <= dmax,
-    with and without extra primes, under every lattice with m <= 3."""
+    each field from `field_data`: they agree on every pair with d2 <= dmax."""
     pairs = list(squarefree_pairs(dmax))
-    for extra in (None, [3, 7]):
-        for lat in [LatticeExponent(m, sign) for m in (1, 2, 3) for sign in (1, -1)]:
-            verdicts = [field_verdict(d1, d2, extra, lat) for d1, d2 in pairs]
-            summary = sweep(dmax, s_extra=extra, lat=lat)
-            assert summary.counts == {v: verdicts.count(v) for v in summary.counts}, \
-                (extra, lat)
-            assert summary.nonzero_fields == [pair for pair, v in zip(pairs, verdicts)
-                                              if v == VERDICT_NONZERO], (extra, lat)
+    verdicts = [field_verdict(d1, d2) for d1, d2 in pairs]
+    summary = sweep(dmax)
+    assert summary.counts == {v: verdicts.count(v) for v in summary.counts}
+    assert summary.nonzero_fields == [pair for pair, v in zip(pairs, verdicts)
+                                      if v == VERDICT_NONZERO]
 
 
-@pytest.mark.parametrize("dmax", [30, 90])
-def test_sweep_matches_field_verdicts_with_extras_in_and_above_range(dmax):
-    """With extra primes 5, which divides some d, and 101, which lies above
-    every d, `sweep` agrees with `field_verdict` on every pair with
-    d2 <= dmax under every lattice with m <= 3: at 101 neither d1 nor d2 is
-    divisible, so all three subfields carry a nonzero sign there."""
-    pairs = list(squarefree_pairs(dmax))
-    for lat in [LatticeExponent(m, sign) for m in (1, 2, 3) for sign in (1, -1)]:
-        verdicts = [field_verdict(d1, d2, [5, 101], lat) for d1, d2 in pairs]
-        summary = sweep(dmax, s_extra=[5, 101], lat=lat)
-        assert summary.counts == {v: verdicts.count(v) for v in summary.counts}, lat
-        assert summary.nonzero_fields == [pair for pair, v in zip(pairs, verdicts)
-                                          if v == VERDICT_NONZERO], lat
-
-
-@pytest.mark.parametrize("extra", [None, [3, 7]])
-def test_sweep_rows_match_field_verdicts(extra):
+def test_sweep_rows_match_field_verdicts():
     """Whole rows d2 = N of a sweep past 1000, for seeded squarefree N in
     (1000, 1500], one 1 mod 4 and one even: the nonzero fields of the row
     are exactly the d1 < N whose `field_verdict` is nonzero, in order."""
@@ -557,12 +572,11 @@ def test_sweep_rows_match_field_verdicts(extra):
     rng = random.Random(13)
     rows = [rng.choice([n for n in candidates if n % 4 == 1]),
             rng.choice([n for n in candidates if n % 2 == 0])]
-    summary = sweep(max(rows), s_extra=extra)
+    summary = sweep(max(rows))
     for d2 in rows:
         expected = [d1 for d1 in range(2, d2) if is_squarefree(d1)
-                    and field_verdict(d1, d2, extra) == VERDICT_NONZERO]
-        assert [d1 for d1, n in summary.nonzero_fields if n == d2] == expected, \
-            (d2, extra)
+                    and field_verdict(d1, d2) == VERDICT_NONZERO]
+        assert [d1 for d1, n in summary.nonzero_fields if n == d2] == expected, d2
 
 
 def test_sweep_100_makes_each_prime_unit_once(monkeypatch):
@@ -600,10 +614,9 @@ def test_sweep_100_reads_the_record_at_2_once_per_pair_of_classes(monkeypatch):
 def test_sweep_makes_no_kronecker_symbol_call(monkeypatch):
     """`sweep` takes the Legendre symbols of its `neg` table by Euler's
     criterion and its classes at 2 from d mod 8 or 16: it makes no
-    `kronecker_symbol` call, with or without extra primes, where
-    `field_verdict` makes one per subfield that an odd prime of S does not
-    divide: 2 for (5, 13), whose S is {5, 13}, d3 = 65 and 5 and 13 each
-    divide two of the three subfields."""
+    `kronecker_symbol` call, where `field_verdict` makes one per subfield
+    that an odd prime of S does not divide: 2 for (5, 13), whose S is
+    {5, 13}, d3 = 65 and 5 and 13 each divide two of the three subfields."""
     import sys
     import tq.arith
     calls = []
@@ -616,7 +629,6 @@ def test_sweep_makes_no_kronecker_symbol_call(monkeypatch):
         if name.split(".")[0] == "tq" and hasattr(module, "kronecker_symbol"):
             monkeypatch.setattr(module, "kronecker_symbol", counted)
     sweep(100)
-    sweep(60, s_extra=[5, 101])
     assert calls == []
     field_verdict(5, 13)
     assert len(calls) == 2
@@ -646,8 +658,8 @@ def test_report_reads_a_kronecker_symbol_per_subfield_not_divided(
 
 def test_verdicts_build_no_local_data(monkeypatch):
     """`sweep` and `field_verdict` read each prime's unit from its Frobenius
-    signs alone: with and without extra primes they make no `local_data`
-    call, where a report makes one per prime of S."""
+    signs alone: they make no `local_data` call, where a report makes one
+    per prime of S."""
     import sys
     import tq.biquadratic
     calls = []
@@ -660,10 +672,8 @@ def test_verdicts_build_no_local_data(monkeypatch):
         if name.split(".")[0] == "tq" and hasattr(module, "local_data"):
             monkeypatch.setattr(module, "local_data", counted)
     sweep(100)
-    sweep(60, s_extra=[5, 101])
     for d1, d2 in [(5, 13), (3, 11), (10005, 10065), (2, 3)]:
         field_verdict(d1, d2)
-        field_verdict(d1, d2, [3, 7])
     assert calls == []
     omega_loc_torsion(5, 13)
     assert [p for p, _ in calls] == [5, 13]
@@ -743,13 +753,6 @@ def test_sweep_400_matches_parity_law():
 
 def test_sweep_1000_matches_parity_law():
     assert_sweep_matches_parity_law(1000)
-
-
-def test_sweep_s_enlargement_identical():
-    base = sweep(20)
-    enlarged = sweep(20, s_extra=[3])
-    assert base.counts == enlarged.counts
-    assert base.nonzero_fields == enlarged.nonzero_fields
 
 
 def test_sweep_5_has_inadmissible():
