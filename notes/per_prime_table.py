@@ -11,7 +11,7 @@ power-of-two term and, at fully decomposed odd primes, the inverse local
 term, itself split into eps(chi) = (-1)^dim(chi^I/chi^D) and the rest.
 Each part is the odd part mod 4 of the product over the four characters of
 its exact values (that of a reduced fraction is that of the numerator and
-denominator `invariant.prime_unit` multiplies unreduced), and the parts
+denominator `invariant._parts_unit` multiplies unreduced), and the parts
 multiply back to the field's unit from `invariant.field_verdict`.  It
 then lists the supported 2-ramified fields whose resolvent quotient check
 fails, with the odd part of the square root of the conductor product.

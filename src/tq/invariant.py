@@ -1,16 +1,17 @@
 """Assembly of the torsion invariant in (Z/4)* for a biquadratic field:
 the simplified global representative (inverse Euler-factor products over
 the ramified set), the per-prime power-of-two terms, and the local classes
-at fully decomposed odd primes.  All of them are read, per prime and
-character, as int (numerator, denominator) pairs from the prime's
-Frobenius signs alone (`prime_parts`).  The odd part mod 4 of their product
-is the prime's unit (`prime_unit`); the units multiply to the verdict of
-one field (`_field_unit`), or XOR as int bitmasks to a whole row of a sweep
-(`_record`), and a report makes one `Fraction` of each pair it shows.  A
-report (`omega_loc_torsion`) takes extra primes of S and a lattice, which
-change values it shows; the verdict paths (`field_verdict`, `sweep`) take
-S to be the ramified set and the default lattice, since neither choice can
-change a unit (`prime_unit`).  Plus
+at fully decomposed odd primes.  A report (`omega_loc_torsion`) reads all
+of them, per prime and character, as int (numerator, denominator) pairs
+from the prime's Frobenius signs alone (`prime_parts`), takes the odd part
+mod 4 of their product as the prime's unit (`_parts_unit`), and makes one
+`Fraction` of each pair it shows.  The verdict paths (`field_verdict`,
+`sweep`) read a prime's unit from its signs by the closed rule those parts
+reduce to, 3 exactly when D = V4 and I != V4 (`prime_unit`), and multiply
+the units to the verdict of one field (`_field_unit`), or XOR them as int
+bitmasks over a whole row of a sweep.  A report takes extra primes of S
+and a lattice, which change values it shows; the verdict paths take S to
+be the ramified set, since neither choice can change a unit.  Plus
 the analytic cross-checks (the exact ratio L*(1)/L*(0) squared, its numeric
 verification) and the standalone resolvent quotient check for the
 supported shapes of the completion at 2.
@@ -194,24 +195,30 @@ def _parts_unit(parts: list[tuple[Pair, Pair, Pair | None]]) -> int:
 
 def prime_unit(p: int, signs: tuple[int, int, int]) -> int:
     """The unit 1 or 3 of (Z/4)* that a prime p of these Frobenius signs
-    contributes to the torsion class: the odd part mod 4 of the product of
-    its `prime_parts`, that is of the inverse Euler factors, the
-    power-of-two terms and, at a fully decomposed odd prime, the inverse
-    local terms.  Neither auxiliary choice of the class can change it, so
-    it takes neither:
+    contributes to the torsion class, the `_parts_unit` of its
+    `prime_parts` under any lattice: 3 exactly when D = V4 (no sign is 1)
+    and I != V4 (some sign is not 0).  The unit multiplies numerators and
+    denominators alike, a unit mod 4 being its own inverse.  Over the four
+    characters:
 
-    - the lattice enters only the local term, at an odd p with D = V4.
-      There |I| = 2 and exactly two of the four characters have
-      dim chi^I = 1, so the term's net power of p over the four is
-      p^-(4 + 2 sign m): an even power of an odd prime, 1 mod 4.  The
-      parts are read under `LatticeExponent()`.
-    - an extra prime of S is unramified: its three signs are nonzero and
-      chi(Frob) is {1, 1, 1, 1} or {1, 1, -1, -1} over the characters.
-      The Euler parts then carry the odd part of p^4 (p-1)^4 or
-      p^4 (p-1)^2 (p+1)^2, an odd square, the power-of-two parts are
-      powers of 2, and D is not V4, so there is no local term: its unit
-      is 1, and the ramified set decides the verdict."""
-    return _parts_unit(prime_parts(p, signs, LatticeExponent()))
+    - the power-of-two parts have odd part 1, `_frob_det` being 1 or 2;
+    - at an odd p with D = V4, |I| = 2 and there is a local term.  It holds
+      the Euler pairs again, so they enter squared; its powers of 2 have
+      odd part 1; and its powers of p sum to the even exponent
+      2 + 2 |1 + sign m|, as exactly two characters have dim chi^I = 1.
+      What is left is the product of the eps(chi), which is -1, as exactly
+      one character has dim chi^I - dim chi^D = 1.
+    - elsewhere there is no local term, and the Euler parts multiply, over
+      the characters U with dim chi^I = 1, to p^|U| (p-1)^|U|, or to
+      p^|U| ((p-1)(p+1))^(|U|/2) when D != I.  That is an odd square times
+      a power of 2 unless |U| = 2 and D = V4, which here means p = 2, where
+      the odd part of 2^2 * 3 is 3.  |U| = 1 (I = V4, signs (0, 0, 0))
+      happens only at 2, where the odd part of 2 * 1 is 1.
+
+    So an unramified prime, as an extra prime of S is, has unit 1, and no
+    lattice changes a unit: the verdict paths take neither.
+    notes/decisions.md has the derivation at length."""
+    return 3 if full_decomposition(signs) and any(signs) else 1
 
 
 def _prime_report(p: int, signs: tuple[int, int, int],
@@ -331,23 +338,6 @@ class SweepSummary:
                 "nonzero_fields": [list(t) for t in self.nonzero_fields]}
 
 
-def _record(key: tuple[int, tuple[int, int, int]], units: dict) -> int:
-    """The `prime_unit` of a prime under key = (p, its Frobenius signs in
-    the three quadratic subfields), read from `units` and filled on a miss:
-    one dict serves a whole sweep."""
-    unit = units.get(key)
-    if unit is None:
-        unit = units[key] = prime_unit(*key)
-    return unit
-
-
-def _prime(d1: int, d2: int, d3: int, p: int,
-           units: dict) -> tuple[tuple[int, int, int], int]:
-    """The `frob_signs` of p and the `_record` under them."""
-    signs = frob_signs(d1, d2, d3, p)
-    return signs, _record((p, signs), units)
-
-
 def _s_signs(d1: int, d2: int, d3: int, s: Iterable[int],
              at_2: tuple[int, int, int]):
     """(p, the `frob_signs` of p) for each prime p of `s`, read as reached,
@@ -369,7 +359,8 @@ def field_verdict(d1: int, d2: int) -> str:
     """The verdict of `omega_loc_torsion` for the real field
     Q(sqrt(d1), sqrt(d2)), checked by `field_and_ramified_set`, under any
     lattice and any enlargement of S (see `prime_unit`): the `_field_unit`
-    of its `prime_unit`s over the ramified set, with no report."""
+    of the `prime_unit`s of the ramified set, each from its signs alone,
+    with no report."""
     f, ramified = field_and_ramified_set(d1, d2)
     at_2 = frob_signs(*f.subfields, 2)
     s_signs = _s_signs(*f.subfields, ramified, at_2)
@@ -379,16 +370,20 @@ def field_verdict(d1: int, d2: int) -> str:
 def sweep(dmax: int) -> SweepSummary:
     """Decide every squarefree pair 1 < d1 < d2 <= dmax one row d2 at a
     time, the d1 being the bits of ints (bit i for the i-th squarefree d).
-    At each prime, the d1 of a class share their Frobenius signs with d2
-    and so their `_record`: at 2 a class is the parity of d and its odd
-    part mod 8, its record read once per pair of classes (`two`); at an odd
-    p whether p | d and the Legendre symbol of d, or of d/p when p | d, by
-    Euler's criterion.  S is the ramified set of each field, the verdict
-    being the same under any lattice and any larger S (see `prime_unit`).
-    The signs at 2 mark the admissible d1 (`adm`); XORing into `flip` each
-    class in S whose unit is 3 (at odd p, read only when it meets `adm`)
-    multiplies the units.  Nonzero torsion, `flip & adm`, is collected for
-    prominent reporting: it means the predicted universal vanishing fails."""
+    S is the ramified set of each field, the verdict being the same under
+    any lattice and any larger S, and a prime of S has unit 3 exactly when
+    no sign is 1 and some sign is not 0 (`prime_unit`).  At 2 the d1 of a
+    class share their Frobenius signs with d2, a class being the parity of
+    d and its odd part mod 8: the signs of each pair of classes, read once
+    (`two`), mark the admissible d1 (`adm`), and 2 has unit 1 in every
+    admissible field.  At an odd p <= d2 the signs come from whether p | d
+    and the Legendre symbol of d, or of d/p when p | d, by Euler's
+    criterion (`neg`): where p does not divide d2 they are (0, b, 0) at the
+    d1 that p divides, b that of d2, and p is not in S elsewhere; where
+    p | d2, (0, 0, ab) at those d1 and (a, 0, 0) at the others, a that of
+    d1.  XORing into `flip` the d1 at which p has unit 3 multiplies the
+    units.  Nonzero torsion, `flip & adm`, is collected for prominent
+    reporting: it means the predicted universal vanishing fails."""
     if dmax < 3:
         raise InputError("dmax must be at least 3")
     ds = [d for d in range(2, dmax + 1) if is_squarefree(d)]
@@ -396,7 +391,7 @@ def sweep(dmax: int) -> SweepSummary:
     for i, d in enumerate(ds):
         for q in prime_factors(d):
             div[q] = div.get(q, 0) | 1 << i
-    odd = set(div) - {2}
+    odd = sorted(set(div) - {2})
     # neg[p]: the d whose d, or d/p when p | d, has Legendre symbol -1 at p,
     # a product over the other primes of d
     neg = dict.fromkeys(odd, 0)
@@ -405,31 +400,25 @@ def sweep(dmax: int) -> SweepSummary:
             if q != p and pow(q, p >> 1, p) == p - 1:
                 neg[p] ^= m
     at2 = {}  # class at 2 (d mod 8, or mod 16 if even) -> [first d, mask]
-    summary, units, two = SweepSummary(dmax), {}, {}
+    summary, two = SweepSummary(dmax), {}  # two[c1, c2]: admissible
     for j, d2 in enumerate(ds):
         c2, adm, flip = d2 % 8 if d2 % 2 else d2 % 16, 0, 0
         for c1, (d1, m) in at2.items():
             if (c1, c2) not in two:
-                signs, unit = _prime(d1, d2, d1 * d2 // math.gcd(d1, d2) ** 2, 2, units)
-                # admissible, and 2 in S (some sign 0) with unit 3
-                two[c1, c2] = not full_decomposition(signs), 0 in signs and unit == 3
-            admissible, flips = two[c1, c2]
-            adm |= m if admissible else 0
-            flip ^= m if flips else 0
+                d3 = d1 * d2 // math.gcd(d1, d2) ** 2
+                two[c1, c2] = not full_decomposition(frob_signs(d1, d2, d3, 2))
+            if two[c1, c2]:
+                adm |= m
         at2.setdefault(c2, [d2, 0])[1] |= 1 << j
         for p in odd:
+            if p > d2:  # p divides no d1 < d2
+                break
             divp, negp = div[p], neg[p]
-            b = -1 if negp >> j & 1 else 1
-            if d2 % p:  # p in S only where p | d1
-                if divp & adm and _record((p, (0, b, 0)), units) == 3:
+            if d2 % p:  # unit 3 where p | d1 and b = -1
+                if negp >> j & 1:
                     flip ^= divp
-                continue
-            for div1, a in ((True, 1), (True, -1), (False, 1), (False, -1)):
-                m = (divp if div1 else ~divp) & (negp if a < 0 else ~negp) & adm
-                if m:
-                    signs = (0, 0, a * b) if div1 else (a, 0, 0)
-                    if _record((p, signs), units) == 3:
-                        flip ^= m
+            else:  # unit 3 where p | d1 and a = -b, or p does not and a = -1
+                flip ^= divp & (~negp if negp >> j & 1 else negp) | ~divp & negp
         nonzero = flip & adm
         summary.counts[VERDICT_VANISHES] += adm.bit_count() - nonzero.bit_count()
         summary.counts[VERDICT_NONZERO] += nonzero.bit_count()

@@ -12,8 +12,9 @@ from tq.biquadratic import (euler_factor, field_and_ramified_set, field_data,
 from tq.invariant import (VERDICT_INADMISSIBLE, VERDICT_NONZERO,
                                VERDICT_VANISHES, delta1_term, field_verdict,
                                leading_ratio_check, leading_ratio_exact,
-                               omega_loc_torsion, prime_unit,
-                               resolvent_factor_check, sweep, ts_representative)
+                               omega_loc_torsion, prime_parts, prime_unit,
+                               resolvent_factor_check, sweep, ts_representative,
+                               _parts_unit)
 from tq.errors import InputError
 from tq.grouprings import V4_CHARS
 from tq.localterms import LatticeExponent, local_term_closed_form
@@ -381,6 +382,21 @@ def test_prime_unit_needs_no_lattice_and_no_extra_prime_below_1000():
     assert n_cases == 6 * (11 + 10 * 167)
 
 
+def test_prime_unit_rule_matches_its_parts_below_10000():
+    """The closed rule of `prime_unit` (3 exactly when no sign is 1 and some
+    sign is not 0) is the `_parts_unit` of the `prime_parts` it stands for,
+    at every prime p < 10^4, for every sign triple p can have (the 10 at an
+    odd p, and all 11 at 2, (0, 0, 0) included), under all six lattices
+    with m <= 3."""
+    lats = [LatticeExponent(m, sign) for m in (1, 2, 3) for sign in (1, -1)]
+    cases = [(p, signs) for p in [2, *odd_primes_up_to(9999)]
+             for signs in SIGN_TRIPLES if p == 2 or signs != (0, 0, 0)]
+    assert len(cases) == 11 + 10 * 1228
+    # one assertion over all 73 746 cases, not one rewritten assert each
+    assert [(p, signs, lat) for p, signs in cases for lat in lats
+            if prime_unit(p, signs) != _parts_unit(prime_parts(p, signs, lat))] == []
+
+
 def test_report_local_data_matches_local_galois():
     """Every per-prime record of a report, admissible or not, carries the
     local data `local_galois` gives at that prime of S."""
@@ -579,36 +595,23 @@ def test_sweep_rows_match_field_verdicts():
         assert [d1 for d1, n in summary.nonzero_fields if n == d2] == expected, d2
 
 
-def test_sweep_100_makes_each_prime_unit_once(monkeypatch):
-    """`sweep(100)` computes `prime_unit` once per distinct (p, signs)
-    record its pairs reach: 117 of them."""
+def test_sweep_100_reads_signs_only_at_2_once_per_pair_of_classes(monkeypatch):
+    """`sweep(100)` flips its masks straight from the Frobenius signs: it
+    calls none of `prime_unit`, `prime_parts` and `_parts_unit`, and reads
+    `frob_signs` only at 2, once for each of the 64 pairs of classes at 2
+    (d mod 8, or mod 16 when d is even; 8 classes), on which admissibility
+    depends, not once per row and class (439 times)."""
     import tq.invariant
     calls = []
-    orig = tq.invariant.prime_unit
+    for name in ("prime_unit", "prime_parts", "_parts_unit", "frob_signs"):
+        orig = getattr(tq.invariant, name)
 
-    def counted(*args):
-        calls.append(args[0])
-        return orig(*args)
-    monkeypatch.setattr(tq.invariant, "prime_unit", counted)
+        def counted(*args, _name=name, _orig=orig):
+            calls.append((_name, args[-1]) if _name == "frob_signs" else _name)
+            return _orig(*args)
+        monkeypatch.setattr(tq.invariant, name, counted)
     sweep(100)
-    assert len(calls) == 117
-
-
-def test_sweep_100_reads_the_record_at_2_once_per_pair_of_classes(monkeypatch):
-    """The record at 2 depends on d1 and d2 only through their classes at
-    2 (d mod 8, or mod 16 when d is even; 8 classes): `sweep(100)` reaches
-    `_prime` at 2 once for each of the 64 pairs of classes, not once per
-    row and class (439 times)."""
-    import tq.invariant
-    primes = []
-    orig = tq.invariant._prime
-
-    def counted(*args):
-        primes.append(args[3])
-        return orig(*args)
-    monkeypatch.setattr(tq.invariant, "_prime", counted)
-    sweep(100)
-    assert primes == [2] * 64
+    assert calls == [("frob_signs", 2)] * 64
 
 
 def test_sweep_makes_no_kronecker_symbol_call(monkeypatch):
