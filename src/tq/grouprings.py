@@ -5,6 +5,10 @@ Elements are pairs (i, j) with i, j in {0, 1}, meaning a^i b^j; the product
 is the componentwise XOR of the pairs.  The normal form is fixed once and
 for all so that dictionaries keyed by group elements are deterministic.
 
+A coefficient of an element of Q[V4] is an int when it is integral and a
+Fraction only when it is not, like the 1/4 of an idempotent; `apply_char`
+keeps the same rule, so the tame complex specializes to int matrices.
+
 A character is stored as its kernel, the one fact every question about it
 reduces to: chi(g) is 1 on the kernel and -1 off it, and dim chi^H is 1
 exactly when the subgroup H lies in the kernel.
@@ -17,8 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import UnsupportedGroupError
-
-Rational = Fraction | int
+from .linalg import Rational, exact
 
 
 @dataclass(frozen=True, order=True)
@@ -98,14 +101,15 @@ V4_CHARS = (
 
 class GroupRingElem:
     """A finitely supported rational combination of group elements.
-    Immutable after construction; zero coefficients are dropped."""
+    Immutable after construction; zero coefficients are dropped, and a
+    coefficient is an int when it is integral (`linalg.exact`)."""
 
     __slots__ = ("_coeffs", "_key")
 
     def __init__(self, coeffs: Mapping[GroupElement, Rational] | None = None):
-        clean: dict[GroupElement, Fraction] = {}
+        clean: dict[GroupElement, Rational] = {}
         for g, c in (coeffs or {}).items():
-            c = Fraction(c)
+            c = exact(c)
             if c != 0:
                 clean[g] = c
         self._coeffs = clean
@@ -117,11 +121,11 @@ class GroupRingElem:
 
     @classmethod
     def one(cls) -> "GroupRingElem":
-        return cls({V4_E: Fraction(1)})
+        return cls({V4_E: 1})
 
     @classmethod
     def of(cls, g: GroupElement) -> "GroupRingElem":
-        return cls({g: Fraction(1)})
+        return cls({g: 1})
 
     def items(self):
         return self._key
@@ -133,7 +137,7 @@ class GroupRingElem:
         if isinstance(other, GroupRingElem):
             return other
         if isinstance(other, (int, Fraction)):
-            return GroupRingElem({V4_E: Fraction(other)})
+            return GroupRingElem({V4_E: other})
         return None
 
     def __add__(self, other):
@@ -142,7 +146,7 @@ class GroupRingElem:
             return NotImplemented
         out = dict(self._coeffs)
         for g, c in o._coeffs.items():
-            out[g] = out.get(g, Fraction(0)) + c
+            out[g] = out.get(g, 0) + c
         return GroupRingElem(out)
 
     __radd__ = __add__
@@ -164,16 +168,15 @@ class GroupRingElem:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return GroupRingElem({g: c * v for g, v in self._coeffs.items()})
+            return GroupRingElem({g: other * v for g, v in self._coeffs.items()})
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[GroupElement, Fraction] = {}
+        out: dict[GroupElement, Rational] = {}
         for g, c in self._coeffs.items():
             for h, d in o._coeffs.items():
                 gh = g * h
-                out[gh] = out.get(gh, Fraction(0)) + c * d
+                out[gh] = out.get(gh, 0) + c * d
         return GroupRingElem(out)
 
     def __rmul__(self, other):
@@ -204,12 +207,12 @@ def idempotent(chi: GaloisChar) -> GroupRingElem:
     return GroupRingElem({g: Fraction(chi(g), n) for g in _ELEMENTS})
 
 
-def apply_char(chi: GaloisChar, x: GroupRingElem) -> Fraction:
+def apply_char(chi: GaloisChar, x: GroupRingElem) -> Rational:
     """Linear extension of chi to the group ring."""
-    total = Fraction(0)
+    total = 0
     for g, c in x.items():
         total += c * chi(g)
-    return total
+    return exact(total)
 
 
 @dataclass(frozen=True)
@@ -234,7 +237,7 @@ class GroupRingMatrix:
                 if isinstance(x, GroupRingElem):
                     conv.append(x)
                 else:
-                    conv.append(GroupRingElem({V4_E: Fraction(x)}))
+                    conv.append(GroupRingElem({V4_E: x}))
             out.append(tuple(conv))
         return cls(tuple(out))
 
@@ -272,7 +275,7 @@ class GroupRingMatrix:
                          for i in range(n)))
 
 
-def apply_char_matrix(chi: GaloisChar, m: GroupRingMatrix) -> list[list[Fraction]]:
+def apply_char_matrix(chi: GaloisChar, m: GroupRingMatrix) -> list[list[Rational]]:
     """Entrywise application of a one-dimensional character: the rational
     matrix of the character-specialized map."""
     return [[apply_char(chi, x) for x in row] for row in m.entries]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .arith import is_prime, is_squarefree, prime_factors
+from .arith import is_prime
 from .biquadratic import (FieldData, PrimeLocalData, _euler, _frob_det,
                           artin_conductor, euler_factor, field_and_ramified_set,
                           frob_signs, full_decomposition, local_data, local_galois,
@@ -367,6 +367,32 @@ def field_verdict(d1: int, d2: int) -> str:
     return _verdict(_field_unit(at_2, (prime_unit(p, signs) for p, signs in s_signs)))
 
 
+def _squarefree_masks(dmax: int) -> tuple[list[int], dict[int, int]]:
+    """The squarefree 1 < d <= dmax in increasing order, and for each prime
+    q <= dmax, in increasing order, the mask of the d that q divides (bit i
+    for the i-th d): one smallest-prime-factor sieve gives both."""
+    spf = list(range(dmax + 1))
+    for q in range(2, math.isqrt(dmax) + 1):
+        if spf[q] == q:
+            for k in range(q * q, dmax + 1, q):
+                if spf[k] == k:
+                    spf[k] = q
+    ds, div = [], {}
+    for d in range(2, dmax + 1):
+        n, qs = d, []
+        while n > 1:
+            q = spf[n]
+            n //= q
+            if n % q == 0:  # q^2 | d
+                break
+            qs.append(q)
+        else:
+            for q in qs:
+                div[q] = div.get(q, 0) | 1 << len(ds)
+            ds.append(d)
+    return ds, div
+
+
 def sweep(dmax: int) -> SweepSummary:
     """Decide every squarefree pair 1 < d1 < d2 <= dmax one row d2 at a
     time, the d1 being the bits of ints (bit i for the i-th squarefree d).
@@ -377,28 +403,31 @@ def sweep(dmax: int) -> SweepSummary:
     d and its odd part mod 8: the signs of each pair of classes, read once
     (`two`), mark the admissible d1 (`adm`), and 2 has unit 1 in every
     admissible field.  At an odd p <= d2 the signs come from whether p | d
-    and the Legendre symbol of d, or of d/p when p | d, by Euler's
-    criterion (`neg`): where p does not divide d2 they are (0, b, 0) at the
-    d1 that p divides, b that of d2, and p is not in S elsewhere; where
-    p | d2, (0, 0, ab) at those d1 and (a, 0, 0) at the others, a that of
-    d1.  XORing into `flip` the d1 at which p has unit 3 multiplies the
-    units.  Nonzero torsion, `flip & adm`, is collected for prominent
-    reporting: it means the predicted universal vanishing fails."""
+    and the Legendre symbol of d, or of d/p when p | d, read from one set of
+    squares per odd prime (`neg`): where p does not divide d2 they are
+    (0, b, 0) at the d1 that p divides, b that of d2, and p is not in S
+    elsewhere; where p | d2, (0, 0, ab) at those d1 and (a, 0, 0) at the
+    others, a that of d1.  XORing into `flip` the d1 at which p has unit 3
+    multiplies the units.  Nonzero torsion, `flip & adm`, is collected for
+    prominent reporting: it means the predicted universal vanishing fails."""
     if dmax < 3:
         raise InputError("dmax must be at least 3")
-    ds = [d for d in range(2, dmax + 1) if is_squarefree(d)]
-    div = {}  # div[q]: the d that the prime q divides
-    for i, d in enumerate(ds):
-        for q in prime_factors(d):
-            div[q] = div.get(q, 0) | 1 << i
-    odd = sorted(set(div) - {2})
+    ds, div = _squarefree_masks(dmax)  # div[q]: the d that the prime q divides
+    odd = [q for q in div if q != 2]
     # neg[p]: the d whose d, or d/p when p | d, has Legendre symbol -1 at p,
-    # a product over the other primes of d
-    neg = dict.fromkeys(odd, 0)
-    for p in odd:
-        for q, m in div.items():
-            if q != p and pow(q, p >> 1, p) == p - 1:
-                neg[p] ^= m
+    # a product over the other primes q of d of (q/p).  (2/p) = -1 exactly
+    # when p = 3 or 5 mod 8.  For odd q < p, (p/q) is read from the squares
+    # mod q, and (q/p) = (p/q) unless p = q = 3 mod 4 (reciprocity).
+    neg = {p: div[2] if p % 8 in (3, 5) else 0 for p in odd}
+    for i, q in enumerate(odd):
+        squares = {x * x % q for x in range(1, q // 2 + 1)}
+        q3 = q % 4 == 3
+        for p in odd[i + 1:]:
+            p_non = p % q not in squares
+            if p_non:
+                neg[q] ^= div[p]
+            if p_non != (q3 and p % 4 == 3):
+                neg[p] ^= div[q]
     at2 = {}  # class at 2 (d mod 8, or mod 16 if even) -> [first d, mask]
     summary, two = SweepSummary(dmax), {}  # two[c1, c2]: admissible
     for j, d2 in enumerate(ds):

@@ -1,8 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows of Fractions.  Vectors are row vectors: a linear
-map is applied as v |-> v @ M, so a map from Q^r to Q^c is an r x c matrix
-whose i-th row is the image of the i-th standard basis vector.
+Matrices are lists of rows of exact rationals.  An entry that is an integer
+is an int; an entry is a Fraction only where a division left a remainder
+(`exact`, `_quotient`), so integral matrices reduce in int arithmetic.
+Two operations would turn ints into a float without an error, `int / int`
+and `int ** negative`; neither appears here, and `exact` refuses floats.
+
+Vectors are row vectors: a linear map is applied as v |-> v @ M, so a map
+from Q^r to Q^c is an r x c matrix whose i-th row is the image of the i-th
+standard basis vector.
 
 All reductions use reduced row echelon form with leftmost-pivot
 tie-breaking, so every basis produced here is deterministic.  The image
@@ -14,12 +20,32 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Vec = list[Fraction]
+Rational = int | Fraction
+Vec = list[Rational]
 Mat = list[Vec]
 
 
+def exact(x: Rational) -> Rational:
+    """x as an int when it is integral, else as a Fraction.  Anything but
+    an int or a Fraction is refused, a float above all: it may already have
+    lost the value it stands for."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError(f"{x!r} is not an exact rational")
+
+
+def _quotient(x: Rational, y: Rational) -> Rational:
+    """x / y exactly: an int when y divides x, else a Fraction."""
+    if type(x) is int and type(y) is int:
+        q, r = divmod(x, y)
+        return Fraction(x, y) if r else q
+    return exact(x / y)
+
+
 def vec(xs) -> Vec:
-    return [Fraction(x) for x in xs]
+    return [exact(x) for x in xs]
 
 
 def mat(rows) -> Mat:
@@ -27,13 +53,13 @@ def mat(rows) -> Mat:
 
 
 def zeros(r: int, c: int) -> Mat:
-    return [[Fraction(0)] * c for _ in range(r)]
+    return [[0] * c for _ in range(r)]
 
 
 def identity(n: int) -> Mat:
     out = zeros(n, n)
     for i in range(n):
-        out[i][i] = Fraction(1)
+        out[i][i] = 1
     return out
 
 
@@ -55,7 +81,7 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
                 for j in range(m):
                     if bt[j]:
                         oi[j] += c * bt[j]
-    return out
+    return [[exact(x) for x in row] for row in out]
 
 
 def vec_mat(v: Vec, a: Mat) -> Vec:
@@ -64,7 +90,7 @@ def vec_mat(v: Vec, a: Mat) -> Vec:
 
 def rref(a: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form; returns (R, pivot column indices)."""
-    r = [row[:] for row in a]
+    r = mat(a)
     if not r:
         return [], []
     nrows, ncols = len(r), len(r[0])
@@ -75,12 +101,14 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
         if piv is None:
             continue
         r[lead], r[piv] = r[piv], r[lead]
-        inv = 1 / r[lead][col]
-        r[lead] = [x * inv for x in r[lead]]
+        pivot = r[lead][col]
+        if pivot != 1:
+            r[lead] = [_quotient(x, pivot) if x else 0 for x in r[lead]]
+        row = r[lead]
         for i in range(nrows):
-            if i != lead and r[i][col] != 0:
-                c = r[i][col]
-                r[i] = [x - c * y for x, y in zip(r[i], r[lead])]
+            c = r[i][col]
+            if i != lead and c != 0:
+                r[i] = [exact(x - c * y) if y else x for x, y in zip(r[i], row)]
         pivots.append(col)
         lead += 1
         if lead == nrows:
@@ -106,27 +134,31 @@ def reduce_rows(a: Mat) -> tuple[Mat, Mat, Mat]:
             [row[c:] for row in r[rank:]])
 
 
-def det(a: Mat) -> Fraction:
+def det(a: Mat) -> Rational:
+    """Determinant by elimination below each pivot: a row with a zero in
+    the pivot column is left as it is, and an int row minus an int multiple
+    of the pivot row stays int."""
     n = len(a)
     if n == 0:
-        return Fraction(1)
+        return 1
     assert all(len(row) == n for row in a), "determinant of non-square matrix"
-    m = [row[:] for row in a]
-    result = Fraction(1)
+    m = mat(a)
+    result = 1
     for col in range(n):
         piv = next((i for i in range(col, n) if m[i][col] != 0), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
             result = -result
-        result *= m[col][col]
-        inv = 1 / m[col][col]
+        row, pivot = m[col], m[col][col]
+        if pivot != 1:
+            result *= pivot
         for i in range(col + 1, n):
             if m[i][col] != 0:
-                c = m[i][col] * inv
-                m[i] = [x - c * y for x, y in zip(m[i], m[col])]
-    return result
+                c = _quotient(m[i][col], pivot)
+                m[i] = [exact(x - c * y) if y else x for x, y in zip(m[i], row)]
+    return exact(result)
 
 
 def is_invertible(a: Mat) -> bool:

@@ -65,7 +65,7 @@ class LatticeExponent:
 def inertia_unit(p: int, a: GroupElement) -> GroupRingElem:
     """(p+1)/2 + ((p-1)/2) a, the group-ring element realizing the residue
     field as a quotient."""
-    return GroupRingElem({V4_E: Fraction(p + 1, 2), a: Fraction(p - 1, 2)})
+    return GroupRingElem({V4_E: (p + 1) // 2, a: (p - 1) // 2})
 
 
 def build_tame_complex(spec: TameComplexSpec) -> PerfectComplex:
@@ -81,10 +81,10 @@ def build_tame_complex(spec: TameComplexSpec) -> PerfectComplex:
                           {-2: lam, -1: minus_phi})
 
 
-def torsion_cycle(spec: TameComplexSpec, chi: GaloisChar) -> list[Fraction]:
+def torsion_cycle(spec: TameComplexSpec, chi: GaloisChar) -> list[int]:
     """Character specialization of T = (1+b) z2 - (1+a) z1, the cocycle
     whose class generates the odd cohomology at the trivial character."""
-    return [-(1 + Fraction(chi(spec.a))), 1 + Fraction(chi(spec.b))]
+    return [-(1 + chi(spec.a)), 1 + chi(spec.b)]
 
 
 def valuation_iso(spec: TameComplexSpec) -> CohomologyIso:
@@ -97,8 +97,8 @@ def valuation_iso(spec: TameComplexSpec) -> CohomologyIso:
         if chi.is_trivial():
             components[chi.label] = CohomologyIsoComponent(
                 odd_reps={-1: [torsion_cycle(spec, chi)]},
-                even_reps={0: [[Fraction(1)]]},
-                matrix=[[Fraction(1)]])
+                even_reps={0: [[1]]},
+                matrix=[[1]])
         else:
             components[chi.label] = CohomologyIsoComponent({}, {}, [])
     return CohomologyIso(components)
@@ -121,7 +121,7 @@ class ResidueResolutionReport:
     multiplication_by_p: bool
     displayed_identity: bool
     char_values: bool
-    char_value_list: tuple[Fraction, ...]
+    char_value_list: tuple[int | Fraction, ...]
 
     @property
     def ok(self) -> bool:

@@ -115,8 +115,7 @@ def char_specialize(p: PerfectComplex, chi: GaloisChar) -> RationalComplex:
     """Apply a one-dimensional character entrywise to every differential.
     d o d = 0 needs no check here: `PerfectComplex` checks it in Q[V4], and
     chi is a ring homomorphism."""
-    diffs = {j: linalg.mat(apply_char_matrix(chi, d))
-             for j, d in p.differentials.items()}
+    diffs = {j: apply_char_matrix(chi, d) for j, d in p.differentials.items()}
     return RationalComplex(p.degrees, dict(p.ranks), diffs)
 
 
@@ -262,7 +261,7 @@ def torsion_determinant(c: RationalComplex, comp: CohomologyIsoComponent,
         acc += c.rank(j)
 
     def placed(j: int, v: linalg.Vec) -> linalg.Vec:
-        out = [Fraction(0)] * even_rank
+        out = [0] * even_rank
         out[slot[j]:slot[j] + len(v)] = v
         return out
 
@@ -272,13 +271,13 @@ def torsion_determinant(c: RationalComplex, comp: CohomologyIsoComponent,
     classes = iter(linalg.mat_mul(
         psi, [placed(k, v) for k in even_degs for v in reps[k]]))
     targets: Mat = []
-    adapted = Fraction(1)
+    adapted = 1
     for j in odd_degs:
         adapted *= linalg.det(data.images[j] + reps[j] + s_rows.get(j, []))
         targets += [placed(j - 1, v) for v in s_rows.get(j - 1, [])]
         targets += [next(classes) for _ in reps[j]]
         targets += [placed(j + 1, v) for v in data.images.get(j + 1, [])]
-    result = linalg.det(targets) / adapted
+    result = Fraction(linalg.det(targets), adapted)
     if result == 0:
         raise ContractViolationError("composite map is singular")
     return result

@@ -2,6 +2,7 @@
 it needs them."""
 
 from tq.arith import is_prime, is_squarefree
+from tq.lseries import _require_even_nontrivial, quad_char_values
 
 
 def odd_primes_up_to(bound: int) -> list[int]:
@@ -15,3 +16,39 @@ def squarefree_pairs(dmax: int):
     for i, d2 in enumerate(ds):
         for d1 in ds[:i]:
             yield d1, d2
+
+
+def _tail_power_sum(k0: int, j: int) -> float:
+    """sum_{k >= k0} k^-j by Euler-Maclaurin."""
+    x = float(k0)
+    s = x ** (1 - j) / (j - 1) + 0.5 * x ** (-j) + j * x ** (-j - 1) / 12.0
+    s -= j * (j + 1) * (j + 2) * x ** (-j - 3) / 720.0
+    return s
+
+
+def l_one_series(disc: int, blocks: int = 2000) -> float:
+    """L(1, chi) by direct series summation over complete periods, plus an
+    analytic estimate of the tail (expansion of the block sums in inverse
+    powers of the block index)."""
+    f = _require_even_nontrivial(disc)
+    chi = quad_char_values(disc)
+    total = 0.0
+    for a in range(1, f):
+        if chi[a]:
+            total += chi[a] / a
+    for k in range(1, blocks):
+        kf = k * f
+        block = 0.0
+        for a in range(1, f):
+            if chi[a]:
+                block += chi[a] / (kf + a)
+        total += block
+    # tail: sum over k >= blocks of -A1/(kf)^2 + A2/(kf)^3 k^0 ... with
+    # A_j = sum_a chi(a) a^j
+    a1 = sum(chi[a] * a for a in range(1, f))
+    a2 = sum(chi[a] * a * a for a in range(1, f))
+    a3 = sum(chi[a] * a ** 3 for a in range(1, f))
+    tail = (-a1 / f ** 2 * _tail_power_sum(blocks, 2)
+            + a2 / f ** 3 * _tail_power_sum(blocks, 3)
+            - a3 / f ** 4 * _tail_power_sum(blocks, 4))
+    return total + tail

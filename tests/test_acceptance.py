@@ -14,7 +14,7 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import odd_primes_up_to, squarefree_pairs
+from helpers import l_one_series, odd_primes_up_to, squarefree_pairs
 from tq.biquadratic import field_data, local_galois, quad_field_disc, ramified_set
 from tq.invariant import (VERDICT_NONZERO, VERDICT_VANISHES,
                                delta1_term, omega_loc_torsion,
@@ -23,7 +23,7 @@ from tq.grouprings import V4_A, V4_AB, V4_B, V4_CHARS, V4_E
 from tq.localterms import (LatticeExponent, TameComplexSpec,
                            build_tame_complex, valuation_iso,
                            verify_residue_resolution)
-from tq.lseries import l_one_logsin, l_one_series, l_prime_zero_lgamma
+from tq.lseries import l_one_logsin, l_prime_zero_lgamma
 from tq.perfectcomplex import class_representative
 from tq.relk0 import HomRep, induce_from_subgroup, torsion_class, v2
 

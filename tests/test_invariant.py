@@ -615,8 +615,8 @@ def test_sweep_100_reads_signs_only_at_2_once_per_pair_of_classes(monkeypatch):
 
 
 def test_sweep_makes_no_kronecker_symbol_call(monkeypatch):
-    """`sweep` takes the Legendre symbols of its `neg` table by Euler's
-    criterion and its classes at 2 from d mod 8 or 16: it makes no
+    """`sweep` reads the Legendre symbols of its `neg` table from sets of
+    squares and its classes at 2 from d mod 8 or 16: it makes no
     `kronecker_symbol` call, where `field_verdict` makes one per subfield
     that an odd prime of S does not divide: 2 for (5, 13), whose S is
     {5, 13}, d3 = 65 and 5 and 13 each divide two of the three subfields."""
@@ -635,6 +635,39 @@ def test_sweep_makes_no_kronecker_symbol_call(monkeypatch):
     assert calls == []
     field_verdict(5, 13)
     assert len(calls) == 2
+
+
+def test_sweep_100_makes_no_factorization_call(monkeypatch):
+    """`sweep` takes its squarefree d and the primes of each from one
+    smallest-prime-factor sieve, where factoring each d <= 100 in
+    `is_squarefree` and again in `prime_factors` made 159
+    `factorization` calls."""
+    import tq.arith
+    calls = []
+
+    def counted(n, _orig=tq.arith.factorization):
+        calls.append(n)
+        return _orig(n)
+    monkeypatch.setattr(tq.arith, "factorization", counted)
+    sweep(100)
+    assert calls == []
+    is_squarefree(12)  # the patch is live
+    assert calls == [12]
+
+
+@pytest.mark.parametrize("dmax", [3, 4, 30, 1000])
+def test_sweep_sieve_matches_factorization(dmax):
+    """The sieve gives the squarefree d in increasing order, and for each
+    prime q <= dmax the mask of the d that q divides."""
+    from tq.arith import prime_factors
+    from tq.invariant import _squarefree_masks
+    ds = [d for d in range(2, dmax + 1) if is_squarefree(d)]
+    div = {}
+    for i, d in enumerate(ds):
+        for q in prime_factors(d):
+            div[q] = div.get(q, 0) | 1 << i
+    assert _squarefree_masks(dmax) == (ds, div)
+    assert list(_squarefree_masks(dmax)[1]) == sorted(div)
 
 
 @pytest.mark.parametrize("d1, d2, extra, n_calls", [

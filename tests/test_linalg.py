@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from tq.linalg import det, identity, mat, mat_mul, reduce_rows, rref, vec_mat
@@ -85,3 +86,72 @@ def test_exactness_no_float_drift():
     # 1/3 arithmetic that would drift in floats stays exact
     m = mat([[Fraction(1, 3), 1], [1, Fraction(3)]])
     assert det(m) == 0
+
+
+# ---------- an independent oracle: sympy's exact rationals ----------
+
+# ints, and Fractions with denominators 1..4, so that an integral Fraction
+# such as Fraction(4, 2) is among the inputs
+ints_and_fractions = st.one_of(
+    st.integers(-4, 4), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)))
+
+
+@st.composite
+def mixed_matrices(draw, square=False):
+    """Random r x c matrices of ints and Fractions; in about half of them
+    the last row is a combination of the first and another row, or zero,
+    so that singular and rank-deficient matrices are drawn too."""
+    r = draw(st.integers(1, 4))
+    c = r if square else draw(st.integers(1, 4))
+    a = draw(st.lists(st.lists(ints_and_fractions, min_size=c, max_size=c),
+                      min_size=r, max_size=r))
+    if draw(st.booleans()):
+        t, u = draw(ints_and_fractions), draw(st.sampled_from(a))
+        a[-1] = [t * x + y for x, y in zip(a[0], u)] if r > 1 else [0] * c
+    return a
+
+
+def to_sympy(a):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                         for row in a])
+
+
+def from_sympy(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def assert_exact(rows):
+    """No entry is a float, and every integral entry is an int."""
+    for row in rows:
+        for x in row:
+            assert type(x) in (int, Fraction), (x, rows)
+            assert type(x) is int or x.denominator != 1, (x, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_matrices())
+def test_rref_and_reduce_rows_match_sympy(a):
+    r, pivots = rref(a)
+    sym_r, sym_pivots = to_sympy(a).rref()
+    assert r == [[from_sympy(x) for x in sym_r.row(i)] for i in range(len(a))]
+    assert pivots == list(sym_pivots)
+    assert_exact(r)
+    # reduce_rows reads the (unique) RREF of [a | I]
+    n, c = len(a), len(a[0])
+    aug, aug_pivots = to_sympy([row + e for row, e in zip(a, identity(n))]).rref()
+    aug = [[from_sympy(x) for x in aug.row(i)] for i in range(n)]
+    rank = sum(1 for col in aug_pivots if col < c)
+    images, preimages, kernel = reduce_rows(a)
+    assert images == [row[:c] for row in aug[:rank]]
+    assert preimages == [row[c:] for row in aug[:rank]]
+    assert kernel == [row[c:] for row in aug[rank:]]
+    for block in (images, preimages, kernel):
+        assert_exact(block)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_matrices(square=True))
+def test_det_matches_sympy(a):
+    d = det(a)
+    assert d == from_sympy(to_sympy(a).det())
+    assert_exact([[d]])

@@ -74,6 +74,27 @@ def test_trivial_char_specialization_p5():
     assert c.diff(-1) == [[Fraction(0)], [Fraction(0)]]
 
 
+def test_tame_complex_holds_only_ints():
+    """(p +- 1)/2 is an int at odd p and chi(g) = +-1, so the tame complex
+    and its specializations at all four characters hold ints only: no
+    float, and no Fraction, even an integral one.  The class read from it
+    is still a HomRep of Fractions."""
+    rng = random.Random(22)
+    draws = (rng.randrange(11, 10 ** 6) | 1 for _ in range(100))
+    for p in [3, 5, 7] + [q for q in draws if is_prime(q)]:
+        for a, b in all_labelings():
+            spec = TameComplexSpec(p, a, b)
+            cplx = build_tame_complex(spec)
+            for d in cplx.differentials.values():
+                assert all(type(c) is int for row in d.entries for x in row
+                           for _, c in x.items()), (p, a, b)
+            for chi in V4_CHARS:
+                for m in char_specialize(cplx, chi).diffs.values():
+                    assert all(type(v) is int for row in m for v in row), (p, chi)
+            rep = class_representative(cplx, valuation_iso(spec))
+            assert all(type(v) is Fraction for v in rep.as_tuple()), p
+
+
 # ---------- valuation iso ----------
 
 def test_valuation_iso_shapes():

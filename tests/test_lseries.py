@@ -2,12 +2,13 @@ import math
 
 import pytest
 
+from helpers import l_one_series
 from tq.arith import is_squarefree, kronecker_symbol
 from tq.biquadratic import field_data, quad_field_disc
 from tq.errors import InputError
 from tq.invariant import leading_ratio_check
-from tq.lseries import (_char_table, l_one_logsin, l_one_series,
-                        l_prime_zero_lgamma, quad_char_values)
+from tq.lseries import (_char_table, l_one_logsin, l_prime_zero_lgamma,
+                        quad_char_values)
 
 
 def even_discs_up_to(bound):
