@@ -106,8 +106,11 @@ def mixed_matrices(draw, square=False):
     a = draw(st.lists(st.lists(ints_and_fractions, min_size=c, max_size=c),
                       min_size=r, max_size=r))
     if draw(st.booleans()):
-        t, u = draw(ints_and_fractions), draw(st.sampled_from(a))
-        a[-1] = [t * x + y for x, y in zip(a[0], u)] if r > 1 else [0] * c
+        if r > 1:
+            t, u = draw(ints_and_fractions), draw(st.sampled_from(a[:-1]))
+            a[-1] = [t * x + y for x, y in zip(a[0], u)]
+        else:
+            a[-1] = [0] * c
     return a
 
 
