@@ -5,13 +5,14 @@ at fully decomposed odd primes.  A report (`omega_loc_torsion`) reads all
 of them, per prime and character, as int (numerator, denominator) pairs
 from the prime's Frobenius signs alone (`prime_parts`), takes the odd part
 mod 4 of their product as the prime's unit (`_parts_unit`), and makes one
-`Fraction` of each pair it shows.  The verdict paths (`field_verdict`,
-`sweep`) read a prime's unit from its signs by the closed rule those parts
-reduce to, 3 exactly when D = V4 and I != V4 (`prime_unit`), and multiply
-the units to the verdict of one field (`_field_unit`), or XOR them as int
-bitmasks over a whole row of a sweep.  A report takes extra primes of S
-and a lattice, which change values it shows; the verdict paths take S to
-be the ramified set, since neither choice can change a unit.  Plus
+`Fraction` of each pair it shows.  `field_verdict` reads a prime's unit
+from its signs by the closed rule those parts reduce to, 3 exactly when
+D = V4 and I != V4 (`prime_unit`), and multiplies the units to the
+verdict of one field (`_field_unit`).  `sweep` decides a whole row of
+fields at once, as int bitmasks, by the parity law that this rule gives
+through Hilbert reciprocity, reading no prime's signs.  A report takes
+extra primes of S and a lattice, which change values it shows; the
+verdict paths take neither, since neither choice can change a unit.  Plus
 the analytic cross-checks (the exact ratio L*(1)/L*(0) squared, its numeric
 verification) and the standalone resolvent quotient check for the
 supported shapes of the completion at 2.
@@ -393,61 +394,55 @@ def _squarefree_masks(dmax: int) -> tuple[list[int], dict[int, int]]:
     return ds, div
 
 
+def _hilbert2(c1: int, c2: int) -> int:
+    """The 2-adic Hilbert symbol (d1, d2)_2 of d1, d2 of classes c1, c2 at 2
+    (d mod 8, or mod 16 when d is even): with d1 = 2^a u and d2 = 2^b v,
+    u and v odd, it is (-1)^(e(u) e(v) + a w(v) + b w(u)), where
+    e(u) = (u - 1)/2 and w(u) = (u^2 - 1)/8 (Serre, A Course in Arithmetic,
+    ch. III, Thm. 1), and the class holds a and u mod 8."""
+    a, u = (0, c1) if c1 % 2 else (1, c1 // 2)
+    b, v = (0, c2) if c2 % 2 else (1, c2 // 2)
+    e = (u - 1) // 2 * ((v - 1) // 2) + a * (v * v - 1) // 8 + b * (u * u - 1) // 8
+    return -1 if e % 2 else 1
+
+
 def sweep(dmax: int) -> SweepSummary:
     """Decide every squarefree pair 1 < d1 < d2 <= dmax one row d2 at a
-    time, the d1 being the bits of ints (bit i for the i-th squarefree d).
-    S is the ramified set of each field, the verdict being the same under
-    any lattice and any larger S, and a prime of S has unit 3 exactly when
-    no sign is 1 and some sign is not 0 (`prime_unit`).  At 2 the d1 of a
-    class share their Frobenius signs with d2, a class being the parity of
-    d and its odd part mod 8: the signs of each pair of classes, read once
-    (`two`), mark the admissible d1 (`adm`), and 2 has unit 1 in every
-    admissible field.  At an odd p <= d2 the signs come from whether p | d
-    and the Legendre symbol of d, or of d/p when p | d, read from one set of
-    squares per odd prime (`neg`): where p does not divide d2 they are
-    (0, b, 0) at the d1 that p divides, b that of d2, and p is not in S
-    elsewhere; where p | d2, (0, 0, ab) at those d1 and (a, 0, 0) at the
-    others, a that of d1.  XORing into `flip` the d1 at which p has unit 3
-    multiplies the units.  Nonzero torsion, `flip & adm`, is collected for
-    prominent reporting: it means the predicted universal vanishing fails."""
+    time, the d1 being the bits of ints (bit i for the i-th squarefree d),
+    by the parity law that the per-prime rule of `field_verdict` reduces to
+    (notes/decisions.md, "The verdict and the parity law").  A field is
+    admissible exactly when one of d1, d2, d3 is 1 mod 8, and for
+    squarefree d d3 is 1 mod 8 exactly when d1 and d2 are in the same class
+    at 2 (d mod 8, or mod 16 when d is even): `adm` is every d1 when d2 is
+    1 mod 8, else the d1 of class 1 or of d2's class.  An admissible field
+    is nonzero exactly when (d1, d2)_2 chi_-4(g) = -1, g the odd part of
+    gcd(d1, d2): `flip` is the d1 of the classes whose `_hilbert2` with
+    d2's is -1, XORed with the d1 that each prime q = 3 mod 4 of d2
+    divides.  Nonzero torsion, `flip & adm`, is collected for prominent
+    reporting: it means the predicted universal vanishing fails."""
     if dmax < 3:
         raise InputError("dmax must be at least 3")
     ds, div = _squarefree_masks(dmax)  # div[q]: the d that the prime q divides
-    odd = [q for q in div if q != 2]
-    # neg[p]: the d whose d, or d/p when p | d, has Legendre symbol -1 at p,
-    # a product over the other primes q of d of (q/p).  (2/p) = -1 exactly
-    # when p = 3 or 5 mod 8.  For odd q < p, (p/q) is read from the squares
-    # mod q, and (q/p) = (p/q) unless p = q = 3 mod 4 (reciprocity).
-    neg = {p: div[2] if p % 8 in (3, 5) else 0 for p in odd}
-    for i, q in enumerate(odd):
-        squares = {x * x % q for x in range(1, q // 2 + 1)}
-        q3 = q % 4 == 3
-        for p in odd[i + 1:]:
-            p_non = p % q not in squares
-            if p_non:
-                neg[q] ^= div[p]
-            if p_non != (q3 and p % 4 == 3):
-                neg[p] ^= div[q]
-    at2 = {}  # class at 2 (d mod 8, or mod 16 if even) -> [first d, mask]
-    summary, two = SweepSummary(dmax), {}  # two[c1, c2]: admissible
-    for j, d2 in enumerate(ds):
-        c2, adm, flip = d2 % 8 if d2 % 2 else d2 % 16, 0, 0
-        for c1, (d1, m) in at2.items():
-            if (c1, c2) not in two:
-                d3 = d1 * d2 // math.gcd(d1, d2) ** 2
-                two[c1, c2] = not full_decomposition(frob_signs(d1, d2, d3, 2))
-            if two[c1, c2]:
-                adm |= m
-        at2.setdefault(c2, [d2, 0])[1] |= 1 << j
-        for p in odd:
-            if p > d2:  # p divides no d1 < d2
-                break
-            divp, negp = div[p], neg[p]
-            if d2 % p:  # unit 3 where p | d1 and b = -1
-                if negp >> j & 1:
-                    flip ^= divp
-            else:  # unit 3 where p | d1 and a = -b, or p does not and a = -1
-                flip ^= divp & (~negp if negp >> j & 1 else negp) | ~divp & negp
+    cls = [d % 8 if d % 2 else d % 16 for d in ds]  # the class of each d
+    of_class = dict.fromkeys((1, 3, 5, 7, 2, 6, 10, 14), 0)  # class -> its d
+    for i, c in enumerate(cls):
+        of_class[c] |= 1 << i
+    q3 = [[] for _ in ds]  # q3[j]: the primes q = 3 mod 4 that divide ds[j]
+    for q, m in div.items():
+        if q % 4 == 3:
+            while m:
+                low = m & -m
+                q3[low.bit_length() - 1].append(q)
+                m ^= low
+    hilbert = {c2: sum(m for c1, m in of_class.items() if _hilbert2(c1, c2) < 0)
+               for c2 in of_class}  # class of d2 -> the d1 with (d1, d2)_2 = -1
+    summary = SweepSummary(dmax)
+    for j, (d2, c2) in enumerate(zip(ds, cls)):
+        below = (1 << j) - 1
+        adm = below if c2 == 1 else (of_class[1] | of_class[c2]) & below
+        flip = hilbert[c2]
+        for q in q3[j]:
+            flip ^= div[q]
         nonzero = flip & adm
         summary.counts[VERDICT_VANISHES] += adm.bit_count() - nonzero.bit_count()
         summary.counts[VERDICT_NONZERO] += nonzero.bit_count()

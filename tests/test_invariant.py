@@ -595,23 +595,76 @@ def test_sweep_rows_match_field_verdicts():
         assert [d1 for d1, n in summary.nonzero_fields if n == d2] == expected, d2
 
 
-def test_sweep_100_reads_signs_only_at_2_once_per_pair_of_classes(monkeypatch):
-    """`sweep(100)` flips its masks straight from the Frobenius signs: it
-    calls none of `prime_unit`, `prime_parts` and `_parts_unit`, and reads
-    `frob_signs` only at 2, once for each of the 64 pairs of classes at 2
-    (d mod 8, or mod 16 when d is even; 8 classes), on which admissibility
-    depends, not once per row and class (439 times)."""
+def test_sweep_100_reads_no_prime_signs_and_no_prime_unit(monkeypatch):
+    """`sweep(100)` decides by the parity law from d mod 8 or 16 and the
+    primes of d: it calls none of `frob_signs`, `full_decomposition`,
+    `prime_unit`, `prime_parts` and `_parts_unit`, where `field_verdict`
+    reads the signs of 2 and of each prime of S."""
     import tq.invariant
     calls = []
-    for name in ("prime_unit", "prime_parts", "_parts_unit", "frob_signs"):
+    for name in ("frob_signs", "full_decomposition", "prime_unit",
+                 "prime_parts", "_parts_unit"):
         orig = getattr(tq.invariant, name)
 
         def counted(*args, _name=name, _orig=orig):
-            calls.append((_name, args[-1]) if _name == "frob_signs" else _name)
+            calls.append(_name)
             return _orig(*args)
         monkeypatch.setattr(tq.invariant, name, counted)
     sweep(100)
-    assert calls == [("frob_signs", 2)] * 64
+    assert calls == []
+    field_verdict(5, 13)  # the patches are live
+    assert {"frob_signs", "full_decomposition", "prime_unit"} <= set(calls)
+
+
+def hilbert_odd(a, b, p):
+    """(a, b)_p at an odd prime p for nonzero ints a, b: with a = p^al u and
+    b = p^be v, (-1)^(al be (p-1)/2) (u/p)^be (v/p)^al, each Legendre
+    symbol by Euler's criterion."""
+    def split(n):
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        return k, n
+
+    def legendre(n):
+        return 1 if pow(n, (p - 1) // 2, p) == 1 else -1
+    (al, u), (be, v) = split(a), split(b)
+    return ((-1) ** (al * be * (p - 1) // 2)
+            * legendre(u) ** be * legendre(v) ** al)
+
+
+def test_class_hilbert_symbol_matches_product_formula():
+    """`_hilbert2` on the classes at 2 (d mod 8, or mod 16 when d is even)
+    of every squarefree 1 < d1, d2 <= 300, against the product formula:
+    for d1, d2 > 0, (d1, d2)_inf = 1, so (d1, d2)_2 is the product over the
+    odd primes p of (d1, d2)_p, which is 1 unless p divides d1 d2.  All 64
+    pairs of classes occur, each class with at least 10 d."""
+    from tq.invariant import _hilbert2
+    ds = [d for d in range(2, 301) if is_squarefree(d)]
+    primes = odd_primes_up_to(300)
+
+    def cls(d):
+        return d % 8 if d % 2 else d % 16
+    by_class = {}
+    for d in ds:
+        by_class.setdefault(cls(d), []).append(d)
+    assert sorted(by_class) == [1, 2, 3, 5, 6, 7, 10, 14]
+    assert min(len(v) for v in by_class.values()) >= 10
+    for d1 in ds:
+        for d2 in ds:
+            expected = math.prod(hilbert_odd(d1, d2, p) for p in primes
+                                 if d1 * d2 % p == 0)
+            assert _hilbert2(cls(d1), cls(d2)) == expected, (d1, d2)
+
+
+def test_sweep_3000_json_is_pinned():
+    """The JSON of `sweep(3000)`, every pair with d2 <= 3000, hashes to
+    the value it had when `sweep` still read each prime's signs."""
+    import hashlib
+    text = json.dumps(sweep(3000).to_json_dict(), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3435d021618a06a0bb160cee1296086c500e47c1a39dbf797076a6c496fa15a2")
 
 
 def test_sweep_makes_no_kronecker_symbol_call(monkeypatch):
