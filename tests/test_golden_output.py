@@ -77,6 +77,11 @@ PARSE_COMMANDS = {
     "parse-compute-ambiguous-d": ["compute", "--d", "5"],
     "parse-compute-bad-sign": ["compute", "--d1", "5", "--d2", "13", "--sign", "foo"],
     "parse-compute-equals": ["compute", "--d1=5", "--d2=13", "--json"],
+    "parse-compute-stray": ["compute", "--d1", "5", "--d2", "13", "stray"],
+    "parse-compute-then-command": ["compute", "--d1", "5", "--d2", "13", "sweep"],
+    "parse-sweep-double-dash": ["sweep", "--max", "10", "--", "x"],
+    "parse-selftest-extra": ["selftest", "extra"],
+    "parse-lemma38-unknown-short": ["lemma38", "-x"],
 }
 
 
