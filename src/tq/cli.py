@@ -240,26 +240,44 @@ COMMANDS = {
 }
 
 
-def build_parser(argv: list[str] = ()) -> argparse.ArgumentParser:
-    """The `tq` parser with only the command that argv[0] names, or all of
-    them if it names none: argv parses alike, help and errors included."""
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Registers on parser the options and handler of command `name`, as
+    `COMMANDS` declares them."""
+    _help, func, options = COMMANDS[name]
+    for flag, kwargs in options.items():
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(func=func)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full `tq` parser, with a subparser for every command."""
     parser = _Parser(
         prog="tq",
         description="Exact 2-adic torsion invariant of biquadratic fields")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in argv[:1] if argv and argv[0] in COMMANDS else COMMANDS:
-        help_, func, options = COMMANDS[name]
-        command = sub.add_parser(name, help=help_)
-        for flag, kwargs in options.items():
-            command.add_argument(flag, **kwargs)
-        command.set_defaults(func=func)
+    for name, (help_, _func, _options) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_), name)
     return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the full parser parses it, help and errors included.
+    When argv[0] names a command, only that command's parser is built, and
+    the words it leaves over are reported as the `tq` parser reports them."""
+    if not argv or argv[0] not in COMMANDS:
+        return build_parser().parse_args(argv)
+    parser = _add_command(_Parser(prog=f"tq {argv[0]}"), argv[0])
+    args, extra = parser.parse_known_args(argv[1:])
+    if extra:
+        raise InputError(f"tq: unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

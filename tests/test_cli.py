@@ -6,12 +6,14 @@ import sys
 import time
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import tq.cli
-from tq.cli import CONDUCTOR_MAX, SWEEP_MAX, main
+from test_golden_output import PARSE_COMMANDS
+from tq.cli import COMMANDS, CONDUCTOR_MAX, SWEEP_MAX, main, parse_args
 
 
 def run(capsys, *argv):
@@ -142,9 +144,9 @@ ALL_PROGS = ["tq", "tq compute", "tq sweep", "tq selftest", "tq lemma38"]
 
 
 @pytest.mark.parametrize("argv, progs", [
-    (["compute", "--d1", "5", "--d2", "13", "--json"], ["tq", "tq compute"]),
-    (["sweep", "-h"], ["tq", "tq sweep"]),
-    (["lemma38", "--tol", "nan"], ["tq", "tq lemma38"]),
+    (["compute", "--d1", "5", "--d2", "13", "--json"], ["tq compute"]),
+    (["sweep", "-h"], ["tq sweep"]),
+    (["lemma38", "--tol", "nan"], ["tq lemma38"]),
     ([], ALL_PROGS),
     (["-h"], ALL_PROGS),
     (["bogus"], ALL_PROGS),
@@ -154,8 +156,8 @@ ALL_PROGS = ["tq", "tq compute", "tq sweep", "tq selftest", "tq lemma38"]
         "abbreviated", "double-dash"])
 def test_main_builds_the_parser_of_the_named_command_only(monkeypatch, capsys,
                                                           argv, progs):
-    """A command line that names a command builds the top-level parser and
-    that command's; any other builds all five."""
+    """A command line that names a command builds that command's parser
+    alone; any other builds the top-level parser and all four commands'."""
     built = []
     init = tq.cli._Parser.__init__
 
@@ -284,3 +286,75 @@ def test_cli_fuzz_exits_cleanly_and_fast(argv):
     assert time.perf_counter() - start < 1.0, argv
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def run_main_with(parse, argv):
+    """main(argv) with `parse` in place of `tq.cli.parse_args`, at a fixed
+    terminal width: its exit code, stdout, stderr, and the namespace that
+    parse gave, without `command`."""
+    parsed = {}
+
+    def recording(argv):
+        args = parse(argv)
+        parsed.update(vars(args))
+        parsed.pop("command", None)
+        return args
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(tq.cli, "parse_args", recording), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), parsed
+
+
+def assert_parsers_agree(argv):
+    """The parser of the command argv[0] names, alone, acts as the full
+    parser with all four commands."""
+    assert argv and argv[0] in COMMANDS
+    full = run_main_with(lambda argv: tq.cli.build_parser().parse_args(argv), argv)
+    assert run_main_with(parse_args, argv) == full, argv
+
+
+NAMED_COMMAND_LINES = [
+    *(argv for argv in PARSE_COMMANDS.values() if argv and argv[0] in COMMANDS),
+    ["compute", "--d1", "5", "--d2", "13", "-h"],
+    ["compute", "--d1", "5", "--d2", "13", "--js"],
+    ["compute", "--", "--d1", "5", "--d2", "13"],
+    ["compute", "--d1", "-3", "--d2", "5", "--allow-imaginary", "--json"],
+    ["sweep", "--max", "10", "--json", "--", "--json"],
+    ["sweep", "-h", "bogus"],
+    ["sweep", "bogus", "-h"],
+    ["selftest"],
+    ["selftest", "--"],
+    ["lemma38", "--conductor-max", "5", "--tol", "1e-3"],
+    ["lemma38", "--con", "5", "stray", "--tol", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", NAMED_COMMAND_LINES, ids=" ".join)
+def test_command_parser_acts_as_the_full_parser(argv):
+    assert_parsers_agree(argv)
+
+
+# Words that parse differently at different places on a command line:
+# options of every command, abbreviated ones, help, `--`, command names
+NOISE = st.sampled_from([
+    "--", "-h", "--help", "-x", "--js", "--d", "--ma", "--con", "--d1=5",
+    "--max=10", "-5", *COMMANDS]) | GARBAGE
+
+
+@st.composite
+def named_command_argv(draw):
+    argv = draw(cli_argv() | st.just(["selftest"]))
+    for _ in range(draw(st.integers(0, 3))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(NOISE))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(named_command_argv())
+def test_command_parser_fuzz_acts_as_the_full_parser(argv):
+    assert_parsers_agree(argv)

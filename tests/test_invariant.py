@@ -668,8 +668,8 @@ def test_sweep_3000_json_is_pinned():
 
 
 def test_sweep_makes_no_kronecker_symbol_call(monkeypatch):
-    """`sweep` reads the Legendre symbols of its `neg` table from sets of
-    squares and its classes at 2 from d mod 8 or 16: it makes no
+    """`sweep` decides by the parity law, from the classes at 2 (d mod 8
+    or 16) and the primes q = 3 mod 4 that divide d2: it makes no
     `kronecker_symbol` call, where `field_verdict` makes one per subfield
     that an odd prime of S does not divide: 2 for (5, 13), whose S is
     {5, 13}, d3 = 65 and 5 and 13 each divide two of the three subfields."""
@@ -746,9 +746,10 @@ def test_report_reads_a_kronecker_symbol_per_subfield_not_divided(
 
 
 def test_verdicts_build_no_local_data(monkeypatch):
-    """`sweep` and `field_verdict` read each prime's unit from its Frobenius
-    signs alone: they make no `local_data` call, where a report makes one
-    per prime of S."""
+    """`sweep` decides by the parity law, from d mod 8 or 16 and the primes
+    q = 3 mod 4 of d2, and `field_verdict` reads each prime's unit from its
+    Frobenius signs alone: they make no `local_data` call, where a report
+    makes one per prime of S."""
     import sys
     import tq.biquadratic
     calls = []
