@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tq.grouprings import (V4_A, V4_AB, V4_B, V4_CHARS, V4_E, GroupRingElem,
-                           GroupRingMatrix, apply_char, apply_char_matrix,
-                           group_elements, idempotent, identity)
+from tq.errors import UnsupportedGroupError
+from tq.grouprings import (V4_A, V4_AB, V4_B, V4_CHARS, V4_E, GroupElement,
+                           GroupRingElem, GroupRingMatrix, apply_char,
+                           apply_char_matrix, group_elements, idempotent,
+                           identity)
 
 
 # ---------- group law ----------
@@ -30,6 +32,19 @@ def test_identity_and_inverses(elems):
 def test_v4_elements_square_to_identity():
     for g in group_elements():
         assert g * g == V4_E
+
+
+def test_group_element_rejects_non_normal_form():
+    with pytest.raises(UnsupportedGroupError,
+                       match=r"^word \(2, 0\) is not a normal form in V4$"):
+        GroupElement((2, 0))
+
+
+def test_elements_sort_by_word_and_hash_as_word_tuple():
+    """Set iteration and the `GroupRingElem._key` order rest on these."""
+    assert sorted(group_elements()) == [V4_E, V4_B, V4_A, V4_AB]
+    for g in group_elements():
+        assert hash(g) == hash((g.word,))
 
 
 # ---------- characters ----------
@@ -234,3 +249,9 @@ def test_matrix_shape_mismatch():
     m2 = GroupRingMatrix.identity(3)
     with pytest.raises(ValueError):
         m1 @ m2
+
+
+def test_ragged_matrix_rejected():
+    one = GroupRingElem.one()
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        GroupRingMatrix(((one, one), (one,)))

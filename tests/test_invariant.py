@@ -850,6 +850,18 @@ def test_sweep_5_has_inadmissible():
     assert summary.counts[VERDICT_INADMISSIBLE] >= 1
 
 
+def test_sweeps_share_no_mutable_state():
+    """Each summary holds its own counts and list: a later sweep neither
+    sees nor changes what an earlier one returned."""
+    alone = sweep(30)
+    first, second = sweep(100), sweep(30)
+    assert first.counts is not second.counts
+    assert first.nonzero_fields is not second.nonzero_fields
+    assert second.counts == alone.counts
+    assert second.nonzero_fields == alone.nonzero_fields
+    assert second.to_json_dict() == alone.to_json_dict()
+
+
 def test_sweep_rejects_tiny_bound():
     with pytest.raises(InputError):
         sweep(2)

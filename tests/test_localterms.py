@@ -328,3 +328,7 @@ def test_lattice_exponent_validation():
         LatticeExponent(101, 1)
     with pytest.raises(InputError):
         LatticeExponent(1, 2)
+
+
+def test_lattice_exponent_defaults_and_repr():
+    assert repr(LatticeExponent()) == "LatticeExponent(m=1, sign=1)"

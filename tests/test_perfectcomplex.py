@@ -45,6 +45,16 @@ def test_differential_shape_enforced():
         PerfectComplex((0, 1), {0: 1, 1: 2}, {0: d})
 
 
+def test_degree_range_and_ranks_enforced():
+    d = GroupRingMatrix.identity(1)
+    with pytest.raises(InputError, match="^empty degree range$"):
+        PerfectComplex((1, 0), {}, {})
+    with pytest.raises(InputError, match="^negative rank$"):
+        PerfectComplex((0, 1), {0: 1, 1: -1}, {})
+    with pytest.raises(InputError, match="^differential at degree 1 outside range$"):
+        PerfectComplex((0, 1), {0: 1, 1: 1}, {1: d})
+
+
 # ---------- specialization ----------
 
 def test_specialize_lambda_row_trivial_char():
