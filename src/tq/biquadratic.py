@@ -23,10 +23,9 @@ intersections of kernels, for a report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .arith import factorization, is_prime, kronecker_symbol, prime_factors
 from .errors import InputError
@@ -45,8 +44,7 @@ def quad_field_disc(d: int) -> int:
     return d if d % 4 == 1 else 4 * d
 
 
-@dataclass(frozen=True)
-class FieldData:
+class FieldData(NamedTuple):
     d1: int
     d2: int
     d3: int
@@ -110,8 +108,7 @@ def field_data(d1: int, d2: int, allow_imaginary: bool = False) -> FieldData:
     return field_and_ramified_set(d1, d2, allow_imaginary)[0]
 
 
-@dataclass(frozen=True)
-class PrimeLocalData:
+class PrimeLocalData(NamedTuple):
     """Inertia and decomposition subgroups of V4 at p, a Frobenius
     representative, and (when the decomposition group is everything) the
     canonical inertia generator a_p and Frobenius lift b_p."""

@@ -21,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from .arith import is_squarefree
@@ -97,7 +96,7 @@ def cmd_sweep(args) -> int:
     summary = sweep(args.max)
     if args.json:
         # to_json_dict with the pairs kept as tuples, which encode as its lists do
-        doc = replace(summary, nonzero_fields=[]).to_json_dict()
+        doc = summary._replace(nonzero_fields=[]).to_json_dict()
         print(json.dumps({**doc, "nonzero_fields": summary.nonzero_fields}, indent=2))
     else:
         print(f"pairs scanned: {summary.n_fields} (1 < d1 < d2 <= {args.max}, squarefree)")

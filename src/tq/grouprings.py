@@ -16,22 +16,23 @@ exactly when the subgroup H lies in the kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import UnsupportedGroupError
 from .linalg import Rational, exact
 
 
-@dataclass(frozen=True, order=True)
-class GroupElement:
-    word: tuple[int, int]
+class GroupElement(namedtuple("GroupElement", "word")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, word: tuple[int, int]):
+        self = super().__new__(cls, word)
         i, j = self.word
         if i not in (0, 1) or j not in (0, 1):
             raise UnsupportedGroupError(f"word {self.word} is not a normal form in V4")
+        return self
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         i, j = self.word
@@ -69,8 +70,7 @@ def element_name(g: GroupElement) -> str:
     return _V4_NAMES[g]
 
 
-@dataclass(frozen=True)
-class GaloisChar:
+class GaloisChar(NamedTuple):
     """A one-dimensional character of V4, stored by its kernel."""
 
     label: str
@@ -215,18 +215,19 @@ def apply_char(chi: GaloisChar, x: GroupRingElem) -> Rational:
     return exact(total)
 
 
-@dataclass(frozen=True)
-class GroupRingMatrix:
+class GroupRingMatrix(namedtuple("GroupRingMatrix", "entries")):
     """A rows x cols matrix over Q[V4].  A map of free modules P -> Q is
     stored row-wise: row i lists the coefficients of the image of the i-th
     basis vector of P in the basis of Q."""
 
-    entries: tuple[tuple[GroupRingElem, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, entries: tuple[tuple[GroupRingElem, ...], ...]):
+        self = super().__new__(cls, entries)
         width = {len(r) for r in self.entries}
         if len(width) > 1:
             raise ValueError("ragged matrix")
+        return self
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[GroupRingElem | Rational]]) -> "GroupRingMatrix":

@@ -21,9 +21,8 @@ supported shapes of the completion at 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .arith import is_prime
 from .biquadratic import (FieldData, PrimeLocalData, _euler, _frob_det,
@@ -64,8 +63,7 @@ def ts_representative(f: FieldData, s_f: Iterable[int]) -> HomRep:
     return prod.inverse()
 
 
-@dataclass(frozen=True)
-class ResolventCheck:
+class ResolventCheck(NamedTuple):
     """Result of the standalone quotient check available when 2 ramifies
     and the completion at 2 is Q2(sqrt(2)) or Q2(sqrt(10))."""
 
@@ -119,8 +117,7 @@ def resolvent_factor_check(f: FieldData) -> ResolventCheck | None:
     return ResolventCheck("pass" if ok else "fail", completion, r)
 
 
-@dataclass(frozen=True)
-class PrimeReport:
+class PrimeReport(NamedTuple):
     local: PrimeLocalData
     delta1: HomRep
     euler: tuple[Fraction, Fraction, Fraction, Fraction]
@@ -136,8 +133,7 @@ class PrimeReport:
         }
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     field: FieldData
     s_f: tuple[int, ...]
     per_prime: Mapping[int, PrimeReport]
@@ -288,8 +284,7 @@ def leading_ratio_exact(chi: GaloisChar | str, f: FieldData) -> Fraction:
     return Fraction(4, artin_conductor(chi, f))
 
 
-@dataclass(frozen=True)
-class AnalyticCheck:
+class AnalyticCheck(NamedTuple):
     chi: str
     conductor: int
     lhs_numeric: float
@@ -322,12 +317,10 @@ def leading_ratio_check(chi: GaloisChar | str, f: FieldData,
     return AnalyticCheck(label, cond, ratio, rhs, err, tol)
 
 
-@dataclass
-class SweepSummary:
+class SweepSummary(NamedTuple):
     dmax: int
-    counts: dict[str, int] = field(default_factory=lambda: {
-        VERDICT_VANISHES: 0, VERDICT_NONZERO: 0, VERDICT_INADMISSIBLE: 0})
-    nonzero_fields: list[tuple[int, int]] = field(default_factory=list)
+    counts: dict[str, int]
+    nonzero_fields: list[tuple[int, int]]
 
     @property
     def n_fields(self) -> int:
@@ -436,7 +429,8 @@ def sweep(dmax: int) -> SweepSummary:
                 m ^= low
     hilbert = {c2: sum(m for c1, m in of_class.items() if _hilbert2(c1, c2) < 0)
                for c2 in of_class}  # class of d2 -> the d1 with (d1, d2)_2 = -1
-    summary = SweepSummary(dmax)
+    summary = SweepSummary(dmax, dict.fromkeys(
+        (VERDICT_VANISHES, VERDICT_NONZERO, VERDICT_INADMISSIBLE), 0), [])
     for j, (d2, c2) in enumerate(zip(ds, cls)):
         below = (1 << j) - 1
         adm = below if c2 == 1 else (of_class[1] | of_class[c2]) & below

@@ -7,8 +7,9 @@ mod-4 agreement is asserted anywhere."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import is_prime
 from .biquadratic import _euler, _frob_det
@@ -28,38 +29,37 @@ def _require_odd_prime(p: int) -> None:
         raise InputError(f"{p} is not an odd prime")
 
 
-@dataclass(frozen=True)
-class TameComplexSpec:
+class TameComplexSpec(namedtuple("TameComplexSpec", "p a b")):
     """Input data for the local complex at an odd prime: the inertia
     generator a and a Frobenius lift b, two distinct nontrivial elements
     of V4."""
 
-    p: int
-    a: GroupElement
-    b: GroupElement
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, p: int, a: GroupElement, b: GroupElement):
+        self = super().__new__(cls, p, a, b)
         _require_odd_prime(self.p)
         if self.a == V4_E:
             raise InputError("inertia generator must be nontrivial")
         if self.b in (V4_E, self.a):
             raise InputError("Frobenius lift must lie outside {e, a}")
+        return self
 
 
-@dataclass(frozen=True)
-class LatticeExponent:
+class LatticeExponent(namedtuple("LatticeExponent", "m sign")):
     """The integer 1 <= m <= 100 scaling the sublattice (the cap keeps p^(m+2)
     under Python's 4300-digit int printing limit), and the sign ambiguity of
     the residue-correction exponent."""
 
-    m: int = 1
-    sign: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, m: int = 1, sign: int = 1):
+        self = super().__new__(cls, m, sign)
         if not 1 <= self.m <= 100:
             raise InputError("lattice exponent m must be in [1, 100]")
         if self.sign not in (1, -1):
             raise InputError("sign must be +1 or -1")
+        return self
 
 
 def inertia_unit(p: int, a: GroupElement) -> GroupRingElem:
@@ -112,8 +112,7 @@ def residue_class(p: int, a: GroupElement) -> HomRep:
         lambda chi: Fraction(p) if chi.fixes((a,)) else Fraction(1))
 
 
-@dataclass(frozen=True)
-class ResidueResolutionReport:
+class ResidueResolutionReport(NamedTuple):
     """Witness report for the two-term free resolution of the residue
     field by multiplication with (p+1)/2 + ((p-1)/2) a."""
 

@@ -24,9 +24,9 @@ both, exists so tests can check exactly that.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import linalg
 from .errors import ContractViolationError, InputError
@@ -40,19 +40,18 @@ Mat = linalg.Mat
 JSON_GROUP = "V4"
 
 
-@dataclass(frozen=True)
-class PerfectComplex:
+class PerfectComplex(namedtuple("PerfectComplex", "degrees ranks differentials")):
     """A bounded complex of free modules, nonzero only in the contiguous
     degree range [degrees[0], degrees[1]].  Differentials are stored
     row-wise (see linalg) and are omitted when source or target has rank
     zero.  The composite of consecutive differentials must vanish in the
     group ring."""
 
-    degrees: tuple[int, int]
-    ranks: Mapping[int, int]
-    differentials: Mapping[int, GroupRingMatrix]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, degrees: tuple[int, int], ranks: Mapping[int, int],
+                differentials: Mapping[int, GroupRingMatrix]):
+        self = super().__new__(cls, degrees, ranks, differentials)
         n, m = self.degrees
         if n > m:
             raise InputError("empty degree range")
@@ -71,6 +70,7 @@ class PerfectComplex:
             d1 = self.differentials.get(j + 1)
             if d0 is not None and d1 is not None and not (d0 @ d1).is_zero():
                 raise InputError(f"d_{j + 1} o d_{j} != 0")
+        return self
 
     def rank(self, j: int) -> int:
         return int(self.ranks.get(j, 0))
@@ -92,8 +92,7 @@ class PerfectComplex:
                 "differentials": diffs}
 
 
-@dataclass(frozen=True)
-class RationalComplex:
+class RationalComplex(NamedTuple):
     """A character specialization: same shape as a PerfectComplex but with
     rational matrices."""
 
@@ -119,8 +118,7 @@ def char_specialize(p: PerfectComplex, chi: GaloisChar) -> RationalComplex:
     return RationalComplex(p.degrees, dict(p.ranks), diffs)
 
 
-@dataclass
-class CohomologyData:
+class CohomologyData(NamedTuple):
     """Deterministic bases of a rational complex, as row vectors in the
     ambient term of their degree: kernels[j] of d_j, images[j] of d_(j-1),
     and preimages[j], whose i-th row d_j maps to images[j+1][i]."""
@@ -149,8 +147,7 @@ def cohomology_basis(c: RationalComplex) -> CohomologyData:
     return CohomologyData(kernels, images, preimages)
 
 
-@dataclass(frozen=True)
-class CohomologyIsoComponent:
+class CohomologyIsoComponent(NamedTuple):
     """One character's worth of a cohomology isomorphism: explicit cocycle
     representatives whose classes form bases of the odd and even
     cohomology, and the matrix of the isomorphism in those bases (rows
@@ -161,8 +158,7 @@ class CohomologyIsoComponent:
     matrix: Mat
 
 
-@dataclass(frozen=True)
-class CohomologyIso:
+class CohomologyIso(NamedTuple):
     """A rational isomorphism from total odd to total even cohomology, one
     component per character label.  The supplied cocycles are the section
     of kernel -> cohomology; the reciprocal class, of the inverse iso, is

@@ -6,9 +6,9 @@ in (Z/4)*)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError
 from .grouprings import HOMREP_KEYS, V4_CHARS, GaloisChar, GroupElement, identity
@@ -32,15 +32,16 @@ def v2(q: Fraction | int) -> int:
     return val
 
 
-@dataclass(frozen=True)
-class TorsionClass:
+class TorsionClass(namedtuple("TorsionClass", "unit")):
     """An element of (Z/4)* = {1, 3}."""
 
-    unit: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, unit: int):
+        self = super().__new__(cls, unit)
         if self.unit not in (1, 3):
             raise InputError(f"{self.unit} is not a unit residue of (Z/4)*")
+        return self
 
     def __mul__(self, other: "TorsionClass") -> "TorsionClass":
         return TorsionClass((self.unit * other.unit) % 4)
@@ -73,8 +74,7 @@ def odd_part_mod4(q: Rational) -> TorsionClass:
     return TorsionClass(odd_unit(q.numerator) * odd_unit(q.denominator) % 4)
 
 
-@dataclass(frozen=True)
-class RankVector:
+class RankVector(NamedTuple):
     """Per-character 2-adic valuations."""
 
     exps: tuple[int, int, int, int]

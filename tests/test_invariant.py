@@ -172,9 +172,8 @@ def independent_torsion(d1, d2, frob_twist=(), lat=LatticeExponent(),
     for p in s_f:
         loc = local_galois(f, p)
         if loc.full_decomposition and p in frob_twist:
-            import dataclasses
-            loc = dataclasses.replace(loc, frob=loc.frob * loc.a_p,
-                                      b_p=loc.b_p * loc.a_p)
+            loc = loc._replace(frob=loc.frob * loc.a_p,
+                               b_p=loc.b_p * loc.a_p)
         for chi in V4_CHARS:
             if all(chi(g) == 1 for g in loc.inertia):
                 total /= 1 - Fraction(chi(loc.frob), p)
