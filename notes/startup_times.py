@@ -1,0 +1,89 @@
+"""Time how long a `tq` process takes to start and run, for
+notes/decisions.md.
+
+Run from the repository root, with one or more `src` directories to
+compare (the repository's own `src` when none is given):
+
+    python3 notes/startup_times.py [-n 21] [SRC ...]
+
+It runs N rounds.  In each round every `src` directory, in turn (the
+order reversed on every other round, so neither side always goes first),
+gets one fresh interpreter per measure:
+
+- `import tq`: the seconds `import tq` takes, timed inside the interpreter;
+- `compute`: the wall time of `python3 -m tq.cli compute --d1 10009
+  --d2 20001 --json`;
+- `sweep`: the wall time of `python3 -m tq.cli sweep --max 100 --json`.
+
+One untimed run of each measure per directory comes first, so that every
+timed run reads written bytecode.  It prints the min and median in
+milliseconds per measure and directory, and exits 1 when two directories
+give a command a different exit code or output.
+"""
+
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+IMPORT_PROBE = ("import time\n"
+                "t = time.perf_counter()\n"
+                "import tq\n"
+                "print(time.perf_counter() - t)\n")
+COMMANDS = {
+    "compute": ["-m", "tq.cli", "compute", "--d1", "10009", "--d2", "20001", "--json"],
+    "sweep": ["-m", "tq.cli", "sweep", "--max", "100", "--json"],
+}
+MEASURES = ("import tq", *COMMANDS)
+
+
+def run(src: Path, measure: str) -> tuple[float, tuple[int, str]]:
+    """Seconds taken, and (exit code, stdout) for a command, in a fresh
+    interpreter that imports `tq` from `src`."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    args = ["-c", IMPORT_PROBE] if measure == "import tq" else COMMANDS[measure]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *args], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    wall = time.perf_counter() - start
+    if measure == "import tq":
+        if proc.returncode:
+            raise SystemExit(f"import tq failed from {src}:\n{proc.stderr}")
+        return float(proc.stdout), (0, "")
+    return wall, (proc.returncode, proc.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("-n", type=int, default=21, help="timed rounds (default 21)")
+    parser.add_argument("src", nargs="*", type=Path, default=[ROOT / "src"],
+                        help="src directories holding tq (default: this repository's)")
+    args = parser.parse_args(argv)
+    if args.n < 1:
+        parser.error("-n must be at least 1")
+    srcs = [s.resolve() for s in args.src]
+    outputs = {(s, m): run(s, m)[1] for s in srcs for m in MEASURES}
+    times = {(s, m): [] for s in srcs for m in MEASURES}
+    for i in range(args.n):
+        for s in (srcs if i % 2 == 0 else srcs[::-1]):
+            for m in MEASURES:
+                times[s, m].append(run(s, m)[0])
+    print(f"{args.n} rounds; min / median ms")
+    for m in MEASURES:
+        for s in srcs:
+            ms = [t * 1000 for t in times[s, m]]
+            print(f"{m:<10} {min(ms):8.1f} / {statistics.median(ms):8.1f}  {s}")
+    differ = [m for m in COMMANDS if len({outputs[s, m] for s in srcs}) > 1]
+    for m in differ:
+        print(f"{m}: exit code or output differs between the src directories")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

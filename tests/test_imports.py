@@ -4,6 +4,8 @@
 re-exports.  `from __future__ import ...` binds nothing to use."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,3 +55,22 @@ def test_traced_names_exist(monkeypatch):
         if not callable(obj):
             missing.append(name)
     assert spans.TRACED and not missing, f"traced names missing from tq: {missing}"
+
+
+def test_import_tq_needs_neither_dataclasses_nor_inspect():
+    """`import tq` and `import tq.cli` build every record class without
+    `dataclasses`, which would pull in `inspect`, and still import every
+    `tq` module.  `-S` keeps `site` from importing either first."""
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+            "import tq, tq.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('tq.')))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, timeout=60, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    found, loaded = proc.stdout.splitlines()
+    assert found == "[]"
+    modules = sorted(f"tq.{path.stem}" for path in (ROOT / "src" / "tq").glob("*.py")
+                     if path.stem != "__init__")
+    assert loaded == repr(modules)

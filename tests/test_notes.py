@@ -22,3 +22,13 @@ def test_per_prime_table_output():
         capture_output=True, text=True, timeout=120, env=env, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (FIXTURES / "per_prime_table.txt").read_text()
+
+
+def test_startup_times_runs():
+    """notes/startup_times.py with one timed round on this repository's
+    `src`; its timings are not checked."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "notes" / "startup_times.py"), "-n", "1",
+         str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
