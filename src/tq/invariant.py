@@ -429,8 +429,8 @@ def sweep(dmax: int) -> SweepSummary:
                 m ^= low
     hilbert = {c2: sum(m for c1, m in of_class.items() if _hilbert2(c1, c2) < 0)
                for c2 in of_class}  # class of d2 -> the d1 with (d1, d2)_2 = -1
-    summary = SweepSummary(dmax, dict.fromkeys(
-        (VERDICT_VANISHES, VERDICT_NONZERO, VERDICT_INADMISSIBLE), 0), [])
+    counts = dict.fromkeys((VERDICT_VANISHES, VERDICT_NONZERO, VERDICT_INADMISSIBLE), 0)
+    nonzero_fields = []
     for j, (d2, c2) in enumerate(zip(ds, cls)):
         below = (1 << j) - 1
         adm = below if c2 == 1 else (of_class[1] | of_class[c2]) & below
@@ -438,11 +438,11 @@ def sweep(dmax: int) -> SweepSummary:
         for q in q3[j]:
             flip ^= div[q]
         nonzero = flip & adm
-        summary.counts[VERDICT_VANISHES] += adm.bit_count() - nonzero.bit_count()
-        summary.counts[VERDICT_NONZERO] += nonzero.bit_count()
-        summary.counts[VERDICT_INADMISSIBLE] += j - adm.bit_count()
+        counts[VERDICT_VANISHES] += adm.bit_count() - nonzero.bit_count()
+        counts[VERDICT_NONZERO] += nonzero.bit_count()
+        counts[VERDICT_INADMISSIBLE] += j - adm.bit_count()
         while nonzero:
             low = nonzero & -nonzero
-            summary.nonzero_fields.append((ds[low.bit_length() - 1], d2))
+            nonzero_fields.append((ds[low.bit_length() - 1], d2))
             nonzero ^= low
-    return summary
+    return SweepSummary(dmax, counts, nonzero_fields)
