@@ -56,6 +56,8 @@ COMMANDS = {
     "sweep-60": ["sweep", "--max", "60", "--json"],
     "sweep-60-text": ["sweep", "--max", "60"],
     "sweep-200": ["sweep", "--max", "200", "--json"],
+    "sweep-10": ["sweep", "--max", "10", "--json"],
+    "sweep-10-text": ["sweep", "--max", "10"],
     "selftest": ["selftest"],
     "lemma38-200": ["lemma38", "--conductor-max", "200"],
 }
