@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import starmap
 
 from .arith import is_squarefree
 from .biquadratic import field_data, quad_field_disc
@@ -95,17 +96,22 @@ def cmd_sweep(args) -> int:
         raise InputError(f"--max must be at most {SWEEP_MAX}, got {args.max}")
     summary = sweep(args.max)
     if args.json:
-        # to_json_dict with the pairs kept as tuples, which encode as its lists do
-        doc = summary._replace(nonzero_fields=[]).to_json_dict()
-        print(json.dumps({**doc, "nonzero_fields": summary.nonzero_fields}, indent=2))
+        # The encoder writes all but the pairs, ending in `"nonzero_fields": []\n}`.
+        # Each pair, an int pair at depth 1, is one template in the encoder's layout.
+        text = json.dumps(summary._replace(nonzero_fields=[]).to_json_dict(), indent=2)
+        if summary.nonzero_fields:
+            pairs = ",\n".join(starmap("    [\n      {},\n      {}\n    ]".format,
+                                       summary.nonzero_fields))
+            text = text.removesuffix("[]\n}") + "[\n" + pairs + "\n  ]\n}"
+        print(text)
     else:
         print(f"pairs scanned: {summary.n_fields} (1 < d1 < d2 <= {args.max}, squarefree)")
         for verdict in (VERDICT_VANISHES, VERDICT_NONZERO, VERDICT_INADMISSIBLE):
             print(f"  {verdict}: {summary.counts[verdict]}")
         if summary.nonzero_fields:
             print("NONZERO TORSION FIELDS (predicted vanishing fails here):")
-            for d1, d2 in summary.nonzero_fields:
-                print(f"  d1 = {d1}, d2 = {d2}")
+            sys.stdout.writelines(starmap("  d1 = {}, d2 = {}\n".format,
+                                          summary.nonzero_fields))
     return EXIT_NONZERO if summary.nonzero_fields else EXIT_VANISHES
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -13,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 import tq.cli
 from test_golden_output import PARSE_COMMANDS
+from test_invariant import SWEEP_3000_JSON_SHA256
 from tq.cli import COMMANDS, CONDUCTOR_MAX, SWEEP_MAX, main, parse_args
+from tq.invariant import sweep
 
 
 def run(capsys, *argv):
@@ -110,6 +113,25 @@ def test_sweep_surfaces_nonzero_fields(capsys):
     assert code == 3
     assert "NONZERO TORSION FIELDS" in out
     assert "d1 = 3, d2 = 11" in out
+
+
+def test_sweep_json_is_the_standard_encoders(capsys):
+    """`tq sweep --json` writes its pairs by template; its stdout is what
+    the standard encoder prints for the summary, an empty pair list
+    included (every N < 11)."""
+    for n in [*range(3, 151), 400, 1000]:
+        code, out, _ = run(capsys, "sweep", "--max", str(n), "--json")
+        summary = sweep(n)
+        assert code == (3 if summary.nonzero_fields else 0), n
+        assert out == json.dumps(summary.to_json_dict(), indent=2) + "\n", n
+
+
+def test_sweep_3000_cli_json_is_pinned(capsys):
+    """The CLI's `--max 3000 --json` stdout, less its final newline, has
+    the hash that pins the library's `sweep(3000)` JSON."""
+    _, out, _ = run(capsys, "sweep", "--max", "3000", "--json")
+    assert out.endswith("}\n")
+    assert hashlib.sha256(out[:-1].encode()).hexdigest() == SWEEP_3000_JSON_SHA256
 
 
 def test_selftest_passes(capsys):

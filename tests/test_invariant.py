@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import odd_primes_up_to, squarefree_pairs
 from tq.arith import is_prime, is_squarefree
@@ -657,13 +658,16 @@ def test_class_hilbert_symbol_matches_product_formula():
             assert _hilbert2(cls(d1), cls(d2)) == expected, (d1, d2)
 
 
+SWEEP_3000_JSON_SHA256 = (
+    "3435d021618a06a0bb160cee1296086c500e47c1a39dbf797076a6c496fa15a2")
+
+
 def test_sweep_3000_json_is_pinned():
     """The JSON of `sweep(3000)`, every pair with d2 <= 3000, hashes to
     the value it had when `sweep` still read each prime's signs."""
     import hashlib
     text = json.dumps(sweep(3000).to_json_dict(), indent=2)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "3435d021618a06a0bb160cee1296086c500e47c1a39dbf797076a6c496fa15a2")
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_3000_JSON_SHA256
 
 
 def test_sweep_makes_no_kronecker_symbol_call(monkeypatch):
@@ -815,20 +819,22 @@ def test_sweep_20_counts_and_parity():
         assert report.verdict == expected, (d1, d2)
 
 
+def parity_law_verdict(d1, d2):
+    """The README's law: inadmissible exactly when none of d1, d2, d3 is
+    1 mod 8, else nonzero exactly when the parity prediction is -1."""
+    d3 = d1 * d2 // math.gcd(d1, d2) ** 2
+    if all(d % 8 != 1 for d in (d1, d2, d3)):
+        return VERDICT_INADMISSIBLE
+    return VERDICT_VANISHES if parity_prediction(d1, d2) == 1 else VERDICT_NONZERO
+
+
 def assert_sweep_matches_parity_law(dmax):
-    """The README's law for every pair with d2 <= dmax: inadmissible exactly
-    when none of d1, d2, d3 is 1 mod 8, else nonzero exactly when the
-    parity prediction is -1."""
+    """The README's law for every pair with d2 <= dmax."""
     counts = {VERDICT_VANISHES: 0, VERDICT_NONZERO: 0, VERDICT_INADMISSIBLE: 0}
     nonzero = []
     for d1, d2 in squarefree_pairs(dmax):
-        d3 = d1 * d2 // math.gcd(d1, d2) ** 2
-        if all(d % 8 != 1 for d in (d1, d2, d3)):
-            verdict = VERDICT_INADMISSIBLE
-        elif parity_prediction(d1, d2) == 1:
-            verdict = VERDICT_VANISHES
-        else:
-            verdict = VERDICT_NONZERO
+        verdict = parity_law_verdict(d1, d2)
+        if verdict == VERDICT_NONZERO:
             nonzero.append((d1, d2))
         counts[verdict] += 1
     summary = sweep(dmax)
@@ -842,6 +848,42 @@ def test_sweep_400_matches_parity_law():
 
 def test_sweep_1000_matches_parity_law():
     assert_sweep_matches_parity_law(1000)
+
+
+D_MAX = 10 ** 18
+
+
+def next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@st.composite
+def squarefree_pairs_to_1e18(draw):
+    """(d1, d2) with 1 < d1, d2 <= 10**18, d1 != d2: products of distinct
+    primes, small (2 to 97) or up to 10**9, each put in d1, in d2 or in
+    both, so that gcd(d1, d2) > 1 occurs.  A prime that would take either
+    product past 10**18 is left out."""
+    primes = draw(st.lists(
+        st.one_of(st.sampled_from(odd_primes_up_to(97) + [2]),
+                  st.integers(100, 10 ** 9).map(next_prime)),
+        min_size=2, max_size=14, unique=True))
+    d1 = d2 = 1
+    for p in primes:
+        f1, f2 = draw(st.sampled_from([(p, 1), (1, p), (p, p)]))
+        if d1 * f1 <= D_MAX and d2 * f2 <= D_MAX:
+            d1, d2 = d1 * f1, d2 * f2
+    assume(1 < d1 != d2 > 1)
+    return d1, d2
+
+
+@settings(max_examples=100, deadline=None)
+@given(squarefree_pairs_to_1e18())
+def test_verdict_follows_parity_law_up_to_1e18(pair):
+    """`omega_loc_torsion`'s verdict is the README's law on squarefree
+    pairs up to D_BOUND = 10**18, well past every sweep test."""
+    assert omega_loc_torsion(*pair).verdict == parity_law_verdict(*pair)
 
 
 def test_sweep_5_has_inadmissible():
