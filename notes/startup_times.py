@@ -4,7 +4,7 @@ notes/decisions.md.
 Run from the repository root, with one or more `src` directories to
 compare (the repository's own `src` when none is given):
 
-    python3 notes/startup_times.py [-n 21] [SRC ...]
+    python3 notes/startup_times.py [-n 21] [-S] [SRC ...]
 
 It runs N rounds.  In each round every `src` directory, in turn (the
 order reversed on every other round, so neither side always goes first),
@@ -14,6 +14,13 @@ gets one fresh interpreter per measure:
 - `compute`: the wall time of `python3 -m tq.cli compute --d1 10009
   --d2 20001 --json`;
 - `sweep`: the wall time of `python3 -m tq.cli sweep --max 100 --json`.
+
+Each round also times two floors, once, in fresh interpreters that do not
+import `tq`: the wall time of `python3 -c "import argparse, json"`, what
+`tq sweep` cannot do without, and of `import argparse, json, fractions`,
+what `tq compute` cannot do without.  With `-S`, every interpreter runs
+under `python3 -S`, so that no `.pth` file of `site` imports modules
+whose cost would then be hidden in both `tq` and the floors.
 
 One untimed run of each measure per directory comes first, so that every
 timed run reads written bytecode.  It prints the min and median in
@@ -40,21 +47,27 @@ COMMANDS = {
     "sweep": ["-m", "tq.cli", "sweep", "--max", "100", "--json"],
 }
 MEASURES = ("import tq", *COMMANDS)
+FLOORS = {
+    "import argparse, json": ["-c", "import argparse, json"],
+    "import argparse, json, fractions": ["-c", "import argparse, json, fractions"],
+}
 
 
-def run(src: Path, measure: str) -> tuple[float, tuple[int, str]]:
+def run(src: Path | None, measure: str, flags: list[str]) -> tuple[float, tuple[int, str]]:
     """Seconds taken, and (exit code, stdout) for a command, in a fresh
-    interpreter that imports `tq` from `src`."""
-    env = dict(os.environ, PYTHONPATH=str(src))
+    interpreter started with `flags` that imports `tq` from `src` (a
+    floor runs with no `src`)."""
+    env = dict(os.environ, PYTHONPATH=str(src or ""))
     env.pop("PYTHONDONTWRITEBYTECODE", None)
-    args = ["-c", IMPORT_PROBE] if measure == "import tq" else COMMANDS[measure]
+    args = (["-c", IMPORT_PROBE] if measure == "import tq"
+            else FLOORS.get(measure) or COMMANDS[measure])
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, *args], env=env, cwd=ROOT,
+    proc = subprocess.run([sys.executable, *flags, *args], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     wall = time.perf_counter() - start
+    if proc.returncode and measure not in COMMANDS:
+        raise SystemExit(f"{measure} failed from {src}:\n{proc.stderr}")
     if measure == "import tq":
-        if proc.returncode:
-            raise SystemExit(f"import tq failed from {src}:\n{proc.stderr}")
         return float(proc.stdout), (0, "")
     return wall, (proc.returncode, proc.stdout)
 
@@ -62,23 +75,29 @@ def run(src: Path, measure: str) -> tuple[float, tuple[int, str]]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("-n", type=int, default=21, help="timed rounds (default 21)")
+    parser.add_argument("-S", action="store_true", dest="no_site",
+                        help="run every interpreter under python3 -S")
     parser.add_argument("src", nargs="*", type=Path, default=[ROOT / "src"],
                         help="src directories holding tq (default: this repository's)")
     args = parser.parse_args(argv)
     if args.n < 1:
         parser.error("-n must be at least 1")
+    flags = ["-S"] if args.no_site else []
     srcs = [s.resolve() for s in args.src]
-    outputs = {(s, m): run(s, m)[1] for s in srcs for m in MEASURES}
-    times = {(s, m): [] for s in srcs for m in MEASURES}
+    runs = [(s, m) for s in srcs for m in MEASURES] + [(None, m) for m in FLOORS]
+    outputs = {key: run(*key, flags)[1] for key in runs}
+    times = {key: [] for key in runs}
     for i in range(args.n):
         for s in (srcs if i % 2 == 0 else srcs[::-1]):
             for m in MEASURES:
-                times[s, m].append(run(s, m)[0])
-    print(f"{args.n} rounds; min / median ms")
-    for m in MEASURES:
-        for s in srcs:
+                times[s, m].append(run(s, m, flags)[0])
+        for m in FLOORS:
+            times[None, m].append(run(None, m, flags)[0])
+    print(f"{args.n} rounds{' under python3 -S' if flags else ''}; min / median ms")
+    for m in (*MEASURES, *FLOORS):
+        for s in (srcs if m in MEASURES else [None]):
             ms = [t * 1000 for t in times[s, m]]
-            print(f"{m:<10} {min(ms):8.1f} / {statistics.median(ms):8.1f}  {s}")
+            print(f"{m:<32} {min(ms):8.1f} / {statistics.median(ms):8.1f}  {s or 'floor'}")
     differ = [m for m in COMMANDS if len({outputs[s, m] for s in srcs}) > 1]
     for m in differ:
         print(f"{m}: exit code or output differs between the src directories")

@@ -24,11 +24,21 @@ def test_per_prime_table_output():
     assert proc.stdout == (FIXTURES / "per_prime_table.txt").read_text()
 
 
+def run_startup_times(*flags):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "notes" / "startup_times.py"), *flags, "-n", "1",
+         str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120, cwd=ROOT)
+
+
 def test_startup_times_runs():
     """notes/startup_times.py with one timed round on this repository's
     `src`; its timings are not checked."""
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "notes" / "startup_times.py"), "-n", "1",
-         str(ROOT / "src")],
-        capture_output=True, text=True, timeout=120, cwd=ROOT)
+    proc = run_startup_times()
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_startup_times_runs_under_no_site():
+    """notes/startup_times.py -S, every interpreter under `python3 -S`."""
+    proc = run_startup_times("-S")
     assert proc.returncode == 0, proc.stderr
