@@ -53,7 +53,8 @@ FLOORS = {
 }
 
 
-def run(src: Path | None, measure: str, flags: list[str]) -> tuple[float, tuple[int, str]]:
+def run(src: Path | None, measure: str,
+        flags: list[str]) -> tuple[float, tuple[int, str]]:
     """Seconds taken, and (exit code, stdout) for a command, in a fresh
     interpreter started with `flags` that imports `tq` from `src` (a
     floor runs with no `src`)."""
@@ -97,7 +98,8 @@ def main(argv=None) -> int:
     for m in (*MEASURES, *FLOORS):
         for s in (srcs if m in MEASURES else [None]):
             ms = [t * 1000 for t in times[s, m]]
-            print(f"{m:<32} {min(ms):8.1f} / {statistics.median(ms):8.1f}  {s or 'floor'}")
+            print(f"{m:<32} {min(ms):8.1f} / {statistics.median(ms):8.1f}"
+                  f"  {s or 'floor'}")
     differ = [m for m in COMMANDS if len({outputs[s, m] for s in srcs}) > 1]
     for m in differ:
         print(f"{m}: exit code or output differs between the src directories")

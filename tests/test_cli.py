@@ -115,7 +115,7 @@ def test_sweep_surfaces_nonzero_fields(capsys):
     assert "d1 = 3, d2 = 11" in out
 
 
-def test_sweep_json_is_the_standard_encoders(capsys):
+def test_sweep_json_is_what_the_standard_encoder_prints(capsys):
     """`tq sweep --json` writes its pairs by template; its stdout is what
     the standard encoder prints for the summary, an empty pair list
     included (every N < 11)."""

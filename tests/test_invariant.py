@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helpers import odd_primes_up_to, squarefree_pairs
 from tq.arith import is_prime, is_squarefree
-from tq.biquadratic import (euler_factor, field_and_ramified_set, field_data,
-                            frob_signs, full_decomposition, local_data,
+from tq.biquadratic import (D_BOUND, euler_factor, field_and_ramified_set,
+                            field_data, frob_signs, full_decomposition, local_data,
                             local_galois, ramified_set, sign_facts)
 from tq.invariant import (VERDICT_INADMISSIBLE, VERDICT_NONZERO,
                                VERDICT_VANISHES, delta1_term, field_verdict,
@@ -850,9 +850,6 @@ def test_sweep_1000_matches_parity_law():
     assert_sweep_matches_parity_law(1000)
 
 
-D_MAX = 10 ** 18
-
-
 def next_prime(n):
     while not is_prime(n):
         n += 1
@@ -861,10 +858,10 @@ def next_prime(n):
 
 @st.composite
 def squarefree_pairs_to_1e18(draw):
-    """(d1, d2) with 1 < d1, d2 <= 10**18, d1 != d2: products of distinct
-    primes, small (2 to 97) or up to 10**9, each put in d1, in d2 or in
-    both, so that gcd(d1, d2) > 1 occurs.  A prime that would take either
-    product past 10**18 is left out."""
+    """(d1, d2, the primes of d1 d2) with 1 < d1, d2 <= D_BOUND = 10**18,
+    d1 != d2: products of distinct primes, small (2 to 97) or up to 10**9,
+    each put in d1, in d2 or in both, so that gcd(d1, d2) > 1 occurs.  A
+    prime that would take either product past D_BOUND is left out."""
     primes = draw(st.lists(
         st.one_of(st.sampled_from(odd_primes_up_to(97) + [2]),
                   st.integers(100, 10 ** 9).map(next_prime)),
@@ -872,18 +869,22 @@ def squarefree_pairs_to_1e18(draw):
     d1 = d2 = 1
     for p in primes:
         f1, f2 = draw(st.sampled_from([(p, 1), (1, p), (p, p)]))
-        if d1 * f1 <= D_MAX and d2 * f2 <= D_MAX:
+        if d1 * f1 <= D_BOUND and d2 * f2 <= D_BOUND:
             d1, d2 = d1 * f1, d2 * f2
     assume(1 < d1 != d2 > 1)
-    return d1, d2
+    return d1, d2, [p for p in primes if d1 * d2 % p == 0]
 
 
 @settings(max_examples=100, deadline=None)
 @given(squarefree_pairs_to_1e18())
-def test_verdict_follows_parity_law_up_to_1e18(pair):
+def test_verdict_follows_parity_law_up_to_1e18(drawn):
     """`omega_loc_torsion`'s verdict is the README's law on squarefree
-    pairs up to D_BOUND = 10**18, well past every sweep test."""
-    assert omega_loc_torsion(*pair).verdict == parity_law_verdict(*pair)
+    pairs up to D_BOUND = 10**18, well past every sweep test.  The law's
+    2-adic symbol is checked first against the product formula, by
+    Legendre symbols at the primes of d1 d2."""
+    d1, d2, primes = drawn
+    assert hilbert2(d1, d2) == math.prod(hilbert_odd(d1, d2, p) for p in primes if p != 2)
+    assert omega_loc_torsion(d1, d2).verdict == parity_law_verdict(d1, d2)
 
 
 def test_sweep_5_has_inadmissible():
