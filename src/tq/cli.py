@@ -7,7 +7,7 @@ Subcommands:
   tq selftest
   tq lemma38 --conductor-max N --tol T   (5 <= N <= CONDUCTOR_MAX = 7000)
 
-Time grows as N^2; at the caps, `tq sweep --max 7000 --json` takes 2.7 s
+Time grows as N^2; at the caps, `tq sweep --max 7000 --json` takes 1.4 s
 (0.4 s of it in `sweep`) and lemma38 6.6 s on a shared 2-CPU x86-64
 machine (medians; see README).
 
