@@ -11,8 +11,9 @@ Time grows as N^2; at the caps, `tq sweep --max 7000 --json` takes 1.4 s
 (0.4 s of it in `sweep`) and lemma38 6.6 s on a shared 2-CPU x86-64
 machine (medians; see README).
 
-Exit codes: 0 vanishes / all checks pass, 2 inadmissible, 3 nonzero torsion
-(or a failed verification), 4 input error, argument parse errors included.
+Exit codes: 0 vanishes / all checks pass, 1 any other `tq` error or a
+closed stdout, 2 inadmissible, 3 nonzero torsion (or a failed
+verification), 4 input error, argument parse errors included.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from itertools import starmap
@@ -245,45 +247,81 @@ COMMANDS = {
 }
 
 
-def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Registers on parser the options and handler of command `name`, as
-    `COMMANDS` declares them."""
-    _help, func, options = COMMANDS[name]
-    for flag, kwargs in options.items():
-        parser.add_argument(flag, **kwargs)
-    parser.set_defaults(func=func)
-    return parser
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The full `tq` parser, with a subparser for every command."""
     parser = _Parser(
         prog="tq",
         description="Exact 2-adic torsion invariant of biquadratic fields")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, _func, _options) in COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_), name)
+    for name, (help_, func, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_)
+        for flag, kwargs in options.items():
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(func=func)
     return parser
+
+
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """argv, whose argv[0] names a command, read straight from that
+    command's `COMMANDS` declarations, or None (declined) when argparse
+    could read it differently. Every word must be a flag of the command,
+    spelled out; each flag but a `store_true` one takes the next word, which
+    must not start with `-`, through its `type` and then its `choices`. A
+    required flag must be given; any other gets its default."""
+    _help, func, options = COMMANDS[argv[0]]
+    given = {}
+    words = iter(argv[1:])
+    for flag in words:
+        kwargs = options.get(flag)
+        if kwargs is None:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[flag] = True
+            continue
+        word = next(words, None)
+        if word is None or word.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(word)
+        except ValueError:
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[flag] = value
+    args = argparse.Namespace()
+    for flag, kwargs in options.items():
+        if flag in given:
+            value = given[flag]
+        elif kwargs.get("required"):
+            return None
+        else:
+            value = kwargs.get("default",
+                               False if kwargs.get("action") == "store_true" else None)
+        setattr(args, flag.lstrip("-").replace("-", "_"), value)
+    args.func = func
+    return args
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
     """argv parsed as the full parser parses it, help and errors included.
-    When argv[0] names a command, only that command's parser is built, and
-    the words it leaves over are reported as the `tq` parser reports them."""
-    if not argv or argv[0] not in COMMANDS:
-        return build_parser().parse_args(argv)
-    parser = _add_command(_Parser(prog=f"tq {argv[0]}"), argv[0])
-    args, extra = parser.parse_known_args(argv[1:])
-    if extra:
-        raise InputError(f"tq: unrecognized arguments: {' '.join(extra)}")
-    return args
+    A plain command line is read from `COMMANDS` (`_plain_args`); only any
+    other line builds the full parser."""
+    args = _plain_args(argv) if argv and argv[0] in COMMANDS else None
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed early (`tq sweep ... | head`). Point fd 1 at
+        # devnull so that the flush at shutdown fails no more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

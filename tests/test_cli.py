@@ -166,9 +166,9 @@ ALL_PROGS = ["tq", "tq compute", "tq sweep", "tq selftest", "tq lemma38"]
 
 
 @pytest.mark.parametrize("argv, progs", [
-    (["compute", "--d1", "5", "--d2", "13", "--json"], ["tq compute"]),
-    (["sweep", "-h"], ["tq sweep"]),
-    (["lemma38", "--tol", "nan"], ["tq lemma38"]),
+    (["compute", "--d1", "5", "--d2", "13", "--json"], []),
+    (["sweep", "-h"], ALL_PROGS),
+    (["lemma38", "--tol", "nan"], []),
     ([], ALL_PROGS),
     (["-h"], ALL_PROGS),
     (["bogus"], ALL_PROGS),
@@ -176,10 +176,10 @@ ALL_PROGS = ["tq", "tq compute", "tq sweep", "tq selftest", "tq lemma38"]
     (["--", "compute"], ALL_PROGS),
 ], ids=["compute", "sweep-help", "lemma38", "empty", "help", "bogus",
         "abbreviated", "double-dash"])
-def test_main_builds_the_parser_of_the_named_command_only(monkeypatch, capsys,
-                                                          argv, progs):
-    """A command line that names a command builds that command's parser
-    alone; any other builds the top-level parser and all four commands'."""
+def test_main_builds_a_parser_only_when_the_plain_read_declines(monkeypatch, capsys,
+                                                                argv, progs):
+    """A plain command line, read from `COMMANDS`, builds no parser; any
+    other builds the top-level parser and all four commands'."""
     built = []
     init = tq.cli._Parser.__init__
 
@@ -200,12 +200,116 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "vanishes"
 
 
+def test_commands_declare_only_what_the_plain_read_interprets():
+    """Each option of `COMMANDS` is one that `_plain_args` reads as argparse
+    does: a long flag with a type of int, float or str, or a `store_true`
+    one, and no string default but through `str`."""
+    for _help, _func, options in COMMANDS.values():
+        for flag, kwargs in options.items():
+            assert flag.startswith("--") and not flag.startswith("---"), flag
+            # no dest, nargs, metavar or any other keyword
+            assert set(kwargs) <= {"type", "required", "default", "choices",
+                                   "action", "help"}, flag
+            assert kwargs.get("type", str) in (int, float, str), flag
+            assert kwargs.get("action", "store_true") == "store_true", flag
+            if isinstance(kwargs.get("default"), str):
+                assert kwargs.get("type", str) is str, flag
+
+
+# Words that a flag of each type takes on a plain line: none starts with `-`
+PLAIN_WORDS = {
+    int: st.integers(0, 10 ** 6).map(str)
+    | st.sampled_from(["+5", " 7 ", "1_000", " -7", "0"]),
+    float: st.floats(min_value=0, allow_nan=False).map(str)
+    | st.sampled_from(["nan", "inf", "+1.5", " 2 ", "1e-3", "1_0.5"]),
+    str: st.text(max_size=8).filter(lambda w: not w.startswith("-")),
+}
+
+
+def plain_values(kwargs):
+    """Words that the option `kwargs` takes: none for a `store_true` flag."""
+    if kwargs.get("action") == "store_true":
+        return st.just(())
+    if "choices" in kwargs:
+        words = st.sampled_from(kwargs["choices"])
+    else:
+        words = PLAIN_WORDS[kwargs.get("type", str)]
+    return words.map(lambda word: (word,))
+
+
+@st.composite
+def plain_argv(draw):
+    """A plain command line: the command, then its flags spelled out, in any
+    order, repeats included, the required ones at least once."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    options = COMMANDS[name][2]
+    flags = [flag for flag, kwargs in options.items() if kwargs.get("required")]
+    flags += draw(st.lists(st.sampled_from(sorted(options)), max_size=6)
+                  if options else st.just([]))
+    argv = [name]
+    for flag in draw(st.permutations(flags)):
+        argv += [flag, *draw(plain_values(options[flag]))]
+    return argv
+
+
+def comparable(args):
+    """vars(args) without `command`, each value by its repr (nan == nan)."""
+    return {k: repr(v) for k, v in vars(args).items() if k != "command"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(plain_argv())
+def test_plain_read_is_the_full_parsers_read(argv):
+    plain = tq.cli._plain_args(argv)
+    assert plain is not None, argv
+    assert comparable(plain) == comparable(tq.cli.build_parser().parse_args(argv)), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--d1", "5", "--d2", "13", "-h"],
+    ["compute", "--d", "5", "--d2", "13"],
+    ["compute", "--d1=5", "--d2", "13"],
+    ["compute", "--", "--d1", "5", "--d2", "13"],
+    ["compute", "--d1", "-5", "--d2", "13"],
+    ["compute", "--d1", "5"],
+    ["compute", "--d1", "5", "--d2", "13", "--sign", "x"],
+    ["compute", "--d1", "5", "--d2", "13", "--m", "abc"],
+    ["compute", "--d1", "5", "--d2", "13", "--json", "stray"],
+    ["compute", "--d1", "5", "--d2"],
+    ["sweep", "--max", "10", "--json", "--", "--json"],
+    ["selftest", "--"],
+    ["lemma38", "--tol", "-1"],
+], ids=" ".join)
+def test_plain_read_declines(argv):
+    """Lines that argparse could read differently are left to the full
+    parser."""
+    assert tq.cli._plain_args(argv) is None
+
+
 def run_subprocess(*argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "tq.cli", *argv],
                           capture_output=True, text=True, timeout=30, env=env)
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--max", "3000"],
+                                  ["sweep", "--max", "3000", "--json"]], ids=" ".join)
+def test_closed_stdout_exits_1_without_traceback(argv):
+    """A reader that takes one line and closes the pipe (`| head -1`) ends
+    the command with exit 1, and nothing on stderr about the pipe."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with subprocess.Popen([sys.executable, "-m", "tq.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=30) == 1, err
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
 
 
 def test_compute_large_prime_pair_finishes():
