@@ -10,7 +10,11 @@ It runs N rounds.  In each round every `src` directory, in turn (the
 order reversed on every other round, so neither side always goes first),
 gets one fresh interpreter per measure:
 
-- `import tq`: the seconds `import tq` takes, timed inside the interpreter;
+- `import tq.cli`: the seconds that `import tq.cli` takes, timed inside
+  the interpreter.  It imports every `tq` module, as every `tq` command
+  does, in this `src` and in an older one alike.  A bare `import tq`
+  would not compare like with like: the package root imports no module
+  now, while an older root imported them all;
 - `compute`: the wall time of `python3 -m tq.cli compute --d1 10009
   --d2 20001 --json`;
 - `sweep`: the wall time of `python3 -m tq.cli sweep --max 100 --json`.
@@ -40,13 +44,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 IMPORT_PROBE = ("import time\n"
                 "t = time.perf_counter()\n"
-                "import tq\n"
+                "import tq.cli\n"
                 "print(time.perf_counter() - t)\n")
 COMMANDS = {
     "compute": ["-m", "tq.cli", "compute", "--d1", "10009", "--d2", "20001", "--json"],
     "sweep": ["-m", "tq.cli", "sweep", "--max", "100", "--json"],
 }
-MEASURES = ("import tq", *COMMANDS)
+MEASURES = ("import tq.cli", *COMMANDS)
 FLOORS = {
     "import argparse, json": ["-c", "import argparse, json"],
     "import argparse, json, fractions": ["-c", "import argparse, json, fractions"],
@@ -60,7 +64,7 @@ def run(src: Path | None, measure: str,
     floor runs with no `src`)."""
     env = dict(os.environ, PYTHONPATH=str(src or ""))
     env.pop("PYTHONDONTWRITEBYTECODE", None)
-    args = (["-c", IMPORT_PROBE] if measure == "import tq"
+    args = (["-c", IMPORT_PROBE] if measure == "import tq.cli"
             else FLOORS.get(measure) or COMMANDS[measure])
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, *flags, *args], env=env, cwd=ROOT,
@@ -68,7 +72,7 @@ def run(src: Path | None, measure: str,
     wall = time.perf_counter() - start
     if proc.returncode and measure not in COMMANDS:
         raise SystemExit(f"{measure} failed from {src}:\n{proc.stderr}")
-    if measure == "import tq":
+    if measure == "import tq.cli":
         return float(proc.stdout), (0, "")
     return wall, (proc.returncode, proc.stdout)
 

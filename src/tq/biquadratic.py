@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple
 from .arith import factorization, is_prime, kronecker_symbol, prime_factors
 from .errors import InputError
 from .grouprings import (V4_CHARS, V4_E, GaloisChar, GroupElement,
-                         element_name, group_elements)
+                         element_name, group_elements, label_index)
 
 
 # The largest |d| accepted for d1 and d2, which are factored: a composite
@@ -55,19 +55,14 @@ class FieldData(NamedTuple):
         return (self.d1, self.d2, self.d3)
 
     @property
-    def subfield_discs(self) -> dict[int, int]:
-        return {d: quad_field_disc(d) for d in self.subfields}
-
-    @property
     def char_to_subfield(self) -> dict[str, int]:
         return {"chi1": self.d1, "chi2": self.d2, "chi1chi2": self.d3}
 
     def subfield_of(self, chi: GaloisChar | str) -> int:
         label = chi if isinstance(chi, str) else chi.label
-        try:
-            return self.char_to_subfield[label]
-        except KeyError:
+        if label == "1":
             raise InputError("the trivial character fixes no quadratic subfield")
+        return self.subfields[label_index(label) - 1]
 
     def to_json_dict(self) -> dict:
         return {"d1": self.d1, "d2": self.d2, "d3": self.d3,

@@ -39,10 +39,6 @@ class GroupElement(namedtuple("GroupElement", "word")):
         k, l = other.word
         return _BY_WORD[i ^ k, j ^ l]
 
-    def inverse(self) -> "GroupElement":
-        # every element of V4 is its own inverse
-        return self
-
     def __repr__(self):
         return f"<V4:{element_name(self)}>"
 
@@ -55,10 +51,6 @@ V4_AB = GroupElement((1, 1))
 _ELEMENTS = (V4_E, V4_A, V4_B, V4_AB)
 _BY_WORD = {g.word: g for g in _ELEMENTS}
 _V4_NAMES = {V4_E: "e", V4_A: "a", V4_B: "b", V4_AB: "ab"}
-
-
-def identity() -> GroupElement:
-    return V4_E
 
 
 def group_elements() -> tuple[GroupElement, ...]:
@@ -97,6 +89,13 @@ V4_CHARS = (
     GaloisChar("chi2", frozenset({V4_E, V4_A})),
     GaloisChar("chi1chi2", frozenset({V4_E, V4_AB})),
 )
+
+
+def label_index(label: str) -> int:
+    """The position of a character label in HOMREP_KEYS."""
+    if label not in HOMREP_KEYS:
+        raise UnsupportedGroupError(f"{label!r} is not a character label of V4")
+    return HOMREP_KEYS.index(label)
 
 
 class GroupRingElem:
@@ -160,12 +159,6 @@ class GroupRingElem:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return GroupRingElem({g: other * v for g, v in self._coeffs.items()})
@@ -178,11 +171,6 @@ class GroupRingElem:
                 gh = g * h
                 out[gh] = out.get(gh, 0) + c * d
         return GroupRingElem(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -267,13 +255,6 @@ class GroupRingMatrix(namedtuple("GroupRingMatrix", "entries")):
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.entries for x in row)
-
-    @classmethod
-    def identity(cls, n: int) -> "GroupRingMatrix":
-        one = GroupRingElem.one()
-        zero = GroupRingElem.zero()
-        return cls(tuple(tuple(one if i == j else zero for j in range(n))
-                         for i in range(n)))
 
 
 def apply_char_matrix(chi: GaloisChar, m: GroupRingMatrix) -> list[list[Rational]]:

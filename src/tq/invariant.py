@@ -56,7 +56,7 @@ def delta1_term(f: FieldData, p: int, local: PrimeLocalData | None = None) -> Ho
 def ts_representative(f: FieldData, s_f: Iterable[int]) -> HomRep:
     """Simplified global representative: per character, the inverse of the
     product of Euler factors over the finite places of S."""
-    prod = HomRep.constant_one()
+    prod = HomRep((1, 1, 1, 1))
     for p in sorted(set(s_f)):
         local = local_galois(f, p)
         prod = prod * HomRep(euler_factor(chi, p, local) for chi in V4_CHARS)

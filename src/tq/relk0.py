@@ -2,7 +2,9 @@
 Hom-description: a class is represented by a function from the four
 one-dimensional characters to nonzero rationals, and is classified by the
 complete invariant pair (rank vector of 2-adic valuations, torsion class
-in (Z/4)*)."""
+in (Z/4)*).  The pipeline reads only the torsion class; `v2` and
+`RankVector` serve the induction formula of acceptance criterion 7
+(`induce_from_subgroup`)."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError
-from .grouprings import HOMREP_KEYS, V4_CHARS, GaloisChar, GroupElement, identity
+from .grouprings import HOMREP_KEYS, V4_CHARS, V4_E, GroupElement, label_index
 
 Rational = Fraction | int
 
@@ -43,19 +45,8 @@ class TorsionClass(namedtuple("TorsionClass", "unit")):
             raise InputError(f"{self.unit} is not a unit residue of (Z/4)*")
         return self
 
-    def __mul__(self, other: "TorsionClass") -> "TorsionClass":
-        return TorsionClass((self.unit * other.unit) % 4)
-
-    def inverse(self) -> "TorsionClass":
-        # each element is its own inverse mod 4
-        return self
-
     def is_trivial(self) -> bool:
         return self.unit == 1
-
-    @classmethod
-    def one(cls) -> "TorsionClass":
-        return cls(1)
 
 
 def odd_unit(n: int) -> int:
@@ -80,10 +71,7 @@ class RankVector(NamedTuple):
     exps: tuple[int, int, int, int]
 
     def __getitem__(self, label: str) -> int:
-        return self.exps[HOMREP_KEYS.index(label)]
-
-    def __add__(self, other: "RankVector") -> "RankVector":
-        return RankVector(tuple(a + b for a, b in zip(self.exps, other.exps)))
+        return self.exps[label_index(label)]
 
 
 class HomRep:
@@ -104,10 +92,7 @@ class HomRep:
         self._values = vals
 
     def __getitem__(self, label: str) -> Fraction:
-        return self._values[HOMREP_KEYS.index(label)]
-
-    def value(self, chi: GaloisChar) -> Fraction:
-        return self[chi.label]
+        return self._values[label_index(label)]
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return self._values
@@ -131,10 +116,6 @@ class HomRep:
         return f"HomRep({body})"
 
     @classmethod
-    def constant_one(cls) -> "HomRep":
-        return cls((1, 1, 1, 1))
-
-    @classmethod
     def from_char_function(cls, fn) -> "HomRep":
         """Build from a callable on the canonical V4 characters, whose
         order is that of HOMREP_KEYS."""
@@ -143,10 +124,6 @@ class HomRep:
     def to_json_dict(self) -> dict[str, str]:
         return {k: f"{v.numerator}/{v.denominator}"
                 for k, v in zip(HOMREP_KEYS, self._values)}
-
-
-def rank_vector(h: HomRep) -> RankVector:
-    return RankVector(tuple(v2(v) for v in h.as_tuple()))
 
 
 def torsion_class(h: HomRep) -> TorsionClass:
@@ -162,7 +139,7 @@ def _validate_subgroup(elements: Iterable[GroupElement]) -> frozenset[GroupEleme
     elems = frozenset(elements)
     if not elems:
         raise InputError("empty subgroup")
-    if identity() not in elems:
+    if V4_E not in elems:
         raise InputError("subgroup must contain the identity")
     for g in elems:
         for h in elems:
@@ -193,4 +170,4 @@ def induce_from_subgroup(subgroup: Iterable[GroupElement],
         if f_sign == 0:
             raise InputError("character values must be nonzero")
     exps = tuple(v2(f_triv if chi.fixes(elems) else f_sign) for chi in V4_CHARS)
-    return RankVector(exps), TorsionClass.one()
+    return RankVector(exps), TorsionClass(1)

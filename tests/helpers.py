@@ -2,12 +2,18 @@
 it needs them."""
 
 from tq.arith import is_prime, is_squarefree
+from tq.grouprings import GroupRingMatrix
 from tq.lseries import _require_even_nontrivial, quad_char_values
 
 
 def odd_primes_up_to(bound: int) -> list[int]:
     """The odd primes p <= bound, in increasing order."""
     return [p for p in range(3, bound + 1, 2) if is_prime(p)]
+
+
+def identity_matrix(n: int) -> GroupRingMatrix:
+    """The n x n identity matrix over Q[V4]."""
+    return GroupRingMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def squarefree_pairs(dmax: int):

@@ -53,8 +53,8 @@ def test_criterion_1_tame_determinant_fixtures():
         for chi in V4_CHARS:
             pattern = ("+" if chi(V4_A) == 1 else "-") + \
                       ("+" if chi(V4_B) == 1 else "-")
-            if rep.value(chi) != expected[pattern]:
-                mismatches.append((p, chi.label, rep.value(chi)))
+            if rep[chi.label] != expected[pattern]:
+                mismatches.append((p, chi.label, rep[chi.label]))
     elapsed = time.time() - t0
     ok = not mismatches and elapsed < 1.0
     announce(1, ok, "generic pipeline reproduces the four tame determinants "
@@ -124,7 +124,7 @@ def test_criterion_5_delta_product_trivial():
     failures = []
     for d1, d2 in squarefree_pairs(100):
         f = field_data(d1, d2)
-        total = HomRep.constant_one()
+        total = HomRep((1, 1, 1, 1))
         for p in ramified_set(f):
             total = total * delta1_term(f, p)
         if torsion_class(total).unit != 1:

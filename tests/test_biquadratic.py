@@ -17,13 +17,13 @@ from tq.grouprings import V4_A, V4_B, V4_CHARS, V4_E, group_elements
 def test_field_data_5_13():
     f = field_data(5, 13)
     assert f.d3 == 65
-    assert f.subfield_discs == {5: 5, 13: 13, 65: 65}
+    assert f.to_json_dict()["subfield_discs"] == {"5": 5, "13": 13, "65": 65}
 
 
 def test_field_data_2_17():
     f = field_data(2, 17)
     assert f.d3 == 34
-    assert f.subfield_discs == {2: 8, 17: 17, 34: 136}
+    assert f.to_json_dict()["subfield_discs"] == {"2": 8, "17": 17, "34": 136}
 
 
 def test_field_data_rejects_bad_input():

@@ -437,8 +437,9 @@ def run_main_with(parse, argv):
 
 
 def assert_parsers_agree(argv):
-    """The parser of the command argv[0] names, alone, acts as the full
-    parser with all four commands."""
+    """`parse_args`, which reads a plain command line from `COMMANDS` and
+    hands any other line to the full parser, acts as the full parser
+    alone: the same exit code, stdout, stderr and namespace."""
     assert argv and argv[0] in COMMANDS
     full = run_main_with(lambda argv: tq.cli.build_parser().parse_args(argv), argv)
     assert run_main_with(parse_args, argv) == full, argv
@@ -462,6 +463,8 @@ NAMED_COMMAND_LINES = [
 
 @pytest.mark.parametrize("argv", NAMED_COMMAND_LINES, ids=" ".join)
 def test_command_parser_acts_as_the_full_parser(argv):
+    """`parse_args` on a named line that starts with a command: plain
+    lines, help, abbreviations, `--` and parse errors."""
     assert_parsers_agree(argv)
 
 
@@ -483,4 +486,6 @@ def named_command_argv(draw):
 @settings(max_examples=150, deadline=None)
 @given(named_command_argv())
 def test_command_parser_fuzz_acts_as_the_full_parser(argv):
+    """`parse_args` on a command line with words that parse differently
+    at different places inserted after its command."""
     assert_parsers_agree(argv)

@@ -1,7 +1,6 @@
-"""Every name an import binds is used in its module.
-
-`src/tq/__init__.py` is exempt: its imports are the package's public
-re-exports.  `from __future__ import ...` binds nothing to use."""
+"""Every name an import binds is used in its module
+(`from __future__ import ...` binds nothing to use), and the import shape
+of the package: the root imports no module, `tq.cli` imports them all."""
 
 import ast
 import subprocess
@@ -10,7 +9,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src/tq", "tests", "notes")
-EXEMPT = {Path("src/tq/__init__.py")}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,8 +28,7 @@ def test_no_unused_imports():
     for top in SCANNED:
         for path in sorted((ROOT / top).rglob("*.py")):
             rel = path.relative_to(ROOT)
-            if rel not in EXEMPT:
-                found += [f"{rel}: {name}" for name in unused_imports(path.read_text())]
+            found += [f"{rel}: {name}" for name in unused_imports(path.read_text())]
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
@@ -74,3 +71,23 @@ def test_import_tq_needs_neither_dataclasses_nor_inspect():
     modules = sorted(f"tq.{path.stem}" for path in (ROOT / "src" / "tq").glob("*.py")
                      if path.stem != "__init__")
     assert loaded == repr(modules)
+
+
+def test_import_tq_loads_no_module_and_tq_cli_loads_every_module():
+    """`import tq` loads no `tq.*` module; `import tq.cli` then loads every
+    one, which `fresh_tq` and `tq_module` in perfbench/workloads.py rely
+    on.  `-S` keeps `site` from importing anything first."""
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+            "import tq\n"
+            "print(sorted(m for m in sys.modules if m.startswith('tq.')))\n"
+            "import tq.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('tq.')))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, timeout=60, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    after_tq, after_cli = proc.stdout.splitlines()
+    assert after_tq == "[]"
+    modules = sorted(f"tq.{path.stem}" for path in (ROOT / "src" / "tq").glob("*.py")
+                     if path.stem != "__init__")
+    assert after_cli == repr(modules)

@@ -7,19 +7,20 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helpers import odd_primes_up_to, squarefree_pairs
 from tq.arith import is_prime, is_squarefree
-from tq.biquadratic import (D_BOUND, euler_factor, field_and_ramified_set,
-                            field_data, frob_signs, full_decomposition, local_data,
-                            local_galois, ramified_set, sign_facts)
+from tq.biquadratic import (D_BOUND, artin_conductor, euler_factor,
+                            field_and_ramified_set, field_data, frob_signs,
+                            full_decomposition, local_data, local_galois,
+                            ramified_set, sign_facts)
 from tq.invariant import (VERDICT_INADMISSIBLE, VERDICT_NONZERO,
                                VERDICT_VANISHES, delta1_term, field_verdict,
                                leading_ratio_check, leading_ratio_exact,
                                omega_loc_torsion, prime_parts, prime_unit,
                                resolvent_factor_check, sweep, ts_representative,
                                _parts_unit)
-from tq.errors import InputError
+from tq.errors import InputError, UnsupportedGroupError
 from tq.grouprings import V4_CHARS
 from tq.localterms import LatticeExponent, local_term_closed_form
-from tq.relk0 import HomRep, odd_part_mod4, torsion_class, v2
+from tq.relk0 import HomRep, RankVector, odd_part_mod4, torsion_class, v2
 
 
 # ---------- delta terms ----------
@@ -46,7 +47,7 @@ def test_delta1_values_are_powers_of_two():
 def test_delta1_product_torsion_trivial():
     for d1, d2 in squarefree_pairs(30):
         f = field_data(d1, d2)
-        total = HomRep.constant_one()
+        total = HomRep((1, 1, 1, 1))
         for p in ramified_set(f):
             total = total * delta1_term(f, p)
         assert torsion_class(total).unit == 1, (d1, d2)
@@ -65,7 +66,7 @@ def test_ts_representative_5_13():
 
 def test_ts_empty_set_is_one():
     f = field_data(5, 13)
-    assert ts_representative(f, []) == HomRep.constant_one()
+    assert ts_representative(f, []) == HomRep((1, 1, 1, 1))
 
 
 # ---------- resolvent quotient ----------
@@ -128,6 +129,30 @@ def test_leading_ratio_rejects_trivial_and_imaginary():
     fi = field_data(-3, 5, allow_imaginary=True)
     with pytest.raises(InputError):
         leading_ratio_check("chi1", fi)
+
+
+LABEL_LOOKUPS = {
+    "subfield_of": lambda label: field_data(5, 13).subfield_of(label),
+    "artin_conductor": lambda label: artin_conductor(label, field_data(5, 13)),
+    "leading_ratio_exact": lambda label: leading_ratio_exact(label, field_data(5, 13)),
+    "leading_ratio_check": lambda label: leading_ratio_check(label, field_data(5, 13)),
+    "HomRep": lambda label: HomRep((2, 3, 5, 7))[label],
+    "RankVector": lambda label: RankVector((1, 2, 3, 4))[label],
+}
+
+
+@pytest.mark.parametrize("label", ["chi3", "bogus"])
+@pytest.mark.parametrize("lookup", LABEL_LOOKUPS)
+def test_unknown_character_label_is_named(lookup, label):
+    """A label that is no character of V4 is reported as such, by name,
+    and not as the trivial character."""
+    with pytest.raises(UnsupportedGroupError, match=f"^{label!r} is not a character"):
+        LABEL_LOOKUPS[lookup](label)
+
+
+def test_trivial_label_fixes_no_subfield():
+    with pytest.raises(InputError, match="trivial character fixes no quadratic subfield"):
+        field_data(5, 13).subfield_of("1")
 
 
 # ---------- the assembled invariant ----------
@@ -290,9 +315,9 @@ def test_prime_units_match_fraction_reports():
             for p, pr in report.per_prime.items():
                 total = Fraction(1)
                 for k, chi in enumerate(V4_CHARS):
-                    total *= pr.euler[k] * pr.delta1.value(chi)
+                    total *= pr.euler[k] * pr.delta1[chi.label]
                     if pr.local_term is not None:
-                        total *= pr.local_term.value(chi)
+                        total *= pr.local_term[chi.label]
                 signs = frob_signs(*report.field.subfields, p)
                 assert prime_unit(p, signs) == odd_part_mod4(total).unit, \
                     (d1, d2, p, lat, extra)
@@ -347,9 +372,9 @@ def test_sign_rules_match_local_data_and_fraction_units():
                         if p % 2 and loc.full_decomposition else None)
                 total = Fraction(1)
                 for chi in V4_CHARS:
-                    total *= euler_factor(chi, p, loc) * delta1.value(chi)
+                    total *= euler_factor(chi, p, loc) * delta1[chi.label]
                     if term is not None:
-                        total *= term.value(chi)
+                        total *= term[chi.label]
                 assert unit == odd_part_mod4(total).unit, (signs, p, lat)
 
 
@@ -369,7 +394,7 @@ def test_prime_unit_needs_no_lattice_and_no_extra_prime_below_1000():
             unit = prime_unit(p, signs)
             # f is read only when the local data is not given
             delta1 = delta1_term(None, p, loc)
-            base = math.prod(euler_factor(chi, p, loc) * delta1.value(chi)
+            base = math.prod(euler_factor(chi, p, loc) * delta1[chi.label]
                              for chi in V4_CHARS)
             for lat in lats:
                 total = base

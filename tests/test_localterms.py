@@ -137,7 +137,7 @@ def test_fixture_determinants_all_labelings():
             for chi in V4_CHARS:
                 pattern = (("+" if chi(a) == 1 else "-")
                            + ("+" if chi(b) == 1 else "-"))
-                assert rep.value(chi) == Fraction(by_pattern[pattern]), \
+                assert rep[chi.label] == Fraction(by_pattern[pattern]), \
                     (p, a, b, chi.label)
 
 
@@ -154,7 +154,7 @@ def test_generic_determinants_all_primes_to_fifty():
             for chi in V4_CHARS:
                 pattern = (("+" if chi(a) == 1 else "-")
                            + ("+" if chi(b) == 1 else "-"))
-                assert rep.value(chi) == closed[pattern](p), (p, a, b, chi.label)
+                assert rep[chi.label] == closed[pattern](p), (p, a, b, chi.label)
 
 
 # ---------- residue field ----------

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import identity_matrix
 from tq import linalg
 from tq.errors import ContractViolationError, InputError
 from tq.grouprings import (V4_A, V4_AB, V4_B, V4_CHARS, GroupRingElem,
@@ -40,13 +41,13 @@ def test_composite_zero_enforced():
 
 
 def test_differential_shape_enforced():
-    d = GroupRingMatrix.identity(2)
+    d = identity_matrix(2)
     with pytest.raises(InputError):
         PerfectComplex((0, 1), {0: 1, 1: 2}, {0: d})
 
 
 def test_degree_range_and_ranks_enforced():
-    d = GroupRingMatrix.identity(1)
+    d = identity_matrix(1)
     with pytest.raises(InputError, match="^empty degree range$"):
         PerfectComplex((1, 0), {}, {})
     with pytest.raises(InputError, match="^negative rank$"):
@@ -113,7 +114,7 @@ def test_class_representative_matches_fixtures():
         spec, cplx = tame(p)
         rep = class_representative(cplx, valuation_iso(spec))
         for chi in V4_CHARS:
-            assert rep.value(chi) == by_pattern[sign_pattern(chi)], (p, chi.label)
+            assert rep[chi.label] == by_pattern[sign_pattern(chi)], (p, chi.label)
 
 
 def test_representative_at_thirteen():

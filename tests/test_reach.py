@@ -1,0 +1,55 @@
+"""`src/tq` holds what a `tq` command runs: every function and method that
+none of notes/reach.py's command lines reaches is kept here, with the
+reason it stays.  A new unreached function fails this test until it is
+deleted, reached by a command, or given a reason below."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+TRACED = "wrapped by perfbench/spans.py's TRACED, which names it until its dead spans go"
+ORACLE = "the per-prime reference that sweep's tests and notes/per_prime_table.py check"
+CRITERION_7 = "acceptance criterion 7: induction from a subgroup of order <= 2"
+CRITERION_2 = "acceptance criterion 2: a seeded splitting of a perfect complex"
+GOLDEN = "golden case tame-complex-5: the tame complex's JSON"
+SHOWN = "shows the value in the message of a failing test"
+HASHED = "keeps the class hashable beside its __eq__, which would otherwise unset it"
+
+KEPT = {
+    "arith.prime_factors": TRACED,
+    "arith.squarefree_kernel": TRACED,
+    "biquadratic.euler_factor": TRACED,
+    "biquadratic.frob_det_quotient": TRACED,
+    "biquadratic.ramified_set": TRACED,
+    "invariant.delta1_term": TRACED,
+    "invariant.ts_representative": TRACED,
+    "relk0.HomRep.inverse": TRACED,
+    "invariant.field_verdict": ORACLE + ", and the verdict of one field without a report",
+    "invariant.prime_unit": ORACLE,
+    "relk0.induce_from_subgroup": CRITERION_7,
+    "relk0._validate_subgroup": CRITERION_7,
+    "relk0.v2": CRITERION_7,
+    "relk0.RankVector.__getitem__": CRITERION_7,
+    "perfectcomplex._random_fraction": CRITERION_2,
+    "perfectcomplex._shift": CRITERION_2,
+    "perfectcomplex.PerfectComplex.to_json_dict": GOLDEN,
+    "perfectcomplex.PerfectComplex.degree_list": GOLDEN,
+    "grouprings.GroupElement.__repr__": SHOWN,
+    "grouprings.GroupRingElem.__repr__": SHOWN,
+    "relk0.HomRep.__repr__": SHOWN,
+    "grouprings.GroupRingElem.__hash__": HASHED,
+    "relk0.HomRep.__hash__": HASHED,
+    "relk0.HomRep.__eq__": "tests compare representatives: criterion 2, ts_representative",
+}
+
+
+def test_unreached_functions_are_the_kept_ones():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(ROOT / "notes" / "reach.py")],
+                          capture_output=True, text=True, timeout=120, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == sorted(KEPT)
