@@ -28,7 +28,10 @@ whose cost would then be hidden in both `tq` and the floors.
 
 One untimed run of each measure per directory comes first, so that every
 timed run reads written bytecode.  It prints the min and median in
-milliseconds per measure and directory, and exits 1 when two directories
+milliseconds per measure and directory, then per directory the gap of
+`sweep` above `import argparse, json` and of `compute` above `import
+argparse, json, fractions` (the command's min less the floor's min, and
+its median less the floor's median), and exits 1 when two directories
 give a command a different exit code or output.
 """
 
@@ -55,6 +58,8 @@ FLOORS = {
     "import argparse, json": ["-c", "import argparse, json"],
     "import argparse, json, fractions": ["-c", "import argparse, json, fractions"],
 }
+# the floor each command's start-up gap is measured above
+GAPS = {"sweep": "import argparse, json", "compute": "import argparse, json, fractions"}
 
 
 def run(src: Path | None, measure: str,
@@ -98,12 +103,18 @@ def main(argv=None) -> int:
                 times[s, m].append(run(s, m, flags)[0])
         for m in FLOORS:
             times[None, m].append(run(None, m, flags)[0])
+    stats = {key: (min(ts) * 1000, statistics.median(ts) * 1000)
+             for key, ts in times.items()}
     print(f"{args.n} rounds{' under python3 -S' if flags else ''}; min / median ms")
     for m in (*MEASURES, *FLOORS):
         for s in (srcs if m in MEASURES else [None]):
-            ms = [t * 1000 for t in times[s, m]]
-            print(f"{m:<32} {min(ms):8.1f} / {statistics.median(ms):8.1f}"
+            print(f"{m:<42} {stats[s, m][0]:8.1f} / {stats[s, m][1]:8.1f}"
                   f"  {s or 'floor'}")
+    for m, floor in GAPS.items():
+        for s in srcs:
+            (lo, mid), (floor_lo, floor_mid) = stats[s, m], stats[None, floor]
+            print(f"{m + ' - ' + floor:<42} {lo - floor_lo:8.1f} / "
+                  f"{mid - floor_mid:8.1f}  {s}")
     differ = [m for m in COMMANDS if len({outputs[s, m] for s in srcs}) > 1]
     for m in differ:
         print(f"{m}: exit code or output differs between the src directories")

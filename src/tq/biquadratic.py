@@ -23,14 +23,15 @@ intersections of kernels, for a report.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, NamedTuple
 
 from .arith import factorization, is_prime, kronecker_symbol, prime_factors
 from .errors import InputError
-from .grouprings import (V4_CHARS, V4_E, GaloisChar, GroupElement,
-                         element_name, group_elements, label_index)
+from .grouprings import (V4_CHARS, V4_E, GaloisChar, element_name,
+                         group_elements, label_index)
 
 
 # The largest |d| accepted for d1 and d2, which are factored: a composite
@@ -44,11 +45,8 @@ def quad_field_disc(d: int) -> int:
     return d if d % 4 == 1 else 4 * d
 
 
-class FieldData(NamedTuple):
-    d1: int
-    d2: int
-    d3: int
-    totally_real: bool
+class FieldData(namedtuple("FieldData", "d1 d2 d3 totally_real")):
+    __slots__ = ()
 
     @property
     def subfields(self) -> tuple[int, int, int]:
@@ -103,18 +101,14 @@ def field_data(d1: int, d2: int, allow_imaginary: bool = False) -> FieldData:
     return field_and_ramified_set(d1, d2, allow_imaginary)[0]
 
 
-class PrimeLocalData(NamedTuple):
+class PrimeLocalData(namedtuple("PrimeLocalData",
+                                 "p in_s inertia decomposition frob a_p b_p",
+                                 defaults=(None, None))):
     """Inertia and decomposition subgroups of V4 at p, a Frobenius
     representative, and (when the decomposition group is everything) the
     canonical inertia generator a_p and Frobenius lift b_p."""
 
-    p: int
-    in_s: bool
-    inertia: frozenset[GroupElement]
-    decomposition: frozenset[GroupElement]
-    frob: GroupElement
-    a_p: GroupElement | None = None
-    b_p: GroupElement | None = None
+    __slots__ = ()
 
     @property
     def full_decomposition(self) -> bool:

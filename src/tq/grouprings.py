@@ -17,8 +17,8 @@ exactly when the subgroup H lies in the kernel.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
 
 from .errors import UnsupportedGroupError
 from .linalg import Rational, exact
@@ -62,11 +62,10 @@ def element_name(g: GroupElement) -> str:
     return _V4_NAMES[g]
 
 
-class GaloisChar(NamedTuple):
+class GaloisChar(namedtuple("GaloisChar", "label kernel")):
     """A one-dimensional character of V4, stored by its kernel."""
 
-    label: str
-    kernel: frozenset[GroupElement]
+    __slots__ = ()
 
     def __call__(self, g: GroupElement) -> int:
         return 1 if g in self.kernel else -1

@@ -21,8 +21,9 @@ supported shapes of the completion at 2.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
 
 from .arith import is_prime
 from .biquadratic import (FieldData, PrimeLocalData, _euler, _frob_det,
@@ -63,14 +64,14 @@ def ts_representative(f: FieldData, s_f: Iterable[int]) -> HomRep:
     return prod.inverse()
 
 
-class ResolventCheck(NamedTuple):
+class ResolventCheck(namedtuple("ResolventCheck", "status completion value reason",
+                                 defaults=(None, None, None))):
     """Result of the standalone quotient check available when 2 ramifies
-    and the completion at 2 is Q2(sqrt(2)) or Q2(sqrt(10))."""
+    and the completion at 2 is Q2(sqrt(2)) or Q2(sqrt(10)): `status` is
+    "pass", "fail" or "unsupported", and `completion` is "Q2(sqrt2)" or
+    "Q2(sqrt10)"."""
 
-    status: str                      # "pass" | "fail" | "unsupported"
-    completion: str | None = None    # "Q2(sqrt2)" | "Q2(sqrt10)"
-    value: Fraction | None = None
-    reason: str | None = None
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"status": self.status, "completion": self.completion,
@@ -117,11 +118,8 @@ def resolvent_factor_check(f: FieldData) -> ResolventCheck | None:
     return ResolventCheck("pass" if ok else "fail", completion, r)
 
 
-class PrimeReport(NamedTuple):
-    local: PrimeLocalData
-    delta1: HomRep
-    euler: tuple[Fraction, Fraction, Fraction, Fraction]
-    local_term: HomRep | None
+class PrimeReport(namedtuple("PrimeReport", "local delta1 euler local_term")):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -133,15 +131,10 @@ class PrimeReport(NamedTuple):
         }
 
 
-class InvariantReport(NamedTuple):
-    field: FieldData
-    s_f: tuple[int, ...]
-    per_prime: Mapping[int, PrimeReport]
-    ts_rep: HomRep | None
-    resolvent_check: ResolventCheck | None
-    torsion: TorsionClass | None
-    verdict: str
-    note: str | None = None
+class InvariantReport(namedtuple("InvariantReport",
+                                  "field s_f per_prime ts_rep resolvent_check "
+                                  "torsion verdict note", defaults=(None,))):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         # each prime's delta1 and local term dicts, made once, appear twice
@@ -284,13 +277,10 @@ def leading_ratio_exact(chi: GaloisChar | str, f: FieldData) -> Fraction:
     return Fraction(4, artin_conductor(chi, f))
 
 
-class AnalyticCheck(NamedTuple):
-    chi: str
-    conductor: int
-    lhs_numeric: float
-    rhs_exact_squared: Fraction
-    abs_error_squared: float
-    tol: float
+class AnalyticCheck(namedtuple("AnalyticCheck",
+                                "chi conductor lhs_numeric rhs_exact_squared "
+                                "abs_error_squared tol")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -317,10 +307,8 @@ def leading_ratio_check(chi: GaloisChar | str, f: FieldData,
     return AnalyticCheck(label, cond, ratio, rhs, err, tol)
 
 
-class SweepSummary(NamedTuple):
-    dmax: int
-    counts: dict[str, int]
-    nonzero_fields: list[tuple[int, int]]
+class SweepSummary(namedtuple("SweepSummary", "dmax counts nonzero_fields")):
+    __slots__ = ()
 
     @property
     def n_fields(self) -> int:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .arith import is_prime
 from .biquadratic import _euler, _frob_det
@@ -112,15 +111,13 @@ def residue_class(p: int, a: GroupElement) -> HomRep:
         lambda chi: Fraction(p) if chi.fixes((a,)) else Fraction(1))
 
 
-class ResidueResolutionReport(NamedTuple):
+class ResidueResolutionReport(namedtuple(
+        "ResidueResolutionReport",
+        "p multiplication_by_p displayed_identity char_values char_value_list")):
     """Witness report for the two-term free resolution of the residue
     field by multiplication with (p+1)/2 + ((p-1)/2) a."""
 
-    p: int
-    multiplication_by_p: bool
-    displayed_identity: bool
-    char_values: bool
-    char_value_list: tuple[int | Fraction, ...]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

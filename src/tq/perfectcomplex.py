@@ -23,10 +23,9 @@ both, exists so tests can check exactly that.
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping, NamedTuple
 
 from . import linalg
 from .errors import ContractViolationError, InputError
@@ -92,13 +91,11 @@ class PerfectComplex(namedtuple("PerfectComplex", "degrees ranks differentials")
                 "differentials": diffs}
 
 
-class RationalComplex(NamedTuple):
+class RationalComplex(namedtuple("RationalComplex", "degrees ranks diffs")):
     """A character specialization: same shape as a PerfectComplex but with
     rational matrices."""
 
-    degrees: tuple[int, int]
-    ranks: Mapping[int, int]
-    diffs: Mapping[int, Mat]
+    __slots__ = ()
 
     def rank(self, j: int) -> int:
         return int(self.ranks.get(j, 0))
@@ -118,14 +115,12 @@ def char_specialize(p: PerfectComplex, chi: GaloisChar) -> RationalComplex:
     return RationalComplex(p.degrees, dict(p.ranks), diffs)
 
 
-class CohomologyData(NamedTuple):
+class CohomologyData(namedtuple("CohomologyData", "kernels images preimages")):
     """Deterministic bases of a rational complex, as row vectors in the
     ambient term of their degree: kernels[j] of d_j, images[j] of d_(j-1),
     and preimages[j], whose i-th row d_j maps to images[j+1][i]."""
 
-    kernels: dict[int, Mat]
-    images: dict[int, Mat]
-    preimages: dict[int, Mat]
+    __slots__ = ()
 
     def h_dim(self, j: int) -> int:
         return len(self.kernels.get(j, [])) - len(self.images.get(j, []))
@@ -147,24 +142,23 @@ def cohomology_basis(c: RationalComplex) -> CohomologyData:
     return CohomologyData(kernels, images, preimages)
 
 
-class CohomologyIsoComponent(NamedTuple):
+class CohomologyIsoComponent(namedtuple("CohomologyIsoComponent",
+                                         "odd_reps even_reps matrix")):
     """One character's worth of a cohomology isomorphism: explicit cocycle
     representatives whose classes form bases of the odd and even
     cohomology, and the matrix of the isomorphism in those bases (rows
     indexed by the odd basis, ascending degree)."""
 
-    odd_reps: Mapping[int, Mat]
-    even_reps: Mapping[int, Mat]
-    matrix: Mat
+    __slots__ = ()
 
 
-class CohomologyIso(NamedTuple):
+class CohomologyIso(namedtuple("CohomologyIso", "components")):
     """A rational isomorphism from total odd to total even cohomology, one
     component per character label.  The supplied cocycles are the section
     of kernel -> cohomology; the reciprocal class, of the inverse iso, is
     `HomRep.inverse()`."""
 
-    components: Mapping[str, CohomologyIsoComponent]
+    __slots__ = ()
 
 
 def _section(c: RationalComplex, data: CohomologyData, j: int,
@@ -194,12 +188,14 @@ def _section(c: RationalComplex, data: CohomologyData, j: int,
     return reps
 
 
-def _random_fraction(rng: random.Random) -> Fraction:
+def _random_fraction(rng) -> Fraction:
+    """A small random rational drawn from `rng`, a seeded `random.Random`."""
     return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
 
-def _shift(rows: Mat, by: Mat, rng: random.Random) -> None:
-    """Add a seeded random combination of the rows of `by` to each row."""
+def _shift(rows: Mat, by: Mat, rng) -> None:
+    """Add a seeded random combination of the rows of `by` to each row,
+    its coefficients drawn from `rng`, a seeded `random.Random`."""
     for v in rows:
         for b in by:
             t = _random_fraction(rng)
@@ -208,11 +204,12 @@ def _shift(rows: Mat, by: Mat, rng: random.Random) -> None:
 
 
 def torsion_determinant(c: RationalComplex, comp: CohomologyIsoComponent,
-                        rng: random.Random | None = None) -> Fraction:
+                        rng=None) -> Fraction:
     """Determinant of the composed isomorphism from the sum of odd-degree
     terms to the sum of even-degree terms, built from the supplied
     cohomology iso, with its cocycles as the section of kernel ->
-    cohomology, and (deterministic or seeded-random) splittings.
+    cohomology, and splittings that are deterministic when `rng` is None
+    and moved at random when it is a seeded `random.Random`.
 
     Basis convention: both sides are ordered by ascending degree, then by
     index inside each term; det phi is det(targets) / prod det(adapted_j),
@@ -280,9 +277,10 @@ def torsion_determinant(c: RationalComplex, comp: CohomologyIsoComponent,
 
 
 def class_representative(p: PerfectComplex, iso: CohomologyIso,
-                         rng: random.Random | None = None) -> HomRep:
+                         rng=None) -> HomRep:
     """The Hom-description representative of the class of (p, iso): the
-    per-character torsion determinant."""
+    per-character torsion determinant, `rng` (None or a seeded
+    `random.Random`) passed to `torsion_determinant`."""
     return HomRep(torsion_determinant(char_specialize(p, chi),
                                       iso.components[chi.label], rng)
                   for chi in V4_CHARS)

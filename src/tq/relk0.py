@@ -9,18 +9,18 @@ in (Z/4)*).  The pipeline reads only the torsion class; `v2` and
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError
 from .grouprings import HOMREP_KEYS, V4_CHARS, V4_E, GroupElement, label_index
+from .linalg import Rational, exact
 
-Rational = Fraction | int
 
-
-def v2(q: Fraction | int) -> int:
-    """2-adic valuation of a nonzero rational."""
-    q = Fraction(q)
+def v2(q: Rational) -> int:
+    """2-adic valuation of a nonzero rational, an int or a `Fraction`
+    (`linalg.exact` refuses anything else, a float above all)."""
+    q = exact(q)
     if q == 0:
         raise InputError("v2(0) is undefined")
     n, d = q.numerator, q.denominator
@@ -58,17 +58,17 @@ def odd_unit(n: int) -> int:
 def odd_part_mod4(q: Rational) -> TorsionClass:
     """Strip all factors of 2 from q and reduce the remaining odd rational
     mod 4 (odd denominators are inverted mod 4)."""
-    q = Fraction(q)
+    q = exact(q)
     if q == 0:
         raise InputError("odd part mod 4 of 0 is undefined")
     # for odd d, the inverse of d mod 4 is d itself
     return TorsionClass(odd_unit(q.numerator) * odd_unit(q.denominator) % 4)
 
 
-class RankVector(NamedTuple):
+class RankVector(namedtuple("RankVector", "exps")):
     """Per-character 2-adic valuations."""
 
-    exps: tuple[int, int, int, int]
+    __slots__ = ()
 
     def __getitem__(self, label: str) -> int:
         return self.exps[label_index(label)]
@@ -83,8 +83,8 @@ class HomRep:
 
     def __init__(self, values: Iterable[Rational]):
         """`values` in the order of HOMREP_KEYS; a `Fraction` is kept as
-        given."""
-        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+        given, and anything else goes through `linalg.exact`."""
+        vals = tuple(v if type(v) is Fraction else Fraction(exact(v)) for v in values)
         if len(vals) != 4:
             raise InputError("a HomRep needs exactly four values")
         if any(v == 0 for v in vals):
@@ -161,12 +161,12 @@ def induce_from_subgroup(subgroup: Iterable[GroupElement],
     if len(elems) not in (1, 2):
         raise InputError("not a proper subgroup of order <= 2; "
                          "induction formula does not apply")
-    f_triv = Fraction(f["1"])
+    f_triv = exact(f["1"])
     if f_triv == 0:
         raise InputError("character values must be nonzero")
     f_sign = f_triv  # unused when |H| = 1: every character fixes H
     if len(elems) == 2:
-        f_sign = Fraction(f["sign"])
+        f_sign = exact(f["sign"])
         if f_sign == 0:
             raise InputError("character values must be nonzero")
     exps = tuple(v2(f_triv if chi.fixes(elems) else f_sign) for chi in V4_CHARS)

@@ -55,13 +55,17 @@ def test_traced_names_exist(monkeypatch):
 
 
 def test_import_tq_needs_neither_dataclasses_nor_inspect():
-    """`import tq` and `import tq.cli` build every record class without
-    `dataclasses`, which would pull in `inspect`, and still import every
-    `tq` module.  `-S` keeps `site` from importing either first."""
+    """`import tq` and `import tq.cli` build every record class as a
+    `collections.namedtuple` subclass, without `dataclasses`, which would
+    pull in `inspect`, or `typing`, and load no `random`, which only the
+    seeded mode of the complex route's callers pass in; they still import
+    every `tq` module.  `-S` keeps `site` from importing any of the four
+    first."""
     code = ("import sys\n"
             f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
             "import tq, tq.cli\n"
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+            "print(sorted({'dataclasses', 'inspect', 'random', 'typing'}\n"
+            "             & set(sys.modules)))\n"
             "print(sorted(m for m in sys.modules if m.startswith('tq.')))\n")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, timeout=60, cwd=ROOT)

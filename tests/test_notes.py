@@ -33,9 +33,12 @@ def run_startup_times(*flags):
 
 def test_startup_times_runs():
     """notes/startup_times.py with one timed round on this repository's
-    `src`; its timings are not checked."""
+    `src`, printing the gap of `sweep` and of `compute` above its floor;
+    its timings are not checked."""
     proc = run_startup_times()
     assert proc.returncode == 0, proc.stderr
+    gaps = [line.split()[:3] for line in proc.stdout.splitlines() if " - " in line]
+    assert gaps == [["sweep", "-", "import"], ["compute", "-", "import"]]
 
 
 def test_startup_times_runs_under_no_site():

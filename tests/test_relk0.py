@@ -169,6 +169,30 @@ def test_homrep_keeps_fractions_and_checks_values():
             HomRep(iter(bad))
 
 
+def test_relk0_refuses_floats():
+    """A float may already have lost the value it stands for (0.1 is
+    3602879701896397/2**55, of valuation -55), so `HomRep`, `v2`,
+    `odd_part_mod4` and `induce_from_subgroup` refuse one with a
+    `TypeError`, in any position, as `linalg.exact` does; the exact values
+    they stand for still go through."""
+    for x in (0.1, 2.0, -3.0):
+        with pytest.raises(TypeError):
+            v2(x)
+        with pytest.raises(TypeError):
+            odd_part_mod4(x)
+        for i in range(4):
+            with pytest.raises(TypeError):
+                HomRep((1,) * i + (x,) + (1,) * (3 - i))
+        with pytest.raises(TypeError):
+            induce_from_subgroup([V4_E], {"1": x})
+        with pytest.raises(TypeError):
+            induce_from_subgroup([V4_E, V4_A], {"1": 1, "sign": x})
+    assert v2(Fraction(1, 10)) == -1 and v2(2) == 1
+    assert odd_part_mod4(Fraction(1, 10)).unit == 1
+    assert HomRep((Fraction(1, 10), 1, 1, 1))["1"] == Fraction(1, 10)
+    assert induce_from_subgroup([V4_E], {"1": Fraction(1, 10)})[0].exps == (-1,) * 4
+
+
 def test_from_char_function_orders_values_by_homrep_keys():
     values = {"1": Fraction(2), "chi1": Fraction(3), "chi2": Fraction(5),
               "chi1chi2": Fraction(7)}
