@@ -16,27 +16,35 @@ The table chi(0..f-1) is built once per check: `quad_char_values` copies
 it from a one-entry memo (`_char_table`, which keeps the table of the last
 disc only), so the second evaluator of `invariant.leading_ratio_check`
 finds the table of the first, and no caller holds a shared, mutable table.
-For a fixed top argument the Kronecker symbol (D/n) is completely
-multiplicative in n > 0 (H. Cohen, A Course in Computational Algebraic
-Number Theory, 1.4.2), so the table needs the symbol only at the primes
-below f, found by a sieve of Eratosthenes, and spreads each value to the
-multiples of the prime.  At an odd prime p the symbol is the Legendre
-symbol, which Euler's criterion gives as D^((p-1)/2) mod p, one of 0, 1 and
-p - 1 (K. Ireland and M. Rosen, A Classical Introduction to Modern Number
-Theory, Prop. 5.1.2); `kronecker_symbol` gives it at 0 and 2.  The table
-equals the symbol at every n; the evaluators' sums take the same terms in
-the same order as with a table of symbols, so their floats do not depend on
-how the table is built.
+It is built from the primes of D alone: for n >= 1 the Kronecker symbol
+(D/n) is completely multiplicative in n and in its top argument D
+(H. Cohen, A Course in Computational Algebraic Number Theory, 1.4.2), so
+(D/n) = (-1/n)^[D<0] prod_{p^e || |D|} (p/n)^e, where:
+
+  * for even e, (p/n)^e is 0 at the multiples of p and 1 elsewhere;
+  * (2/n) has period 8: 0, 1, 0, -1, 0, -1, 0, 1;
+  * at an odd p, reciprocity gives (p/n) = (n/p) (-1/n)^[p = 3 mod 4], and
+    the Legendre symbol (n/p) has period p and is 1 at the squares a^2 mod
+    p, 1 <= a <= (p-1)/2 (K. Ireland and M. Rosen, A Classical Introduction
+    to Modern Number Theory, ch. 5);
+  * (-1/n) = chi_{-4}(n / 2^v2(n)) is not periodic, and is a factor when
+    [D<0] plus the number of odd p = 3 mod 4 with odd e is odd.
+
+The periods (8 or 2 at p = 2, p at an odd p) are coprime: `_char_table`
+multiplies the tables into one of their product's period, repeats it to
+length f, negates by one slice per power of two where (-1/n) = -1, and sets
+entry 0 to `kronecker_symbol(D, 0)`.  The table equals the symbol at every
+n, so the evaluators' floats do not depend on how it is built.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import compress
-from operator import neg
+from itertools import cycle, islice
+from operator import mul, neg
 
-from .arith import kronecker_symbol
+from .arith import factorization, is_squarefree, kronecker_symbol
 from .errors import InputError
 
 
@@ -49,38 +57,40 @@ def quad_char_values(disc: int) -> list[int]:
 
 @lru_cache(maxsize=1)
 def _char_table(disc: int) -> tuple[int, ...]:
-    """The table of `quad_char_values`, built by the multiplicative sieve of
-    the module docstring."""
+    """The table of `quad_char_values`, from the primes of disc."""
     f = abs(disc)
-    if f == 0:
-        return ()
-    vals = [1] * f
+    if f <= 1:
+        return (kronecker_symbol(disc, 0),) * f
+    vals = [1]
+    minus_one = disc < 0  # whether (-1/n) is a factor
+    for p, e in factorization(f).items():
+        if e % 2 == 0:
+            period = [0] + [1] * (p - 1)
+        elif p == 2:
+            period = [0, 1, 0, -1, 0, -1, 0, 1]
+        else:
+            period = [-1] * p
+            period[0] = 0
+            for a in range(1, p // 2 + 1):
+                period[a * a % p] = 1
+            minus_one ^= p % 4 == 3
+        if len(vals) > 1:  # the periods are coprime
+            period = list(islice(map(mul, cycle(vals), cycle(period)), len(vals) * len(period)))
+        vals = period
+    vals *= -(-f // len(vals))
+    del vals[f:]
+    q = 1
+    while minus_one and q < f:  # (-1/n) = -1 at n = q * m, m = 3 mod 4
+        vals[3 * q::4 * q] = map(neg, vals[3 * q::4 * q])
+        q *= 2
     vals[0] = kronecker_symbol(disc, 0)
-    for p in _primes_below(f):
-        # Euler's criterion at odd p: 0, 1 or p - 1
-        chi_p = kronecker_symbol(disc, 2) if p == 2 else pow(disc, p >> 1, p)
-        if chi_p == 0:
-            vals[p::p] = [0] * len(range(p, f, p))
-        elif chi_p != 1:
-            q = p
-            while q < f:
-                vals[q::q] = map(neg, vals[q::q])
-                q *= p
     return tuple(vals)
 
 
-def _primes_below(n: int) -> list[int]:
-    """The primes p < n, by the sieve of Eratosthenes."""
-    is_p = bytearray([1]) * n
-    is_p[:2] = bytes(min(n, 2))
-    for p in range(2, math.isqrt(n) + 1):
-        if is_p[p]:
-            is_p[p * p::p] = bytes(len(range(p * p, n, p)))
-    return list(compress(range(n), is_p))
-
-
 def _require_even_nontrivial(disc: int) -> int:
-    if disc <= 1:
+    # fundamental: D = 1 mod 4 squarefree, or D = 4m, m = 2 or 3 mod 4 squarefree
+    if not (disc > 1 and (disc % 4 == 1 or disc % 16 in (8, 12))
+            and is_squarefree(disc if disc % 2 else disc // 4)):
         raise InputError("need a positive fundamental discriminant > 1 "
                          "(even nontrivial character)")
     return disc

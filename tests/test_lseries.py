@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import l_one_series
 from tq.arith import is_squarefree, kronecker_symbol
@@ -33,7 +34,7 @@ def test_quad_char_basics():
     range(-600, 601),
     # the ten largest real fundamental discriminants up to 16000
     [15973, 15976, 15977, 15980, 15981, 15985, 15989, 15992, 15996, 15997],
-    # conductors near 7000, where Euler's criterion runs at primes near f
+    # conductors near 7000, each with a different set of primes of D
     [*range(-7010, -6999), *range(7000, 7011)],
 ])
 def test_quad_char_values_equals_kronecker_table(discs):
@@ -42,6 +43,26 @@ def test_quad_char_values_equals_kronecker_table(discs):
     for disc in discs:
         assert quad_char_values(disc) == [kronecker_symbol(disc, n)
                                           for n in range(abs(disc))], disc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_quad_char_values_equals_kronecker_at_drawn_indices(data):
+    # disc = +-2^e s^2 m with m odd and |disc| <= 10^5: both signs, every
+    # power of two up to 2^5, odd square factors, and in m primes both 1
+    # and 3 mod 4, so that every factor of the table's build is drawn
+    e = data.draw(st.integers(0, 5), label="e")
+    s = data.draw(st.sampled_from([1, 3, 5, 7]), label="s")
+    scale = 2 ** e * s * s
+    m = 2 * data.draw(st.integers(0, (10 ** 5 // scale - 1) // 2), label="m") + 1
+    disc = data.draw(st.sampled_from([1, -1]), label="sign") * scale * m
+    chi = quad_char_values(disc)
+    assert len(chi) == abs(disc)
+    ns = data.draw(st.lists(st.integers(0, abs(disc) - 1), min_size=1, max_size=40),
+                   label="n")
+    # and n = 3 * 2^k, where (-1/n) = -1 at every power of two
+    for n in ns + [3 << k for k in range(abs(disc).bit_length()) if 3 << k < abs(disc)]:
+        assert chi[n] == kronecker_symbol(disc, n), (disc, n)
 
 
 def test_quad_char_values_gives_a_fresh_list():
@@ -99,3 +120,18 @@ def test_rejects_trivial_or_odd():
         l_one_logsin(1)
     with pytest.raises(InputError):
         l_prime_zero_lgamma(-3)
+
+
+@pytest.mark.parametrize("disc", [9, 16, 20, 25, 32, 45, 48])
+@pytest.mark.parametrize("evaluator", [l_one_logsin, l_prime_zero_lgamma, l_one_series])
+def test_rejects_non_fundamental_discriminants(evaluator, disc):
+    # their characters are not primitive: 9 gives the principal character
+    # mod 3, 20 the character of 5 lifted to modulus 20
+    with pytest.raises(InputError, match="fundamental"):
+        evaluator(disc)
+
+
+def test_accepts_fundamental_discriminant_twelve():
+    # 12 = 4 * 3 is the discriminant of Q(sqrt 3), with class number 1 and
+    # fundamental unit 2 + sqrt 3: L(1, chi_12) = log(2 + sqrt 3) / sqrt 3
+    assert abs(l_one_logsin(12) - math.log(2 + math.sqrt(3)) / math.sqrt(3)) < 1e-13

@@ -45,3 +45,17 @@ def test_startup_times_runs_under_no_site():
     """notes/startup_times.py -S, every interpreter under `python3 -S`."""
     proc = run_startup_times("-S")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cap_times_runs():
+    """notes/cap_times.py with one timed round at low caps on this
+    repository's `src`; its timings are not checked."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "notes" / "cap_times.py"), "-n", "1",
+         "--sweep-max", "30", "--conductor-max", "60", str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "1 rounds; min / median s"
+    assert [line.split()[:3] for line in lines[1:]] == [
+        ["sweep", "--max", "30"], ["lemma38", "--conductor-max", "60"]]
