@@ -24,8 +24,9 @@ import types
 from pathlib import Path
 
 # (argv, exit code): every command, each exit path, text and JSON output,
-# the imaginary and lattice options, d near 10**18, and a semiprime d whose
-# factors both lie above arith.TRIAL_BOUND, so that Pollard-Brent runs.
+# the lattice options, a negative d (an input error), d near 10**18, and a
+# semiprime d whose factors both lie above arith.TRIAL_BOUND, so that
+# Pollard-Brent runs.
 LINES = [
     (["compute", "--d1", "5", "--d2", "13", "--json"], 0),
     (["compute", "--d1", "21", "--d2", "33", "--extra-s", "5", "--m", "3",
@@ -35,7 +36,7 @@ LINES = [
     (["compute", "--d1", "2", "--d2", "17", "--json"], 0),
     (["compute", "--d1", "33", "--d2", "42"], 3),
     (["compute", "--d1", "10009", "--d2", "20001", "--json"], 0),
-    (["compute", "--d1", "-3", "--d2", "5", "--allow-imaginary", "--json"], 0),
+    (["compute", "--d1", "-3", "--d2", "5", "--json"], 4),
     (["compute", "--d1", "999999999999999989", "--d2", "999999999999999877",
       "--json"], 0),
     (["compute", "--d1", "5", "--d2", "1000036000099", "--json"], 2),

@@ -45,7 +45,7 @@ def quad_field_disc(d: int) -> int:
     return d if d % 4 == 1 else 4 * d
 
 
-class FieldData(namedtuple("FieldData", "d1 d2 d3 totally_real")):
+class FieldData(namedtuple("FieldData", "d1 d2 d3")):
     __slots__ = ()
 
     @property
@@ -64,7 +64,7 @@ class FieldData(namedtuple("FieldData", "d1 d2 d3 totally_real")):
 
     def to_json_dict(self) -> dict:
         return {"d1": self.d1, "d2": self.d2, "d3": self.d3,
-                "totally_real": self.totally_real,
+                "totally_real": True,
                 "subfield_discs": {str(d): quad_field_disc(d) for d in self.subfields}}
 
 
@@ -79,26 +79,25 @@ def _squarefree_primes(d: int) -> list[int]:
     return sorted(exponents)
 
 
-def field_and_ramified_set(d1: int, d2: int, allow_imaginary: bool = False
-                           ) -> tuple[FieldData, list[int]]:
+def field_and_ramified_set(d1: int, d2: int) -> tuple[FieldData, list[int]]:
     """`field_data(d1, d2)` and its `ramified_set`, from one factorization
     of d1 and one of d2."""
     primes1, primes2 = _squarefree_primes(d1), _squarefree_primes(d2)
     if d1 == d2:
         raise InputError("d1 and d2 must define distinct quadratic fields")
-    if (d1 < 0 or d2 < 0) and not allow_imaginary:
-        raise InputError("negative d makes E imaginary; pass allow_imaginary "
-                         "to compute outside the totally real default")
+    if d1 < 0 or d2 < 0:
+        raise InputError("negative d makes E imaginary, and E = N^Z is totally "
+                         "real for every quaternion field N")
     # the squarefree kernel of d1*d2, since d1 and d2 are squarefree
     d3 = d1 * d2 // gcd(d1, d2) ** 2
     if d3 in (d1, d2) or d3 == 1:
         raise InputError(f"degenerate pair: third subfield collapses (d3={d3})")
-    return (FieldData(d1, d2, d3, totally_real=(d1 > 0 and d2 > 0)),
+    return (FieldData(d1, d2, d3),
             sorted(disc_primes(d1, primes1) | disc_primes(d2, primes2)))
 
 
-def field_data(d1: int, d2: int, allow_imaginary: bool = False) -> FieldData:
-    return field_and_ramified_set(d1, d2, allow_imaginary)[0]
+def field_data(d1: int, d2: int) -> FieldData:
+    return field_and_ramified_set(d1, d2)[0]
 
 
 class PrimeLocalData(namedtuple("PrimeLocalData",

@@ -2,14 +2,14 @@
 
 Subcommands:
   tq compute --d1 D1 --d2 D2 [--json] [--m M] [--sign plus|minus]
-             [--extra-s p,q,...] [--allow-imaginary]
+             [--extra-s p,q,...]
   tq sweep --max N [--json]              (N <= SWEEP_MAX = 7000)
   tq selftest
   tq lemma38 --conductor-max N --tol T   (5 <= N <= CONDUCTOR_MAX = 7000)
 
-Time grows as N^2; at the caps, `tq sweep --max 7000 --json` takes 1.4 s
-(0.4 s of it in `sweep`) and lemma38 4.6 s on a shared 2-CPU x86-64
-machine (medians; see README).
+Time grows as N^2; at the caps, `tq sweep --max 7000 --json` takes about
+1 s (0.4 s of it in `sweep`) and lemma38 about 3.7 s on a shared 2-CPU
+x86-64 machine (medians; see README).
 
 Exit codes: 0 vanishes / all checks pass, 1 any other `tq` error or a
 closed stdout, 2 inadmissible, 3 nonzero torsion (or a failed
@@ -65,8 +65,7 @@ def _parse_extra(text: str | None) -> list[int]:
 def cmd_compute(args) -> int:
     report = omega_loc_torsion(args.d1, args.d2,
                                s_extra=_parse_extra(args.extra_s),
-                               lat=_parse_lattice(args),
-                               allow_imaginary=args.allow_imaginary)
+                               lat=_parse_lattice(args))
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))
     else:
@@ -236,8 +235,7 @@ COMMANDS = {
         "--m": dict(type=int, default=1),
         "--sign": dict(choices=("plus", "minus"), default="plus"),
         "--extra-s": dict(type=str, default="",
-                          help="comma-separated extra odd primes to enlarge S"),
-        "--allow-imaginary": dict(action="store_true")}),
+                          help="comma-separated extra odd primes to enlarge S")}),
     "sweep": ("all squarefree pairs up to a bound", cmd_sweep, {
         "--max": dict(type=int, required=True), "--json": dict(action="store_true")}),
     "selftest": ("run the built-in fixture checks", cmd_selftest, {}),

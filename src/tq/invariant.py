@@ -232,8 +232,7 @@ def _verdict(unit: int | None) -> str:
 
 def omega_loc_torsion(d1: int, d2: int,
                       s_extra: Iterable[int] | None = None,
-                      lat: LatticeExponent = LatticeExponent(),
-                      allow_imaginary: bool = False) -> InvariantReport:
+                      lat: LatticeExponent = LatticeExponent()) -> InvariantReport:
     """Full pipeline: field data; the Frobenius signs of 2 and of each
     prime of S, the ramified set plus any extra odd primes; each prime's
     `prime_parts`, read once for both its unit and its report; the torsion
@@ -242,7 +241,7 @@ def omega_loc_torsion(d1: int, d2: int,
     data, Euler factors, power-of-two terms and, at the fully decomposed odd
     primes of an admissible field, local class, and the simplified global
     representative."""
-    f, ramified = field_and_ramified_set(d1, d2, allow_imaginary=allow_imaginary)
+    f, ramified = field_and_ramified_set(d1, d2)
     extra = tuple(s_extra or ())
     for p in extra:
         if p == 2 or not is_prime(p):
@@ -255,12 +254,10 @@ def omega_loc_torsion(d1: int, d2: int,
     per_prime = {p: _prime_report(p, signs, pp, unit is not None)
                  for p, (signs, pp) in parts.items()}
 
-    note = None if f.totally_real else "outside the totally real default"
     if unit is None:
         return InvariantReport(f, s_f, per_prime, None, resolvent_factor_check(f),
                                None, VERDICT_INADMISSIBLE,
-                               note="decomposition group at 2 is everything"
-                                    + (f"; {note}" if note else ""))
+                               note="decomposition group at 2 is everything")
 
     # the global representative, per character the inverse of the product
     # of the Euler factors over S, from the fractions already made
@@ -268,7 +265,7 @@ def omega_loc_torsion(d1: int, d2: int,
                               math.prod([e.numerator for e in col]))
                      for col in zip(*(r.euler for r in per_prime.values()))])
     return InvariantReport(f, s_f, per_prime, ts_rep, resolvent_factor_check(f),
-                           TorsionClass(unit), _verdict(unit), note)
+                           TorsionClass(unit), _verdict(unit))
 
 
 def leading_ratio_exact(chi: GaloisChar | str, f: FieldData) -> Fraction:
@@ -295,11 +292,7 @@ def leading_ratio_check(chi: GaloisChar | str, f: FieldData,
     label = chi if isinstance(chi, str) else chi.label
     if label == "1":
         raise InputError("the numeric check applies to nontrivial characters")
-    d = f.subfield_of(label)
-    if d < 0:
-        raise InputError("odd characters (imaginary subfield) are out of scope "
-                         "for the numeric check")
-    disc = quad_field_disc(d)
+    disc = quad_field_disc(f.subfield_of(label))
     cond = artin_conductor(label, f)
     ratio = l_one_logsin(disc) / l_prime_zero_lgamma(disc)
     rhs = leading_ratio_exact(label, f)

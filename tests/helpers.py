@@ -1,7 +1,10 @@
 """Helpers shared by the tests, kept out of the package because nothing in
 it needs them."""
 
+from math import gcd
+
 from tq.arith import is_prime, is_squarefree
+from tq.biquadratic import FieldData
 from tq.grouprings import GroupRingMatrix
 from tq.lseries import _require_even_nontrivial, quad_char_values
 
@@ -22,6 +25,16 @@ def squarefree_pairs(dmax: int):
     for i, d2 in enumerate(ds):
         for d1 in ds[:i]:
             yield d1, d2
+
+
+def signed_fields(bound: int) -> list[FieldData]:
+    """The fields Q(sqrt(d1), sqrt(d2)) for the pairs d1 < d2 of squarefree
+    ints d != 0, 1 with |d| <= bound, imaginary ones included, by d2 then
+    d1.  `field_data` takes positive d only, so each is built from its ints,
+    d3 being the squarefree kernel of d1 d2."""
+    ds = [d for d in range(-bound, bound + 1) if d not in (0, 1) and is_squarefree(d)]
+    return [FieldData(d1, d2, d1 * d2 // gcd(d1, d2) ** 2)
+            for i, d2 in enumerate(ds) for d1 in ds[:i]]
 
 
 def _tail_power_sum(k0: int, j: int) -> float:

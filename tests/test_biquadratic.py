@@ -3,7 +3,7 @@ from math import isqrt
 
 import pytest
 
-from helpers import odd_primes_up_to, squarefree_pairs
+from helpers import odd_primes_up_to, signed_fields, squarefree_pairs
 from tq.arith import is_squarefree, kronecker_symbol, prime_factors
 from tq.biquadratic import (artin_conductor, disc_primes, euler_factor,
                             field_data, frob_det_quotient, frob_signs,
@@ -37,14 +37,17 @@ def test_field_data_rejects_bad_input():
         field_data(-3, 5)
     with pytest.raises(InputError):
         field_data(5, 10 ** 18 + 3)
-    with pytest.raises(InputError):
-        field_data(-(10 ** 18) - 3, 5, allow_imaginary=True)
+    with pytest.raises(InputError, match="outside the supported range"):
+        field_data(-(10 ** 18) - 3, 5)
 
 
-def test_field_data_imaginary_override():
-    f = field_data(-3, 5, allow_imaginary=True)
-    assert not f.totally_real
-    assert f.d3 == -15
+def test_field_data_rejects_imaginary():
+    """A negative d makes E imaginary, which no quaternion field's E = N^Z
+    is; the subfield discriminants of the tests' imaginary ints stay
+    those of Q(sqrt(d))."""
+    for d1, d2 in [(-3, 5), (5, -3), (-3, -5), (-1, 2)]:
+        with pytest.raises(InputError, match="imaginary"):
+            field_data(d1, d2)
     assert quad_field_disc(-3) == -3 and quad_field_disc(-15) == -15
     assert quad_field_disc(-5) == -20
 
@@ -133,12 +136,10 @@ def test_disc_primes_and_ramified_set_against_discriminants():
     ds = [d for d in range(-40, 41) if d not in (0, 1) and is_squarefree(d)]
     for d in ds:
         assert disc_primes(d) == set(prime_factors(quad_field_disc(d))), d
-    for i, d2 in enumerate(ds):
-        for d1 in ds[:i]:
-            f = field_data(d1, d2, allow_imaginary=True)
-            expected = set().union(*(prime_factors(quad_field_disc(d))
-                                     for d in f.subfields))
-            assert ramified_set(f) == sorted(expected), (d1, d2)
+    for f in signed_fields(40):
+        expected = set().union(*(prime_factors(quad_field_disc(d))
+                                 for d in f.subfields))
+        assert ramified_set(f) == sorted(expected), (f.d1, f.d2)
 
 
 # ---------- Euler factors and conductors ----------
@@ -233,9 +234,7 @@ def test_frob_signs_are_the_three_kronecker_symbols():
     imaginary ones included, `frob_signs` equals the Kronecker symbols of
     the three subfield discriminants at p, which it evaluates only where p
     does not divide d."""
-    ds = [d for d in range(-40, 41) if d not in (0, 1) and is_squarefree(d)]
-    fields = [field_data(d1, d2, allow_imaginary=True)
-              for i, d2 in enumerate(ds) for d1 in ds[:i]]
+    fields = signed_fields(40)
     for p in odd_primes_up_to(100):
         for f in fields:
             assert frob_signs(*f.subfields, p) == tuple(
@@ -246,9 +245,7 @@ def test_frob_signs_are_the_three_kronecker_symbols():
 def test_local_galois_against_brute_force_oracle():
     """Every field Q(sqrt d1, sqrt d2) with squarefree |d1|, |d2| <= 60,
     imaginary ones included, at every prime p <= 400."""
-    ds = [d for d in range(-60, 61) if d not in (0, 1) and is_squarefree(d)]
-    fields = [field_data(d1, d2, allow_imaginary=True)
-              for i, d2 in enumerate(ds) for d1 in ds[:i]]
+    fields = signed_fields(60)
     subfields = {d for f in fields for d in f.subfields}
     primes = [2] + odd_primes_up_to(400)
     expected = {}  # sign triple -> expected local data
@@ -264,3 +261,21 @@ def test_local_galois_against_brute_force_oracle():
                    loc.a_p, loc.b_p)
             assert got == expected[signs], (f.d1, f.d2, p, signs)
     assert (len(fields), len(primes)) == (2628, 78)
+
+
+def test_real_pairs_lose_no_sign_class():
+    """The real fields of squarefree d <= 60 reach, at the primes p <= 400,
+    every class (p = 2, `frob_signs`) that the fields of squarefree
+    |d| <= 60 reach, imaginary ones included, whose signs come from
+    `frob_signs` on their ints: a test that walks real pairs only misses
+    no kind of local data."""
+    primes = [2] + odd_primes_up_to(400)
+    fields = signed_fields(60)
+    real = [f for f in fields if f.d1 > 0]
+    assert real == [field_data(d1, d2) for d1, d2 in squarefree_pairs(60)]
+
+    def classes(fields):
+        return {(p == 2, frob_signs(*f.subfields, p)) for p in primes for f in fields}
+    reached = classes(real)
+    assert reached == classes(fields)
+    assert len(reached) == 21

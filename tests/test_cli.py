@@ -91,12 +91,17 @@ def test_bad_arguments_are_input_errors(capsys, argv):
     assert out == ""
 
 
-def test_compute_imaginary_requires_flag(capsys):
-    code, _, err = run(capsys, "compute", "--d1", "-3", "--d2", "5")
-    assert code == 4
-    code, out, _ = run(capsys, "compute", "--d1", "-3", "--d2", "5",
-                       "--allow-imaginary")
-    assert code in (0, 3)
+def test_compute_rejects_imaginary(capsys):
+    """A negative d is an input error, and so is the retired
+    --allow-imaginary, which no longer names an option."""
+    for argv in (["--d1", "-3", "--d2", "5"], ["--d1", "5", "--d2", "-3", "--json"],
+                 ["--d1", "-3", "--d2", "5", "--allow-imaginary"],
+                 ["--d1", "5", "--d2", "13", "--allow-imaginary"]):
+        code, out, err = run(capsys, "compute", *argv)
+        assert code == 4, argv
+        assert err.startswith("input error: "), argv
+        assert "Traceback" not in err
+        assert out == ""
 
 
 def test_sweep_text_and_json(capsys):
@@ -375,7 +380,6 @@ COMPUTE_FLAGS = [
     ("--sign", st.sampled_from(["plus", "minus"])),
     ("--extra-s", st.lists(numbers(-10, 10 ** 19), max_size=3).map(",".join)),
     ("--json", st.just(None)),
-    ("--allow-imaginary", st.just(None)),
 ]
 SWEEP_FLAGS = [("--max", numbers(-5, 60) | numbers(SWEEP_MAX + 1, 10 ** 19)),
                ("--json", st.just(None))]
@@ -450,7 +454,7 @@ NAMED_COMMAND_LINES = [
     ["compute", "--d1", "5", "--d2", "13", "-h"],
     ["compute", "--d1", "5", "--d2", "13", "--js"],
     ["compute", "--", "--d1", "5", "--d2", "13"],
-    ["compute", "--d1", "-3", "--d2", "5", "--allow-imaginary", "--json"],
+    ["compute", "--d1", "-3", "--d2", "5", "--json"],
     ["sweep", "--max", "10", "--json", "--", "--json"],
     ["sweep", "-h", "bogus"],
     ["sweep", "bogus", "-h"],

@@ -33,8 +33,7 @@ COMMANDS = {
     "compute-2-5": ["compute", "--d1", "2", "--d2", "5", "--json"],
     "compute-2-17": ["compute", "--d1", "2", "--d2", "17", "--json"],
     "compute-33-42": ["compute", "--d1", "33", "--d2", "42", "--json"],
-    "compute-minus3-5": ["compute", "--d1", "-3", "--d2", "5", "--json",
-                         "--allow-imaginary"],
+    "compute-minus3-5": ["compute", "--d1", "-3", "--d2", "5", "--json"],
     "compute-5-13-options": ["compute", "--d1", "5", "--d2", "13", "--json",
                              "--m", "2", "--sign", "minus", "--extra-s", "3,7"],
     "compute-3-11-options": ["compute", "--d1", "3", "--d2", "11", "--m", "3",

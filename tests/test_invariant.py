@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from helpers import odd_primes_up_to, squarefree_pairs
 from tq.arith import is_prime, is_squarefree
 from tq.biquadratic import (D_BOUND, artin_conductor, euler_factor,
-                            field_and_ramified_set, field_data, frob_signs,
+                            FieldData, field_data, frob_signs,
                             full_decomposition, local_data, local_galois,
                             ramified_set, sign_facts)
 from tq.invariant import (VERDICT_INADMISSIBLE, VERDICT_NONZERO,
@@ -126,7 +126,8 @@ def test_leading_ratio_rejects_trivial_and_imaginary():
     f = field_data(5, 13)
     with pytest.raises(InputError):
         leading_ratio_check("1", f)
-    fi = field_data(-3, 5, allow_imaginary=True)
+    # an imaginary field, built from its ints: field_data takes no negative d
+    fi = FieldData(-3, 5, -15)
     with pytest.raises(InputError):
         leading_ratio_check("chi1", fi)
 
@@ -325,9 +326,10 @@ def test_prime_units_match_fraction_reports():
         assert n_primes == expected, (lat, extra)
 
 
-# the Frobenius sign triples of the primes p <= 400 over the pairs of
-# squarefree |d| <= 60, imaginary fields included: every triple a prime
-# can have, (0, 0, 0) only at 2
+# the Frobenius sign triples of the primes p <= 400 over the real pairs of
+# squarefree d <= 60, which reach every triple that imaginary pairs do
+# (test_biquadratic's test_real_pairs_lose_no_sign_class): every triple a
+# prime can have, (0, 0, 0) only at 2
 SIGN_TRIPLES = [(-1, -1, 1), (-1, 0, 0), (-1, 1, -1), (0, -1, 0), (0, 0, -1),
                 (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, -1, -1), (1, 0, 0), (1, 1, 1)]
 
@@ -339,17 +341,12 @@ def test_sign_rules_match_local_data_and_fraction_units():
     `prime_unit` reads from the signs alone is the odd part mod 4 of the
     exact Euler, power-of-two and local terms, at a few primes of each
     triple and under every lattice with m <= 3 (`prime_unit` takes none)."""
-    ds = [d for d in range(-60, 61) if d not in (0, 1) and is_squarefree(abs(d))]
     primes = [p for p in range(2, 401) if is_prime(p)]
     found = {}  # signs -> {p: a field where p has these signs}
-    for i, d2 in enumerate(ds):
-        for d1 in ds[:i]:
-            try:
-                f, _ = field_and_ramified_set(d1, d2, allow_imaginary=True)
-            except InputError:
-                continue
-            for p in primes:
-                found.setdefault(frob_signs(*f.subfields, p), {}).setdefault(p, f)
+    for d1, d2 in squarefree_pairs(60):
+        f = field_data(d1, d2)
+        for p in primes:
+            found.setdefault(frob_signs(*f.subfields, p), {}).setdefault(p, f)
     assert sorted(found) == SIGN_TRIPLES
     lats = [LatticeExponent(m, sign) for m in (1, 2, 3) for sign in (1, -1)]
     for signs, fields in found.items():
@@ -797,9 +794,14 @@ def test_verdicts_build_no_local_data(monkeypatch):
     assert [p for p, _ in calls] == [5, 13]
 
 
-def test_imaginary_field_is_flagged():
-    report = omega_loc_torsion(-3, 5, allow_imaginary=True)
-    assert report.note is not None
+def test_imaginary_field_is_rejected():
+    """No quaternion field has an imaginary E, so neither a report nor a
+    verdict is made for a negative d."""
+    for d1, d2 in [(-3, 5), (5, -3), (-3, -5)]:
+        with pytest.raises(InputError, match="imaginary"):
+            omega_loc_torsion(d1, d2)
+        with pytest.raises(InputError, match="imaginary"):
+            field_verdict(d1, d2)
 
 
 # ---------- sweep ----------
@@ -873,6 +875,32 @@ def test_sweep_400_matches_parity_law():
 
 def test_sweep_1000_matches_parity_law():
     assert_sweep_matches_parity_law(1000)
+
+
+def test_resolvent_failures_are_the_nonzero_fields_600():
+    """ROADMAP item 9: on the admissible fields with d2 <= 600 whose
+    completion at 2 is supported, the same 389 fields are those where
+    `resolvent_factor_check` fails, the nonzero pairs of `sweep(600)`, and
+    those where the odd part of lcm(d1, d2) is 3 mod 4.  So criteria 4 and
+    9 fail on these fields together."""
+    supported = {}  # (d1, d2) -> the resolvent check's status
+    for d1, d2 in squarefree_pairs(600):
+        f = field_data(d1, d2)
+        rc = resolvent_factor_check(f)
+        if rc is not None and rc.status != "unsupported" \
+                and field_verdict(d1, d2) != VERDICT_INADMISSIBLE:
+            supported[d1, d2] = rc.status
+    failing = {pair for pair, status in supported.items() if status == "fail"}
+    nonzero = set(sweep(600).nonzero_fields) & supported.keys()
+    lcm_3_mod_4 = set()
+    for pair in supported:
+        odd = math.lcm(*pair)
+        while odd % 2 == 0:
+            odd //= 2
+        if odd % 4 == 3:
+            lcm_3_mod_4.add(pair)
+    assert (len(supported), len(failing)) == (4206, 389)
+    assert failing == nonzero == lcm_3_mod_4
 
 
 def next_prime(n):

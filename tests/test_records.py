@@ -9,7 +9,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tq"
 
 # (module, class) -> (_fields, _field_defaults)
 RECORDS = {
-    ("biquadratic", "FieldData"): (("d1", "d2", "d3", "totally_real"), {}),
+    ("biquadratic", "FieldData"): (("d1", "d2", "d3"), {}),
     ("biquadratic", "PrimeLocalData"): (
         ("p", "in_s", "inertia", "decomposition", "frob", "a_p", "b_p"),
         {"a_p": None, "b_p": None}),
