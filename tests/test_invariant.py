@@ -878,15 +878,14 @@ def test_sweep_1000_matches_parity_law():
 
 
 def test_resolvent_failures_are_the_nonzero_fields_600():
-    """ROADMAP item 9: on the admissible fields with d2 <= 600 whose
-    completion at 2 is supported, the same 389 fields are those where
+    """On the admissible fields with d2 <= 600 whose completion at 2 is
+    supported, the same 389 fields are those where
     `resolvent_factor_check` fails, the nonzero pairs of `sweep(600)`, and
     those where the odd part of lcm(d1, d2) is 3 mod 4.  So criteria 4 and
     9 fail on these fields together."""
     supported = {}  # (d1, d2) -> the resolvent check's status
     for d1, d2 in squarefree_pairs(600):
-        f = field_data(d1, d2)
-        rc = resolvent_factor_check(f)
+        rc = resolvent_factor_check(field_data(d1, d2))
         if rc is not None and rc.status != "unsupported" \
                 and field_verdict(d1, d2) != VERDICT_INADMISSIBLE:
             supported[d1, d2] = rc.status
