@@ -94,7 +94,7 @@ def main() -> None:
             continue
         checked += 1
         if rc.status != "pass":
-            root = math.isqrt(math.prod(artin_conductor(chi, report.field)
+            root = math.isqrt(math.prod(artin_conductor(chi.label, report.field)
                                         for chi in V4_CHARS))
             cofactor = root // (root & -root)
             print(f"  ({d1}, {d2}): r = {rc.value}, {rc.completion}, "

@@ -19,20 +19,22 @@ gets one fresh interpreter per measure:
   --d2 20001 --json`;
 - `sweep`: the wall time of `python3 -m tq.cli sweep --max 100 --json`.
 
-Each round also times two floors, once, in fresh interpreters that do not
-import `tq`: the wall time of `python3 -c "import argparse, json"`, what
-`tq sweep` cannot do without, and of `import argparse, json, fractions`,
-what `tq compute` cannot do without.  With `-S`, every interpreter runs
-under `python3 -S`, so that no `.pth` file of `site` imports modules
-whose cost would then be hidden in both `tq` and the floors.
+Each round also times four floors, once, in fresh interpreters that do
+not import `tq`: the wall time of `python3 -c "import argparse, json"`,
+what `tq sweep` imports today, and of `import json`, what it cannot do
+without; of `import argparse, json, fractions`, what `tq compute` imports
+today, and of `import json, fractions`, what it cannot do without (a plain
+command line builds no parser).  With `-S`, every interpreter runs under
+`python3 -S`, so that no `.pth` file of `site` imports modules whose cost
+would then be hidden in both `tq` and the floors.
 
 One untimed run of each measure per directory comes first, so that every
 timed run reads written bytecode.  It prints the min and median in
-milliseconds per measure and directory, then per directory the gap of
-`sweep` above `import argparse, json` and of `compute` above `import
-argparse, json, fractions` (the command's min less the floor's min, and
-its median less the floor's median), and exits 1 when two directories
-give a command a different exit code or output.
+milliseconds per measure and directory, then one line per command and
+directory with the command's gap above each of its two floors (the
+command's min less the floor's min, and its median less the floor's
+median), and exits 1 when two directories give a command a different
+exit code or output.
 """
 
 import argparse
@@ -54,12 +56,13 @@ COMMANDS = {
     "sweep": ["-m", "tq.cli", "sweep", "--max", "100", "--json"],
 }
 MEASURES = ("import tq.cli", *COMMANDS)
-FLOORS = {
-    "import argparse, json": ["-c", "import argparse, json"],
-    "import argparse, json, fractions": ["-c", "import argparse, json, fractions"],
-}
-# the floor each command's start-up gap is measured above
-GAPS = {"sweep": "import argparse, json", "compute": "import argparse, json, fractions"}
+FLOORS = {f: ["-c", f] for f in ("import argparse, json", "import json",
+                                   "import argparse, json, fractions",
+                                   "import json, fractions")}
+# the floors each command's start-up gap is measured above: with argparse,
+# which it imports today, and without
+GAPS = {"sweep": ("import argparse, json", "import json"),
+        "compute": ("import argparse, json, fractions", "import json, fractions")}
 
 
 def run(src: Path | None, measure: str,
@@ -110,11 +113,12 @@ def main(argv=None) -> int:
         for s in (srcs if m in MEASURES else [None]):
             print(f"{m:<42} {stats[s, m][0]:8.1f} / {stats[s, m][1]:8.1f}"
                   f"  {s or 'floor'}")
-    for m, floor in GAPS.items():
+    for m, floors in GAPS.items():
         for s in srcs:
-            (lo, mid), (floor_lo, floor_mid) = stats[s, m], stats[None, floor]
-            print(f"{m + ' - ' + floor:<42} {lo - floor_lo:8.1f} / "
-                  f"{mid - floor_mid:8.1f}  {s}")
+            lo, mid = stats[s, m]
+            gaps = "".join(f" {lo - stats[None, f][0]:8.1f} / {mid - stats[None, f][1]:8.1f}"
+                           for f in floors)
+            print(f"{m + ' - ' + ' | '.join(floors):<66}{gaps}  {s}")
     differ = [m for m in COMMANDS if len({outputs[s, m] for s in srcs}) > 1]
     for m in differ:
         print(f"{m}: exit code or output differs between the src directories")

@@ -56,8 +56,7 @@ class FieldData(namedtuple("FieldData", "d1 d2 d3")):
     def char_to_subfield(self) -> dict[str, int]:
         return {"chi1": self.d1, "chi2": self.d2, "chi1chi2": self.d3}
 
-    def subfield_of(self, chi: GaloisChar | str) -> int:
-        label = chi if isinstance(chi, str) else chi.label
+    def subfield_of(self, label: str) -> int:
         if label == "1":
             raise InputError("the trivial character fixes no quadratic subfield")
         return self.subfields[label_index(label) - 1]
@@ -124,8 +123,8 @@ class PrimeLocalData(namedtuple("PrimeLocalData",
             "inertia": sorted(element_name(g) for g in self.inertia),
             "decomposition": sorted(element_name(g) for g in self.decomposition),
             "frobenius": element_name(self.frob),
-            "a_p": element_name(self.a_p) if self.a_p else None,
-            "b_p": element_name(self.b_p) if self.b_p else None,
+            "a_p": element_name(self.a_p) if self.a_p is not None else None,
+            "b_p": element_name(self.b_p) if self.b_p is not None else None,
         }
 
 
@@ -218,10 +217,9 @@ def _frob_det(dim_i: int, dim_d: int, frob: int):
     return 1 - frob if dim_i - dim_d == 1 else 1
 
 
-def artin_conductor(chi: GaloisChar | str, f: FieldData) -> int:
+def artin_conductor(label: str, f: FieldData) -> int:
     """1 for the trivial character, else the absolute discriminant of the
-    quadratic subfield cut out by chi."""
-    label = chi if isinstance(chi, str) else chi.label
+    quadratic subfield cut out by the character of this label."""
     if label == "1":
         return 1
     return abs(quad_field_disc(f.subfield_of(label)))

@@ -10,8 +10,7 @@ class InputError(TqError, ValueError):
 
 
 class UnsupportedGroupError(TqError):
-    """A group element, element name, character label or character sign
-    that is not one of V4's."""
+    """A character label that is not one of V4's."""
 
 
 class ContractViolationError(TqError):

@@ -1,9 +1,10 @@
 """Exact arithmetic in the rational group ring Q[V4] of the Klein four-group
 V4 = <a, b> = Gal(E/Q), and its four one-dimensional characters.
 
-Elements are pairs (i, j) with i, j in {0, 1}, meaning a^i b^j; the product
-is the componentwise XOR of the pairs.  The normal form is fixed once and
-for all so that dictionaries keyed by group elements are deterministic.
+V4 is (Z/2)^2, so the element a^i b^j is the int 2i + j: e, b, a, ab are
+0, 1, 2, 3, ordered as their words (i, j), and the product is XOR, `g ^ h`
+(never `g * h`, which multiplies the ints).  An element of Q[V4] is the
+tuple of its four coefficients, indexed by group element.
 
 A coefficient of an element of Q[V4] is an int when it is integral and a
 Fraction only when it is not, like the 1/4 of an idempotent; `apply_char`
@@ -19,46 +20,25 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from operator import add
 
 from .errors import UnsupportedGroupError
 from .linalg import Rational, exact
 
 
-class GroupElement(namedtuple("GroupElement", "word")):
-    __slots__ = ()
+V4_E, V4_B, V4_A, V4_AB = 0, 1, 2, 3
 
-    def __new__(cls, word: tuple[int, int]):
-        self = super().__new__(cls, word)
-        i, j = self.word
-        if i not in (0, 1) or j not in (0, 1):
-            raise UnsupportedGroupError(f"word {self.word} is not a normal form in V4")
-        return self
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        i, j = self.word
-        k, l = other.word
-        return _BY_WORD[i ^ k, j ^ l]
-
-    def __repr__(self):
-        return f"<V4:{element_name(self)}>"
-
-
-V4_E = GroupElement((0, 0))
-V4_A = GroupElement((1, 0))
-V4_B = GroupElement((0, 1))
-V4_AB = GroupElement((1, 1))
-
+# the canonical order, which `biquadratic.local_data` scans for Frobenius
 _ELEMENTS = (V4_E, V4_A, V4_B, V4_AB)
-_BY_WORD = {g.word: g for g in _ELEMENTS}
-_V4_NAMES = {V4_E: "e", V4_A: "a", V4_B: "b", V4_AB: "ab"}
+_V4_NAMES = ("e", "b", "a", "ab")  # indexed by element
 
 
-def group_elements() -> tuple[GroupElement, ...]:
+def group_elements() -> tuple[int, ...]:
     """All elements in canonical order."""
     return _ELEMENTS
 
 
-def element_name(g: GroupElement) -> str:
+def element_name(g: int) -> str:
     return _V4_NAMES[g]
 
 
@@ -67,13 +47,13 @@ class GaloisChar(namedtuple("GaloisChar", "label kernel")):
 
     __slots__ = ()
 
-    def __call__(self, g: GroupElement) -> int:
+    def __call__(self, g: int) -> int:
         return 1 if g in self.kernel else -1
 
     def is_trivial(self) -> bool:
         return len(self.kernel) == len(_ELEMENTS)
 
-    def fixes(self, elements: Iterable[GroupElement]) -> int:
+    def fixes(self, elements: Iterable[int]) -> int:
         """dim chi^H for the subgroup H generated by `elements`: 1 when H
         lies in the kernel of chi, else 0."""
         return 1 if self.kernel.issuperset(elements) else 0
@@ -98,38 +78,40 @@ def label_index(label: str) -> int:
 
 
 class GroupRingElem:
-    """A finitely supported rational combination of group elements.
-    Immutable after construction; zero coefficients are dropped, and a
-    coefficient is an int when it is integral (`linalg.exact`)."""
+    """An element of Q[V4], immutable: its coefficients at e, b, a, ab, in
+    that order, each an int when it is integral (`linalg.exact`)."""
 
-    __slots__ = ("_coeffs", "_key")
+    __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping[GroupElement, Rational] | None = None):
-        clean: dict[GroupElement, Rational] = {}
-        for g, c in (coeffs or {}).items():
-            c = exact(c)
-            if c != 0:
-                clean[g] = c
-        self._coeffs = clean
-        self._key = tuple(sorted(clean.items()))
+    def __init__(self, coeffs: Mapping[int, Rational] | None = None):
+        """From a map of group elements to coefficients, 0 where absent."""
+        coeffs = coeffs or {}
+        self._coeffs = tuple(exact(coeffs.get(g, 0)) for g in range(4))
+
+    @classmethod
+    def _of_tuple(cls, coeffs: Iterable[Rational]) -> "GroupRingElem":
+        self = cls.__new__(cls)
+        self._coeffs = tuple(map(exact, coeffs))
+        return self
 
     @classmethod
     def zero(cls) -> "GroupRingElem":
-        return cls({})
+        return cls()
 
     @classmethod
     def one(cls) -> "GroupRingElem":
         return cls({V4_E: 1})
 
     @classmethod
-    def of(cls, g: GroupElement) -> "GroupRingElem":
+    def of(cls, g: int) -> "GroupRingElem":
         return cls({g: 1})
 
-    def items(self):
-        return self._key
+    def items(self) -> tuple[tuple[int, Rational], ...]:
+        """The nonzero terms (g, coefficient), in element order."""
+        return tuple((g, c) for g, c in enumerate(self._coeffs) if c)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not any(self._coeffs)
 
     def _coerce(self, other) -> "GroupRingElem | None":
         if isinstance(other, GroupRingElem):
@@ -142,15 +124,12 @@ class GroupRingElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self._coeffs)
-        for g, c in o._coeffs.items():
-            out[g] = out.get(g, 0) + c
-        return GroupRingElem(out)
+        return GroupRingElem._of_tuple(map(add, self._coeffs, o._coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GroupRingElem({g: -c for g, c in self._coeffs.items()})
+        return GroupRingElem._of_tuple(-c for c in self._coeffs)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -160,31 +139,30 @@ class GroupRingElem:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return GroupRingElem({g: other * v for g, v in self._coeffs.items()})
+            return GroupRingElem._of_tuple(other * c for c in self._coeffs)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[GroupElement, Rational] = {}
-        for g, c in self._coeffs.items():
-            for h, d in o._coeffs.items():
-                gh = g * h
-                out[gh] = out.get(gh, 0) + c * d
-        return GroupRingElem(out)
+        out = [0] * 4
+        for g, c in self.items():
+            for h, d in o.items():
+                out[g ^ h] += c * d
+        return GroupRingElem._of_tuple(out)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self._coerce(other)
         if not isinstance(other, GroupRingElem):
             return NotImplemented
-        return self._key == other._key
+        return self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(self._coeffs)
 
     def __repr__(self):
         if self.is_zero():
             return "0"
-        terms = [f"({c})*{element_name(g)}" for g, c in self._key]
+        terms = [f"({c})*{element_name(g)}" for g, c in self.items()]
         return " + ".join(terms)
 
 

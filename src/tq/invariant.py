@@ -31,7 +31,7 @@ from .biquadratic import (FieldData, PrimeLocalData, _euler, _frob_det,
                           frob_signs, full_decomposition, local_data, local_galois,
                           quad_field_disc, sign_facts)
 from .errors import InputError, TqError
-from .grouprings import HOMREP_KEYS, V4_CHARS, GaloisChar
+from .grouprings import HOMREP_KEYS, V4_CHARS
 from .localterms import LatticeExponent, _local_term
 from .lseries import l_one_logsin, l_prime_zero_lgamma
 from .relk0 import HomRep, TorsionClass, odd_part_mod4, odd_unit
@@ -108,7 +108,7 @@ def resolvent_factor_check(f: FieldData) -> ResolventCheck | None:
                                      "not generated by sqrt(2) or sqrt(10)")
     prod_f = 1
     for chi in V4_CHARS:
-        prod_f *= artin_conductor(chi, f)
+        prod_f *= artin_conductor(chi.label, f)
     root = math.isqrt(prod_f)
     if root * root != prod_f:
         raise TqError("conductor product is not a perfect square; "
@@ -268,10 +268,11 @@ def omega_loc_torsion(d1: int, d2: int,
                            TorsionClass(unit), _verdict(unit))
 
 
-def leading_ratio_exact(chi: GaloisChar | str, f: FieldData) -> Fraction:
-    """The square of the leading-coefficient ratio L*(1)/L*(0): 4 over the
-    Artin conductor (4 itself for the trivial character)."""
-    return Fraction(4, artin_conductor(chi, f))
+def leading_ratio_exact(label: str, f: FieldData) -> Fraction:
+    """The square of the leading-coefficient ratio L*(1)/L*(0) of the
+    character of this label: 4 over the Artin conductor (4 itself for the
+    trivial character)."""
+    return Fraction(4, artin_conductor(label, f))
 
 
 class AnalyticCheck(namedtuple("AnalyticCheck",
@@ -284,12 +285,11 @@ class AnalyticCheck(namedtuple("AnalyticCheck",
         return self.abs_error_squared < self.tol
 
 
-def leading_ratio_check(chi: GaloisChar | str, f: FieldData,
+def leading_ratio_check(label: str, f: FieldData,
                           tol: float = 1e-8) -> AnalyticCheck:
-    """Numerically verify (L(1,chi)/L'(0,chi))^2 = 4/f(chi) for a
-    nontrivial even character, using the log-sine and log-Gamma closed
-    forms as independent evaluators."""
-    label = chi if isinstance(chi, str) else chi.label
+    """Numerically verify (L(1,chi)/L'(0,chi))^2 = 4/f(chi) for the
+    nontrivial even character chi of this label, using the log-sine and
+    log-Gamma closed forms as independent evaluators."""
     if label == "1":
         raise InputError("the numeric check applies to nontrivial characters")
     disc = quad_field_disc(f.subfield_of(label))

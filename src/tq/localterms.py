@@ -13,10 +13,10 @@ from fractions import Fraction
 from .arith import is_prime
 from .biquadratic import _euler, _frob_det
 from .errors import InputError
-from .grouprings import (V4_CHARS, V4_E, GaloisChar, GroupElement,
-                         GroupRingElem, GroupRingMatrix, apply_char)
-from .perfectcomplex import (CohomologyIso, CohomologyIsoComponent,
-                             PerfectComplex, class_representative)
+from .grouprings import (V4_CHARS, V4_E, GaloisChar, GroupRingElem,
+                         GroupRingMatrix, apply_char)
+from .perfectcomplex import (CohomologyIsoComponent, PerfectComplex,
+                             class_representative)
 from .relk0 import HomRep
 
 # generators live in degrees -2 (w), -1 (z1, z2), 0 (t)
@@ -35,7 +35,7 @@ class TameComplexSpec(namedtuple("TameComplexSpec", "p a b")):
 
     __slots__ = ()
 
-    def __new__(cls, p: int, a: GroupElement, b: GroupElement):
+    def __new__(cls, p: int, a: int, b: int):
         self = super().__new__(cls, p, a, b)
         _require_odd_prime(self.p)
         if self.a == V4_E:
@@ -61,7 +61,7 @@ class LatticeExponent(namedtuple("LatticeExponent", "m sign")):
         return self
 
 
-def inertia_unit(p: int, a: GroupElement) -> GroupRingElem:
+def inertia_unit(p: int, a: int) -> GroupRingElem:
     """(p+1)/2 + ((p-1)/2) a, the group-ring element realizing the residue
     field as a quotient."""
     return GroupRingElem({V4_E: (p + 1) // 2, a: (p - 1) // 2})
@@ -86,7 +86,7 @@ def torsion_cycle(spec: TameComplexSpec, chi: GaloisChar) -> list[int]:
     return [-(1 + chi(spec.a)), 1 + chi(spec.b)]
 
 
-def valuation_iso(spec: TameComplexSpec) -> CohomologyIso:
+def valuation_iso(spec: TameComplexSpec) -> dict[str, CohomologyIsoComponent]:
     """The normalized valuation trivialization: at the trivial character it
     sends the class of T to the augmentation class of t with matrix (1);
     at nontrivial characters the cohomology vanishes and the iso is 0x0.
@@ -100,10 +100,10 @@ def valuation_iso(spec: TameComplexSpec) -> CohomologyIso:
                 matrix=[[1]])
         else:
             components[chi.label] = CohomologyIsoComponent({}, {}, [])
-    return CohomologyIso(components)
+    return components
 
 
-def residue_class(p: int, a: GroupElement) -> HomRep:
+def residue_class(p: int, a: int) -> HomRep:
     """The class of the residue quadratic extension as a function on
     characters: p where chi(a) = 1, else 1."""
     _require_odd_prime(p)
@@ -125,7 +125,7 @@ class ResidueResolutionReport(namedtuple(
                 and self.char_values)
 
 
-def verify_residue_resolution(p: int, a: GroupElement) -> ResidueResolutionReport:
+def verify_residue_resolution(p: int, a: int) -> ResidueResolutionReport:
     """Check, exactly:
 
     (i)  x = (p+1)/2 + ((p-1)/2) a acts as multiplication by p on the
@@ -141,7 +141,7 @@ def verify_residue_resolution(p: int, a: GroupElement) -> ResidueResolutionRepor
     x = inertia_unit(p, a)
     # (i) residue-field model on a normal basis (v, v-bar): inertia acts
     # trivially, everything outside inertia acts by the swap
-    def model(g: GroupElement) -> list[list[Fraction]]:
+    def model(g: int) -> list[list[Fraction]]:
         if g in (V4_E, a):
             return [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
         return [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]

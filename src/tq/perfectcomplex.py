@@ -152,15 +152,6 @@ class CohomologyIsoComponent(namedtuple("CohomologyIsoComponent",
     __slots__ = ()
 
 
-class CohomologyIso(namedtuple("CohomologyIso", "components")):
-    """A rational isomorphism from total odd to total even cohomology, one
-    component per character label.  The supplied cocycles are the section
-    of kernel -> cohomology; the reciprocal class, of the inverse iso, is
-    `HomRep.inverse()`."""
-
-    __slots__ = ()
-
-
 def _section(c: RationalComplex, data: CohomologyData, j: int,
              supplied: Mat) -> Mat:
     """Copies of the supplied degree-j cocycles, checked to be cocycles
@@ -276,11 +267,16 @@ def torsion_determinant(c: RationalComplex, comp: CohomologyIsoComponent,
     return result
 
 
-def class_representative(p: PerfectComplex, iso: CohomologyIso,
+def class_representative(p: PerfectComplex,
+                         iso: Mapping[str, CohomologyIsoComponent],
                          rng=None) -> HomRep:
     """The Hom-description representative of the class of (p, iso): the
     per-character torsion determinant, `rng` (None or a seeded
-    `random.Random`) passed to `torsion_determinant`."""
+    `random.Random`) passed to `torsion_determinant`.  `iso`, a rational
+    isomorphism from total odd to total even cohomology, maps each
+    character label to its component, whose cocycles are the section of
+    kernel -> cohomology; the reciprocal class, of the inverse iso, is
+    `HomRep.inverse()`."""
     return HomRep(torsion_determinant(char_specialize(p, chi),
-                                      iso.components[chi.label], rng)
+                                      iso[chi.label], rng)
                   for chi in V4_CHARS)

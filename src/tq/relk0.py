@@ -13,7 +13,7 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 from .errors import InputError
-from .grouprings import HOMREP_KEYS, V4_CHARS, V4_E, GroupElement, label_index
+from .grouprings import HOMREP_KEYS, V4_CHARS, V4_E, label_index
 from .linalg import Rational, exact
 
 
@@ -135,7 +135,7 @@ def torsion_class(h: HomRep) -> TorsionClass:
     return odd_part_mod4(prod)
 
 
-def _validate_subgroup(elements: Iterable[GroupElement]) -> frozenset[GroupElement]:
+def _validate_subgroup(elements: Iterable[int]) -> frozenset[int]:
     elems = frozenset(elements)
     if not elems:
         raise InputError("empty subgroup")
@@ -143,12 +143,12 @@ def _validate_subgroup(elements: Iterable[GroupElement]) -> frozenset[GroupEleme
         raise InputError("subgroup must contain the identity")
     for g in elems:
         for h in elems:
-            if g * h not in elems:
+            if g ^ h not in elems:
                 raise InputError("not closed under multiplication")
     return elems
 
 
-def induce_from_subgroup(subgroup: Iterable[GroupElement],
+def induce_from_subgroup(subgroup: Iterable[int],
                          f: Mapping[str, Rational]) -> tuple[RankVector, TorsionClass]:
     """Induction of a class from a subgroup H of order 1 or 2 up to V4,
     read off through restriction of characters: the rank entry at chi is

@@ -159,7 +159,7 @@ def _unramified_odd_primes(f, count):
 
 def _torsion_with_twist(d1, d2, twist_primes):
     """Independent assembly with the Frobenius lift at the given
-    full-decomposition primes replaced by frob * a_p."""
+    full-decomposition primes replaced by frob ^ a_p, their product in V4."""
     from tq.biquadratic import euler_factor, frob_det_quotient
     from tq.localterms import local_term_closed_form
     f = field_data(d1, d2)
@@ -167,8 +167,8 @@ def _torsion_with_twist(d1, d2, twist_primes):
     for p in ramified_set(f):
         loc = local_galois(f, p)
         if loc.full_decomposition and p in twist_primes:
-            loc = loc._replace(frob=loc.frob * loc.a_p,
-                               b_p=loc.b_p * loc.a_p)
+            loc = loc._replace(frob=loc.frob ^ loc.a_p,
+                               b_p=loc.b_p ^ loc.a_p)
         for chi in V4_CHARS:
             total /= euler_factor(chi, p, loc)
             ratio = len(loc.decomposition) // len(loc.inertia)

@@ -188,7 +188,7 @@ def test_conductor_product_is_perfect_square():
         f = field_data(d1, d2)
         prod = 1
         for chi in V4_CHARS:
-            prod *= artin_conductor(chi, f)
+            prod *= artin_conductor(chi.label, f)
         assert isqrt(prod) ** 2 == prod, (d1, d2, prod)
 
 
@@ -213,7 +213,7 @@ def _expected_local(signs):
     1.  Frobenius is the first element, in the order e, a, b, ab, acting on
     each unramified root by its sign."""
     def acts(g):
-        i, j = g.word
+        i, j = divmod(g, 2)  # a^i b^j is the int 2i + j
         return ((-1) ** i, (-1) ** j, (-1) ** (i + j))
     elems = group_elements()
     inertia = frozenset(g for g in elems

@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import identity_matrix
-from tq.errors import UnsupportedGroupError
-from tq.grouprings import (V4_A, V4_AB, V4_B, V4_CHARS, V4_E, GroupElement,
-                           GroupRingElem, GroupRingMatrix, apply_char,
-                           apply_char_matrix, group_elements, idempotent)
+from tq.grouprings import (V4_A, V4_AB, V4_B, V4_CHARS, V4_E, GroupRingElem,
+                           GroupRingMatrix, apply_char, apply_char_matrix,
+                           element_name, group_elements, idempotent)
 
 
-# ---------- group law ----------
+# ---------- group law: an element is an int, the product XOR ----------
 
 # single-case parametrizations keep their ids, so test names stay stable
 @pytest.mark.parametrize("elems", [group_elements()], ids=["V4"])
@@ -18,34 +17,33 @@ def test_associativity_exhaustive(elems):
     for g in elems:
         for h in elems:
             for k in elems:
-                assert (g * h) * k == g * (h * k)
+                assert (g ^ h) ^ k == g ^ (h ^ k)
 
 
 @pytest.mark.parametrize("elems", [group_elements()], ids=["V4"])
 def test_identity_and_inverses(elems):
     e = V4_E
     for g in elems:
-        assert g * e == g == e * g
+        assert g ^ e == g == e ^ g
         # every element of V4 is its own inverse
-        assert g * g == e
+        assert g ^ g == e
 
 
 def test_v4_elements_square_to_identity():
     for g in group_elements():
-        assert g * g == V4_E
+        assert g ^ g == V4_E
 
 
-def test_group_element_rejects_non_normal_form():
-    with pytest.raises(UnsupportedGroupError,
-                       match=r"^word \(2, 0\) is not a normal form in V4$"):
-        GroupElement((2, 0))
-
-
-def test_elements_sort_by_word_and_hash_as_word_tuple():
-    """Set iteration and the `GroupRingElem._key` order rest on these."""
+def test_elements_sort_by_word():
+    """a^i b^j is the int 2i + j, so the ints sort as the words (i, j):
+    `GroupRingElem.items()`, and so the JSON of a complex, list the terms
+    in the order e, b, a, ab."""
     assert sorted(group_elements()) == [V4_E, V4_B, V4_A, V4_AB]
+    words = {"e": (0, 0), "b": (0, 1), "a": (1, 0), "ab": (1, 1)}
     for g in group_elements():
-        assert hash(g) == hash((g.word,))
+        assert divmod(g, 2) == words[element_name(g)]
+    x = GroupRingElem({g: g + 1 for g in group_elements()})
+    assert x.items() == ((V4_E, 1), (V4_B, 2), (V4_A, 3), (V4_AB, 4))
 
 
 # ---------- characters ----------
@@ -55,7 +53,7 @@ def test_characters_multiplicative(chars):
     for chi in chars:
         for g in group_elements():
             for h in group_elements():
-                assert chi(g * h) == chi(g) * chi(h)
+                assert chi(g ^ h) == chi(g) * chi(h)
 
 
 @pytest.mark.parametrize("chars", [V4_CHARS], ids=["chars0-V4"])

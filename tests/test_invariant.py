@@ -16,7 +16,7 @@ from tq.invariant import (VERDICT_INADMISSIBLE, VERDICT_NONZERO,
                                leading_ratio_check, leading_ratio_exact,
                                omega_loc_torsion, prime_parts, prime_unit,
                                resolvent_factor_check, sweep, ts_representative,
-                               _parts_unit)
+                               _hilbert2, _parts_unit)
 from tq.errors import InputError, UnsupportedGroupError
 from tq.grouprings import V4_CHARS
 from tq.localterms import LatticeExponent, local_term_closed_form
@@ -199,8 +199,8 @@ def independent_torsion(d1, d2, frob_twist=(), lat=LatticeExponent(),
     for p in s_f:
         loc = local_galois(f, p)
         if loc.full_decomposition and p in frob_twist:
-            loc = loc._replace(frob=loc.frob * loc.a_p,
-                               b_p=loc.b_p * loc.a_p)
+            loc = loc._replace(frob=loc.frob ^ loc.a_p,
+                               b_p=loc.b_p ^ loc.a_p)
         for chi in V4_CHARS:
             if all(chi(g) == 1 for g in loc.inertia):
                 total /= 1 - Fraction(chi(loc.frob), p)
@@ -900,6 +900,44 @@ def test_resolvent_failures_are_the_nonzero_fields_600():
             lcm_3_mod_4.add(pair)
     assert (len(supported), len(failing)) == (4206, 389)
     assert failing == nonzero == lcm_3_mod_4
+
+
+def test_hilbert2_is_the_chi4_product_on_supported_classes():
+    """A finite check over the classes at 2 (d mod 8, or mod 16 when d is
+    even), with two squarefree representatives of each: whether a field is admissible, and whether
+    `resolvent_factor_check` supports it, depend on the classes of d1 and
+    d2 alone, and on every admissible supported pair of classes
+    (d1, d2)_2 = chi_-4(odd d1) chi_-4(odd d2), both sides being 1 on
+    the four such pairs.  With it the resolvent check fails exactly where
+    the torsion is 3 (notes/decisions.md, "Criteria 4 and 9 are one
+    fact")."""
+    def cls(d):
+        return d % 8 if d % 2 else d % 16
+
+    def chi_minus4_of_odd_part(d):
+        return 1 if d // (d & -d) % 4 == 1 else -1
+
+    classes = (1, 3, 5, 7, 2, 6, 10, 14)
+    reps = {c: [d for d in range(2, 100) if is_squarefree(d) and cls(d) == c][:2]
+            for c in classes}
+    symbols = {}  # admissible supported (c1, c2) -> (d1, d2)_2
+    for i, c1 in enumerate(classes):
+        for c2 in classes[i:]:
+            kinds = set()
+            for d1 in reps[c1]:
+                for d2 in reps[c2]:
+                    if d1 == d2:
+                        continue
+                    rc = resolvent_factor_check(field_data(d1, d2))
+                    supported = rc is not None and rc.status != "unsupported"
+                    admissible = field_verdict(d1, d2) != VERDICT_INADMISSIBLE
+                    kinds.add((supported, admissible))
+                    if supported and admissible:
+                        symbols[c1, c2] = _hilbert2(c1, c2)
+                        assert symbols[c1, c2] == (chi_minus4_of_odd_part(d1)
+                                                   * chi_minus4_of_odd_part(d2)), (d1, d2)
+            assert len(kinds) == 1, (c1, c2, kinds)
+    assert symbols == {(1, 2): 1, (1, 10): 1, (2, 2): 1, (10, 10): 1}
 
 
 def next_prime(n):

@@ -100,9 +100,9 @@ def test_tame_complex_holds_only_ints():
 def test_valuation_iso_shapes():
     spec = TameComplexSpec(5, V4_A, V4_B)
     iso = valuation_iso(spec)
-    assert iso.components["1"].matrix == [[Fraction(1)]]
+    assert iso["1"].matrix == [[Fraction(1)]]
     for label in ("chi1", "chi2", "chi1chi2"):
-        assert iso.components[label].matrix == []
+        assert iso[label].matrix == []
 
 
 def test_valuation_iso_detects_differential_bug():

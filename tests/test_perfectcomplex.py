@@ -12,10 +12,9 @@ from tq.grouprings import (V4_A, V4_AB, V4_B, V4_CHARS, GroupRingElem,
                            GroupRingMatrix)
 from tq.localterms import (TameComplexSpec, build_tame_complex,
                            torsion_cycle, valuation_iso)
-from tq.perfectcomplex import (CohomologyIso, CohomologyIsoComponent,
-                               PerfectComplex, char_specialize,
-                               class_representative, cohomology_basis,
-                               torsion_determinant)
+from tq.perfectcomplex import (CohomologyIsoComponent, PerfectComplex,
+                               char_specialize, class_representative,
+                               cohomology_basis, torsion_determinant)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -133,7 +132,7 @@ def test_zero_differential_identity_iso_gives_constant_one():
         odd_reps={-1: [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]},
         even_reps={0: [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]},
         matrix=ident) for chi in V4_CHARS}
-    rep = class_representative(p, CohomologyIso(comps))
+    rep = class_representative(p, comps)
     assert rep.as_tuple() == (1, 1, 1, 1)
 
 
@@ -152,11 +151,11 @@ def test_scalar_rescaling_of_iso():
     iso = valuation_iso(spec)
     baseline = class_representative(cplx, iso)
     for c in (Fraction(3), Fraction(-2, 7)):
-        comps = dict(iso.components)
+        comps = dict(iso)
         base = comps["1"]
         comps["1"] = CohomologyIsoComponent(base.odd_reps, base.even_reps,
                                             [[c * base.matrix[0][0]]])
-        scaled = class_representative(cplx, CohomologyIso(comps))
+        scaled = class_representative(cplx, comps)
         # the trivial-character block is one-dimensional and odd-to-even
         assert scaled["1"] == c * baseline["1"]
         assert scaled["chi1"] == baseline["chi1"]
@@ -164,27 +163,27 @@ def test_scalar_rescaling_of_iso():
 
 def test_iso_shape_violations_rejected():
     spec, cplx = tame(5)
-    comps = dict(valuation_iso(spec).components)
+    comps = dict(valuation_iso(spec))
     good = comps["1"]
     comps["1"] = CohomologyIsoComponent(good.odd_reps, good.even_reps,
                                         [[Fraction(0)]])
     with pytest.raises(ContractViolationError):
-        class_representative(cplx, CohomologyIso(comps))
+        class_representative(cplx, comps)
     comps["1"] = CohomologyIsoComponent({-1: []}, good.even_reps, [])
     with pytest.raises(ContractViolationError):
-        class_representative(cplx, CohomologyIso(comps))
+        class_representative(cplx, comps)
 
 
 def test_degenerate_representative_rejected():
     # a representative whose class lies in the image spans nothing in
     # cohomology
     spec, cplx = tame(5)
-    comps = dict(valuation_iso(spec).components)
+    comps = dict(valuation_iso(spec))
     good = comps["1"]
     comps["1"] = CohomologyIsoComponent({-1: [[Fraction(1), Fraction(0)]]},
                                         good.even_reps, good.matrix)
     with pytest.raises(ContractViolationError):
-        class_representative(cplx, CohomologyIso(comps))
+        class_representative(cplx, comps)
 
 
 def test_representative_count_mismatch_rejected():
@@ -228,7 +227,7 @@ def two_odd_degree_sum(p, q, a, b):
         odd_reps={-1: [[*t_p, 0], [0, 0, 1]]},
         even_reps={-2: [[0, *t_q]], 0: [[1]]},
         matrix=[[Fraction(2), Fraction(1)], [Fraction(-1), Fraction(3, 2)]])
-    return cplx, CohomologyIso(comps)
+    return cplx, comps
 
 
 TWO_ODD_DEGREE_CASES = [

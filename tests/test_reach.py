@@ -37,7 +37,6 @@ KEPT = {
     "perfectcomplex._shift": CRITERION_2,
     "perfectcomplex.PerfectComplex.to_json_dict": GOLDEN,
     "perfectcomplex.PerfectComplex.degree_list": GOLDEN,
-    "grouprings.GroupElement.__repr__": SHOWN,
     "grouprings.GroupRingElem.__repr__": SHOWN,
     "relk0.HomRep.__repr__": SHOWN,
     "grouprings.GroupRingElem.__hash__": HASHED,
