@@ -37,7 +37,7 @@ PAIRS = [(d1, d2) for i, d2 in enumerate(DS) for d1 in DS[:i]]
 
 def part_unit(values) -> int:
     """Odd part mod 4 of the product of exact values."""
-    return odd_part_mod4(math.prod(values)).unit
+    return odd_part_mod4(math.prod(values))
 
 
 def eps(chi, loc) -> int:
@@ -100,7 +100,7 @@ def main() -> None:
             print(f"  ({d1}, {d2}): r = {rc.value}, {rc.completion}, "
                   f"sqrt of conductor product {root}, odd part {cofactor} "
                   f"= {cofactor % 4} mod 4, "
-                  f"torsion {report.torsion.unit}")
+                  f"torsion {report.torsion}")
     print(f"  of {checked} supported fields")
 
 

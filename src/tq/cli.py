@@ -28,8 +28,8 @@ from itertools import starmap
 
 from .arith import is_squarefree
 from .biquadratic import field_data, quad_field_disc
-from .invariant import (VERDICT_INADMISSIBLE, VERDICT_NONZERO,
-                             VERDICT_VANISHES, leading_ratio_check,
+from .invariant import (INADMISSIBLE_NOTE, VERDICT_INADMISSIBLE,
+                             VERDICT_NONZERO, VERDICT_VANISHES, leading_ratio_check,
                              omega_loc_torsion, resolvent_factor_check, sweep)
 from .errors import InputError, TqError
 from .grouprings import V4_A, V4_B, V4_CHARS
@@ -71,22 +71,22 @@ def cmd_compute(args) -> int:
     else:
         f = report.field
         print(f"E = Q(sqrt({f.d1}), sqrt({f.d2}))   third subfield: sqrt({f.d3})")
-        print(f"ramified/extra primes: {list(report.s_f)}")
-        for p, pr in sorted(report.per_prime.items()):
+        print(f"ramified/extra primes: {list(report.per_prime)}")
+        for p, pr in report.per_prime.items():
             loc = pr.local.to_json_dict()
             tag = "full decomposition" if pr.local.full_decomposition else \
                 f"|D| = {len(pr.local.decomposition)}"
             print(f"  p = {p}: inertia {loc['inertia']}, Frobenius "
                   f"{loc['frobenius']} ({tag})")
         if report.verdict == VERDICT_INADMISSIBLE:
-            print("verdict: inadmissible --", report.note)
+            print("verdict: inadmissible --", INADMISSIBLE_NOTE)
         else:
             if report.resolvent_check is not None:
                 rc = report.resolvent_check
                 print(f"resolvent quotient check: {rc.status}"
                       + (f" (r = {rc.value}, {rc.completion})" if rc.value is not None else
                          f" ({rc.reason})"))
-            print(f"torsion class: {report.torsion.unit}   verdict: {report.verdict}")
+            print(f"torsion class: {report.torsion}   verdict: {report.verdict}")
     if report.verdict == VERDICT_INADMISSIBLE:
         return EXIT_INADMISSIBLE
     return EXIT_VANISHES if report.verdict == VERDICT_VANISHES else EXIT_NONZERO
@@ -145,7 +145,7 @@ def _selftest_cases():
                                                          Fraction(5), Fraction(1)))
 
     yield ("torsion of (3,1,1,1) is 3",
-           lambda: torsion_class(HomRep((3, 1, 1, 1))).unit == 3)
+           lambda: torsion_class(HomRep((3, 1, 1, 1))) == 3)
 
     def local_routes():
         from .biquadratic import local_galois

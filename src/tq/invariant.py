@@ -34,11 +34,12 @@ from .errors import InputError, TqError
 from .grouprings import HOMREP_KEYS, V4_CHARS
 from .localterms import LatticeExponent, _local_term
 from .lseries import l_one_logsin, l_prime_zero_lgamma
-from .relk0 import HomRep, TorsionClass, odd_part_mod4, odd_unit
+from .relk0 import HomRep, odd_part_mod4, odd_unit
 
 VERDICT_VANISHES = "vanishes"
 VERDICT_NONZERO = "nonzero"
 VERDICT_INADMISSIBLE = "inadmissible"
+INADMISSIBLE_NOTE = "decomposition group at 2 is everything"
 
 
 def _delta1(ratio: int, dim_i: int, dim_d: int, frob: int):
@@ -114,7 +115,7 @@ def resolvent_factor_check(f: FieldData) -> ResolventCheck | None:
         raise TqError("conductor product is not a perfect square; "
                       "internal consistency violated")
     r = Fraction(root, 8 ** 4 * pi_sq)
-    ok = odd_part_mod4(r).is_trivial()
+    ok = odd_part_mod4(r) == 1
     return ResolventCheck("pass" if ok else "fail", completion, r)
 
 
@@ -132,16 +133,19 @@ class PrimeReport(namedtuple("PrimeReport", "local delta1 euler local_term")):
 
 
 class InvariantReport(namedtuple("InvariantReport",
-                                  "field s_f per_prime ts_rep resolvent_check "
-                                  "torsion verdict note", defaults=(None,))):
+                                  "field per_prime ts_rep resolvent_check "
+                                  "torsion verdict")):
+    """One field's report: `per_prime` is keyed by S in increasing order,
+    and `torsion` is the unit 1 or 3, or None for an inadmissible field."""
+
     __slots__ = ()
 
     def to_json_dict(self) -> dict:
         # each prime's delta1 and local term dicts, made once, appear twice
-        per_prime = {str(p): r.to_json_dict() for p, r in sorted(self.per_prime.items())}
+        per_prime = {str(p): r.to_json_dict() for p, r in self.per_prime.items()}
         return {
             "field": self.field.to_json_dict(),
-            "s_f": list(self.s_f),
+            "s_f": list(self.per_prime),
             "per_prime": per_prime,
             "ts_rep": self.ts_rep.to_json_dict() if self.ts_rep else None,
             "delta1": {p: r["delta1"] for p, r in per_prime.items()},
@@ -149,9 +153,9 @@ class InvariantReport(namedtuple("InvariantReport",
                             if r["local_term"] is not None},
             "resolvent_check": (self.resolvent_check.to_json_dict()
                                 if self.resolvent_check else None),
-            "torsion": self.torsion.unit if self.torsion else None,
+            "torsion": self.torsion,
             "verdict": self.verdict,
-            "note": self.note,
+            "note": INADMISSIBLE_NOTE if self.torsion is None else None,
         }
 
 
@@ -246,7 +250,7 @@ def omega_loc_torsion(d1: int, d2: int,
     for p in extra:
         if p == 2 or not is_prime(p):
             raise InputError(f"extra primes must be odd primes, got {p}")
-    s_f = tuple(sorted(set(ramified).union(extra)))
+    s_f = sorted(set(ramified).union(extra))
     at_2 = frob_signs(*f.subfields, 2)
     parts = {p: (signs, prime_parts(p, signs, lat))
              for p, signs in _s_signs(*f.subfields, s_f, at_2)}
@@ -255,17 +259,16 @@ def omega_loc_torsion(d1: int, d2: int,
                  for p, (signs, pp) in parts.items()}
 
     if unit is None:
-        return InvariantReport(f, s_f, per_prime, None, resolvent_factor_check(f),
-                               None, VERDICT_INADMISSIBLE,
-                               note="decomposition group at 2 is everything")
+        return InvariantReport(f, per_prime, None, resolvent_factor_check(f),
+                               None, VERDICT_INADMISSIBLE)
 
     # the global representative, per character the inverse of the product
     # of the Euler factors over S, from the fractions already made
     ts_rep = HomRep([Fraction(math.prod([e.denominator for e in col]),
                               math.prod([e.numerator for e in col]))
                      for col in zip(*(r.euler for r in per_prime.values()))])
-    return InvariantReport(f, s_f, per_prime, ts_rep, resolvent_factor_check(f),
-                           TorsionClass(unit), _verdict(unit))
+    return InvariantReport(f, per_prime, ts_rep, resolvent_factor_check(f),
+                           unit, _verdict(unit))
 
 
 def leading_ratio_exact(label: str, f: FieldData) -> Fraction:
@@ -342,17 +345,19 @@ def field_verdict(d1: int, d2: int) -> str:
     return _verdict(_field_unit(at_2, (prime_unit(p, signs) for p, signs in s_signs)))
 
 
-def _squarefree_masks(dmax: int) -> tuple[list[int], dict[int, int]]:
-    """The squarefree 1 < d <= dmax in increasing order, and for each prime
-    q <= dmax, in increasing order, the mask of the d that q divides (bit i
-    for the i-th d): one smallest-prime-factor sieve gives both."""
+def _squarefree_masks(dmax: int) -> tuple[list[int], list[list[int]], dict[int, int]]:
+    """The squarefree 1 < d <= dmax in increasing order; for each d, the
+    primes q = 3 mod 4 that divide it, in increasing order; and for each
+    such q <= dmax, in increasing order, the mask of the d that q divides
+    (bit i for the i-th d): one smallest-prime-factor sieve gives all
+    three."""
     spf = list(range(dmax + 1))
     for q in range(2, math.isqrt(dmax) + 1):
         if spf[q] == q:
             for k in range(q * q, dmax + 1, q):
                 if spf[k] == k:
                     spf[k] = q
-    ds, div = [], {}
+    ds, q3, div = [], [], {}
     for d in range(2, dmax + 1):
         n, qs = d, []
         while n > 1:
@@ -360,12 +365,14 @@ def _squarefree_masks(dmax: int) -> tuple[list[int], dict[int, int]]:
             n //= q
             if n % q == 0:  # q^2 | d
                 break
-            qs.append(q)
+            if q % 4 == 3:
+                qs.append(q)
         else:
             for q in qs:
                 div[q] = div.get(q, 0) | 1 << len(ds)
             ds.append(d)
-    return ds, div
+            q3.append(qs)
+    return ds, q3, div
 
 
 def _hilbert2(c1: int, c2: int) -> int:
@@ -396,18 +403,12 @@ def sweep(dmax: int) -> SweepSummary:
     reporting: it means the predicted universal vanishing fails."""
     if dmax < 3:
         raise InputError("dmax must be at least 3")
-    ds, div = _squarefree_masks(dmax)  # div[q]: the d that the prime q divides
+    # q3[j]: the primes q = 3 mod 4 that divide ds[j]; div[q]: the d that q divides
+    ds, q3, div = _squarefree_masks(dmax)
     cls = [d % 8 if d % 2 else d % 16 for d in ds]  # the class of each d
     of_class = dict.fromkeys((1, 3, 5, 7, 2, 6, 10, 14), 0)  # class -> its d
     for i, c in enumerate(cls):
         of_class[c] |= 1 << i
-    q3 = [[] for _ in ds]  # q3[j]: the primes q = 3 mod 4 that divide ds[j]
-    for q, m in div.items():
-        if q % 4 == 3:
-            while m:
-                low = m & -m
-                q3[low.bit_length() - 1].append(q)
-                m ^= low
     hilbert = {c2: sum(m for c1, m in of_class.items() if _hilbert2(c1, c2) < 0)
                for c2 in of_class}  # class of d2 -> the d1 with (d1, d2)_2 = -1
     counts = dict.fromkeys((VERDICT_VANISHES, VERDICT_NONZERO, VERDICT_INADMISSIBLE), 0)

@@ -1,14 +1,13 @@
 """Relative K-class bookkeeping for the Klein four-group via the
 Hom-description: a class is represented by a function from the four
 one-dimensional characters to nonzero rationals, and is classified by the
-complete invariant pair (rank vector of 2-adic valuations, torsion class
-in (Z/4)*).  The pipeline reads only the torsion class; `v2` and
-`RankVector` serve the induction formula of acceptance criterion 7
-(`induce_from_subgroup`)."""
+complete invariant pair (rank vector of 2-adic valuations, a tuple of ints
+in `HOMREP_KEYS` order; torsion class in (Z/4)*, the int 1 or 3).  The
+pipeline reads only the torsion class; `v2` and the rank vector serve the
+induction formula of acceptance criterion 7 (`induce_from_subgroup`)."""
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
@@ -34,44 +33,20 @@ def v2(q: Rational) -> int:
     return val
 
 
-class TorsionClass(namedtuple("TorsionClass", "unit")):
-    """An element of (Z/4)* = {1, 3}."""
-
-    __slots__ = ()
-
-    def __new__(cls, unit: int):
-        self = super().__new__(cls, unit)
-        if self.unit not in (1, 3):
-            raise InputError(f"{self.unit} is not a unit residue of (Z/4)*")
-        return self
-
-    def is_trivial(self) -> bool:
-        return self.unit == 1
-
-
 def odd_unit(n: int) -> int:
     """The odd part of the nonzero integer n (sign kept), reduced mod 4:
     1 or 3."""
     return n // (n & -n) % 4
 
 
-def odd_part_mod4(q: Rational) -> TorsionClass:
+def odd_part_mod4(q: Rational) -> int:
     """Strip all factors of 2 from q and reduce the remaining odd rational
-    mod 4 (odd denominators are inverted mod 4)."""
+    mod 4 (odd denominators are inverted mod 4): 1 or 3."""
     q = exact(q)
     if q == 0:
         raise InputError("odd part mod 4 of 0 is undefined")
     # for odd d, the inverse of d mod 4 is d itself
-    return TorsionClass(odd_unit(q.numerator) * odd_unit(q.denominator) % 4)
-
-
-class RankVector(namedtuple("RankVector", "exps")):
-    """Per-character 2-adic valuations."""
-
-    __slots__ = ()
-
-    def __getitem__(self, label: str) -> int:
-        return self.exps[label_index(label)]
+    return odd_unit(q.numerator) * odd_unit(q.denominator) % 4
 
 
 class HomRep:
@@ -126,9 +101,9 @@ class HomRep:
                 for k, v in zip(HOMREP_KEYS, self._values)}
 
 
-def torsion_class(h: HomRep) -> TorsionClass:
+def torsion_class(h: HomRep) -> int:
     """Product of the four values, 2-power stripped, mod 4: the complete
-    torsion invariant of the class represented by h."""
+    torsion invariant of the class represented by h, 1 or 3."""
     prod = Fraction(1)
     for v in h.as_tuple():
         prod *= v
@@ -149,11 +124,11 @@ def _validate_subgroup(elements: Iterable[int]) -> frozenset[int]:
 
 
 def induce_from_subgroup(subgroup: Iterable[int],
-                         f: Mapping[str, Rational]) -> tuple[RankVector, TorsionClass]:
+                         f: Mapping[str, Rational]) -> tuple[tuple[int, ...], int]:
     """Induction of a class from a subgroup H of order 1 or 2 up to V4,
-    read off through restriction of characters: the rank entry at chi is
-    v2(f(chi restricted to H)), and the torsion component is always
-    trivial.
+    read off through restriction of characters: the rank vector, in
+    `HOMREP_KEYS` order, whose entry at chi is v2(f(chi restricted to H)),
+    and the torsion class, always the trivial 1.
 
     `f` maps "1" (and, when |H| = 2, "sign") to nonzero rationals.
     """
@@ -170,4 +145,4 @@ def induce_from_subgroup(subgroup: Iterable[int],
         if f_sign == 0:
             raise InputError("character values must be nonzero")
     exps = tuple(v2(f_triv if chi.fixes(elems) else f_sign) for chi in V4_CHARS)
-    return RankVector(exps), TorsionClass(1)
+    return exps, 1

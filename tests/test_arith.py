@@ -157,6 +157,15 @@ def test_kronecker_multiplicative_in_denominator():
                         == kronecker_symbol(a, m) * kronecker_symbol(a, n))
 
 
+def test_kronecker_negative_denominator_matches_sympy():
+    """(a/n) for n < 0, the branch that no field reaches, against sympy's
+    independent implementation."""
+    from sympy.functions.combinatorial.numbers import kronecker_symbol as oracle
+    for a in range(-40, 41):
+        for n in range(-40, 0):
+            assert kronecker_symbol(a, n) == oracle(a, n), (a, n)
+
+
 def test_kronecker_periodicity_mod_conductor():
     # values of (D/.) depend only on n mod D for fundamental discriminants
     for disc in (5, 8, 12, 13, 17, 21, 24):

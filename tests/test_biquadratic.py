@@ -107,6 +107,13 @@ def test_local_galois_unramified_prime():
     assert len(loc.decomposition) <= 2
 
 
+def test_local_galois_rejects_a_non_prime():
+    f = field_data(5, 13)
+    for p in (-5, 0, 1, 9, 65):
+        with pytest.raises(InputError, match=f"^{p} is not prime$"):
+            local_galois(f, p)
+
+
 def test_full_decomposition_implies_ramified():
     for d1, d2 in squarefree_pairs(30):
         f = field_data(d1, d2)

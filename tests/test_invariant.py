@@ -11,16 +11,16 @@ from tq.biquadratic import (D_BOUND, artin_conductor, euler_factor,
                             FieldData, field_data, frob_signs,
                             full_decomposition, local_data, local_galois,
                             ramified_set, sign_facts)
-from tq.invariant import (VERDICT_INADMISSIBLE, VERDICT_NONZERO,
-                               VERDICT_VANISHES, delta1_term, field_verdict,
-                               leading_ratio_check, leading_ratio_exact,
+from tq.invariant import (INADMISSIBLE_NOTE, VERDICT_INADMISSIBLE,
+                               VERDICT_NONZERO, VERDICT_VANISHES, delta1_term,
+                               field_verdict, leading_ratio_check, leading_ratio_exact,
                                omega_loc_torsion, prime_parts, prime_unit,
                                resolvent_factor_check, sweep, ts_representative,
                                _hilbert2, _parts_unit)
 from tq.errors import InputError, UnsupportedGroupError
 from tq.grouprings import V4_CHARS
 from tq.localterms import LatticeExponent, local_term_closed_form
-from tq.relk0 import HomRep, RankVector, odd_part_mod4, torsion_class, v2
+from tq.relk0 import HomRep, odd_part_mod4, torsion_class, v2
 
 
 # ---------- delta terms ----------
@@ -39,7 +39,7 @@ def test_delta1_values_are_powers_of_two():
         for p in ramified_set(f):
             d = delta1_term(f, p)
             for val in d.as_tuple():
-                assert odd_part_mod4(val).unit == 1
+                assert odd_part_mod4(val) == 1
                 stripped = val / Fraction(2) ** v2(val)
                 assert stripped == 1, (d1, d2, p, val)
 
@@ -50,7 +50,7 @@ def test_delta1_product_torsion_trivial():
         total = HomRep((1, 1, 1, 1))
         for p in ramified_set(f):
             total = total * delta1_term(f, p)
-        assert torsion_class(total).unit == 1, (d1, d2)
+        assert torsion_class(total) == 1, (d1, d2)
 
 
 # ---------- the simplified global representative ----------
@@ -138,7 +138,6 @@ LABEL_LOOKUPS = {
     "leading_ratio_exact": lambda label: leading_ratio_exact(label, field_data(5, 13)),
     "leading_ratio_check": lambda label: leading_ratio_check(label, field_data(5, 13)),
     "HomRep": lambda label: HomRep((2, 3, 5, 7))[label],
-    "RankVector": lambda label: RankVector((1, 2, 3, 4))[label],
 }
 
 
@@ -161,8 +160,8 @@ def test_trivial_label_fixes_no_subfield():
 def test_omega_5_13_vanishes():
     report = omega_loc_torsion(5, 13)
     assert report.verdict == VERDICT_VANISHES
-    assert report.torsion.unit == 1
-    assert report.s_f == (5, 13)
+    assert report.torsion == 1
+    assert list(report.per_prime) == [5, 13]
     assert set(report.per_prime) == {5, 13}
     assert report.per_prime[5].local_term is not None
     assert report.per_prime[13].local_term is not None
@@ -320,7 +319,7 @@ def test_prime_units_match_fraction_reports():
                     if pr.local_term is not None:
                         total *= pr.local_term[chi.label]
                 signs = frob_signs(*report.field.subfields, p)
-                assert prime_unit(p, signs) == odd_part_mod4(total).unit, \
+                assert prime_unit(p, signs) == odd_part_mod4(total), \
                     (d1, d2, p, lat, extra)
                 n_primes += 1
         assert n_primes == expected, (lat, extra)
@@ -372,7 +371,7 @@ def test_sign_rules_match_local_data_and_fraction_units():
                     total *= euler_factor(chi, p, loc) * delta1[chi.label]
                     if term is not None:
                         total *= term[chi.label]
-                assert unit == odd_part_mod4(total).unit, (signs, p, lat)
+                assert unit == odd_part_mod4(total), (signs, p, lat)
 
 
 def test_prime_unit_needs_no_lattice_and_no_extra_prime_below_1000():
@@ -397,7 +396,7 @@ def test_prime_unit_needs_no_lattice_and_no_extra_prime_below_1000():
                 total = base
                 if p % 2 and loc.full_decomposition:
                     total *= math.prod(local_term_closed_form(p, loc, lat).as_tuple())
-                assert unit == odd_part_mod4(total).unit, (p, signs, lat)
+                assert unit == odd_part_mod4(total), (p, signs, lat)
                 n_cases += 1
             if signs in unramified:
                 assert unit == 1, (p, signs)
@@ -426,7 +425,7 @@ def test_report_local_data_matches_local_galois():
         f = field_data(d1, d2)
         for extra in (None, [3, 7]):
             report = omega_loc_torsion(d1, d2, s_extra=extra)
-            assert sorted(report.per_prime) == list(report.s_f)
+            assert list(report.per_prime) == sorted({*ramified_set(f), *(extra or ())})
             for p, pr in report.per_prime.items():
                 assert pr.local == local_galois(f, p), (d1, d2, extra, p)
 
@@ -451,7 +450,7 @@ def test_report_makes_each_prime_record_once(monkeypatch, extra,
         for module in (tq.biquadratic, tq.invariant):
             monkeypatch.setattr(module, name, counted)
     report = omega_loc_torsion(10005, 10065, s_extra=extra)
-    assert 2 not in report.s_f and len(report.s_f) == local_data_calls
+    assert 2 not in report.per_prime and len(report.per_prime) == local_data_calls
     assert calls == {"local_data": local_data_calls, "is_prime": is_prime_calls}
 
 
@@ -494,7 +493,7 @@ def test_inadmissible_report_multiplies_no_prime_unit(monkeypatch):
             inadmissible += 1
             assert calls == [], (d1, d2)
         else:
-            assert len(calls) == len(report.s_f), (d1, d2)
+            assert len(calls) == len(report.per_prime), (d1, d2)
     assert inadmissible == 1130
 
 
@@ -515,8 +514,9 @@ def test_report_reads_no_group_data_and_inverts_nothing(monkeypatch):
         report = omega_loc_torsion(10005, 10065, s_extra=extra)
         assert report.ts_rep is not None and report.to_json_dict()["ts_rep"]
     assert calls == []
-    ts_representative(report.field, report.s_f)
-    assert calls.count("inverse") == 1 and calls.count("char_facts") == 4 * len(report.s_f)
+    ts_representative(report.field, report.per_prime)
+    assert calls.count("inverse") == 1
+    assert calls.count("char_facts") == 4 * len(report.per_prime)
 
 
 def test_report_values_match_fraction_functions():
@@ -535,7 +535,7 @@ def test_report_values_match_fraction_functions():
             locals_ = {p: local_galois(f, p) for p in s_f}
             for lat in lats:
                 report = omega_loc_torsion(d1, d2, s_extra=extra, lat=lat)
-                assert sorted(report.per_prime) == s_f
+                assert list(report.per_prime) == s_f
                 admissible = report.verdict != VERDICT_INADMISSIBLE
                 for p, pr in report.per_prime.items():
                     loc = locals_[p]
@@ -571,7 +571,7 @@ def test_report_takes_each_primes_signs_once(monkeypatch):
     for d1, d2, extra in cases:
         del primes[:]
         report = omega_loc_torsion(d1, d2, s_extra=extra)
-        assert sorted(primes) == sorted({2, *report.s_f}), (d1, d2, extra)
+        assert sorted(primes) == sorted({2, *report.per_prime}), (d1, d2, extra)
 
 
 def test_sweep_with_options_matches_reports():
@@ -735,17 +735,19 @@ def test_sweep_100_makes_no_factorization_call(monkeypatch):
 
 @pytest.mark.parametrize("dmax", [3, 4, 30, 1000])
 def test_sweep_sieve_matches_factorization(dmax):
-    """The sieve gives the squarefree d in increasing order, and for each
-    prime q <= dmax the mask of the d that q divides."""
+    """The sieve gives the squarefree d in increasing order, for each d
+    its primes q = 3 mod 4 in increasing order, and for each such prime
+    q <= dmax the mask of the d that q divides."""
     from tq.arith import prime_factors
     from tq.invariant import _squarefree_masks
     ds = [d for d in range(2, dmax + 1) if is_squarefree(d)]
+    q3 = [[q for q in prime_factors(d) if q % 4 == 3] for d in ds]
     div = {}
-    for i, d in enumerate(ds):
-        for q in prime_factors(d):
+    for i, qs in enumerate(q3):
+        for q in qs:
             div[q] = div.get(q, 0) | 1 << i
-    assert _squarefree_masks(dmax) == (ds, div)
-    assert list(_squarefree_masks(dmax)[1]) == sorted(div)
+    assert _squarefree_masks(dmax) == (ds, q3, div)
+    assert list(_squarefree_masks(dmax)[2]) == sorted(div)
 
 
 @pytest.mark.parametrize("d1, d2, extra, n_calls", [
@@ -1017,4 +1019,5 @@ def test_inadmissible_report_json():
     d = omega_loc_torsion(2, 5).to_json_dict()
     assert d["torsion"] is None
     assert d["verdict"] == "inadmissible"
+    assert d["note"] == INADMISSIBLE_NOTE
     json.dumps(d)

@@ -170,7 +170,7 @@ def test_residue_class_values():
 def test_residue_class_square_has_trivial_torsion():
     for p in (3, 5, 7):
         rep = residue_class(p, V4_A)
-        assert torsion_class(rep * rep).unit == 1
+        assert torsion_class(rep * rep) == 1
 
 
 def test_residue_resolution_reports():
@@ -178,6 +178,12 @@ def test_residue_resolution_reports():
         for a in NONTRIVIAL:
             report = verify_residue_resolution(p, a)
             assert report.ok, (p, a, report)
+
+
+def test_residue_resolution_rejects_trivial_inertia_generator():
+    for p in (3, 5, 7):
+        with pytest.raises(InputError, match="nontrivial"):
+            verify_residue_resolution(p, V4_E)
 
 
 def test_residue_resolution_character_values():

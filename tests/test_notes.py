@@ -2,6 +2,7 @@
 documented and compared byte for byte with their recorded output."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,28 @@ def test_per_prime_table_output():
         capture_output=True, text=True, timeout=120, env=env, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (FIXTURES / "per_prime_table.txt").read_text()
+
+
+def test_line_coverage_runs():
+    """notes/line_coverage.py on tests/test_relk0.py, without its two
+    longest Hypothesis tests: every stdout line names a statement of
+    `src/tq`; a `relk0` statement that the tests run is not listed, and the
+    first statement of `invariant.sweep`, which they never call, is."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "notes" / "line_coverage.py"), "-q",
+         "-p", "no:cacheprovider", "tests/test_relk0.py",
+         "-k", "not homomorphism and not multiplicative"],
+        capture_output=True, text=True, timeout=120, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines and all(re.fullmatch(r"src/tq/\w+\.py:[1-9]\d*: \S.*", line)
+                         for line in lines), lines[:5]
+    shown = {line.split(": ", 1)[1] for line in lines}
+    assert "return odd_unit(q.numerator) * odd_unit(q.denominator) % 4" not in shown
+    assert 'raise InputError("dmax must be at least 3")' in shown
+    assert "statements inside functions in src/tq ran" in proc.stderr
 
 
 def run_startup_times(*flags):

@@ -13,8 +13,9 @@ from tq.grouprings import (V4_A, V4_AB, V4_B, V4_CHARS, GroupRingElem,
 from tq.localterms import (TameComplexSpec, build_tame_complex,
                            torsion_cycle, valuation_iso)
 from tq.perfectcomplex import (CohomologyIsoComponent, PerfectComplex,
-                               char_specialize, class_representative,
-                               cohomology_basis, torsion_determinant)
+                               RationalComplex, char_specialize,
+                               class_representative, cohomology_basis,
+                               torsion_determinant)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -172,6 +173,11 @@ def test_iso_shape_violations_rejected():
     comps["1"] = CohomologyIsoComponent({-1: []}, good.even_reps, [])
     with pytest.raises(ContractViolationError):
         class_representative(cplx, comps)
+    # odd and even cohomology are one-dimensional here: the matrix is 1 x 1
+    for matrix in ([[Fraction(1), Fraction(0)]], [[Fraction(1)], [Fraction(1)]]):
+        comps["1"] = CohomologyIsoComponent(good.odd_reps, good.even_reps, matrix)
+        with pytest.raises(ContractViolationError, match="shape"):
+            class_representative(cplx, comps)
 
 
 def test_degenerate_representative_rejected():
@@ -192,6 +198,31 @@ def test_representative_count_mismatch_rejected():
     bad = CohomologyIsoComponent({-1: [[Fraction(1), Fraction(0)]]}, {}, [])
     with pytest.raises(ContractViolationError):
         torsion_determinant(c2, bad)
+
+
+def test_wrong_length_representative_rejected():
+    spec, cplx = tame(5)
+    good = valuation_iso(spec)["1"]
+    bad = CohomologyIsoComponent({-1: [[Fraction(1)]]}, good.even_reps, good.matrix)
+    with pytest.raises(ContractViolationError, match="wrong length"):
+        torsion_determinant(char_specialize(cplx, V4_CHARS[0]), bad)
+
+
+def test_non_cocycle_representative_rejected():
+    # d_-1 has rank 1, so H^-1 has dimension 1, spanned by (0, 1); (1, 0)
+    # is the right count and length but d_-1 does not kill it
+    one, zero = Fraction(1), Fraction(0)
+    c = RationalComplex((-1, 0), {-1: 2, 0: 2}, {-1: [[one, zero], [zero, zero]]})
+    bad = CohomologyIsoComponent({-1: [[one, zero]]}, {0: [[zero, one]]}, [[one]])
+    with pytest.raises(ContractViolationError, match="not a cocycle"):
+        torsion_determinant(c, bad)
+
+
+def test_unequal_odd_and_even_ranks_rejected():
+    c = RationalComplex((-1, 0), {-1: 2, 0: 1}, {})
+    with pytest.raises(ContractViolationError,
+                       match="odd total rank 2 != even total rank 1"):
+        torsion_determinant(c, CohomologyIsoComponent({}, {}, []))
 
 
 # ---------- serialization ----------

@@ -32,7 +32,6 @@ KEPT = {
     "relk0.induce_from_subgroup": CRITERION_7,
     "relk0._validate_subgroup": CRITERION_7,
     "relk0.v2": CRITERION_7,
-    "relk0.RankVector.__getitem__": CRITERION_7,
     "perfectcomplex._random_fraction": CRITERION_2,
     "perfectcomplex._shift": CRITERION_2,
     "perfectcomplex.PerfectComplex.to_json_dict": GOLDEN,

@@ -20,9 +20,8 @@ RECORDS = {
         {"completion": None, "value": None, "reason": None}),
     ("invariant", "PrimeReport"): (("local", "delta1", "euler", "local_term"), {}),
     ("invariant", "InvariantReport"): (
-        ("field", "s_f", "per_prime", "ts_rep", "resolvent_check", "torsion",
-         "verdict", "note"),
-        {"note": None}),
+        ("field", "per_prime", "ts_rep", "resolvent_check", "torsion", "verdict"),
+        {}),
     ("invariant", "AnalyticCheck"): (
         ("chi", "conductor", "lhs_numeric", "rhs_exact_squared",
          "abs_error_squared", "tol"), {}),
@@ -37,8 +36,6 @@ RECORDS = {
     ("perfectcomplex", "CohomologyData"): (("kernels", "images", "preimages"), {}),
     ("perfectcomplex", "CohomologyIsoComponent"): (
         ("odd_reps", "even_reps", "matrix"), {}),
-    ("relk0", "TorsionClass"): (("unit",), {}),
-    ("relk0", "RankVector"): (("exps",), {}),
 }
 
 
@@ -55,7 +52,7 @@ def record_classes():
 
 
 def test_record_fields_and_defaults_are_pinned():
-    """All 18 records keep their fields, order and defaults, each is a
+    """All 16 records keep their fields, order and defaults, each is a
     `collections.namedtuple` subclass with `__slots__ = ()`, so an instance
     has no `__dict__`, and no record is missing from the table."""
     found = record_classes()

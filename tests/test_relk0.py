@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from tq.errors import InputError
 from tq.grouprings import HOMREP_KEYS, V4_A, V4_AB, V4_B, V4_CHARS, V4_E
-from tq.relk0 import (HomRep, TorsionClass, induce_from_subgroup,
-                      odd_part_mod4, odd_unit, torsion_class, v2)
+from tq.relk0 import (HomRep, induce_from_subgroup, odd_part_mod4, odd_unit,
+                      torsion_class, v2)
 
 # the nonzero rationals with |q| <= 50 and denominator <= 48, drawn as
 # s*(1 + k mod 50d)/d with a sign s and 0 <= k <= 2399: st.fractions spends
@@ -21,11 +21,11 @@ homreps = st.builds(lambda t: HomRep(t), st.tuples(*[nonzero_fractions] * 4))
 # ---------- odd part mod 4 ----------
 
 def test_odd_part_examples():
-    assert odd_part_mod4(16).unit == 1
-    assert odd_part_mod4(-1).unit == 3
-    assert odd_part_mod4(Fraction(6, 5)).unit == 3
-    assert odd_part_mod4(Fraction(-1, 24)).unit == 1
-    assert odd_part_mod4(Fraction(17, 1024)).unit == 1
+    assert odd_part_mod4(16) == 1
+    assert odd_part_mod4(-1) == 3
+    assert odd_part_mod4(Fraction(6, 5)) == 3
+    assert odd_part_mod4(Fraction(-1, 24)) == 1
+    assert odd_part_mod4(Fraction(17, 1024)) == 1
 
 
 def test_odd_unit_strips_twos_and_keeps_sign():
@@ -37,43 +37,46 @@ def test_odd_unit_strips_twos_and_keeps_sign():
 
 
 def test_odd_part_zero_rejected():
+    # zero has neither an odd part nor a 2-adic valuation
     with pytest.raises(InputError):
         odd_part_mod4(0)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(InputError, match="v2"):
+            v2(zero)
 
 
 @settings(max_examples=1000, deadline=None)
 @given(nonzero_fractions, nonzero_fractions)
 def test_odd_part_multiplicative(q, r):
-    assert odd_part_mod4(q * r).unit == odd_part_mod4(q).unit * odd_part_mod4(r).unit % 4
+    assert odd_part_mod4(q) in (1, 3)
+    assert odd_part_mod4(q * r) == odd_part_mod4(q) * odd_part_mod4(r) % 4
 
 
 def test_torsion_class_group_law():
-    three = TorsionClass(3)
+    three = torsion_class(HomRep((3, 1, 1, 1)))
     # 3 * 3 = 1 mod 4: three is its own inverse
-    assert three.unit * three.unit % 4 == 1
-    with pytest.raises(InputError):
-        TorsionClass(2)
+    assert three * three % 4 == 1 == torsion_class(HomRep((9, 1, 1, 1)))
 
 
 # ---------- torsion of HomReps ----------
 
 def test_torsion_examples():
-    assert torsion_class(HomRep((1, 1, 1, 1))).unit == 1
-    assert torsion_class(HomRep((3, 1, 1, 1))).unit == 3
-    assert torsion_class(HomRep((Fraction(1, 8), -1, Fraction(-1, 3), -1))).unit == 1
+    assert torsion_class(HomRep((1, 1, 1, 1))) == 1
+    assert torsion_class(HomRep((3, 1, 1, 1))) == 3
+    assert torsion_class(HomRep((Fraction(1, 8), -1, Fraction(-1, 3), -1))) == 1
 
 
 @settings(max_examples=1000, deadline=None)
 @given(homreps, homreps)
 def test_torsion_class_is_homomorphism(h1, h2):
-    product = torsion_class(h1).unit * torsion_class(h2).unit % 4
-    assert torsion_class(h1 * h2).unit == product
+    product = torsion_class(h1) * torsion_class(h2) % 4
+    assert torsion_class(h1 * h2) == product
 
 
 @settings(max_examples=300, deadline=None)
 @given(homreps)
 def test_squares_die_mod4(h):
-    assert torsion_class(h * h).unit == 1
+    assert torsion_class(h * h) == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -82,30 +85,30 @@ def test_squares_die_mod4(h):
 def test_one_mod_four_odd_parts_give_trivial_torsion(odd_units, twos):
     # values of the form 2^k * u with u = 1 mod 4 in odd part
     values = tuple(Fraction(2) ** k * (4 * n + 1) for k, n in zip(twos, odd_units))
-    assert torsion_class(HomRep(values)).unit == 1
+    assert torsion_class(HomRep(values)) == 1
 
 
 def test_power_of_two_product_torsion_trivial():
     h = HomRep((Fraction(1, 2), 4, Fraction(-8), Fraction(-1, 16)))
     # product is 1: a 2-power times (-1)^2
-    assert torsion_class(h).unit == 1
+    assert torsion_class(h) == 1
 
 
 # ---------- induction from subgroups ----------
 
 def test_induce_trivial_subgroup_examples():
     rank, tors = induce_from_subgroup([V4_E], {"1": 3})
-    assert rank.exps == (0, 0, 0, 0) and tors.unit == 1
+    assert rank == (0, 0, 0, 0) and tors == 1
     rank, tors = induce_from_subgroup([V4_E], {"1": 2})
-    assert rank.exps == (1, 1, 1, 1) and tors.unit == 1
+    assert rank == (1, 1, 1, 1) and tors == 1
 
 
 def test_induce_order_two_example():
     rank, tors = induce_from_subgroup([V4_E, V4_A], {"1": 2, "sign": 1})
-    # characters restricting trivially to <a> are 1 and chi2
-    assert rank["1"] == 1 and rank["chi2"] == 1
-    assert rank["chi1"] == 0 and rank["chi1chi2"] == 0
-    assert tors.unit == 1
+    # characters restricting trivially to <a> are 1 and chi2; the rank
+    # vector is in HOMREP_KEYS order (1, chi1, chi2, chi1chi2)
+    assert rank == (1, 0, 1, 0)
+    assert tors == 1
 
 
 def test_induce_rank_matches_restriction_table():
@@ -113,10 +116,9 @@ def test_induce_rank_matches_restriction_table():
     for h in (V4_A, V4_B, V4_AB):
         f = {"1": Fraction(12, 5), "sign": Fraction(-3, 7)}
         rank, tors = induce_from_subgroup([V4_E, h], f)
-        for chi in V4_CHARS:
-            expected = v2(f["1"] if chi(h) == 1 else f["sign"])
-            assert rank[chi.label] == expected
-        assert tors.unit == 1
+        for chi, exp in zip(V4_CHARS, rank):
+            assert exp == v2(f["1"] if chi(h) == 1 else f["sign"])
+        assert tors == 1
 
 
 @settings(max_examples=400, deadline=None)
@@ -127,7 +129,7 @@ def test_induce_torsion_always_trivial(f1, fsign, gen):
         _, tors = induce_from_subgroup([V4_E], {"1": f1})
     else:
         _, tors = induce_from_subgroup([V4_E, gen], {"1": f1, "sign": fsign})
-    assert tors.unit == 1
+    assert tors == 1
 
 
 def test_induce_rejects_full_group():
@@ -138,6 +140,20 @@ def test_induce_rejects_full_group():
 def test_induce_rejects_non_subgroup():
     with pytest.raises(InputError):
         induce_from_subgroup([V4_E, V4_A, V4_B], {"1": 1, "sign": 1})
+    with pytest.raises(InputError, match="empty subgroup"):
+        induce_from_subgroup([], {"1": 1})
+    for elems in ([V4_A], [V4_A, V4_B]):
+        with pytest.raises(InputError, match="must contain the identity"):
+            induce_from_subgroup(elems, {"1": 1, "sign": 1})
+
+
+def test_induce_rejects_zero_values():
+    with pytest.raises(InputError, match="nonzero"):
+        induce_from_subgroup([V4_E], {"1": 0})
+    with pytest.raises(InputError, match="nonzero"):
+        induce_from_subgroup([V4_E, V4_A], {"1": 0, "sign": 1})
+    with pytest.raises(InputError, match="nonzero"):
+        induce_from_subgroup([V4_E, V4_A], {"1": 1, "sign": Fraction(0)})
 
 
 # ---------- serialization ----------
@@ -188,9 +204,9 @@ def test_relk0_refuses_floats():
         with pytest.raises(TypeError):
             induce_from_subgroup([V4_E, V4_A], {"1": 1, "sign": x})
     assert v2(Fraction(1, 10)) == -1 and v2(2) == 1
-    assert odd_part_mod4(Fraction(1, 10)).unit == 1
+    assert odd_part_mod4(Fraction(1, 10)) == 1
     assert HomRep((Fraction(1, 10), 1, 1, 1))["1"] == Fraction(1, 10)
-    assert induce_from_subgroup([V4_E], {"1": Fraction(1, 10)})[0].exps == (-1,) * 4
+    assert induce_from_subgroup([V4_E], {"1": Fraction(1, 10)})[0] == (-1,) * 4
 
 
 def test_from_char_function_orders_values_by_homrep_keys():
