@@ -79,7 +79,8 @@ def label_index(label: str) -> int:
 
 class GroupRingElem:
     """An element of Q[V4], immutable: its coefficients at e, b, a, ab, in
-    that order, each an int when it is integral (`linalg.exact`)."""
+    that order, each an int when it is integral (`linalg.exact`).  Its +,
+    -, * and == take elements only: n is `GroupRingElem({V4_E: n})`."""
 
     __slots__ = ("_coeffs",)
 
@@ -113,51 +114,32 @@ class GroupRingElem:
     def is_zero(self) -> bool:
         return not any(self._coeffs)
 
-    def _coerce(self, other) -> "GroupRingElem | None":
-        if isinstance(other, GroupRingElem):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GroupRingElem({V4_E: other})
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, GroupRingElem):
             return NotImplemented
-        return GroupRingElem._of_tuple(map(add, self._coeffs, o._coeffs))
-
-    __radd__ = __add__
+        return GroupRingElem._of_tuple(map(add, self._coeffs, other._coeffs))
 
     def __neg__(self):
         return GroupRingElem._of_tuple(-c for c in self._coeffs)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, GroupRingElem):
             return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GroupRingElem._of_tuple(other * c for c in self._coeffs)
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, GroupRingElem):
             return NotImplemented
         out = [0] * 4
         for g, c in self.items():
-            for h, d in o.items():
+            for h, d in other.items():
                 out[g ^ h] += c * d
         return GroupRingElem._of_tuple(out)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self._coerce(other)
         if not isinstance(other, GroupRingElem):
             return NotImplemented
         return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(self._coeffs)
 
     def __repr__(self):
         if self.is_zero():
@@ -195,17 +177,8 @@ class GroupRingMatrix(namedtuple("GroupRingMatrix", "entries")):
         return self
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[GroupRingElem | Rational]]) -> "GroupRingMatrix":
-        out = []
-        for row in rows:
-            conv = []
-            for x in row:
-                if isinstance(x, GroupRingElem):
-                    conv.append(x)
-                else:
-                    conv.append(GroupRingElem({V4_E: x}))
-            out.append(tuple(conv))
-        return cls(tuple(out))
+    def from_rows(cls, rows: Iterable[Iterable[GroupRingElem]]) -> "GroupRingMatrix":
+        return cls(tuple(map(tuple, rows)))
 
     @property
     def rows(self) -> int:

@@ -159,7 +159,3 @@ def det(a: Mat) -> Rational:
                 c = _quotient(m[i][col], pivot)
                 m[i] = [exact(x - c * y) if y else x for x, y in zip(m[i], row)]
     return exact(result)
-
-
-def is_invertible(a: Mat) -> bool:
-    return bool(a) and len(a) == len(a[0]) and det(a) != 0

@@ -132,36 +132,26 @@ def verify_residue_resolution(p: int, a: int) -> ResidueResolutionReport:
          residue-field model (a acts trivially there), so the composite of
          the resolution maps is zero mod p;
     (ii) x - a x = 1 - a in Q[V4];
-    (iii) every character sends x to 1 or p, with p exactly when
-          chi(a) = 1.
+    (iii) the characters send x to the values of `residue_class(p, a)`:
+          p where chi(a) = 1, else 1.
     """
     _require_odd_prime(p)
     if a == V4_E:
         raise InputError("inertia generator must be a nontrivial V4 element")
     x = inertia_unit(p, a)
-    # (i) residue-field model on a normal basis (v, v-bar): inertia acts
-    # trivially, everything outside inertia acts by the swap
-    def model(g: int) -> list[list[Fraction]]:
-        if g in (V4_E, a):
-            return [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-        return [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-
-    acting = [[Fraction(0)] * 2 for _ in range(2)]
-    for g, c in x.items():
-        mg = model(g)
-        for i in range(2):
-            for j in range(2):
-                acting[i][j] += c * mg[i][j]
-    mult_by_p = acting == [[Fraction(p), Fraction(0)], [Fraction(0), Fraction(p)]]
+    # (i) on the normal basis (v, v-bar) of the residue field, inertia acts
+    # as the identity and everything outside it as the swap, so x acts as
+    # s_in + s_out swap: multiplication by p exactly when s_in = p, s_out = 0
+    s_in = sum(c for g, c in x.items() if g in (V4_E, a))
+    s_out = sum(c for g, c in x.items() if g not in (V4_E, a))
+    mult_by_p = s_in == p and s_out == 0
     # (ii)
     one = GroupRingElem.one()
     a_elem = GroupRingElem.of(a)
     displayed = (x - a_elem * x) == (one - a_elem)
     # (iii)
     values = tuple(apply_char(chi, x) for chi in V4_CHARS)
-    chars_ok = all(
-        v == (p if chi.fixes((a,)) else 1)
-        for chi, v in zip(V4_CHARS, values))
+    chars_ok = values == residue_class(p, a).as_tuple()
     return ResidueResolutionReport(p, mult_by_p, displayed, chars_ok, values)
 
 

@@ -103,9 +103,6 @@ class RationalComplex(namedtuple("RationalComplex", "degrees ranks diffs")):
     def degree_list(self) -> list[int]:
         return list(range(self.degrees[0], self.degrees[1] + 1))
 
-    def diff(self, j: int) -> Mat | None:
-        return self.diffs.get(j)
-
 
 def char_specialize(p: PerfectComplex, chi: GaloisChar) -> RationalComplex:
     """Apply a one-dimensional character entrywise to every differential.
@@ -134,7 +131,7 @@ def cohomology_basis(c: RationalComplex) -> CohomologyData:
     kernels: dict[int, Mat] = {}
     preimages: dict[int, Mat] = {}
     for j in degs:
-        d = c.diff(j)
+        d = c.diffs.get(j)
         if d is None:
             kernels[j], preimages[j] = linalg.identity(c.rank(j)), []
         else:
@@ -160,7 +157,7 @@ def _section(c: RationalComplex, data: CohomologyData, j: int,
         raise ContractViolationError(
             f"degree {j}: {len(supplied)} representatives supplied for "
             f"{data.h_dim(j)}-dimensional cohomology")
-    d = c.diff(j)
+    d = c.diffs.get(j)
     reps = []
     for v in supplied:
         if len(v) != c.rank(j):
@@ -226,7 +223,7 @@ def torsion_determinant(c: RationalComplex, comp: CohomologyIsoComponent,
     psi = linalg.mat(comp.matrix)
     if len(psi) != h_odd or (psi and len(psi[0]) != h_even):
         raise ContractViolationError("iso matrix shape does not match cohomology")
-    if h_odd and not linalg.is_invertible(psi):
+    if h_odd and linalg.det(psi) == 0:
         raise ContractViolationError("iso matrix is not invertible")
 
     # the preimages split d_j : C^j ->> B_(j+1); the seeded mode moves the

@@ -83,9 +83,6 @@ class HomRep:
             return NotImplemented
         return self._values == other._values
 
-    def __hash__(self):
-        return hash(self._values)
-
     def __repr__(self):
         body = ", ".join(f"{k}: {v}" for k, v in zip(HOMREP_KEYS, self._values))
         return f"HomRep({body})"

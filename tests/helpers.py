@@ -5,7 +5,7 @@ from math import gcd
 
 from tq.arith import is_prime, is_squarefree
 from tq.biquadratic import FieldData
-from tq.grouprings import GroupRingMatrix
+from tq.grouprings import V4_E, GroupRingElem, GroupRingMatrix
 from tq.lseries import _require_even_nontrivial, quad_char_values
 
 
@@ -16,7 +16,8 @@ def odd_primes_up_to(bound: int) -> list[int]:
 
 def identity_matrix(n: int) -> GroupRingMatrix:
     """The n x n identity matrix over Q[V4]."""
-    return GroupRingMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+    return GroupRingMatrix.from_rows([[GroupRingElem({V4_E: int(i == j)}) for j in range(n)]
+                                     for i in range(n)])
 
 
 def squarefree_pairs(dmax: int):

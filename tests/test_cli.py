@@ -7,6 +7,7 @@ import sys
 import time
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -16,7 +17,9 @@ import tq.cli
 from test_golden_output import PARSE_COMMANDS
 from test_invariant import SWEEP_3000_JSON_SHA256
 from tq.cli import COMMANDS, CONDUCTOR_MAX, SWEEP_MAX, main, parse_args
+from tq.errors import ContractViolationError
 from tq.invariant import sweep
+from tq.relk0 import HomRep
 
 
 def run(capsys, *argv):
@@ -144,6 +147,78 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.count("PASS") >= 6
+
+
+def _flipped_route(p, loc, lat):
+    """The closed form times (3, 1, 1, 1): a local class whose torsion is
+    the closed form's times 3."""
+    return tq.cli.local_term_closed_form(p, loc, lat) * HomRep((3, 1, 1, 1))
+
+
+def _misjudged(pair):
+    """omega_loc_torsion, with a wrong verdict at `pair` only."""
+    real = tq.cli.omega_loc_torsion
+
+    def fake(d1, d2):
+        verdict = "wrong" if (d1, d2) == pair else real(d1, d2).verdict
+        return SimpleNamespace(verdict=verdict)
+    return fake
+
+
+TAME = "tame complex determinants, p in 3..19"
+ROUTES = "closed form vs determinant route agree mod 4"
+WORKED = "worked field examples incl. (2,17) quotient 17/1024"
+
+
+@pytest.mark.parametrize("name, replacement, failing", [
+    ("class_representative", lambda cplx, iso: HomRep((1, 1, 1, 1)), TAME),
+    ("local_term_via_complex", _flipped_route, ROUTES),
+    ("omega_loc_torsion", _misjudged((5, 13)), WORKED),
+    ("omega_loc_torsion", _misjudged((13, 17)), WORKED),
+    ("omega_loc_torsion", _misjudged((2, 5)), WORKED),
+], ids=["tame", "routes", "worked-5-13", "worked-13-17", "worked-2-5"])
+def test_selftest_failing_check_exits_3(monkeypatch, capsys, name, replacement,
+                                        failing):
+    monkeypatch.setattr(tq.cli, name, replacement)
+    code, out, err = run(capsys, "selftest")
+    assert code == 3
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        f"FAIL  {failing}"]
+    assert err == ""
+
+
+def test_selftest_check_raising_tq_error_fails_with_its_message(monkeypatch, capsys):
+    def broken(p, a):
+        raise ContractViolationError(f"broken at {p}")
+    monkeypatch.setattr(tq.cli, "verify_residue_resolution", broken)
+    code, out, err = run(capsys, "selftest")
+    assert code == 3
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL  residue resolution identities, p <= 50 [broken at 3]"]
+    assert err == ""
+
+
+def test_lemma38_failing_check_exits_3(monkeypatch, capsys):
+    real = tq.cli.leading_ratio_check
+
+    def fake(label, f, tol):
+        check = real(label, f, tol=tol)
+        return check._replace(abs_error_squared=1.0) if check.conductor == 12 else check
+    monkeypatch.setattr(tq.cli, "leading_ratio_check", fake)
+    code, out, err = run(capsys, "lemma38", "--conductor-max", "13")
+    assert code == 3
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL  conductor   12 (d =   3)  |ratio^2 - 4/f| = 1.000e+00"]
+    assert out.endswith("4 characters checked, 1 failures (tol 1e-08)\n")
+    assert err == ""
+
+
+def test_tq_error_exits_1_without_traceback(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ContractViolationError("composite map is singular")
+    monkeypatch.setattr(tq.cli, "omega_loc_torsion", broken)
+    code, out, err = run(capsys, "compute", "--d1", "5", "--d2", "13", "--json")
+    assert (code, out, err) == (1, "", "error: composite map is singular\n")
 
 
 def test_analytic_ratio_command(capsys):

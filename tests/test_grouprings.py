@@ -7,6 +7,7 @@ from helpers import identity_matrix
 from tq.grouprings import (V4_A, V4_AB, V4_B, V4_CHARS, V4_E, GroupRingElem,
                            GroupRingMatrix, apply_char, apply_char_matrix,
                            element_name, group_elements, idempotent)
+from tq.relk0 import HomRep
 
 
 # ---------- group law: an element is an int, the product XOR ----------
@@ -174,6 +175,24 @@ def test_zero_has_empty_support():
     assert (x - x).is_zero()
     assert (x - x).items() == ()
     assert GroupRingElem({V4_A: Fraction(0)}).is_zero()
+
+
+def test_arithmetic_takes_elements_only():
+    """+, -, * and == take a GroupRingElem only: a scalar is not read as a
+    multiple of the identity, and an element has no hash."""
+    x = GroupRingElem({V4_A: Fraction(1, 2), V4_B: 3})
+    for op in (lambda: GroupRingElem.one() + 1, lambda: 1 + x, lambda: x * 2,
+               lambda: 2 * x, lambda: x - 1):
+        with pytest.raises(TypeError):
+            op()
+    assert (GroupRingElem.one() == 1) is False
+    with pytest.raises(TypeError):
+        hash(x)
+
+
+def test_homrep_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(HomRep((3, 1, 1, 1)))
 
 
 # ---------- character application ----------

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from helpers import odd_primes_up_to
+from tq import localterms
 from tq.arith import is_prime, is_squarefree
 from tq.biquadratic import PrimeLocalData, field_data, local_galois
 from tq.errors import ContractViolationError, InputError
@@ -57,7 +58,7 @@ def test_lambda_coefficients_p3():
     a = GroupRingElem.of(V4_A)
     b = GroupRingElem.of(V4_B)
     one = GroupRingElem.one()
-    assert lam.entries[0][0] == b * (2 + a) - one
+    assert lam.entries[0][0] == b * (GroupRingElem({V4_E: 2}) + a) - one
     assert lam.entries[0][1] == -(a - one)
 
 
@@ -70,8 +71,8 @@ def test_composite_zero_symbolically():
 def test_trivial_char_specialization_p5():
     spec = TameComplexSpec(5, V4_A, V4_B)
     c = char_specialize(build_tame_complex(spec), V4_CHARS[0])
-    assert c.diff(-2) == [[Fraction(4), Fraction(0)]]
-    assert c.diff(-1) == [[Fraction(0)], [Fraction(0)]]
+    assert c.diffs[-2] == [[Fraction(4), Fraction(0)]]
+    assert c.diffs[-1] == [[Fraction(0)], [Fraction(0)]]
 
 
 def test_tame_complex_holds_only_ints():
@@ -184,6 +185,22 @@ def test_residue_resolution_rejects_trivial_inertia_generator():
     for p in (3, 5, 7):
         with pytest.raises(InputError, match="nontrivial"):
             verify_residue_resolution(p, V4_E)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_residue_resolution_check_i_reads_off_inertia_terms(monkeypatch, p):
+    """Check (i) fails for an x with a term off inertia, and passes for one
+    whose off-inertia terms cancel: x acts on the residue field as the sum
+    of its inertia terms plus the sum of the others times the swap."""
+    off = {V4_E: (p + 1) // 2, V4_B: (p - 1) // 2}
+    monkeypatch.setattr(localterms, "inertia_unit",
+                        lambda p, a: GroupRingElem(off))
+    report = verify_residue_resolution(p, V4_A)
+    assert not report.multiplication_by_p and not report.ok
+    cancel = {V4_E: p, V4_B: 1, V4_AB: -1}
+    monkeypatch.setattr(localterms, "inertia_unit",
+                        lambda p, a: GroupRingElem(cancel))
+    assert verify_residue_resolution(p, V4_A).multiplication_by_p
 
 
 def test_residue_resolution_character_values():

@@ -8,7 +8,7 @@ import pytest
 from helpers import identity_matrix
 from tq import linalg
 from tq.errors import ContractViolationError, InputError
-from tq.grouprings import (V4_A, V4_AB, V4_B, V4_CHARS, GroupRingElem,
+from tq.grouprings import (V4_A, V4_AB, V4_B, V4_CHARS, V4_E, GroupRingElem,
                            GroupRingMatrix)
 from tq.localterms import (TameComplexSpec, build_tame_complex,
                            torsion_cycle, valuation_iso)
@@ -61,15 +61,15 @@ def test_degree_range_and_ranks_enforced():
 def test_specialize_lambda_row_trivial_char():
     _, p = tame(5)
     c = char_specialize(p, V4_CHARS[0])
-    assert c.diff(-2) == [[Fraction(4), Fraction(0)]]
-    assert c.diff(-1) == [[Fraction(0)], [Fraction(0)]]
+    assert c.diffs[-2] == [[Fraction(4), Fraction(0)]]
+    assert c.diffs[-1] == [[Fraction(0)], [Fraction(0)]]
 
 
 def test_specialize_lambda_row_unramified_char():
     # chi(a) = 1, chi(b) = -1: first entry -(p+1)
     _, p = tame(5)
     c = char_specialize(p, V4_CHARS[2])
-    assert c.diff(-2) == [[Fraction(-6), Fraction(0)]]
+    assert c.diffs[-2] == [[Fraction(-6), Fraction(0)]]
 
 
 def test_specialize_zero_complex():
@@ -81,7 +81,7 @@ def test_specialize_zero_complex():
 # ---------- cohomology ----------
 
 def test_cohomology_of_multiplication_by_two():
-    two = GroupRingElem.one() * 2
+    two = GroupRingElem({V4_E: 2})
     p = PerfectComplex((0, 1), {0: 1, 1: 1},
                        {0: GroupRingMatrix.from_rows([[two]])})
     c = char_specialize(p, V4_CHARS[0])
@@ -281,7 +281,7 @@ def test_two_odd_degree_sum_exact_values():
 def assert_preimages_map_to_images(c):
     data = cohomology_basis(c)
     for j in c.degree_list():
-        d = c.diff(j)
+        d = c.diffs.get(j)
         if d is None:
             assert data.preimages[j] == []
             continue

@@ -16,7 +16,6 @@ CRITERION_7 = "acceptance criterion 7: induction from a subgroup of order <= 2"
 CRITERION_2 = "acceptance criterion 2: a seeded splitting of a perfect complex"
 GOLDEN = "golden case tame-complex-5: the tame complex's JSON"
 SHOWN = "shows the value in the message of a failing test"
-HASHED = "keeps the class hashable beside its __eq__, which would otherwise unset it"
 
 KEPT = {
     "arith.prime_factors": TRACED,
@@ -38,8 +37,6 @@ KEPT = {
     "perfectcomplex.PerfectComplex.degree_list": GOLDEN,
     "grouprings.GroupRingElem.__repr__": SHOWN,
     "relk0.HomRep.__repr__": SHOWN,
-    "grouprings.GroupRingElem.__hash__": HASHED,
-    "relk0.HomRep.__hash__": HASHED,
     "relk0.HomRep.__eq__": "tests compare representatives: criterion 2, ts_representative",
 }
 
