@@ -13,8 +13,8 @@ fields at once, as int bitmasks, by the parity law that this rule gives
 through Hilbert reciprocity, reading no prime's signs.  A report takes
 extra primes of S and a lattice, which change values it shows; the
 verdict paths take neither, since neither choice can change a unit.  Plus
-the analytic cross-checks (the exact ratio L*(1)/L*(0) squared, its numeric
-verification) and the standalone resolvent quotient check for the
+the analytic cross-check (the ratio L*(1)/L*(0) squared, numerically,
+against its exact value) and the standalone resolvent quotient check for the
 supported shapes of the completion at 2.
 """
 
@@ -93,23 +93,18 @@ def resolvent_factor_check(f: FieldData) -> ResolventCheck | None:
     if len(ram) == 3:
         return ResolventCheck("unsupported",
                               reason="2 ramifies in every quadratic subfield")
-    evens = [d for d in ram if d % 2 == 0]
-    if len(evens) != 2:
-        return ResolventCheck("unsupported",
-                              reason="completion at 2 is a ramified extension "
-                                     "not generated by sqrt(2) or sqrt(10)")
-    ms = [d // 2 for d in evens]
-    if all(m % 8 == 1 for m in ms):
+    # for even d, d/2 = 1 mod 8 exactly when d = 2 mod 16, and
+    # d/2 = 5 mod 8 exactly when d = 10 mod 16
+    classes = sorted(d % 16 for d in ram if d % 2 == 0)
+    if classes == [2, 2]:
         pi_sq, completion = 2, "Q2(sqrt2)"
-    elif all(m % 8 == 5 for m in ms):
+    elif classes == [10, 10]:
         pi_sq, completion = 10, "Q2(sqrt10)"
     else:
         return ResolventCheck("unsupported",
                               reason="completion at 2 is a ramified extension "
                                      "not generated by sqrt(2) or sqrt(10)")
-    prod_f = 1
-    for chi in V4_CHARS:
-        prod_f *= artin_conductor(chi.label, f)
+    prod_f = math.prod(artin_conductor(chi.label, f) for chi in V4_CHARS)
     root = math.isqrt(prod_f)
     if root * root != prod_f:
         raise TqError("conductor product is not a perfect square; "
@@ -271,13 +266,6 @@ def omega_loc_torsion(d1: int, d2: int,
                            unit, _verdict(unit))
 
 
-def leading_ratio_exact(label: str, f: FieldData) -> Fraction:
-    """The square of the leading-coefficient ratio L*(1)/L*(0) of the
-    character of this label: 4 over the Artin conductor (4 itself for the
-    trivial character)."""
-    return Fraction(4, artin_conductor(label, f))
-
-
 class AnalyticCheck(namedtuple("AnalyticCheck",
                                 "chi conductor lhs_numeric rhs_exact_squared "
                                 "abs_error_squared tol")):
@@ -292,15 +280,15 @@ def leading_ratio_check(label: str, f: FieldData,
                           tol: float = 1e-8) -> AnalyticCheck:
     """Numerically verify (L(1,chi)/L'(0,chi))^2 = 4/f(chi) for the
     nontrivial even character chi of this label, using the log-sine and
-    log-Gamma closed forms as independent evaluators."""
+    log-Gamma closed forms as independent evaluators.  They take a real
+    field's discriminant only, and that is the conductor f(chi)."""
     if label == "1":
         raise InputError("the numeric check applies to nontrivial characters")
     disc = quad_field_disc(f.subfield_of(label))
-    cond = artin_conductor(label, f)
     ratio = l_one_logsin(disc) / l_prime_zero_lgamma(disc)
-    rhs = leading_ratio_exact(label, f)
+    rhs = Fraction(4, disc)
     err = abs(ratio * ratio - float(rhs))
-    return AnalyticCheck(label, cond, ratio, rhs, err, tol)
+    return AnalyticCheck(label, disc, ratio, rhs, err, tol)
 
 
 class SweepSummary(namedtuple("SweepSummary", "dmax counts nonzero_fields")):

@@ -12,13 +12,13 @@ sum chi(a) = 0 and, for even chi, sum chi(a) a = 0 pairs off).
 The tests validate the log-sine form against a direct summation of the
 defining series, kept with them (`l_one_series` in tests/helpers.py).
 
-The table chi(0..f-1) is built once per check: `quad_char_values` copies
-it from a one-entry memo (`_char_table`, which keeps the table of the last
-disc only), so the second evaluator of `invariant.leading_ratio_check`
-finds the table of the first, and no caller holds a shared, mutable table.
-It is built from the primes of D alone: for n >= 1 the Kronecker symbol
-(D/n) is completely multiplicative in n and in its top argument D
-(H. Cohen, A Course in Computational Algebraic Number Theory, 1.4.2), so
+The table chi(0..f-1) is built once per check: `quad_char_values` is its
+own one-entry memo (it keeps the tuple of the last disc only), so the
+second evaluator of `invariant.leading_ratio_check` finds the table of the
+first, and no caller can change the tuple another one reads.  It is built
+from the primes of D alone: for n >= 1 the Kronecker symbol (D/n) is
+completely multiplicative in n and in its top argument D (H. Cohen, A
+Course in Computational Algebraic Number Theory, 1.4.2), so
 (D/n) = (-1/n)^[D<0] prod_{p^e || |D|} (p/n)^e, where:
 
   * for even e, (p/n)^e is 0 at the multiples of p and 1 elsewhere;
@@ -30,7 +30,7 @@ It is built from the primes of D alone: for n >= 1 the Kronecker symbol
   * (-1/n) = chi_{-4}(n / 2^v2(n)) is not periodic, and is a factor when
     [D<0] plus the number of odd p = 3 mod 4 with odd e is odd.
 
-The periods (8 or 2 at p = 2, p at an odd p) are coprime: `_char_table`
+The periods (8 or 2 at p = 2, p at an odd p) are coprime: the builder
 multiplies the tables into one of their product's period, repeats it to
 length f, negates by one slice per power of two where (-1/n) = -1, and sets
 entry 0 to `kronecker_symbol(D, 0)`.  The table equals the symbol at every
@@ -48,16 +48,11 @@ from .arith import factorization, is_squarefree, kronecker_symbol
 from .errors import InputError
 
 
-def quad_char_values(disc: int) -> list[int]:
-    """chi(0..f-1), f = |disc|, for any integer disc:
-    [kronecker_symbol(disc, n) for n in range(abs(disc))], a fresh list
-    copied from the table that `_char_table` keeps for the last disc."""
-    return list(_char_table(disc))
-
-
 @lru_cache(maxsize=1)
-def _char_table(disc: int) -> tuple[int, ...]:
-    """The table of `quad_char_values`, from the primes of disc."""
+def quad_char_values(disc: int) -> tuple[int, ...]:
+    """chi(0..f-1), f = |disc|, for any integer disc:
+    (kronecker_symbol(disc, n) for n in range(abs(disc))) as a tuple, built
+    from the primes of disc and kept for the last disc."""
     f = abs(disc)
     if f <= 1:
         return (kronecker_symbol(disc, 0),) * f

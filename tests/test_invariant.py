@@ -8,12 +8,12 @@ from hypothesis import assume, given, settings, strategies as st
 from helpers import odd_primes_up_to, squarefree_pairs
 from tq.arith import is_prime, is_squarefree
 from tq.biquadratic import (D_BOUND, artin_conductor, euler_factor,
-                            FieldData, field_data, frob_signs,
+                            FieldData, field_data, frob_signs, quad_field_disc,
                             full_decomposition, local_data, local_galois,
                             ramified_set, sign_facts)
 from tq.invariant import (INADMISSIBLE_NOTE, VERDICT_INADMISSIBLE,
                                VERDICT_NONZERO, VERDICT_VANISHES, delta1_term,
-                               field_verdict, leading_ratio_check, leading_ratio_exact,
+                               field_verdict, leading_ratio_check,
                                omega_loc_torsion, prime_parts, prime_unit,
                                resolvent_factor_check, sweep, ts_representative,
                                _hilbert2, _parts_unit)
@@ -97,14 +97,43 @@ def test_resolvent_sqrt10_case():
     assert rc.value == Fraction(13, 1024)
 
 
+def test_resolvent_rule_on_every_pair_200():
+    """The resolvent check supports a field exactly when 2 ramifies in two
+    of its quadratic subfields, both Q(sqrt d) with d even, and the halves
+    d/2 are both 1 mod 8 (Q2(sqrt2)) or both 5 mod 8 (Q2(sqrt10))."""
+    other = "completion at 2 is a ramified extension not generated by sqrt(2) or sqrt(10)"
+
+    def stated(f):
+        ram = [d for d in f.subfields if d % 4 != 1]
+        if not ram:
+            return None
+        if len(ram) == 3:
+            return "unsupported", None, "2 ramifies in every quadratic subfield"
+        halves = [d // 2 for d in ram if d % 2 == 0]
+        for pi_sq, m, completion in ((2, 1, "Q2(sqrt2)"), (10, 5, "Q2(sqrt10)")):
+            if len(halves) == 2 and all(h % 8 == m for h in halves):
+                root = math.isqrt(math.prod(quad_field_disc(d) for d in f.subfields))
+                ok = odd_part_mod4(Fraction(root, 8 ** 4 * pi_sq)) == 1
+                return "pass" if ok else "fail", completion, None
+        return "unsupported", None, other
+
+    seen = set()
+    for d1, d2 in squarefree_pairs(200):
+        f = field_data(d1, d2)
+        rc = resolvent_factor_check(f)
+        got = rc and (rc.status, rc.completion, rc.reason)
+        assert got == stated(f), (d1, d2)
+        seen.add(got)
+    assert len(seen) == 7  # None, two reasons, and pass and fail at each completion
+
+
 # ---------- exact and numeric leading-coefficient ratios ----------
 
 def test_leading_ratio_exact_values():
     f = field_data(5, 13)
-    assert leading_ratio_exact("1", f) == 4
-    assert leading_ratio_exact("chi1", f) == Fraction(4, 5)
+    assert leading_ratio_check("chi1", f).rhs_exact_squared == Fraction(4, 5)
     f2 = field_data(2, 17)
-    assert leading_ratio_exact("chi1", f2) == Fraction(1, 2)
+    assert leading_ratio_check("chi1", f2).rhs_exact_squared == Fraction(1, 2)
 
 
 def test_leading_ratio_numeric_chi5():
@@ -135,7 +164,6 @@ def test_leading_ratio_rejects_trivial_and_imaginary():
 LABEL_LOOKUPS = {
     "subfield_of": lambda label: field_data(5, 13).subfield_of(label),
     "artin_conductor": lambda label: artin_conductor(label, field_data(5, 13)),
-    "leading_ratio_exact": lambda label: leading_ratio_exact(label, field_data(5, 13)),
     "leading_ratio_check": lambda label: leading_ratio_check(label, field_data(5, 13)),
     "HomRep": lambda label: HomRep((2, 3, 5, 7))[label],
 }

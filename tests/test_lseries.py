@@ -3,13 +3,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import l_one_series
+import tq.lseries
+from helpers import l_one_series, narrow_class_number_and_regulator
 from tq.arith import is_squarefree, kronecker_symbol
 from tq.biquadratic import field_data, quad_field_disc
 from tq.errors import InputError
 from tq.invariant import leading_ratio_check
-from tq.lseries import (_char_table, l_one_logsin, l_prime_zero_lgamma,
-                        quad_char_values)
+from tq.lseries import l_one_logsin, l_prime_zero_lgamma, quad_char_values
 
 
 def even_discs_up_to(bound):
@@ -25,7 +25,7 @@ def even_discs_up_to(bound):
 
 def test_quad_char_basics():
     chi = quad_char_values(5)
-    assert chi[1:5] == [1, -1, -1, 1]
+    assert list(chi[1:5]) == [1, -1, -1, 1]
     chi8 = quad_char_values(8)
     assert [chi8[n % 8] for n in (1, 3, 5, 7)] == [1, -1, -1, 1]
 
@@ -41,8 +41,8 @@ def test_quad_char_values_equals_kronecker_table(discs):
     # every integer, not only fundamental discriminants: negative ones,
     # non-fundamental ones such as 12 and 48, 0 and +-1
     for disc in discs:
-        assert quad_char_values(disc) == [kronecker_symbol(disc, n)
-                                          for n in range(abs(disc))], disc
+        assert list(quad_char_values(disc)) == [kronecker_symbol(disc, n)
+                                                for n in range(abs(disc))], disc
 
 
 @settings(max_examples=60, deadline=None)
@@ -65,18 +65,19 @@ def test_quad_char_values_equals_kronecker_at_drawn_indices(data):
         assert chi[n] == kronecker_symbol(disc, n), (disc, n)
 
 
-def test_quad_char_values_gives_a_fresh_list():
-    # mutating one result leaves the memoised table alone
+def test_quad_char_values_is_immutable():
+    # no caller can change the memoised table another one reads
     chi = quad_char_values(13)
-    chi[1:] = [0] * 12
-    assert quad_char_values(13) == [kronecker_symbol(13, n) for n in range(13)]
+    with pytest.raises(TypeError):
+        chi[1:] = [0] * 12
+    assert list(quad_char_values(13)) == [kronecker_symbol(13, n) for n in range(13)]
 
 
 def test_leading_ratio_check_builds_one_table():
-    _char_table.cache_clear()
+    quad_char_values.cache_clear()
     check = leading_ratio_check("chi1", field_data(8005, 3))
     assert check.ok
-    assert _char_table.cache_info().misses == 1
+    assert quad_char_values.cache_info().misses == 1
 
 
 def test_character_even_and_periodic():
@@ -135,3 +136,49 @@ def test_accepts_fundamental_discriminant_twelve():
     # 12 = 4 * 3 is the discriminant of Q(sqrt 3), with class number 1 and
     # fundamental unit 2 + sqrt 3: L(1, chi_12) = log(2 + sqrt 3) / sqrt 3
     assert abs(l_one_logsin(12) - math.log(2 + math.sqrt(3)) / math.sqrt(3)) < 1e-13
+
+
+def class_number_formula_errors(disc):
+    """The relative errors of the two evaluators at disc against Dirichlet's
+    class number formula, L(1, chi) = h+ R+ / sqrt(D) and
+    L'(0, chi) = h+ R+ / 2, in units of D * 2^-52."""
+    h, reg = narrow_class_number_and_regulator(disc)
+    unit = disc * 2.0 ** -52
+    l_one, l_prime = h * reg / math.sqrt(disc), h * reg / 2
+    return (abs(l_one_logsin(disc) - l_one) / l_one / unit,
+            abs(l_prime_zero_lgamma(disc) - l_prime) / l_prime / unit)
+
+
+def test_narrow_class_numbers_and_regulators():
+    # Q(sqrt 5): h+ = 1, and the totally positive fundamental unit is
+    # phi^2, phi = (1 + sqrt 5)/2; Q(sqrt 3) has fundamental unit 2 + sqrt 3
+    # of norm 1, so h+ = 2h = 2; Q(sqrt 229) has class number 3
+    h5, reg5 = narrow_class_number_and_regulator(5)
+    assert h5 == 1 and abs(reg5 - 2 * math.log((1 + math.sqrt(5)) / 2)) < 1e-15
+    h12, reg12 = narrow_class_number_and_regulator(12)
+    assert h12 == 2 and abs(reg12 - math.log(2 + math.sqrt(3))) < 1e-15
+    assert narrow_class_number_and_regulator(229)[0] == 3
+
+
+def test_evaluators_match_class_number_formula():
+    discs = even_discs_up_to(2000)
+    assert len(discs) == 607
+    for disc in discs:
+        assert max(class_number_formula_errors(disc)) <= 4, disc
+
+
+def test_class_number_formula_rejects_an_even_table_that_is_no_character(monkeypatch):
+    # swap a value 1 and a value -1 of chi_101 together with their
+    # reflections: the table stays even, +-1 off 0, with zero sum, so the
+    # ratio check still passes, but neither sum is an L-value
+    disc = 101
+    chi = list(quad_char_values(disc))
+    a, b = chi.index(1), chi.index(-1)
+    for n in (a, b, disc - a, disc - b):
+        chi[n] = -chi[n]
+    assert len({a, b, disc - a, disc - b}) == 4 and sum(chi) == 0
+    monkeypatch.setattr(tq.lseries, "quad_char_values", lambda d: tuple(chi))
+    assert leading_ratio_check("chi1", field_data(101, 2)).ok
+    # both miss the bound of test_evaluators_match_class_number_formula,
+    # each by a relative error of 0.46
+    assert min(class_number_formula_errors(disc)) > 4
