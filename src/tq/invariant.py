@@ -33,7 +33,7 @@ from .biquadratic import (FieldData, PrimeLocalData, _euler, _frob_det,
 from .errors import InputError, TqError
 from .grouprings import HOMREP_KEYS, V4_CHARS
 from .localterms import LatticeExponent, _local_term
-from .lseries import l_one_logsin, l_prime_zero_lgamma
+from .lseries import l_one_logsin, narrow_class_number_and_regulator
 from .relk0 import HomRep, odd_part_mod4, odd_unit
 
 VERDICT_VANISHES = "vanishes"
@@ -279,13 +279,17 @@ class AnalyticCheck(namedtuple("AnalyticCheck",
 def leading_ratio_check(label: str, f: FieldData,
                           tol: float = 1e-8) -> AnalyticCheck:
     """Numerically verify (L(1,chi)/L'(0,chi))^2 = 4/f(chi) for the
-    nontrivial even character chi of this label, using the log-sine and
-    log-Gamma closed forms as independent evaluators.  They take a real
+    nontrivial even character chi of this label.  L(1, chi) is the
+    log-sine sum over chi's table, and L'(0, chi) = h+ R+ / 2 comes from
+    the reduced forms of the discriminant by Dirichlet's class number
+    formula, which reads no table: so the check tests that the table gives
+    L(1, chi), not only that it is even with zero sum.  Both take a real
     field's discriminant only, and that is the conductor f(chi)."""
     if label == "1":
         raise InputError("the numeric check applies to nontrivial characters")
     disc = quad_field_disc(f.subfield_of(label))
-    ratio = l_one_logsin(disc) / l_prime_zero_lgamma(disc)
+    h, reg = narrow_class_number_and_regulator(disc)
+    ratio = l_one_logsin(disc) / (h * reg / 2)
     rhs = Fraction(4, disc)
     err = abs(ratio * ratio - float(rhs))
     return AnalyticCheck(label, disc, ratio, rhs, err, tol)

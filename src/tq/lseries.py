@@ -7,16 +7,22 @@ For a primitive quadratic character chi of conductor f = D > 0:
   * L'(0, chi) =  sum_{a=1}^{f-1} chi(a) lgamma(a / f)
 
 (the Hurwitz zeta expansion around s = 0 kills the constant terms because
-sum chi(a) = 0 and, for even chi, sum chi(a) a = 0 pairs off).
+sum chi(a) = 0 and, for even chi, sum chi(a) a = 0 pairs off), and, by
+Dirichlet's class number formula, L'(0, chi) = h+ R+ / 2, with the narrow
+class number h+ and narrow regulator R+ read from the reduced forms of
+discriminant D (`narrow_class_number_and_regulator`), which reads no table
+and loops over far fewer than f values.  `invariant.leading_ratio_check`
+divides the log-sine sum by h+ R+ / 2; `l_prime_zero_lgamma` is not on its
+path, and its floats stay pinned with those of `l_one_logsin`.
 
 The tests validate the log-sine form against a direct summation of the
 defining series, kept with them (`l_one_series` in tests/helpers.py).
 
-The table chi(0..f-1) is built once per check: `quad_char_values` is its
-own one-entry memo (it keeps the tuple of the last disc only), so the
-second evaluator of `invariant.leading_ratio_check` finds the table of the
-first, and no caller can change the tuple another one reads.  It is built
-from the primes of D alone: for n >= 1 the Kronecker symbol (D/n) is
+`quad_char_values` is its own one-entry memo: it keeps the tuple
+chi(0..f-1) of the last disc only, so a check builds one table, both
+evaluators called on one disc in a row share it, and no caller can change
+the tuple another one reads.  The table is built from the primes of D
+alone: for n >= 1 the Kronecker symbol (D/n) is
 completely multiplicative in n and in its top argument D (H. Cohen, A
 Course in Computational Algebraic Number Theory, 1.4.2), so
 (D/n) = (-1/n)^[D<0] prod_{p^e || |D|} (p/n)^e, where:
@@ -45,7 +51,7 @@ from itertools import cycle, islice
 from operator import mul, neg
 
 from .arith import factorization, is_squarefree, kronecker_symbol
-from .errors import InputError
+from .errors import InputError, TqError
 
 
 @lru_cache(maxsize=1)
@@ -111,3 +117,52 @@ def l_prime_zero_lgamma(disc: int) -> float:
         if chi[a]:
             total += chi[a] * math.lgamma(a / f)
     return total
+
+
+def narrow_class_number_and_regulator(disc: int) -> tuple[int, float]:
+    """The narrow class number h+ and narrow regulator R+ of the real
+    quadratic field of fundamental discriminant disc, from its reduced
+    indefinite forms (H. Cohen, A Course in Computational Algebraic Number
+    Theory, 5.6-5.7): the forms (a, b, c), b^2 - 4ac = disc, with
+    0 < b < sqrt(disc) and sqrt(disc) - b < 2|a| < sqrt(disc) + b, fall
+    into cycles under rho, h+ is the number of cycles, and R+ is the sum
+    of log((b + sqrt(disc)) / (2|a|)) over the cycle of the form with
+    a = 1.  By Dirichlet's class number formula, L(1, chi) = h+ R+ / sqrt(disc)
+    and L'(0, chi) = h+ R+ / 2."""
+    _require_even_nontrivial(disc)
+    s = math.isqrt(disc)
+    forms = set()
+    for b in range(2 - disc % 2, s + 1, 2):  # b = disc mod 2, b^2 < disc
+        n = (disc - b * b) // 4  # -ac
+        # (a, b, c) is reduced exactly when (c, b, a) is, so each pair of
+        # divisors a <= sqrt(n) <= n/a is found once, at a; there
+        # 2a <= sqrt(disc - b^2) < sqrt(disc) + b, and disc is no square,
+        # so the one bound left, sqrt(disc) - b < 2a, is a >= (s + 2 - b)/2
+        for a in range((s + 2 - b) // 2, math.isqrt(n) + 1):
+            if n % a == 0:
+                m = n // a
+                forms |= {(a, b, -m), (-a, b, m), (m, b, -a), (-m, b, a)}
+    cycles, regulator = 0, None
+    while forms:
+        start = form = forms.pop()
+        cycle = []
+        while True:
+            cycle.append(form)
+            _, b, c = form
+            # rho: r = -b mod 2|c| in (sqrt(disc) - 2|c|, sqrt(disc)); a
+            # reduced form has |c| < sqrt(disc), so the range for
+            # |c| > sqrt(disc), (-|c|, |c|], is never needed
+            r = s - (s + b) % (2 * abs(c))
+            form = c, r, (r * r - disc) // (4 * c)
+            if form == start:
+                break
+            try:
+                forms.remove(form)  # rho permutes the reduced forms
+            except KeyError:
+                raise TqError(f"rho left the reduced forms of discriminant {disc} "
+                              f"at {form}") from None
+        cycles += 1
+        if any(a == 1 for a, _, _ in cycle):
+            root = math.sqrt(disc)
+            regulator = math.fsum(math.log((b + root) / (2 * abs(a))) for a, b, _ in cycle)
+    return cycles, regulator

@@ -1,7 +1,6 @@
 """Helpers shared by the tests, kept out of the package because nothing in
 it needs them."""
 
-import math
 from math import gcd
 
 from tq.arith import is_prime, is_squarefree
@@ -75,39 +74,14 @@ def l_one_series(disc: int, blocks: int = 2000) -> float:
     return total + tail
 
 
-def narrow_class_number_and_regulator(disc: int) -> tuple[int, float]:
-    """The narrow class number h+ and narrow regulator R+ of the positive
-    non-square discriminant disc, from its reduced indefinite forms
-    (H. Cohen, A Course in Computational Algebraic Number Theory, 5.6-5.7):
-    the forms (a, b, c), b^2 - 4ac = disc, with 0 < b < sqrt(disc) and
-    sqrt(disc) - b < 2|a| < sqrt(disc) + b, fall into cycles under rho,
-    h+ is the number of cycles, and R+ is the sum of
-    log((b + sqrt(disc)) / (2|a|)) over the cycle of the form with a = 1.
-    By Dirichlet's class number formula, at a fundamental disc,
-    L(1, chi) = h+ R+ / sqrt(disc) and L'(0, chi) = h+ R+ / 2."""
-    s = math.isqrt(disc)
 
-    def rho(a, b, c):
-        # r = -b mod 2|c| in (sqrt(disc) - 2|c|, sqrt(disc)): a reduced
-        # form has |c| < sqrt(disc), so the range for |c| > sqrt(disc),
-        # (-|c|, |c|], is never needed
-        r = s - (s + b) % (2 * abs(c))
-        return c, r, (r * r - disc) // (4 * c)
-
-    forms = set()
-    for b in range(2 - disc % 2, s + 1, 2):  # b = disc mod 2, b^2 < disc
-        n = (disc - b * b) // 4  # -ac
-        for a in range(max(1, (s - b) // 2), (s + b) // 2 + 1):
-            if n % a == 0 and (2 * a - b) ** 2 < disc < (2 * a + b) ** 2:
-                forms |= {(a, b, -n // a), (-a, b, n // a)}
-    cycles, regulator = 0, None
-    while forms:
-        cycle = [forms.pop()]
-        while (form := rho(*cycle[-1])) != cycle[0]:
-            forms.remove(form)  # rho permutes the reduced forms
-            cycle.append(form)
-        cycles += 1
-        if any(a == 1 for a, _, _ in cycle):
-            regulator = math.fsum(math.log((b + math.sqrt(disc)) / (2 * abs(a)))
-                                  for a, b, _ in cycle)
-    return cycles, regulator
+def even_table_that_is_no_character(disc: int) -> tuple[int, ...]:
+    """chi_disc with its first value 1 and its first value -1 negated,
+    together with their reflections: a table that stays even, +-1 off 0,
+    with zero sum, but is no character."""
+    chi = list(quad_char_values(disc))
+    a, b = chi.index(1), chi.index(-1)
+    for n in (a, b, disc - a, disc - b):
+        chi[n] = -chi[n]
+    assert len({a, b, disc - a, disc - b}) == 4 and sum(chi) == 0
+    return tuple(chi)

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tq.cli
+import tq.lseries
+from helpers import even_table_that_is_no_character
 from test_golden_output import PARSE_COMMANDS
 from test_invariant import SWEEP_3000_JSON_SHA256
 from tq.cli import COMMANDS, CONDUCTOR_MAX, SWEEP_MAX, main, parse_args
@@ -210,6 +212,24 @@ def test_lemma38_failing_check_exits_3(monkeypatch, capsys):
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
         "FAIL  conductor   12 (d =   3)  |ratio^2 - 4/f| = 1.000e+00"]
     assert out.endswith("4 characters checked, 1 failures (tol 1e-08)\n")
+    assert err == ""
+
+
+
+def test_lemma38_fails_on_an_even_table_that_is_no_character(monkeypatch, capsys):
+    # the table of test_lseries'
+    # test_class_number_formula_rejects_an_even_table_that_is_no_character
+    # in place of chi_101's: the check reads L'(0, chi) from the reduced
+    # forms, not from the table, so the ratio misses 2/sqrt(101)
+    real = tq.lseries.quad_char_values
+    table = even_table_that_is_no_character(101)
+    monkeypatch.setattr(tq.lseries, "quad_char_values",
+                        lambda disc: table if disc == 101 else real(disc))
+    code, out, err = run(capsys, "lemma38", "--conductor-max", "200")
+    assert code == 3
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1 and fails[0].startswith("FAIL  conductor  101 (d = 101)  ")
+    assert out.endswith("60 characters checked, 1 failures (tol 1e-08)\n")
     assert err == ""
 
 

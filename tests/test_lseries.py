@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tq.lseries
-from helpers import l_one_series, narrow_class_number_and_regulator
+from helpers import even_table_that_is_no_character, l_one_series
 from tq.arith import is_squarefree, kronecker_symbol
 from tq.biquadratic import field_data, quad_field_disc
-from tq.errors import InputError
+from tq.errors import InputError, TqError
 from tq.invariant import leading_ratio_check
-from tq.lseries import l_one_logsin, l_prime_zero_lgamma, quad_char_values
+from tq.lseries import (l_one_logsin, l_prime_zero_lgamma,
+                        narrow_class_number_and_regulator, quad_char_values)
 
 
 def even_discs_up_to(bound):
@@ -124,10 +125,13 @@ def test_rejects_trivial_or_odd():
 
 
 @pytest.mark.parametrize("disc", [9, 16, 20, 25, 32, 45, 48])
-@pytest.mark.parametrize("evaluator", [l_one_logsin, l_prime_zero_lgamma, l_one_series])
+@pytest.mark.parametrize("evaluator", [l_one_logsin, l_prime_zero_lgamma, l_one_series,
+                                       narrow_class_number_and_regulator])
 def test_rejects_non_fundamental_discriminants(evaluator, disc):
     # their characters are not primitive: 9 gives the principal character
-    # mod 3, 20 the character of 5 lifted to modulus 20
+    # mod 3, 20 the character of 5 lifted to modulus 20; the forms of 20
+    # are those of an order of Q(sqrt 5), and a square has no reduced
+    # forms closed under rho
     with pytest.raises(InputError, match="fundamental"):
         evaluator(disc)
 
@@ -170,15 +174,30 @@ def test_evaluators_match_class_number_formula():
 def test_class_number_formula_rejects_an_even_table_that_is_no_character(monkeypatch):
     # swap a value 1 and a value -1 of chi_101 together with their
     # reflections: the table stays even, +-1 off 0, with zero sum, so the
-    # ratio check still passes, but neither sum is an L-value
+    # ratio of the two sums over it would still be 2/sqrt(101), but
+    # neither sum is an L-value, and the ratio check, which reads
+    # L'(0, chi) from the reduced forms, fails
     disc = 101
-    chi = list(quad_char_values(disc))
-    a, b = chi.index(1), chi.index(-1)
-    for n in (a, b, disc - a, disc - b):
-        chi[n] = -chi[n]
-    assert len({a, b, disc - a, disc - b}) == 4 and sum(chi) == 0
-    monkeypatch.setattr(tq.lseries, "quad_char_values", lambda d: tuple(chi))
-    assert leading_ratio_check("chi1", field_data(101, 2)).ok
+    chi = even_table_that_is_no_character(disc)
+    monkeypatch.setattr(tq.lseries, "quad_char_values", lambda d: chi)
+    ratio = l_one_logsin(disc) / l_prime_zero_lgamma(disc)
+    assert abs(ratio * ratio - 4 / disc) < 1e-12
+    assert not leading_ratio_check("chi1", field_data(101, 2)).ok
     # both miss the bound of test_evaluators_match_class_number_formula,
     # each by a relative error of 0.46
     assert min(class_number_formula_errors(disc)) > 4
+
+
+@pytest.mark.parametrize("disc", [-3, -4, -15, 0, 1])
+def test_forms_route_rejects_discriminants_below_two(disc):
+    # a negative disc would reach math.isqrt, which takes no negative int
+    with pytest.raises(InputError, match="fundamental"):
+        narrow_class_number_and_regulator(disc)
+
+
+def test_rho_leaving_the_reduced_forms_is_a_tq_error(monkeypatch):
+    # with the check on disc bypassed, rho at the square 25 reaches
+    # (-2, 5, 0), which is no reduced form: a TqError, not a KeyError
+    monkeypatch.setattr(tq.lseries, "_require_even_nontrivial", lambda disc: disc)
+    with pytest.raises(TqError, match="rho left the reduced forms of discriminant 25"):
+        narrow_class_number_and_regulator(25)

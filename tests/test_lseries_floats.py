@@ -10,6 +10,9 @@ the fixture with
     PYTHONPATH=src python tests/test_lseries_floats.py
 
 and review its diff.
+
+The pinned log-Gamma floats also check h+ R+ / 2 from the reduced forms,
+the L'(0, chi) that `leading_ratio_check` reads, over the same discs.
 """
 
 import json
@@ -19,7 +22,7 @@ import pytest
 
 from tq.arith import is_squarefree
 from tq.biquadratic import quad_field_disc
-from tq.lseries import l_one_logsin, l_prime_zero_lgamma
+from tq.lseries import l_one_logsin, l_prime_zero_lgamma, narrow_class_number_and_regulator
 
 FIXTURE = Path(__file__).parent / "fixtures" / "lseries_floats.json"
 
@@ -49,6 +52,19 @@ def test_fixture_covers_every_disc(pinned):
 @pytest.mark.parametrize("disc", DISCS)
 def test_evaluators_are_bit_identical(pinned, disc):
     assert current_floats(disc) == pinned[str(disc)]
+
+
+
+def test_class_number_formula_matches_the_pinned_log_gamma_floats(pinned):
+    # L'(0, chi) = h+ R+ / 2 from the reduced forms, which
+    # leading_ratio_check reads, against the pinned log-Gamma sum of every
+    # pinned disc, up to 15997, the top of the lseries benchmark's range,
+    # within the relative bound of test_evaluators_match_class_number_formula
+    assert len(pinned) == 130 and max(map(int, pinned)) == 15997
+    for disc, floats in pinned.items():
+        h, reg = narrow_class_number_and_regulator(int(disc))
+        l_prime = float.fromhex(floats["l_prime_zero_lgamma"])
+        assert abs(h * reg / 2 - l_prime) / l_prime <= 4 * int(disc) * 2.0 ** -52, disc
 
 
 if __name__ == "__main__":

@@ -26,6 +26,8 @@ KEPT = {
     "invariant.delta1_term": TRACED,
     "invariant.ts_representative": TRACED,
     "relk0.HomRep.inverse": TRACED,
+    "lseries.l_prime_zero_lgamma": TRACED + ", and tests/fixtures/lseries_floats.json "
+                                   "pins its floats",
     "invariant.field_verdict": ORACLE + ", and the verdict of one field without a report",
     "invariant.prime_unit": ORACLE,
     "relk0.induce_from_subgroup": CRITERION_7,
