@@ -127,8 +127,8 @@ def narrow_class_number_and_regulator(disc: int) -> tuple[int, float]:
     0 < b < sqrt(disc) and sqrt(disc) - b < 2|a| < sqrt(disc) + b, fall
     into cycles under rho, h+ is the number of cycles, and R+ is the sum
     of log((b + sqrt(disc)) / (2|a|)) over the cycle of the form with
-    a = 1.  By Dirichlet's class number formula, L(1, chi) = h+ R+ / sqrt(disc)
-    and L'(0, chi) = h+ R+ / 2."""
+    a = 1.  By Dirichlet's class number formula,
+    L(1, chi) = h+ R+ / sqrt(disc) and L'(0, chi) = h+ R+ / 2."""
     _require_even_nontrivial(disc)
     s = math.isqrt(disc)
     forms = set()

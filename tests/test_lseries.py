@@ -130,8 +130,8 @@ def test_rejects_trivial_or_odd():
 def test_rejects_non_fundamental_discriminants(evaluator, disc):
     # their characters are not primitive: 9 gives the principal character
     # mod 3, 20 the character of 5 lifted to modulus 20; the forms of 20
-    # are those of an order of Q(sqrt 5), and a square has no reduced
-    # forms closed under rho
+    # are those of an order of Q(sqrt 5), and at a square rho can reach a
+    # form with c = 0
     with pytest.raises(InputError, match="fundamental"):
         evaluator(disc)
 
