@@ -285,8 +285,6 @@ def leading_ratio_check(label: str, f: FieldData,
     formula, which reads no table: so the check tests that the table gives
     L(1, chi), not only that it is even with zero sum.  Both take a real
     field's discriminant only, and that is the conductor f(chi)."""
-    if label == "1":
-        raise InputError("the numeric check applies to nontrivial characters")
     disc = quad_field_disc(f.subfield_of(label))
     h, reg = narrow_class_number_and_regulator(disc)
     ratio = l_one_logsin(disc) / (h * reg / 2)

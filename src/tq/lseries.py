@@ -18,89 +18,67 @@ path, and its floats stay pinned with those of `l_one_logsin`.
 The tests validate the log-sine form against a direct summation of the
 defining series, kept with them (`l_one_series` in tests/helpers.py).
 
-`quad_char_values` is its own one-entry memo: it keeps the tuple
-chi(0..f-1) of the last disc only, so a check builds one table, both
-evaluators called on one disc in a row share it, and no caller can change
-the tuple another one reads.  The table is built from the primes of D
-alone: for n >= 1 the Kronecker symbol (D/n) is
-completely multiplicative in n and in its top argument D (H. Cohen, A
-Course in Computational Algebraic Number Theory, 1.4.2), so
-(D/n) = (-1/n)^[D<0] prod_{p^e || |D|} (p/n)^e, where:
-
-  * for even e, (p/n)^e is 0 at the multiples of p and 1 elsewhere;
-  * (2/n) has period 8: 0, 1, 0, -1, 0, -1, 0, 1;
-  * at an odd p, reciprocity gives (p/n) = (n/p) (-1/n)^[p = 3 mod 4], and
-    the Legendre symbol (n/p) has period p and is 1 at the squares a^2 mod
-    p, 1 <= a <= (p-1)/2 (K. Ireland and M. Rosen, A Classical Introduction
-    to Modern Number Theory, ch. 5);
-  * (-1/n) = chi_{-4}(n / 2^v2(n)) is not periodic, and is a factor when
-    [D<0] plus the number of odd p = 3 mod 4 with odd e is odd.
-
-The periods (8 or 2 at p = 2, p at an odd p) are coprime: the builder
-multiplies the tables into one of their product's period, repeats it to
-length f, negates by one slice per power of two where (-1/n) = -1, and sets
-entry 0 to `kronecker_symbol(D, 0)`.  The table equals the symbol at every
-n, so the evaluators' floats do not depend on how it is built.
+The table chi(0..D-1) is built from the prime discriminants of D (H. Cohen,
+A Course in Computational Algebraic Number Theory, ch. 5).  A fundamental
+discriminant D is the product of p* = (-1)^((p-1)/2) p over its odd primes
+p and of a 2-part D / prod p* in {1, -4, 8, -8}.  For any D > 1 that
+quotient is +-2^k prod p^(e-1), p^e || D, so D > 1 is fundamental exactly
+when the quotient is one of the four.  The Kronecker symbol (D/n) is
+multiplicative in D, so chi is the product of the characters of these
+factors: the 2-part's has period 1, 4 or 8, and (p*/n) is the Legendre
+symbol (n/p), of period p and 1 at the squares a^2 mod p,
+1 <= a <= (p-1)/2 (K. Ireland and M. Rosen, A Classical Introduction to
+Modern Number Theory, ch. 5).  The periods are coprime and multiply to D,
+so the table is their product by the Chinese remainder theorem.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import cycle, islice
-from operator import mul, neg
+from operator import mul
 
-from .arith import factorization, is_squarefree, kronecker_symbol
+from .arith import factorization
 from .errors import InputError, TqError
 
+# chi(0..period-1) of each 2-part of a fundamental discriminant
+_TWO_PARTS = {1: (1,), -4: (0, 1, 0, -1), 8: (0, 1, 0, -1, 0, -1, 0, 1),
+              -8: (0, 1, 0, 1, 0, -1, 0, -1)}
 
-@lru_cache(maxsize=1)
+
+def _prime_discriminants(disc: int) -> tuple[int, list[int]]:
+    """The 2-part disc / prod p* of disc and its odd primes p, with an
+    InputError unless disc > 1 is a fundamental discriminant."""
+    if disc > 1:
+        odd = [p for p in factorization(disc) if p > 2]
+        two = disc // math.prod(p if p % 4 == 1 else -p for p in odd)
+        if two in _TWO_PARTS:
+            return two, odd
+    raise InputError("need a positive fundamental discriminant > 1 "
+                     "(even nontrivial character)")
+
+
 def quad_char_values(disc: int) -> tuple[int, ...]:
-    """chi(0..f-1), f = |disc|, for any integer disc:
-    (kronecker_symbol(disc, n) for n in range(abs(disc))) as a tuple, built
-    from the primes of disc and kept for the last disc."""
-    f = abs(disc)
-    if f <= 1:
-        return (kronecker_symbol(disc, 0),) * f
-    vals = [1]
-    minus_one = disc < 0  # whether (-1/n) is a factor
-    for p, e in factorization(f).items():
-        if e % 2 == 0:
-            period = [0] + [1] * (p - 1)
-        elif p == 2:
-            period = [0, 1, 0, -1, 0, -1, 0, 1]
-        else:
-            period = [-1] * p
-            period[0] = 0
-            for a in range(1, p // 2 + 1):
-                period[a * a % p] = 1
-            minus_one ^= p % 4 == 3
-        if len(vals) > 1:  # the periods are coprime
-            period = list(islice(map(mul, cycle(vals), cycle(period)), len(vals) * len(period)))
-        vals = period
-    vals *= -(-f // len(vals))
-    del vals[f:]
-    q = 1
-    while minus_one and q < f:  # (-1/n) = -1 at n = q * m, m = 3 mod 4
-        vals[3 * q::4 * q] = map(neg, vals[3 * q::4 * q])
-        q *= 2
-    vals[0] = kronecker_symbol(disc, 0)
+    """chi(0..disc-1), the Kronecker symbols (disc/n), for a fundamental
+    discriminant disc > 1 (an InputError otherwise), as the product of the
+    characters of its prime discriminants."""
+    two, odd = _prime_discriminants(disc)
+    vals = _TWO_PARTS[two]
+    for p in odd:
+        legendre = [-1] * p
+        legendre[0] = 0
+        for a in range(1, p // 2 + 1):
+            legendre[a * a % p] = 1
+        # the periods are coprime, so one period of the product is len(vals) * p long
+        vals = legendre if len(vals) == 1 else list(
+            islice(map(mul, cycle(vals), cycle(legendre)), len(vals) * p))
     return tuple(vals)
-
-
-def _require_even_nontrivial(disc: int) -> int:
-    # fundamental: D = 1 mod 4 squarefree, or D = 4m, m = 2 or 3 mod 4 squarefree
-    if not (disc > 1 and (disc % 4 == 1 or disc % 16 in (8, 12))
-            and is_squarefree(disc if disc % 2 else disc // 4)):
-        raise InputError("need a positive fundamental discriminant > 1 "
-                         "(even nontrivial character)")
-    return disc
 
 
 def l_one_logsin(disc: int) -> float:
     """L(1, chi) by the finite log-sine closed form."""
-    f = _require_even_nontrivial(disc)
     chi = quad_char_values(disc)
+    f = len(chi)
     total = 0.0
     for a in range(1, f):
         if chi[a]:
@@ -110,8 +88,8 @@ def l_one_logsin(disc: int) -> float:
 
 def l_prime_zero_lgamma(disc: int) -> float:
     """L'(0, chi) by the log-Gamma closed form."""
-    f = _require_even_nontrivial(disc)
     chi = quad_char_values(disc)
+    f = len(chi)
     total = 0.0
     for a in range(1, f):
         if chi[a]:
@@ -129,7 +107,7 @@ def narrow_class_number_and_regulator(disc: int) -> tuple[int, float]:
     of log((b + sqrt(disc)) / (2|a|)) over the cycle of the form with
     a = 1.  By Dirichlet's class number formula,
     L(1, chi) = h+ R+ / sqrt(disc) and L'(0, chi) = h+ R+ / 2."""
-    _require_even_nontrivial(disc)
+    _prime_discriminants(disc)
     s = math.isqrt(disc)
     forms = set()
     for b in range(2 - disc % 2, s + 1, 2):  # b = disc mod 2, b^2 < disc

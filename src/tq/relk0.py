@@ -8,6 +8,7 @@ induction formula of acceptance criterion 7 (`induce_from_subgroup`)."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
@@ -23,14 +24,7 @@ def v2(q: Rational) -> int:
     if q == 0:
         raise InputError("v2(0) is undefined")
     n, d = q.numerator, q.denominator
-    val = 0
-    while n % 2 == 0:
-        n //= 2
-        val += 1
-    while d % 2 == 0:
-        d //= 2
-        val -= 1
-    return val
+    return (n & -n).bit_length() - (d & -d).bit_length()
 
 
 def odd_unit(n: int) -> int:
@@ -101,10 +95,7 @@ class HomRep:
 def torsion_class(h: HomRep) -> int:
     """Product of the four values, 2-power stripped, mod 4: the complete
     torsion invariant of the class represented by h, 1 or 3."""
-    prod = Fraction(1)
-    for v in h.as_tuple():
-        prod *= v
-    return odd_part_mod4(prod)
+    return odd_part_mod4(math.prod(h.as_tuple()))
 
 
 def _validate_subgroup(elements: Iterable[int]) -> frozenset[int]:

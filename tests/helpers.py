@@ -6,7 +6,7 @@ from math import gcd
 from tq.arith import is_prime, is_squarefree
 from tq.biquadratic import FieldData
 from tq.grouprings import V4_E, GroupRingElem, GroupRingMatrix
-from tq.lseries import _require_even_nontrivial, quad_char_values
+from tq.lseries import quad_char_values
 
 
 def odd_primes_up_to(bound: int) -> list[int]:
@@ -50,8 +50,8 @@ def l_one_series(disc: int, blocks: int = 2000) -> float:
     """L(1, chi) by direct series summation over complete periods, plus an
     analytic estimate of the tail (expansion of the block sums in inverse
     powers of the block index)."""
-    f = _require_even_nontrivial(disc)
     chi = quad_char_values(disc)
+    f = len(chi)
     total = 0.0
     for a in range(1, f):
         if chi[a]:

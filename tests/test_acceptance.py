@@ -17,7 +17,7 @@ from fractions import Fraction
 from helpers import l_one_series, odd_primes_up_to, squarefree_pairs
 from tq.biquadratic import field_data, local_galois, quad_field_disc, ramified_set
 from tq.invariant import (VERDICT_NONZERO, VERDICT_VANISHES,
-                               delta1_term, omega_loc_torsion,
+                               delta1_term, leading_ratio_check, omega_loc_torsion,
                                resolvent_factor_check, sweep)
 from tq.grouprings import V4_A, V4_AB, V4_B, V4_CHARS, V4_E
 from tq.localterms import (LatticeExponent, TameComplexSpec,
@@ -238,28 +238,34 @@ def test_criterion_7_induction():
 
 def test_criterion_8_analytic_oracle():
     t0 = time.time()
-    discs = set()
+    discs = {}  # conductor -> (label, field) of one character of it
     for d1, d2 in squarefree_pairs(30):
         f = field_data(d1, d2)
-        for d in f.subfields:
+        for label, d in f.char_to_subfield.items():
             disc = quad_field_disc(d)
             if 0 < disc <= 60:
-                discs.add(disc)
+                discs.setdefault(disc, (label, f))
     oracle_failures = []
     ratio_failures = []
-    for disc in sorted(discs):
+    check_failures = []
+    for disc, (label, f) in sorted(discs.items()):
         # validate the closed-form evaluators against direct series first
         if abs(l_one_series(disc) - l_one_logsin(disc)) > 1e-10:
             oracle_failures.append(disc)
         ratio = l_one_logsin(disc) / l_prime_zero_lgamma(disc)
         if abs(ratio * ratio - 4.0 / disc) >= 1e-8:
             ratio_failures.append(disc)
+        # the two sums' ratio passes on any even +-1 table with zero sum;
+        # the check divides L(1, chi) by h+ R+ / 2 from the reduced forms
+        if not leading_ratio_check(label, f).ok:
+            check_failures.append(disc)
     elapsed = time.time() - t0
-    ok = not oracle_failures and not ratio_failures and elapsed < 5.0
+    ok = not oracle_failures and not ratio_failures and not check_failures and elapsed < 5.0
     announce(8, ok, f"leading-coefficient ratio matches 4/f at 1e-8 for "
                     f"{len(discs)} conductors <= 60", f"{elapsed:.2f}s")
     assert not oracle_failures, f"series validation failed: {oracle_failures}"
     assert not ratio_failures, ratio_failures
+    assert not check_failures, check_failures
     assert elapsed < 5.0
 
 

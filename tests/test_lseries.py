@@ -1,10 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import tq.lseries
-from helpers import even_table_that_is_no_character, l_one_series
+from helpers import even_table_that_is_no_character, l_one_series, odd_primes_up_to
 from tq.arith import is_squarefree, kronecker_symbol
 from tq.biquadratic import field_data, quad_field_disc
 from tq.errors import InputError, TqError
@@ -24,6 +24,14 @@ def even_discs_up_to(bound):
     return sorted(set(out))
 
 
+def is_fundamental(disc):
+    """The definition of a fundamental discriminant, written out: disc = 1
+    mod 4 squarefree, or disc = 4m with m = 2 or 3 mod 4 squarefree."""
+    m = disc // 4
+    return (disc % 4 == 1 and is_squarefree(disc)
+            or disc % 4 == 0 and m % 4 in (2, 3) and is_squarefree(m))
+
+
 def test_quad_char_basics():
     chi = quad_char_values(5)
     assert list(chi[1:5]) == [1, -1, -1, 1]
@@ -39,46 +47,58 @@ def test_quad_char_basics():
     [*range(-7010, -6999), *range(7000, 7011)],
 ])
 def test_quad_char_values_equals_kronecker_table(discs):
-    # every integer, not only fundamental discriminants: negative ones,
-    # non-fundamental ones such as 12 and 48, 0 and +-1
-    for disc in discs:
+    # the fundamental discriminants > 1 of each range, every 2-part among them
+    for disc in [d for d in discs if d > 1 and is_fundamental(d)]:
         assert list(quad_char_values(disc)) == [kronecker_symbol(disc, n)
                                                 for n in range(abs(disc))], disc
+
+
+ODD_PRIMES = odd_primes_up_to(10 ** 5 // 8)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_quad_char_values_equals_kronecker_at_drawn_indices(data):
-    # disc = +-2^e s^2 m with m odd and |disc| <= 10^5: both signs, every
-    # power of two up to 2^5, odd square factors, and in m primes both 1
-    # and 3 mod 4, so that every factor of the table's build is drawn
-    e = data.draw(st.integers(0, 5), label="e")
-    s = data.draw(st.sampled_from([1, 3, 5, 7]), label="s")
-    scale = 2 ** e * s * s
-    m = 2 * data.draw(st.integers(0, (10 ** 5 // scale - 1) // 2), label="m") + 1
-    disc = data.draw(st.sampled_from([1, -1]), label="sign") * scale * m
+    # disc <= 10^5 drawn as a product of distinct prime discriminants:
+    # p* = (-1)^((p-1)/2) p at odd primes p, both 1 and 3 mod 4, and the
+    # 2-part 1, -4, 8 or -8 whose sign makes disc positive, so that every
+    # factor of the table's build is drawn
+    star, room = 1, 10 ** 5 // 8
+    for _ in range(data.draw(st.integers(0, 4), label="k")):
+        primes = [p for p in ODD_PRIMES if p <= room and star % p]
+        if not primes:
+            break
+        p = data.draw(st.sampled_from(primes), label="p")
+        star *= p if p % 4 == 1 else -p
+        room //= p
+    disc = star * data.draw(st.sampled_from([1, 8] if star > 0 else [-4, -8]), label="two")
+    assume(disc > 1)
     chi = quad_char_values(disc)
-    assert len(chi) == abs(disc)
-    ns = data.draw(st.lists(st.integers(0, abs(disc) - 1), min_size=1, max_size=40),
-                   label="n")
-    # and n = 3 * 2^k, where (-1/n) = -1 at every power of two
-    for n in ns + [3 << k for k in range(abs(disc).bit_length()) if 3 << k < abs(disc)]:
+    assert len(chi) == disc
+    ns = data.draw(st.lists(st.integers(0, disc - 1), min_size=1, max_size=40), label="n")
+    for n in ns:
         assert chi[n] == kronecker_symbol(disc, n), (disc, n)
 
 
 def test_quad_char_values_is_immutable():
-    # no caller can change the memoised table another one reads
+    # the table is a tuple, which no caller can change
     chi = quad_char_values(13)
     with pytest.raises(TypeError):
         chi[1:] = [0] * 12
     assert list(quad_char_values(13)) == [kronecker_symbol(13, n) for n in range(13)]
 
 
-def test_leading_ratio_check_builds_one_table():
-    quad_char_values.cache_clear()
+def test_leading_ratio_check_builds_one_table(monkeypatch):
+    # and factors D once in each of its two evaluators
+    builds, factored = [], []
+    table, factorization = tq.lseries.quad_char_values, tq.lseries.factorization
+    monkeypatch.setattr(tq.lseries, "quad_char_values",
+                        lambda disc: builds.append(disc) or table(disc))
+    monkeypatch.setattr(tq.lseries, "factorization",
+                        lambda n: factored.append(n) or factorization(n))
     check = leading_ratio_check("chi1", field_data(8005, 3))
     assert check.ok
-    assert quad_char_values.cache_info().misses == 1
+    assert builds == [8005] and factored == [8005, 8005]
 
 
 def test_character_even_and_periodic():
@@ -125,8 +145,8 @@ def test_rejects_trivial_or_odd():
 
 
 @pytest.mark.parametrize("disc", [9, 16, 20, 25, 32, 45, 48])
-@pytest.mark.parametrize("evaluator", [l_one_logsin, l_prime_zero_lgamma, l_one_series,
-                                       narrow_class_number_and_regulator])
+@pytest.mark.parametrize("evaluator", [quad_char_values, l_one_logsin, l_prime_zero_lgamma,
+                                       l_one_series, narrow_class_number_and_regulator])
 def test_rejects_non_fundamental_discriminants(evaluator, disc):
     # their characters are not primitive: 9 gives the principal character
     # mod 3, 20 the character of 5 lifted to modulus 20; the forms of 20
@@ -198,6 +218,38 @@ def test_forms_route_rejects_discriminants_below_two(disc):
 def test_rho_leaving_the_reduced_forms_is_a_tq_error(monkeypatch):
     # with the check on disc bypassed, rho at the square 25 reaches
     # (-2, 5, 0), which is no reduced form: a TqError, not a KeyError
-    monkeypatch.setattr(tq.lseries, "_require_even_nontrivial", lambda disc: disc)
+    monkeypatch.setattr(tq.lseries, "_prime_discriminants", lambda disc: (1, []))
     with pytest.raises(TqError, match="rho left the reduced forms of discriminant 25"):
         narrow_class_number_and_regulator(25)
+
+
+class Accepted(Exception):
+    """A route's check passed."""
+
+
+def test_every_route_accepts_exactly_the_fundamental_discriminants(monkeypatch):
+    # the check stops each route once it passes, so that no table of the
+    # 12000-odd fundamental discriminants up to 40000 is built; a route
+    # that ran past it without the check would fail here
+    check = tq.lseries._prime_discriminants
+
+    def stop_when_accepted(disc):
+        check(disc)
+        raise Accepted
+
+    monkeypatch.setattr(tq.lseries, "_prime_discriminants", stop_when_accepted)
+    discs = range(-50, 40001)
+    expected = [disc for disc in discs if disc > 1 and is_fundamental(disc)]
+    for route in (quad_char_values, l_one_logsin, l_prime_zero_lgamma,
+                  narrow_class_number_and_regulator):
+        accepted = []
+        for disc in discs:
+            try:
+                route(disc)
+            except Accepted:
+                accepted.append(disc)
+            except InputError:
+                continue
+            else:
+                pytest.fail(f"{route.__name__}({disc}) ran without its check")
+        assert accepted == expected, route.__name__
