@@ -1,5 +1,6 @@
 """Elementary number-theoretic helpers: primality, factoring, squarefree
-kernels, Kronecker symbols.  Everything here is exact integer arithmetic."""
+kernels, Kronecker symbols and Hilbert symbols.  Everything here is exact
+integer arithmetic."""
 
 from __future__ import annotations
 
@@ -154,3 +155,35 @@ def kronecker_symbol(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
+
+
+def hilbert_symbol(a: int, b: int, p: int) -> int:
+    """The Hilbert symbol (a, b)_p, 1 or -1, of nonzero integers a, b at a
+    prime p (Serre, A Course in Arithmetic, ch. III, Thm. 1).  With
+    a = p^al u and b = p^be v, u and v prime to p, it is
+    (-1)^(al be (p - 1)/2) (u/p)^be (v/p)^al at an odd p, and
+    (-1)^(e(u) e(v) + al w(v) + be w(u)) at 2, where e(u) = (u - 1)/2 and
+    w(u) = (u^2 - 1)/8, both mod 2 read from u mod 8.  p is not checked
+    for primality; InputError when a or b is 0 or p < 2, where the powers
+    of p would never all split off."""
+    if a == 0 or b == 0 or p < 2:
+        raise InputError(f"the Hilbert symbol ({a}, {b})_{p} needs nonzero "
+                         f"a, b and a prime p")
+    al = be = 0
+    while a % p == 0:
+        a //= p
+        al += 1
+    while b % p == 0:
+        b //= p
+        be += 1
+    if p == 2:
+        u, v = a % 8, b % 8
+        e = ((u - 1) // 2 * ((v - 1) // 2)
+             + al * (v * v - 1) // 8 + be * (u * u - 1) // 8)
+        return -1 if e % 2 else 1
+    s = -1 if al * be % 2 and p % 4 == 3 else 1
+    if be % 2:
+        s *= kronecker_symbol(a, p)
+    if al % 2:
+        s *= kronecker_symbol(b, p)
+    return s

@@ -10,12 +10,13 @@ from its signs by the closed rule those parts reduce to, 3 exactly when
 D = V4 and I != V4 (`prime_unit`), and multiplies the units to the
 verdict of one field (`_field_unit`).  `sweep` decides a whole row of
 fields at once, as int bitmasks, by the parity law that this rule gives
-through Hilbert reciprocity, reading no prime's signs.  A report takes
-extra primes of S and a lattice, which change values it shows; the
-verdict paths take neither, since neither choice can change a unit.  Plus
-the analytic cross-check (the ratio L*(1)/L*(0) squared, numerically,
-against its exact value) and the standalone resolvent quotient check for the
-supported shapes of the completion at 2.
+through Hilbert reciprocity, reading no prime's signs: the law's 2-adic
+symbol is `arith.hilbert_symbol` on the classes of d1 and d2 at 2.  A
+report takes extra primes of S and a lattice, which change values it
+shows; the verdict paths take neither, since neither choice can change a
+unit.  Plus the analytic cross-check (the ratio L*(1)/L*(0) squared,
+numerically, against its exact value) and the standalone resolvent
+quotient check for the supported shapes of the completion at 2.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .arith import is_prime
+from .arith import hilbert_symbol, is_prime
 from .biquadratic import (FieldData, PrimeLocalData, _euler, _frob_det,
                           artin_conductor, euler_factor, field_and_ramified_set,
                           frob_signs, full_decomposition, local_data, local_galois,
@@ -365,18 +366,6 @@ def _squarefree_masks(dmax: int) -> tuple[list[int], list[list[int]], dict[int, 
     return ds, q3, div
 
 
-def _hilbert2(c1: int, c2: int) -> int:
-    """The 2-adic Hilbert symbol (d1, d2)_2 of d1, d2 of classes c1, c2 at 2
-    (d mod 8, or mod 16 when d is even): with d1 = 2^a u and d2 = 2^b v,
-    u and v odd, it is (-1)^(e(u) e(v) + a w(v) + b w(u)), where
-    e(u) = (u - 1)/2 and w(u) = (u^2 - 1)/8 (Serre, A Course in Arithmetic,
-    ch. III, Thm. 1), and the class holds a and u mod 8."""
-    a, u = (0, c1) if c1 % 2 else (1, c1 // 2)
-    b, v = (0, c2) if c2 % 2 else (1, c2 // 2)
-    e = (u - 1) // 2 * ((v - 1) // 2) + a * (v * v - 1) // 8 + b * (u * u - 1) // 8
-    return -1 if e % 2 else 1
-
-
 def sweep(dmax: int) -> SweepSummary:
     """Decide every squarefree pair 1 < d1 < d2 <= dmax one row d2 at a
     time, the d1 being the bits of ints (bit i for the i-th squarefree d),
@@ -387,10 +376,13 @@ def sweep(dmax: int) -> SweepSummary:
     at 2 (d mod 8, or mod 16 when d is even): `adm` is every d1 when d2 is
     1 mod 8, else the d1 of class 1 or of d2's class.  An admissible field
     is nonzero exactly when (d1, d2)_2 chi_-4(g) = -1, g the odd part of
-    gcd(d1, d2): `flip` is the d1 of the classes whose `_hilbert2` with
-    d2's is -1, XORed with the d1 that each prime q = 3 mod 4 of d2
-    divides.  Nonzero torsion, `flip & adm`, is collected for prominent
-    reporting: it means the predicted universal vanishing fails."""
+    gcd(d1, d2): `flip` is the d1 of the classes c1 with
+    `hilbert_symbol(c1, c2, 2)` = -1, c2 being d2's class, XORed with the
+    d1 that each prime q = 3 mod 4 of d2 divides.  A class is itself a
+    representative of its d modulo squares of Q2*, as d / c is 1 mod 8, so
+    the symbol is read on the 8 x 8 classes once per sweep.  Nonzero
+    torsion, `flip & adm`, is collected for prominent reporting: it means
+    the predicted universal vanishing fails."""
     if dmax < 3:
         raise InputError("dmax must be at least 3")
     # q3[j]: the primes q = 3 mod 4 that divide ds[j]; div[q]: the d that q divides
@@ -399,7 +391,7 @@ def sweep(dmax: int) -> SweepSummary:
     of_class = dict.fromkeys((1, 3, 5, 7, 2, 6, 10, 14), 0)  # class -> its d
     for i, c in enumerate(cls):
         of_class[c] |= 1 << i
-    hilbert = {c2: sum(m for c1, m in of_class.items() if _hilbert2(c1, c2) < 0)
+    hilbert = {c2: sum(m for c1, m in of_class.items() if hilbert_symbol(c1, c2, 2) < 0)
                for c2 in of_class}  # class of d2 -> the d1 with (d1, d2)_2 = -1
     counts = dict.fromkeys((VERDICT_VANISHES, VERDICT_NONZERO, VERDICT_INADMISSIBLE), 0)
     nonzero_fields = []

@@ -6,8 +6,9 @@ import pytest
 
 from helpers import odd_primes_up_to
 from tq import arith
-from tq.arith import (MR_BOUND, factorization, is_prime, is_squarefree,
-                      kronecker_symbol, prime_factors, squarefree_kernel)
+from tq.arith import (MR_BOUND, factorization, hilbert_symbol, is_prime,
+                      is_squarefree, kronecker_symbol, prime_factors,
+                      squarefree_kernel)
 from tq.errors import InputError
 
 
@@ -173,3 +174,60 @@ def test_kronecker_periodicity_mod_conductor():
             if n % 2 == 1 or disc % 2 == 1:
                 assert (kronecker_symbol(disc, n)
                         == kronecker_symbol(disc, n + disc)), (disc, n)
+
+
+def primitive_zero_mod(a, b, p, k):
+    """Whether z^2 = a x^2 + b y^2 has a solution mod p^k with x, y, z not
+    all divisible by p, read from the squares mod p^k, each marked by
+    whether it is the square of a unit."""
+    m = p ** k
+    squares = {(x * x % m, x % p != 0) for x in range(m)}
+    unit_squares = {sq for sq, unit in squares if unit}
+    all_squares = {sq for sq, _ in squares}
+    return any((a * sx + b * sy) % m in (all_squares if ux or uy else unit_squares)
+               for sx, ux in squares for sy, uy in squares)
+
+
+def test_hilbert_symbol_is_its_definition():
+    """(a, b)_p = 1 exactly when z^2 = a x^2 + b y^2 has a nonzero
+    solution in Q_p, checked by brute force for squarefree 0 < |a|, |b| <= 30
+    at p = 2, 3, 5 and 7 on primitive solutions mod p^k, k = 4 at 2 and
+    k = 2 at odd p.  A zero in Q_p, scaled to be primitive, reduces to one
+    mod p^k.  Conversely, by Hensel's lemma (Serre, A Course in Arithmetic,
+    ch. II, 2.2, Cor. 2 of Thm. 1) a zero mod p^n lifts to Z_p when some
+    partial derivative 2z, 2ax, 2by has valuation j with 2j < n.  For
+    squarefree a, b a primitive zero mod p^k has one unless p divides z and
+    the coefficient of each unit among x, y.  If p divides one coefficient
+    only, the other variable is then divisible by p too, and the zero fails
+    mod p^2 (mod 4 at 2) by one power of p; if p divides both, the form
+    divided by p, a' x^2 + b' y^2 - p z'^2, has such a derivative at the
+    zero mod p^(k-1).  One power of p fewer does not suffice: mod 8,
+    (2, 6)_2 = -1 has a primitive zero, and mod 3 so does (2, 3)_3 = -1."""
+    ds = [d for n in range(1, 31) if is_squarefree(n) for d in (n, -n)]
+    for p, k in ((2, 4), (3, 2), (5, 2), (7, 2)):
+        for a in ds:
+            for b in ds:
+                assert (hilbert_symbol(a, b, p) == 1) == primitive_zero_mod(a, b, p, k), \
+                    (a, b, p)
+    assert primitive_zero_mod(2, 6, 2, 3) and hilbert_symbol(2, 6, 2) == -1
+    assert primitive_zero_mod(2, 3, 3, 1) and hilbert_symbol(2, 3, 3) == -1
+
+
+def test_hilbert_symbol_product_formula():
+    """Hilbert reciprocity (Serre, ch. III, Thm. 3): for every nonzero a, b
+    in [-60, 60], squares and powers of p included, the product of
+    (a, b)_p over the primes p of 2ab, where alone it can be -1, and of
+    (a, b)_inf, -1 exactly when a and b are both negative, is 1."""
+    for a in range(-60, 61):
+        for b in range(-60, 61):
+            if a and b:
+                at_inf = -1 if a < 0 and b < 0 else 1
+                assert at_inf * math.prod(hilbert_symbol(a, b, p)
+                                          for p in prime_factors(2 * a * b)) == 1, (a, b)
+
+
+@pytest.mark.parametrize("a, b, p", [(0, 3, 3), (5, 0, 2), (0, 0, 5),
+                                     (3, 5, 1), (3, 5, 0), (3, 5, -3)])
+def test_hilbert_symbol_rejects_zero_and_p_below_2(a, b, p):
+    with pytest.raises(InputError, match="Hilbert symbol"):
+        hilbert_symbol(a, b, p)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import odd_primes_up_to, squarefree_pairs
-from tq.arith import is_prime, is_squarefree
+from tq.arith import (hilbert_symbol, is_prime, is_squarefree, kronecker_symbol,
+                      prime_factors)
 from tq.biquadratic import (D_BOUND, artin_conductor, euler_factor,
                             FieldData, field_data, frob_signs, quad_field_disc,
                             full_decomposition, local_data, local_galois,
@@ -16,7 +17,7 @@ from tq.invariant import (INADMISSIBLE_NOTE, VERDICT_INADMISSIBLE,
                                field_verdict, leading_ratio_check,
                                omega_loc_torsion, prime_parts, prime_unit,
                                resolvent_factor_check, sweep, ts_representative,
-                               _hilbert2, _parts_unit)
+                               _parts_unit)
 from tq.errors import InputError, UnsupportedGroupError
 from tq.grouprings import V4_CHARS
 from tq.localterms import LatticeExponent, local_term_closed_form
@@ -666,31 +667,13 @@ def test_sweep_100_reads_no_prime_signs_and_no_prime_unit(monkeypatch):
     assert {"frob_signs", "full_decomposition", "prime_unit"} <= set(calls)
 
 
-def hilbert_odd(a, b, p):
-    """(a, b)_p at an odd prime p for nonzero ints a, b: with a = p^al u and
-    b = p^be v, (-1)^(al be (p-1)/2) (u/p)^be (v/p)^al, each Legendre
-    symbol by Euler's criterion."""
-    def split(n):
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        return k, n
-
-    def legendre(n):
-        return 1 if pow(n, (p - 1) // 2, p) == 1 else -1
-    (al, u), (be, v) = split(a), split(b)
-    return ((-1) ** (al * be * (p - 1) // 2)
-            * legendre(u) ** be * legendre(v) ** al)
-
-
 def test_class_hilbert_symbol_matches_product_formula():
-    """`_hilbert2` on the classes at 2 (d mod 8, or mod 16 when d is even)
-    of every squarefree 1 < d1, d2 <= 300, against the product formula:
-    for d1, d2 > 0, (d1, d2)_inf = 1, so (d1, d2)_2 is the product over the
-    odd primes p of (d1, d2)_p, which is 1 unless p divides d1 d2.  All 64
-    pairs of classes occur, each class with at least 10 d."""
-    from tq.invariant import _hilbert2
+    """`hilbert_symbol` at 2 on the classes at 2 (d mod 8, or mod 16 when
+    d is even), as `sweep` reads it, of every squarefree 1 < d1, d2 <= 300,
+    against the product formula: for d1, d2 > 0, (d1, d2)_inf = 1, so
+    (d1, d2)_2 is the product over the odd primes p of (d1, d2)_p, which is
+    1 unless p divides d1 d2.  All 64 pairs of classes occur, each class
+    with at least 10 d."""
     ds = [d for d in range(2, 301) if is_squarefree(d)]
     primes = odd_primes_up_to(300)
 
@@ -703,9 +686,9 @@ def test_class_hilbert_symbol_matches_product_formula():
     assert min(len(v) for v in by_class.values()) >= 10
     for d1 in ds:
         for d2 in ds:
-            expected = math.prod(hilbert_odd(d1, d2, p) for p in primes
+            expected = math.prod(hilbert_symbol(d1, d2, p) for p in primes
                                  if d1 * d2 % p == 0)
-            assert _hilbert2(cls(d1), cls(d2)) == expected, (d1, d2)
+            assert hilbert_symbol(cls(d1), cls(d2), 2) == expected, (d1, d2)
 
 
 SWEEP_3000_JSON_SHA256 = (
@@ -836,20 +819,6 @@ def test_imaginary_field_is_rejected():
 
 # ---------- sweep ----------
 
-def hilbert2(a, b):
-    def split(n):
-        k = 0
-        while n % 2 == 0:
-            n //= 2
-            k += 1
-        return k, n
-    al, u = split(a)
-    bl, v = split(b)
-    e = (((u - 1) // 2) * ((v - 1) // 2)
-         + al * ((v * v - 1) // 8) + bl * ((u * u - 1) // 8))
-    return -1 if e % 2 else 1
-
-
 def parity_prediction(d1, d2):
     """The nonzero-torsion fields are exactly those where the 2-adic
     Hilbert symbol of (d1, d2) times (-1 / odd part of gcd) is -1."""
@@ -858,7 +827,7 @@ def parity_prediction(d1, d2):
     while g % 2 == 0:
         g //= 2
     chi4 = 1 if g % 4 == 1 else -1
-    return hilbert2(d1, d2) * chi4
+    return hilbert_symbol(d1, d2, 2) * chi4
 
 
 def test_sweep_20_counts_and_parity():
@@ -963,11 +932,43 @@ def test_hilbert2_is_the_chi4_product_on_supported_classes():
                     admissible = field_verdict(d1, d2) != VERDICT_INADMISSIBLE
                     kinds.add((supported, admissible))
                     if supported and admissible:
-                        symbols[c1, c2] = _hilbert2(c1, c2)
+                        symbols[c1, c2] = hilbert_symbol(c1, c2, 2)
                         assert symbols[c1, c2] == (chi_minus4_of_odd_part(d1)
                                                    * chi_minus4_of_odd_part(d2)), (d1, d2)
             assert len(kinds) == 1, (c1, c2, kinds)
     assert symbols == {(1, 2): 1, (1, 10): 1, (2, 2): 1, (10, 10): 1}
+
+
+def test_parity_law_holds_at_each_odd_prime_on_its_24_local_types():
+    """The parity law one odd ramified prime p at a time, as a finite check
+    (notes/decisions.md, "The verdict and the parity law").  The local type
+    of (d1, d2, p) is whether p divides d1 only, d2 only or both; p mod 4;
+    and the Legendre symbols at p of the p-free parts u1, u2 of d1 and d2:
+    24 types.  p's Frobenius signs are (0, (u2/p), 0), ((u1/p), 0, 0) or
+    (0, 0, (u1 u2/p)), and (d1, d2)_p chi_-4(p)^[p | gcd] reads p's
+    valuations in d1 and d2, p mod 4 and the same two symbols, so both
+    sides are functions of the type.  On two representatives of each
+    type, the first by d2, d1 and p, `prime_unit` is 3 exactly when
+    (d1, d2)_p chi_-4(p)^[p | gcd] = -1, and one unit per type: so the
+    identity holds at every odd ramified prime of every field."""
+    reps = {}  # type -> its first two (d1, d2, d3, p)
+    for d1, d2 in squarefree_pairs(60):
+        d3 = d1 * d2 // math.gcd(d1, d2) ** 2
+        for p in prime_factors(d1 * d2):
+            if p == 2:
+                continue
+            divides = (d1 % p == 0, d2 % p == 0)
+            u1, u2 = (d // p if k else d for d, k in zip((d1, d2), divides))
+            kind = (divides, p % 4, kronecker_symbol(u1, p), kronecker_symbol(u2, p))
+            if len(reps.setdefault(kind, [])) < 2:
+                reps[kind].append((d1, d2, d3, p))
+    assert len(reps) == 24 and all(len(r) == 2 for r in reps.values())
+    for (divides, p_mod_4, _, _), instances in reps.items():
+        chi4 = -1 if all(divides) and p_mod_4 == 3 else 1
+        units = {prime_unit(p, frob_signs(d1, d2, d3, p)) for d1, d2, d3, p in instances}
+        laws = {hilbert_symbol(d1, d2, p) * chi4 for d1, d2, _, p in instances}
+        assert len(units) == len(laws) == 1, instances
+        assert (units == {3}) == (laws == {-1}), instances
 
 
 def next_prime(n):
@@ -999,11 +1000,13 @@ def squarefree_pairs_to_1e18(draw):
 @given(squarefree_pairs_to_1e18())
 def test_verdict_follows_parity_law_up_to_1e18(drawn):
     """`omega_loc_torsion`'s verdict is the README's law on squarefree
-    pairs up to D_BOUND = 10**18, well past every sweep test.  The law's
-    2-adic symbol is checked first against the product formula, by
-    Legendre symbols at the primes of d1 d2."""
+    pairs up to D_BOUND = 10**18, well past every sweep test, a cross-check
+    of the per-type proof above.  The law's 2-adic symbol is checked first
+    against the product formula, by the symbols at the odd primes of
+    d1 d2."""
     d1, d2, primes = drawn
-    assert hilbert2(d1, d2) == math.prod(hilbert_odd(d1, d2, p) for p in primes if p != 2)
+    assert hilbert_symbol(d1, d2, 2) == math.prod(hilbert_symbol(d1, d2, p)
+                                                  for p in primes if p != 2)
     assert omega_loc_torsion(d1, d2).verdict == parity_law_verdict(d1, d2)
 
 
