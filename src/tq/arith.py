@@ -1,6 +1,6 @@
 """Elementary number-theoretic helpers: primality, factoring, squarefree
-kernels, Kronecker symbols and Hilbert symbols.  Everything here is exact
-integer arithmetic."""
+kernels, Jacobi symbols at odd moduli and Hilbert symbols.  Everything
+here is exact integer arithmetic."""
 
 from __future__ import annotations
 
@@ -124,27 +124,12 @@ def prime_factors(n: int) -> list[int]:
 
 
 def kronecker_symbol(a: int, n: int) -> int:
-    """Kronecker symbol (a/n), defined for every integer n."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -1
-    # factor out 2s from n
-    t = 0
-    while n % 2 == 0:
-        n //= 2
-        t += 1
-    if t:
-        if a % 2 == 0:
-            return 0
-        if t % 2 == 1 and a % 8 in (3, 5):
-            sign = -sign
-    # now n odd positive: Jacobi symbol with reciprocity
+    """The Jacobi symbol (a/n) at an odd n > 0, by quadratic reciprocity:
+    the Legendre symbol when n is prime.  InputError at any other n."""
+    if n < 1 or n % 2 == 0:
+        raise InputError(f"({a}/{n}) is taken only at an odd n > 0")
     a %= n
-    result = sign
+    result = 1
     while a != 0:
         while a % 2 == 0:
             a //= 2

@@ -5,9 +5,10 @@ Gal(E/Q), identified with V4 so that
     a flips sqrt(d1),  b flips sqrt(d2),
 
 hence chi1 = chi_{d1}, chi2 = chi_{d2}, chi1chi2 = chi_{d3} where d3 is the
-squarefree kernel of d1*d2.  Everything is decided by Kronecker symbols; no
-ideal factorization is needed for quadratic subfields, and only d1 and d2
-are ever factored, never their product.
+squarefree kernel of d1*d2.  Everything is decided by d mod 8 at 2 and by
+Legendre symbols (d/p) at odd p; no ideal factorization is needed for
+quadratic subfields, and only d1 and d2 are ever factored, never their
+product.
 
 The local data at p depends on the field only through the Frobenius signs
 s of p in Q(sqrt(d1)), Q(sqrt(d2)), Q(sqrt(d3)) (`frob_signs`), s = 1 for
@@ -150,16 +151,17 @@ def local_data(p: int, signs: tuple[int, int, int]) -> PrimeLocalData:
 def frob_signs(d1: int, d2: int, d3: int, p: int) -> tuple[int, int, int]:
     """The quadratic characters of Q(sqrt(d1)), Q(sqrt(d2)), Q(sqrt(d3)) at
     Frob_p: 1 where p splits, -1 where it is inert, 0 where it ramifies.
-    An odd p ramifies where it divides d; where it divides neither d1 nor
-    d2, chi_{d3}(p) = chi_{d1}(p) chi_{d2}(p), as d3 = d1 d2 / gcd^2."""
+    An odd p ramifies where it divides d, and is otherwise read from the
+    Legendre symbol (d/p), which is (disc/p) as (4/p) = 1; where p divides
+    neither d1 nor d2, chi_{d3}(p) = chi_{d1}(p) chi_{d2}(p), as
+    d3 = d1 d2 / gcd^2."""
     if p == 2:
         return tuple(0 if quad_field_disc(d) % 2 == 0 else 1 if d % 8 == 1 else -1
                      for d in (d1, d2, d3))
-    s1, s2 = (0 if d % p == 0 else kronecker_symbol(quad_field_disc(d), p)
-              for d in (d1, d2))
+    s1, s2 = (0 if d % p == 0 else kronecker_symbol(d, p) for d in (d1, d2))
     if s1 and s2:
         return s1, s2, s1 * s2
-    return s1, s2, 0 if d3 % p == 0 else kronecker_symbol(quad_field_disc(d3), p)
+    return s1, s2, 0 if d3 % p == 0 else kronecker_symbol(d3, p)
 
 
 def sign_facts(signs: tuple[int, int, int]) -> tuple[int, list[tuple[int, int, int]]]:
@@ -218,8 +220,8 @@ def _frob_det(dim_i: int, dim_d: int, frob: int):
 
 
 def artin_conductor(label: str, f: FieldData) -> int:
-    """1 for the trivial character, else the absolute discriminant of the
+    """1 for the trivial character, else the discriminant of the real
     quadratic subfield cut out by the character of this label."""
     if label == "1":
         return 1
-    return abs(quad_field_disc(f.subfield_of(label)))
+    return quad_field_disc(f.subfield_of(label))

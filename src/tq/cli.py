@@ -201,7 +201,7 @@ def cmd_lemma38(args) -> int:
     for d in range(2, args.conductor_max + 1):
         if not is_squarefree(d):
             continue
-        cond = abs(quad_field_disc(d))
+        cond = quad_field_disc(d)
         if cond > args.conductor_max:
             continue
         f = field_data(2, d) if d != 2 else field_data(2, 3)

@@ -4,7 +4,7 @@ it needs them."""
 from math import gcd
 
 from tq.arith import is_prime, is_squarefree
-from tq.biquadratic import FieldData
+from tq.biquadratic import FieldData, quad_field_disc
 from tq.grouprings import V4_E, GroupRingElem, GroupRingMatrix
 from tq.lseries import quad_char_values
 
@@ -12,6 +12,13 @@ from tq.lseries import quad_char_values
 def odd_primes_up_to(bound: int) -> list[int]:
     """The odd primes p <= bound, in increasing order."""
     return [p for p in range(3, bound + 1, 2) if is_prime(p)]
+
+
+def real_fundamental_discs(bound: int) -> list[int]:
+    """The fundamental discriminants of real quadratic fields up to bound,
+    in increasing order."""
+    return sorted({quad_field_disc(d) for d in range(2, bound + 1)
+                   if is_squarefree(d) and quad_field_disc(d) <= bound})
 
 
 def identity_matrix(n: int) -> GroupRingMatrix:

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 
 import pytest
+from sympy.external.ntheory import kronecker
 
 from helpers import odd_primes_up_to
 from tq import arith
@@ -131,25 +132,6 @@ def test_kronecker_matches_legendre_at_odd_primes():
             assert kronecker_symbol(a, p) == brute_legendre(a, p), (a, p)
 
 
-def test_euler_criterion_matches_kronecker_at_odd_primes():
-    """For primes p, q < 1000 with p odd and q != p, q^((p-1)/2) is -1 mod p
-    exactly when (q/p) = -1: the test `invariant.sweep` makes for its table
-    of Legendre symbols."""
-    primes = [2] + odd_primes_up_to(1000)
-    for p in primes[1:]:
-        for q in primes:
-            if q != p:
-                assert ((pow(q, p >> 1, p) == p - 1)
-                        == (kronecker_symbol(q, p) == -1)), (p, q)
-
-
-def test_kronecker_at_two():
-    # (a/2) = 0 for even a, +1 for a = +-1 mod 8, -1 for a = +-3 mod 8
-    for a in range(-20, 21):
-        expected = 0 if a % 2 == 0 else (1 if a % 8 in (1, 7) else -1)
-        assert kronecker_symbol(a, 2) == expected, a
-
-
 def test_kronecker_multiplicative_in_denominator():
     for a in (3, 5, -7, 11, 15):
         for m in (3, 5, 7, 9, 15):
@@ -158,22 +140,33 @@ def test_kronecker_multiplicative_in_denominator():
                         == kronecker_symbol(a, m) * kronecker_symbol(a, n))
 
 
-def test_kronecker_negative_denominator_matches_sympy():
-    """(a/n) for n < 0, the branch that no field reaches, against sympy's
-    independent implementation."""
-    from sympy.functions.combinatorial.numbers import kronecker_symbol as oracle
-    for a in range(-40, 41):
-        for n in range(-40, 0):
-            assert kronecker_symbol(a, n) == oracle(a, n), (a, n)
+# the primes of the reach line near 10^18, and the largest prime below
+# MR_BOUND, the largest extra prime that `--extra-s` accepts
+REACH_PRIMES = (999_999_999_999_999_989, 999_999_999_999_999_877,
+                3_317_044_064_679_887_385_961_813)
 
 
-def test_kronecker_periodicity_mod_conductor():
-    # values of (D/.) depend only on n mod D for fundamental discriminants
-    for disc in (5, 8, 12, 13, 17, 21, 24):
-        for n in range(1, 3 * disc):
-            if n % 2 == 1 or disc % 2 == 1:
-                assert (kronecker_symbol(disc, n)
-                        == kronecker_symbol(disc, n + disc)), (disc, n)
+def test_kronecker_matches_sympy_at_the_moduli_tq_reaches():
+    """(a/n) against sympy's Kronecker symbol at the largest primes that
+    `tq` reaches and at odd composites, for a of either sign, small and
+    near n, and multiples of a prime of n."""
+    rng = random.Random(39)
+    moduli = REACH_PRIMES + (3 * 5 * 7 * 11 * 13, 9 * 25 * 49, 3 ** 15,
+                             REACH_PRIMES[0] * REACH_PRIMES[1], 1009 * REACH_PRIMES[2])
+    values = []
+    for n in moduli:
+        numerators = ([*range(-12, 13), n - 1, n + 2, 3 * n, -n, *REACH_PRIMES]
+                      + [rng.randrange(-n, n) for _ in range(40)])
+        for a in numerators:
+            values.append(kronecker_symbol(a, n))
+            assert values[-1] == kronecker(a, n), (a, n)
+    assert set(values) == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("n", [0, -3, 2, 8])
+def test_kronecker_rejects_n_that_is_not_odd_and_positive(n):
+    with pytest.raises(InputError):
+        kronecker_symbol(5, n)
 
 
 def primitive_zero_mod(a, b, p, k):

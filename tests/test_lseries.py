@@ -2,26 +2,17 @@ import math
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from sympy.external.ntheory import kronecker
 
 import tq.lseries
-from helpers import even_table_that_is_no_character, l_one_series, odd_primes_up_to
-from tq.arith import is_squarefree, kronecker_symbol
-from tq.biquadratic import field_data, quad_field_disc
+from helpers import (even_table_that_is_no_character, l_one_series, odd_primes_up_to,
+                     real_fundamental_discs)
+from tq.arith import is_squarefree
+from tq.biquadratic import field_data
 from tq.errors import InputError, TqError
 from tq.invariant import leading_ratio_check
 from tq.lseries import (l_one_logsin, l_prime_zero_lgamma,
                         narrow_class_number_and_regulator, quad_char_values)
-
-
-def even_discs_up_to(bound):
-    """Fundamental discriminants of real quadratic fields up to bound."""
-    out = []
-    for d in range(2, bound + 1):
-        if is_squarefree(d):
-            disc = quad_field_disc(d)
-            if disc <= bound:
-                out.append(disc)
-    return sorted(set(out))
 
 
 def is_fundamental(disc):
@@ -47,9 +38,10 @@ def test_quad_char_basics():
     [*range(-7010, -6999), *range(7000, 7011)],
 ])
 def test_quad_char_values_equals_kronecker_table(discs):
-    # the fundamental discriminants > 1 of each range, every 2-part among them
+    # the fundamental discriminants > 1 of each range, every 2-part among
+    # them, against sympy's Kronecker symbol at every n
     for disc in [d for d in discs if d > 1 and is_fundamental(d)]:
-        assert list(quad_char_values(disc)) == [kronecker_symbol(disc, n)
+        assert list(quad_char_values(disc)) == [kronecker(disc, n)
                                                 for n in range(abs(disc))], disc
 
 
@@ -77,7 +69,7 @@ def test_quad_char_values_equals_kronecker_at_drawn_indices(data):
     assert len(chi) == disc
     ns = data.draw(st.lists(st.integers(0, disc - 1), min_size=1, max_size=40), label="n")
     for n in ns:
-        assert chi[n] == kronecker_symbol(disc, n), (disc, n)
+        assert chi[n] == kronecker(disc, n), (disc, n)
 
 
 def test_quad_char_values_is_immutable():
@@ -85,7 +77,7 @@ def test_quad_char_values_is_immutable():
     chi = quad_char_values(13)
     with pytest.raises(TypeError):
         chi[1:] = [0] * 12
-    assert list(quad_char_values(13)) == [kronecker_symbol(13, n) for n in range(13)]
+    assert list(quad_char_values(13)) == [kronecker(13, n) for n in range(13)]
 
 
 def test_leading_ratio_check_builds_one_table(monkeypatch):
@@ -102,7 +94,7 @@ def test_leading_ratio_check_builds_one_table(monkeypatch):
 
 
 def test_character_even_and_periodic():
-    for disc in even_discs_up_to(40):
+    for disc in real_fundamental_discs(40):
         chi = quad_char_values(disc)
         f = disc
         assert sum(chi) == 0
@@ -113,7 +105,7 @@ def test_character_even_and_periodic():
 def test_series_validates_logsin_oracle():
     # the direct series (with analytic tail) and the log-sine closed form
     # must agree to well below the downstream tolerance
-    for disc in even_discs_up_to(60):
+    for disc in real_fundamental_discs(60):
         series = l_one_series(disc)
         closed = l_one_logsin(disc)
         assert abs(series - closed) < 1e-10, (disc, series, closed)
@@ -132,7 +124,7 @@ def test_l_prime_zero_chi5_value():
 
 
 def test_ratio_squared_matches_four_over_conductor():
-    for disc in even_discs_up_to(60):
+    for disc in real_fundamental_discs(60):
         ratio = l_one_logsin(disc) / l_prime_zero_lgamma(disc)
         assert abs(ratio * ratio - 4.0 / disc) < 1e-12, disc
 
@@ -185,7 +177,7 @@ def test_narrow_class_numbers_and_regulators():
 
 
 def test_evaluators_match_class_number_formula():
-    discs = even_discs_up_to(2000)
+    discs = real_fundamental_discs(2000)
     assert len(discs) == 607
     for disc in discs:
         assert max(class_number_formula_errors(disc)) <= 4, disc

@@ -20,16 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from tq.arith import is_squarefree
-from tq.biquadratic import quad_field_disc
+from helpers import real_fundamental_discs
 from tq.lseries import l_one_logsin, l_prime_zero_lgamma, narrow_class_number_and_regulator
 
 FIXTURE = Path(__file__).parent / "fixtures" / "lseries_floats.json"
-
-
-def real_fundamental_discs(bound: int) -> list[int]:
-    return sorted({quad_field_disc(d) for d in range(2, bound + 1)
-                   if is_squarefree(d) and quad_field_disc(d) <= bound})
 
 
 DISCS = real_fundamental_discs(400) + real_fundamental_discs(16000)[-10:]
