@@ -32,7 +32,7 @@ from .biquadratic import (FieldData, PrimeLocalData, _euler, _frob_det,
                           frob_signs, full_decomposition, local_data, local_galois,
                           quad_field_disc, sign_facts)
 from .errors import InputError, TqError
-from .grouprings import HOMREP_KEYS, V4_CHARS
+from .grouprings import V4_CHARS
 from .localterms import LatticeExponent, _local_term
 from .lseries import l_one_logsin, narrow_class_number_and_regulator
 from .relk0 import HomRep, odd_part_mod4, odd_unit
@@ -116,14 +116,16 @@ def resolvent_factor_check(f: FieldData) -> ResolventCheck | None:
 
 
 class PrimeReport(namedtuple("PrimeReport", "local delta1 euler local_term")):
+    """`delta1`, `euler` and `local_term` are `HomRep`s in `HOMREP_KEYS` order;
+    `local_term` is None off the fully decomposed odd primes of an admissible field."""
+
     __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
             "local": self.local.to_json_dict(),
             "delta1": self.delta1.to_json_dict(),
-            "euler_factors": {k: f"{v.numerator}/{v.denominator}"
-                              for k, v in zip(HOMREP_KEYS, self.euler)},
+            "euler_factors": self.euler.to_json_dict(),
             "local_term": self.local_term.to_json_dict() if self.local_term else None,
         }
 
@@ -219,7 +221,7 @@ def _prime_report(p: int, signs: tuple[int, int, int],
     euler, delta1, local = zip(*parts)
     return PrimeReport(local_data(p, signs),
                        HomRep([Fraction(n, d) for n, d in delta1]),
-                       tuple([Fraction(n, d) for n, d in euler]),
+                       HomRep([Fraction(n, d) for n, d in euler]),
                        HomRep([Fraction(n, d) for n, d in local])
                        if admissible and local[0] else None)
 
@@ -258,11 +260,10 @@ def omega_loc_torsion(d1: int, d2: int,
         return InvariantReport(f, per_prime, None, resolvent_factor_check(f),
                                None, VERDICT_INADMISSIBLE)
 
-    # the global representative, per character the inverse of the product
-    # of the Euler factors over S, from the fractions already made
+    # the global representative, per character 1 / the Euler factors' product over S
     ts_rep = HomRep([Fraction(math.prod([e.denominator for e in col]),
                               math.prod([e.numerator for e in col]))
-                     for col in zip(*(r.euler for r in per_prime.values()))])
+                     for col in zip(*(r.euler.as_tuple() for r in per_prime.values()))])
     return InvariantReport(f, per_prime, ts_rep, resolvent_factor_check(f),
                            unit, _verdict(unit))
 

@@ -29,14 +29,10 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import ContractViolationError, InputError
-from .grouprings import (V4_CHARS, GaloisChar, GroupRingMatrix,
-                         apply_char_matrix, element_name)
+from .grouprings import V4_CHARS, GaloisChar, GroupRingMatrix, apply_char_matrix
 from .relk0 import HomRep
 
 Mat = linalg.Mat
-
-# The group named in the JSON form; V4 is the only one there is.
-JSON_GROUP = "V4"
 
 
 class PerfectComplex(namedtuple("PerfectComplex", "degrees ranks differentials")):
@@ -73,22 +69,6 @@ class PerfectComplex(namedtuple("PerfectComplex", "degrees ranks differentials")
 
     def rank(self, j: int) -> int:
         return int(self.ranks.get(j, 0))
-
-    def degree_list(self) -> list[int]:
-        return list(range(self.degrees[0], self.degrees[1] + 1))
-
-    def to_json_dict(self) -> dict:
-        diffs = {}
-        for j, d in self.differentials.items():
-            rows = []
-            for row in d.entries:
-                rows.append([{element_name(g): f"{c.numerator}/{c.denominator}"
-                              for g, c in x.items()} for x in row])
-            diffs[str(j)] = rows
-        return {"group": JSON_GROUP,
-                "degrees": list(self.degrees),
-                "ranks": {str(j): self.rank(j) for j in self.degree_list()},
-                "differentials": diffs}
 
 
 class RationalComplex(namedtuple("RationalComplex", "degrees ranks diffs")):

@@ -1,7 +1,6 @@
 """Byte-exact output of `tq compute` and `tq sweep` (JSON and text),
-`tq selftest`, `tq lemma38`, the tame complex's JSON, and the help and parse
-errors of the command line (stderr included), pinned in
-fixtures/golden_output.json.
+`tq selftest`, `tq lemma38`, and the help and parse errors of the command
+line (stderr included), pinned in fixtures/golden_output.json.
 
 A refactor that is meant to leave behaviour alone must keep every case
 byte-identical.  When an output change is intended, regenerate the fixture
@@ -22,8 +21,6 @@ from unittest import mock
 import pytest
 
 from tq.cli import main
-from tq.grouprings import V4_A, V4_B
-from tq.localterms import TameComplexSpec, build_tame_complex
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_output.json"
 
@@ -107,20 +104,13 @@ def run_parse_command(argv: list[str]) -> dict:
             "stderr": err.getvalue()}
 
 
-def tame_complex_output() -> dict:
-    complex_ = build_tame_complex(TameComplexSpec(5, V4_A, V4_B))
-    return {"stdout": json.dumps(complex_.to_json_dict(), indent=2)}
-
-
 def current_output(name: str) -> dict:
-    if name == "tame-complex-5":
-        return tame_complex_output()
     if name in PARSE_COMMANDS:
         return run_parse_command(PARSE_COMMANDS[name])
     return run_command(COMMANDS[name])
 
 
-CASES = [*COMMANDS, "tame-complex-5", *PARSE_COMMANDS]
+CASES = [*COMMANDS, *PARSE_COMMANDS]
 
 
 @pytest.fixture(scope="module")

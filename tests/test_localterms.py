@@ -62,6 +62,20 @@ def test_lambda_coefficients_p3():
     assert lam.entries[0][1] == -(a - one)
 
 
+def test_lambda_coefficients_p5():
+    """The tame complex at p = 5, a = V4_A, b = V4_B, every entry written
+    out: d_-2 = [[-1 + 3b + 2ab, 1 - a]] and d_-1 = [[1 - a], [1 - b]]."""
+    cplx = build_tame_complex(TameComplexSpec(5, V4_A, V4_B))
+    assert cplx.degrees == (-2, 0)
+    assert {j: cplx.rank(j) for j in range(-2, 1)} == {-2: 1, -1: 2, 0: 1}
+    one_minus_a = GroupRingElem({V4_E: 1, V4_A: -1})
+    one_minus_b = GroupRingElem({V4_E: 1, V4_B: -1})
+    assert cplx.differentials.keys() == {-2, -1}
+    assert cplx.differentials[-2].entries == (
+        (GroupRingElem({V4_E: -1, V4_B: 3, V4_AB: 2}), one_minus_a),)
+    assert cplx.differentials[-1].entries == ((one_minus_a,), (one_minus_b,))
+
+
 def test_composite_zero_symbolically():
     for p in odd_primes_up_to(23):
         for a, b in all_labelings():

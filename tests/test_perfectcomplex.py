@@ -225,14 +225,6 @@ def test_unequal_odd_and_even_ranks_rejected():
         torsion_determinant(c, CohomologyIsoComponent({}, {}, []))
 
 
-# ---------- serialization ----------
-
-def test_complex_json_roundtrip():
-    _, p = tame(7)
-    data = p.to_json_dict()
-    assert json.loads(json.dumps(data)) == data
-
-
 # ---------- two odd degrees ----------
 
 def two_odd_degree_sum(p, q, a, b):

@@ -14,7 +14,6 @@ TRACED = "wrapped by perfbench/spans.py's TRACED, which names it until its dead 
 ORACLE = "the per-prime reference that sweep's tests and notes/per_prime_table.py check"
 CRITERION_7 = "acceptance criterion 7: induction from a subgroup of order <= 2"
 CRITERION_2 = "acceptance criterion 2: a seeded splitting of a perfect complex"
-GOLDEN = "golden case tame-complex-5: the tame complex's JSON"
 SHOWN = "shows the value in the message of a failing test"
 
 KEPT = {
@@ -35,8 +34,6 @@ KEPT = {
     "relk0.v2": CRITERION_7,
     "perfectcomplex._random_fraction": CRITERION_2,
     "perfectcomplex._shift": CRITERION_2,
-    "perfectcomplex.PerfectComplex.to_json_dict": GOLDEN,
-    "perfectcomplex.PerfectComplex.degree_list": GOLDEN,
     "grouprings.GroupRingElem.__repr__": SHOWN,
     "relk0.HomRep.__repr__": SHOWN,
     "relk0.HomRep.__eq__": "tests compare representatives: criterion 2, ts_representative",
