@@ -88,10 +88,8 @@ def field_and_ramified_set(d1: int, d2: int) -> tuple[FieldData, list[int]]:
     if d1 < 0 or d2 < 0:
         raise InputError("negative d makes E imaginary, and E = N^Z is totally "
                          "real for every quaternion field N")
-    # the squarefree kernel of d1*d2, since d1 and d2 are squarefree
+    # squarefree kernel of d1*d2, not 1, d1 or d2: d1 != d2 are squarefree and > 1
     d3 = d1 * d2 // gcd(d1, d2) ** 2
-    if d3 in (d1, d2) or d3 == 1:
-        raise InputError(f"degenerate pair: third subfield collapses (d3={d3})")
     return (FieldData(d1, d2, d3),
             sorted(disc_primes(d1, primes1) | disc_primes(d2, primes2)))
 

@@ -194,6 +194,7 @@ def test_artin_conductor_examples():
 def test_conductor_product_is_perfect_square():
     for d1, d2 in squarefree_pairs(40):
         f = field_data(d1, d2)
+        assert f.d3 not in (1, f.d1, f.d2), (d1, d2)
         prod = 1
         for chi in V4_CHARS:
             prod *= artin_conductor(chi.label, f)
