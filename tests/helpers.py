@@ -1,12 +1,16 @@
 """Helpers shared by the tests, kept out of the package because nothing in
 it needs them."""
 
+from fractions import Fraction
 from math import gcd
 
 from tq.arith import is_prime, is_squarefree
-from tq.biquadratic import FieldData, quad_field_disc
-from tq.grouprings import V4_E, GroupRingElem, GroupRingMatrix
+from tq.biquadratic import (FieldData, field_data, local_galois, quad_field_disc,
+                            ramified_set)
+from tq.grouprings import V4_CHARS, V4_E, GroupRingElem, GroupRingMatrix
+from tq.localterms import LatticeExponent, local_term_closed_form
 from tq.lseries import quad_char_values
+from tq.relk0 import odd_part_mod4
 
 
 def odd_primes_up_to(bound: int) -> list[int]:
@@ -43,6 +47,34 @@ def signed_fields(bound: int) -> list[FieldData]:
     ds = [d for d in range(-bound, bound + 1) if d not in (0, 1) and is_squarefree(d)]
     return [FieldData(d1, d2, d1 * d2 // gcd(d1, d2) ** 2)
             for i, d2 in enumerate(ds) for d1 in ds[:i]]
+
+
+def independent_torsion(d1, d2, frob_twist=()):
+    """Re-derive the torsion by assembling the odd-part product directly
+    (an independent re-implementation of the pipeline used as an oracle).
+    `frob_twist` lists full-decomposition primes whose Frobenius lift is
+    replaced by its product with the inertia generator."""
+    f = field_data(d1, d2)
+    total = Fraction(1)
+    for p in ramified_set(f):
+        loc = local_galois(f, p)
+        if loc.full_decomposition and p in frob_twist:
+            loc = loc._replace(frob=loc.frob ^ loc.a_p,
+                               b_p=loc.b_p ^ loc.a_p)
+        for chi in V4_CHARS:
+            if all(chi(g) == 1 for g in loc.inertia):
+                total /= 1 - Fraction(chi(loc.frob), p)
+            dim_d = 1 if all(chi(g) == 1 for g in loc.decomposition) else 0
+            ratio = len(loc.decomposition) // len(loc.inertia)
+            total *= Fraction(1, ratio ** dim_d)
+            if (all(chi(g) == 1 for g in loc.inertia)
+                    and not all(chi(g) == 1 for g in loc.decomposition)):
+                total *= 1 - Fraction(chi(loc.frob))
+        if loc.full_decomposition and p % 2 == 1:
+            term = local_term_closed_form(p, loc, LatticeExponent())
+            for val in term.as_tuple():
+                total /= val
+    return odd_part_mod4(total)
 
 
 def _tail_power_sum(k0: int, j: int) -> float:

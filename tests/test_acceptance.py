@@ -14,7 +14,8 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import l_one_series, odd_primes_up_to, squarefree_pairs
+from helpers import (independent_torsion, l_one_series, odd_primes_up_to,
+                     squarefree_pairs)
 from tq.biquadratic import field_data, local_galois, quad_field_disc, ramified_set
 from tq.invariant import (VERDICT_NONZERO, VERDICT_VANISHES,
                                delta1_term, leading_ratio_check, omega_loc_torsion,
@@ -157,30 +158,6 @@ def _unramified_odd_primes(f, count):
     return out
 
 
-def _torsion_with_twist(d1, d2, twist_primes):
-    """Independent assembly with the Frobenius lift at the given
-    full-decomposition primes replaced by frob ^ a_p, their product in V4."""
-    from tq.biquadratic import euler_factor, frob_det_quotient
-    from tq.localterms import local_term_closed_form
-    f = field_data(d1, d2)
-    total = Fraction(1)
-    for p in ramified_set(f):
-        loc = local_galois(f, p)
-        if loc.full_decomposition and p in twist_primes:
-            loc = loc._replace(frob=loc.frob ^ loc.a_p,
-                               b_p=loc.b_p ^ loc.a_p)
-        for chi in V4_CHARS:
-            total /= euler_factor(chi, p, loc)
-            ratio = len(loc.decomposition) // len(loc.inertia)
-            dim_d = 1 if all(chi(g) == 1 for g in loc.decomposition) else 0
-            total *= Fraction(1, ratio ** dim_d) * frob_det_quotient(chi, loc)
-        if loc.full_decomposition and p % 2 == 1:
-            for val in local_term_closed_form(p, loc, LatticeExponent()).as_tuple():
-                total /= val
-    from tq.relk0 import odd_part_mod4
-    return odd_part_mod4(total)
-
-
 def test_criterion_6_invariance_suite():
     failures = []
     sample = _first_admissible_fields(50)
@@ -196,9 +173,9 @@ def test_criterion_6_invariance_suite():
                     failures.append((d1, d2, f"m={m} sign={sign}"))
         full = [p for p in ramified_set(f)
                 if p % 2 == 1 and local_galois(f, p).full_decomposition]
-        if _torsion_with_twist(d1, d2, ()) != base:
+        if independent_torsion(d1, d2, ()) != base:
             failures.append((d1, d2, "independent assembly"))
-        if full and _torsion_with_twist(d1, d2, tuple(full)) != base:
+        if full and independent_torsion(d1, d2, tuple(full)) != base:
             failures.append((d1, d2, "frobenius relabeling"))
     ok = not failures
     announce(6, ok, "torsion invariant under S-enlargement, relabeling, "

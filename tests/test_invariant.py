@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import odd_primes_up_to, squarefree_pairs
+from helpers import independent_torsion, odd_primes_up_to, squarefree_pairs
 from tq.arith import (hilbert_symbol, is_prime, is_squarefree, kronecker_symbol,
                       prime_factors)
 from tq.biquadratic import (D_BOUND, artin_conductor, euler_factor,
@@ -213,36 +213,6 @@ def test_omega_rejects_bad_extras():
         omega_loc_torsion(5, 13, s_extra=[2])
     with pytest.raises(InputError):
         omega_loc_torsion(5, 13, s_extra=[9])
-
-
-def independent_torsion(d1, d2, frob_twist=(), lat=LatticeExponent(),
-                        extra=()):
-    """Re-derive the torsion by assembling the odd-part product directly
-    (an independent re-implementation of the pipeline used as an oracle).
-    `frob_twist` lists full-decomposition primes whose Frobenius lift is
-    replaced by its product with the inertia generator."""
-    f = field_data(d1, d2)
-    s_f = sorted(set(ramified_set(f)) | set(extra))
-    total = Fraction(1)
-    for p in s_f:
-        loc = local_galois(f, p)
-        if loc.full_decomposition and p in frob_twist:
-            loc = loc._replace(frob=loc.frob ^ loc.a_p,
-                               b_p=loc.b_p ^ loc.a_p)
-        for chi in V4_CHARS:
-            if all(chi(g) == 1 for g in loc.inertia):
-                total /= 1 - Fraction(chi(loc.frob), p)
-            dim_d = 1 if all(chi(g) == 1 for g in loc.decomposition) else 0
-            ratio = len(loc.decomposition) // len(loc.inertia)
-            total *= Fraction(1, ratio ** dim_d)
-            if (all(chi(g) == 1 for g in loc.inertia)
-                    and not all(chi(g) == 1 for g in loc.decomposition)):
-                total *= 1 - Fraction(chi(loc.frob))
-        if loc.full_decomposition and p % 2 == 1:
-            term = local_term_closed_form(p, loc, lat)
-            for val in term.as_tuple():
-                total /= val
-    return odd_part_mod4(total)
 
 
 def test_independent_assembly_matches_pipeline():
