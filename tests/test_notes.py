@@ -25,6 +25,22 @@ def test_per_prime_table_output():
     assert proc.stdout == (FIXTURES / "per_prime_table.txt").read_text()
 
 
+OUTPUT_HASH = ("3277 command lines, sha256 "
+               "b819e6a89597f8401136db2912bc2875ce8d9cc0cbf0f1711ccc1eaa85a9c94f")
+
+
+def test_output_hash_is_pinned():
+    """notes/output_hash.py: the stdout, stderr and exit code of its 3277
+    command lines hash to the value pinned when the script was added: a
+    change to `src` that keeps every output byte-identical keeps it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(ROOT / "notes" / "output_hash.py")],
+                          capture_output=True, text=True, timeout=120, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == OUTPUT_HASH + "\n"
+
+
 def test_line_coverage_runs():
     """notes/line_coverage.py on the example and group-law tests of
     tests/test_relk0.py, none of them a Hypothesis test: every stdout line
