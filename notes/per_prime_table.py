@@ -12,8 +12,8 @@ term, itself split into eps(chi) = (-1)^dim(chi^I/chi^D) and the rest.
 Each part is the odd part mod 4 of the product over the four characters of
 its exact values (that of a reduced fraction is that of the numerator and
 denominator `invariant._parts_unit` multiplies unreduced), and the parts
-multiply back to the field's unit from `invariant.field_verdict`.  It
-then lists the supported 2-ramified fields whose resolvent quotient check
+multiply back to the unit of the field's verdict, which it takes from
+its report, `invariant.omega_loc_torsion(d1, d2).verdict`.  It then lists the supported 2-ramified fields whose resolvent quotient check
 fails, with the odd part of the square root of the conductor product.
 """
 
@@ -25,7 +25,7 @@ from tq.biquadratic import (artin_conductor, euler_factor, field_data,
                             local_galois, ramified_set)
 from tq.grouprings import V4_CHARS
 from tq.invariant import (VERDICT_INADMISSIBLE, VERDICT_NONZERO, delta1_term,
-                          field_verdict, omega_loc_torsion)
+                          omega_loc_torsion)
 from tq.localterms import LatticeExponent, local_term_closed_form
 from tq.relk0 import odd_part_mod4
 
@@ -45,12 +45,13 @@ def eps(chi, loc) -> int:
 
 
 def main() -> None:
+    reports = {(d1, d2): omega_loc_torsion(d1, d2) for d1, d2 in PAIRS}
     fields = Counter()
     full, partial = Counter(), Counter()
     for d1, d2 in PAIRS:
         f = field_data(d1, d2)
         s_f = ramified_set(f)
-        verdict = field_verdict(d1, d2)
+        verdict = reports[d1, d2].verdict
         if verdict == VERDICT_INADMISSIBLE:
             fields["inadmissible"] += 1
             continue
@@ -88,7 +89,7 @@ def main() -> None:
     print("criterion 9: supported 2-ramified fields failing the quotient check")
     checked = 0
     for d1, d2 in PAIRS:
-        report = omega_loc_torsion(d1, d2)
+        report = reports[d1, d2]
         rc = report.resolvent_check
         if report.torsion is None or rc is None or rc.status == "unsupported":
             continue

@@ -4,17 +4,16 @@ the ramified set), the per-prime power-of-two terms, and the local classes
 at fully decomposed odd primes.  A report (`omega_loc_torsion`) reads all
 of them, per prime and character, as int (numerator, denominator) pairs
 from the prime's Frobenius signs alone (`prime_parts`), takes the odd part
-mod 4 of their product as the prime's unit (`_parts_unit`), and makes one
-`Fraction` of each pair it shows.  `field_verdict` reads a prime's unit
-from its signs by the closed rule those parts reduce to, 3 exactly when
-D = V4 and I != V4 (`prime_unit`), and multiplies the units to the
-verdict of one field (`_field_unit`).  `sweep` decides a whole row of
-fields at once, as int bitmasks, by the parity law that this rule gives
-through Hilbert reciprocity, reading no prime's signs: the law's 2-adic
-symbol is `arith.hilbert_symbol` on the classes of d1 and d2 at 2.  A
-report takes extra primes of S and a lattice, which change values it
-shows; the verdict paths take neither, since neither choice can change a
-unit.  Plus the analytic cross-check (the ratio L*(1)/L*(0) squared,
+mod 4 of their product as the prime's unit (`_parts_unit`), multiplies
+the units to the field's class, and makes one `Fraction` of each pair it
+shows.  Those parts reduce to a closed rule, a unit of 3 exactly when
+D = V4 and I != V4 (notes/decisions.md, "A prime's unit in closed form"),
+and `sweep` decides a whole row of fields at once, as int bitmasks, by
+the parity law that this rule gives through Hilbert reciprocity, reading
+no prime's signs: the law's 2-adic symbol is `arith.hilbert_symbol` on
+the classes of d1 and d2 at 2.  A report takes extra primes of S and a
+lattice, which change values it shows; `sweep` takes neither, since
+neither choice can change a unit.  Plus the analytic cross-check (the ratio L*(1)/L*(0) squared,
 numerically, against its exact value) and the standalone resolvent
 quotient check for the supported shapes of the completion at 2.
 """
@@ -31,7 +30,7 @@ from .biquadratic import (FieldData, PrimeLocalData, _euler, _frob_det,
                           artin_conductor, euler_factor, field_and_ramified_set,
                           frob_signs, full_decomposition, local_data, local_galois,
                           quad_field_disc, sign_facts)
-from .errors import InputError, TqError
+from .errors import InputError
 from .grouprings import V4_CHARS
 from .localterms import LatticeExponent, _local_term
 from .lseries import l_one_logsin, narrow_class_number_and_regulator
@@ -105,12 +104,9 @@ def resolvent_factor_check(f: FieldData) -> ResolventCheck | None:
         return ResolventCheck("unsupported",
                               reason="completion at 2 is a ramified extension "
                                      "not generated by sqrt(2) or sqrt(10)")
+    # the conductors multiply to disc(E) = D1 D2 D3, which is always a square
     prod_f = math.prod(artin_conductor(chi.label, f) for chi in V4_CHARS)
-    root = math.isqrt(prod_f)
-    if root * root != prod_f:
-        raise TqError("conductor product is not a perfect square; "
-                      "internal consistency violated")
-    r = Fraction(root, 8 ** 4 * pi_sq)
+    r = Fraction(math.isqrt(prod_f), 8 ** 4 * pi_sq)
     ok = odd_part_mod4(r) == 1
     return ResolventCheck("pass" if ok else "fail", completion, r)
 
@@ -185,34 +181,6 @@ def _parts_unit(parts: list[tuple[Pair, Pair, Pair | None]]) -> int:
     return odd_unit(n)
 
 
-def prime_unit(p: int, signs: tuple[int, int, int]) -> int:
-    """The unit 1 or 3 of (Z/4)* that a prime p of these Frobenius signs
-    contributes to the torsion class, the `_parts_unit` of its
-    `prime_parts` under any lattice: 3 exactly when D = V4 (no sign is 1)
-    and I != V4 (some sign is not 0).  The unit multiplies numerators and
-    denominators alike, a unit mod 4 being its own inverse.  Over the four
-    characters:
-
-    - the power-of-two parts have odd part 1, `_frob_det` being 1 or 2;
-    - at an odd p with D = V4, |I| = 2 and there is a local term.  It holds
-      the Euler pairs again, so they enter squared; its powers of 2 have
-      odd part 1; and its powers of p sum to the even exponent
-      2 + 2 |1 + sign m|, as exactly two characters have dim chi^I = 1.
-      What is left is the product of the eps(chi), which is -1, as exactly
-      one character has dim chi^I - dim chi^D = 1.
-    - elsewhere there is no local term, and the Euler parts multiply, over
-      the characters U with dim chi^I = 1, to p^|U| (p-1)^|U|, or to
-      p^|U| ((p-1)(p+1))^(|U|/2) when D != I.  That is an odd square times
-      a power of 2 unless |U| = 2 and D = V4, which here means p = 2, where
-      the odd part of 2^2 * 3 is 3.  |U| = 1 (I = V4, signs (0, 0, 0))
-      happens only at 2, where the odd part of 2 * 1 is 1.
-
-    So an unramified prime, as an extra prime of S is, has unit 1, and no
-    lattice changes a unit: the verdict paths take neither.
-    notes/decisions.md has the derivation at length."""
-    return 3 if full_decomposition(signs) and any(signs) else 1
-
-
 def _prime_report(p: int, signs: tuple[int, int, int],
                   parts: list[tuple[Pair, Pair, Pair | None]],
                   admissible: bool) -> PrimeReport:
@@ -226,20 +194,15 @@ def _prime_report(p: int, signs: tuple[int, int, int],
                        if admissible and local[0] else None)
 
 
-def _verdict(unit: int | None) -> str:
-    if unit is None:
-        return VERDICT_INADMISSIBLE
-    return VERDICT_VANISHES if unit == 1 else VERDICT_NONZERO
-
-
 def omega_loc_torsion(d1: int, d2: int,
                       s_extra: Iterable[int] | None = None,
                       lat: LatticeExponent = LatticeExponent()) -> InvariantReport:
     """Full pipeline: field data; the Frobenius signs of 2 and of each
     prime of S, the ramified set plus any extra odd primes; each prime's
     `prime_parts`, read once for both its unit and its report; the torsion
-    class, the `_field_unit` of those units, with its verdict; and the exact
-    values behind it, one `Fraction` per value shown: per prime its local
+    class, the product of those units mod 4, or None when the signs of 2
+    (read even when 2 is not in S) give the full decomposition group, with
+    its verdict; and the exact values behind it, one `Fraction` per value shown: per prime its local
     data, Euler factors, power-of-two terms and, at the fully decomposed odd
     primes of an admissible field, local class, and the simplified global
     representative."""
@@ -250,11 +213,11 @@ def omega_loc_torsion(d1: int, d2: int,
             raise InputError(f"extra primes must be odd primes, got {p}")
     s_f = sorted(set(ramified).union(extra))
     at_2 = frob_signs(*f.subfields, 2)
-    parts = {p: (signs, prime_parts(p, signs, lat))
-             for p, signs in _s_signs(*f.subfields, s_f, at_2)}
-    unit = _field_unit(at_2, (_parts_unit(pp) for _, pp in parts.values()))
-    per_prime = {p: _prime_report(p, signs, pp, unit is not None)
-                 for p, (signs, pp) in parts.items()}
+    signs = {p: at_2 if p == 2 else frob_signs(*f.subfields, p) for p in s_f}
+    parts = {p: prime_parts(p, signs[p], lat) for p in s_f}
+    unit = (None if full_decomposition(at_2)
+            else math.prod(map(_parts_unit, parts.values())) % 4)
+    per_prime = {p: _prime_report(p, signs[p], parts[p], unit is not None) for p in s_f}
 
     if unit is None:
         return InvariantReport(f, per_prime, None, resolvent_factor_check(f),
@@ -265,7 +228,7 @@ def omega_loc_torsion(d1: int, d2: int,
                               math.prod([e.numerator for e in col]))
                      for col in zip(*(r.euler.as_tuple() for r in per_prime.values()))])
     return InvariantReport(f, per_prime, ts_rep, resolvent_factor_check(f),
-                           unit, _verdict(unit))
+                           unit, VERDICT_VANISHES if unit == 1 else VERDICT_NONZERO)
 
 
 class AnalyticCheck(namedtuple("AnalyticCheck",
@@ -308,35 +271,6 @@ class SweepSummary(namedtuple("SweepSummary", "dmax counts nonzero_fields")):
                 "nonzero_fields": [list(t) for t in self.nonzero_fields]}
 
 
-def _s_signs(d1: int, d2: int, d3: int, s: Iterable[int],
-             at_2: tuple[int, int, int]):
-    """(p, the `frob_signs` of p) for each prime p of `s`, read as reached,
-    those of 2 being `at_2`."""
-    return ((p, at_2 if p == 2 else frob_signs(d1, d2, d3, p)) for p in s)
-
-
-def _field_unit(at_2: tuple[int, int, int], units: Iterable[int]) -> int | None:
-    """The torsion class, 1 or 3 in (Z/4)*, of a field whose primes of S
-    have these units: their product, or None, with `units` not consumed,
-    when the signs of 2 (read even when 2 is not in S) give the full
-    decomposition group."""
-    if full_decomposition(at_2):
-        return None
-    return math.prod(units) % 4
-
-
-def field_verdict(d1: int, d2: int) -> str:
-    """The verdict of `omega_loc_torsion` for the real field
-    Q(sqrt(d1), sqrt(d2)), checked by `field_and_ramified_set`, under any
-    lattice and any enlargement of S (see `prime_unit`): the `_field_unit`
-    of the `prime_unit`s of the ramified set, each from its signs alone,
-    with no report."""
-    f, ramified = field_and_ramified_set(d1, d2)
-    at_2 = frob_signs(*f.subfields, 2)
-    s_signs = _s_signs(*f.subfields, ramified, at_2)
-    return _verdict(_field_unit(at_2, (prime_unit(p, signs) for p, signs in s_signs)))
-
-
 def _squarefree_masks(dmax: int) -> tuple[list[int], list[list[int]], dict[int, int]]:
     """The squarefree 1 < d <= dmax in increasing order; for each d, the
     primes q = 3 mod 4 that divide it, in increasing order; and for each
@@ -370,7 +304,7 @@ def _squarefree_masks(dmax: int) -> tuple[list[int], list[list[int]], dict[int, 
 def sweep(dmax: int) -> SweepSummary:
     """Decide every squarefree pair 1 < d1 < d2 <= dmax one row d2 at a
     time, the d1 being the bits of ints (bit i for the i-th squarefree d),
-    by the parity law that the per-prime rule of `field_verdict` reduces to
+    by the parity law that the closed per-prime rule reduces to
     (notes/decisions.md, "The verdict and the parity law").  A field is
     admissible exactly when one of d1, d2, d3 is 1 mod 8, and for
     squarefree d d3 is 1 mod 8 exactly when d1 and d2 are in the same class

@@ -2,12 +2,14 @@
 it needs them."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from tq.arith import is_prime, is_squarefree
-from tq.biquadratic import (FieldData, field_data, local_galois, quad_field_disc,
+from tq.biquadratic import (FieldData, field_and_ramified_set, field_data, frob_signs,
+                            full_decomposition, local_galois, quad_field_disc,
                             ramified_set)
 from tq.grouprings import V4_CHARS, V4_E, GroupRingElem, GroupRingMatrix
+from tq.invariant import VERDICT_INADMISSIBLE, VERDICT_NONZERO, VERDICT_VANISHES
 from tq.localterms import LatticeExponent, local_term_closed_form
 from tq.lseries import quad_char_values
 from tq.relk0 import odd_part_mod4
@@ -75,6 +77,29 @@ def independent_torsion(d1, d2, frob_twist=()):
             for val in term.as_tuple():
                 total /= val
     return odd_part_mod4(total)
+
+
+def prime_unit(p: int, signs: tuple[int, int, int]) -> int:
+    """The unit 1 or 3 of (Z/4)* that a prime p of these Frobenius signs
+    contributes to the torsion class under any lattice: 3 exactly when
+    D = V4 (no sign is 1) and I != V4 (some sign is not 0).
+    notes/decisions.md, "A prime's unit in closed form", derives it from
+    the parts of `invariant.prime_parts`."""
+    return 3 if full_decomposition(signs) and any(signs) else 1
+
+
+def field_verdict(d1: int, d2: int) -> str:
+    """The verdict of `omega_loc_torsion` for the real field
+    Q(sqrt(d1), sqrt(d2)), checked by `field_and_ramified_set`, under any
+    lattice and any enlargement of S, with no report: inadmissible when the
+    signs of 2 give the full decomposition group, else the product of the
+    `prime_unit`s of the ramified set, each from its signs alone."""
+    f, ramified = field_and_ramified_set(d1, d2)
+    at_2 = frob_signs(*f.subfields, 2)
+    if full_decomposition(at_2):
+        return VERDICT_INADMISSIBLE
+    units = [prime_unit(p, at_2 if p == 2 else frob_signs(*f.subfields, p)) for p in ramified]
+    return VERDICT_VANISHES if prod(units) % 4 == 1 else VERDICT_NONZERO
 
 
 def _tail_power_sum(k0: int, j: int) -> float:

@@ -11,6 +11,7 @@ from tq.biquadratic import (artin_conductor, disc_primes, euler_factor,
                             local_galois, quad_field_disc, ramified_set)
 from tq.errors import InputError
 from tq.grouprings import V4_A, V4_B, V4_CHARS, V4_E, group_elements
+from tq.relk0 import v2
 
 
 # ---------- field data ----------
@@ -192,6 +193,15 @@ def test_artin_conductor_examples():
 
 
 def test_conductor_product_is_perfect_square():
+    """The conductors multiply to disc(E) = D1 D2 D3, a square for every
+    field, which `resolvent_factor_check` takes the root of unchecked.  Its
+    odd part is a square: D has the odd part of d, and each odd prime of
+    d1 d2 divides exactly two of d1, d2, d3.  Its 2-adic valuation is even:
+    v2(D) is 0, 2 or 3 as d is 1 or 3 mod 4 or even, so it depends only on
+    the class of d at 2 (d mod 8, or mod 16 when d is even), and the class
+    of d3 only on those of d1 and d2, so two squarefree representatives of
+    each of the 8 x 8 pairs of classes cover every field.  Every pair with
+    d2 <= 40 has a square product outright."""
     for d1, d2 in squarefree_pairs(40):
         f = field_data(d1, d2)
         assert f.d3 not in (1, f.d1, f.d2), (d1, d2)
@@ -199,6 +209,28 @@ def test_conductor_product_is_perfect_square():
         for chi in V4_CHARS:
             prod *= artin_conductor(chi.label, f)
         assert isqrt(prod) ** 2 == prod, (d1, d2, prod)
+
+    def cls(d):
+        return d % 8 if d % 2 else d % 16
+    reps = {}
+    for d in range(2, 40):
+        if is_squarefree(d):
+            reps.setdefault(cls(d), []).append(d)
+    assert sorted(reps) == [1, 2, 3, 5, 6, 7, 10, 14]
+    for c1, r1 in reps.items():
+        for c2, r2 in reps.items():
+            d3_classes = set()
+            for d1, d2 in ((r1[0], r2[1]), (r1[1], r2[0])):
+                f = field_data(d1, d2)
+                for p in prime_factors(d1 * d2):
+                    if p % 2:
+                        assert sum(d % p == 0 for d in f.subfields) == 2, (d1, d2, p)
+                prod = 1
+                for chi in V4_CHARS:
+                    prod *= artin_conductor(chi.label, f)
+                assert v2(prod) % 2 == 0, (d1, d2, prod)
+                d3_classes.add(cls(f.d3))
+            assert len(d3_classes) == 1, (c1, c2)
 
 
 def _oracle_sign(d, p, squares):

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import independent_torsion, odd_primes_up_to, squarefree_pairs
+from helpers import (field_verdict, independent_torsion, odd_primes_up_to, prime_unit,
+                     squarefree_pairs)
 from tq.arith import (hilbert_symbol, is_prime, is_squarefree, kronecker_symbol,
                       prime_factors)
 from tq.biquadratic import (D_BOUND, artin_conductor, euler_factor,
@@ -14,8 +15,7 @@ from tq.biquadratic import (D_BOUND, artin_conductor, euler_factor,
                             ramified_set, sign_facts)
 from tq.invariant import (INADMISSIBLE_NOTE, VERDICT_INADMISSIBLE,
                                VERDICT_NONZERO, VERDICT_VANISHES, delta1_term,
-                               field_verdict, leading_ratio_check,
-                               omega_loc_torsion, prime_parts, prime_unit,
+                               leading_ratio_check, omega_loc_torsion, prime_parts,
                                resolvent_factor_check, sweep, ts_representative,
                                _parts_unit)
 from tq.errors import InputError, UnsupportedGroupError
@@ -557,7 +557,7 @@ def test_report_values_match_fraction_functions():
 
 def test_report_takes_each_primes_signs_once(monkeypatch):
     """`omega_loc_torsion` evaluates the Frobenius signs of each prime of S,
-    and of 2, once: the report reads the records `_field_unit` made."""
+    and of 2, once: its unit and its rows read the same signs."""
     import tq.invariant
     primes = []
     orig = tq.invariant.frob_signs
@@ -619,12 +619,12 @@ def test_sweep_rows_match_field_verdicts():
 def test_sweep_100_reads_no_prime_signs_and_no_prime_unit(monkeypatch):
     """`sweep(100)` decides by the parity law from d mod 8 or 16 and the
     primes of d: it calls none of `frob_signs`, `full_decomposition`,
-    `prime_unit`, `prime_parts` and `_parts_unit`, where `field_verdict`
-    reads the signs of 2 and of each prime of S."""
+    `prime_parts` and `_parts_unit`, where a report reads the signs of 2
+    and of each prime of S and reduces each prime's parts to a unit."""
     import tq.invariant
     calls = []
-    for name in ("frob_signs", "full_decomposition", "prime_unit",
-                 "prime_parts", "_parts_unit"):
+    names = ("frob_signs", "full_decomposition", "prime_parts", "_parts_unit")
+    for name in names:
         orig = getattr(tq.invariant, name)
 
         def counted(*args, _name=name, _orig=orig):
@@ -633,8 +633,8 @@ def test_sweep_100_reads_no_prime_signs_and_no_prime_unit(monkeypatch):
         monkeypatch.setattr(tq.invariant, name, counted)
     sweep(100)
     assert calls == []
-    field_verdict(5, 13)  # the patches are live
-    assert {"frob_signs", "full_decomposition", "prime_unit"} <= set(calls)
+    omega_loc_torsion(5, 13)  # the patches are live
+    assert set(calls) == set(names)
 
 
 def test_class_hilbert_symbol_matches_product_formula():

@@ -11,7 +11,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 TRACED = "wrapped by perfbench/spans.py's TRACED, which names it until its dead spans go"
-ORACLE = "the per-prime reference that sweep's tests and notes/per_prime_table.py check"
 CRITERION_7 = "acceptance criterion 7: induction from a subgroup of order <= 2"
 CRITERION_2 = "acceptance criterion 2: a seeded splitting of a perfect complex"
 SHOWN = "shows the value in the message of a failing test"
@@ -27,8 +26,6 @@ KEPT = {
     "relk0.HomRep.inverse": TRACED,
     "lseries.l_prime_zero_lgamma": TRACED + ", and tests/fixtures/lseries_floats.json "
                                    "pins its floats",
-    "invariant.field_verdict": ORACLE + ", and the verdict of one field without a report",
-    "invariant.prime_unit": ORACLE,
     "relk0.induce_from_subgroup": CRITERION_7,
     "relk0._validate_subgroup": CRITERION_7,
     "relk0.v2": CRITERION_7,
