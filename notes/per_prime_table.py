@@ -13,7 +13,8 @@ Each part is the odd part mod 4 of the product over the four characters of
 its exact values (that of a reduced fraction is that of the numerator and
 denominator `invariant._parts_unit` multiplies unreduced), and the parts
 multiply back to the unit of the field's verdict, which it takes from
-its report, `invariant.omega_loc_torsion(d1, d2).verdict`.  It then lists the supported 2-ramified fields whose resolvent quotient check
+its report, `invariant.omega_loc_torsion(d1, d2).verdict`.  It then
+lists the supported 2-ramified fields whose resolvent quotient check
 fails, with the odd part of the square root of the conductor product.
 """
 

@@ -13,9 +13,10 @@ the parity law that this rule gives through Hilbert reciprocity, reading
 no prime's signs: the law's 2-adic symbol is `arith.hilbert_symbol` on
 the classes of d1 and d2 at 2.  A report takes extra primes of S and a
 lattice, which change values it shows; `sweep` takes neither, since
-neither choice can change a unit.  Plus the analytic cross-check (the ratio L*(1)/L*(0) squared,
-numerically, against its exact value) and the standalone resolvent
-quotient check for the supported shapes of the completion at 2.
+neither choice can change a unit.  Plus the analytic cross-check (the
+ratio L*(1)/L*(0) squared, numerically, against its exact value) and the
+standalone resolvent quotient check for the supported shapes of the
+completion at 2.
 """
 
 from __future__ import annotations
@@ -202,10 +203,10 @@ def omega_loc_torsion(d1: int, d2: int,
     `prime_parts`, read once for both its unit and its report; the torsion
     class, the product of those units mod 4, or None when the signs of 2
     (read even when 2 is not in S) give the full decomposition group, with
-    its verdict; and the exact values behind it, one `Fraction` per value shown: per prime its local
-    data, Euler factors, power-of-two terms and, at the fully decomposed odd
-    primes of an admissible field, local class, and the simplified global
-    representative."""
+    its verdict; and the exact values behind it, one `Fraction` per value
+    shown: per prime its local data, Euler factors, power-of-two terms
+    and, at the fully decomposed odd primes of an admissible field, local
+    class, and the simplified global representative."""
     f, ramified = field_and_ramified_set(d1, d2)
     extra = tuple(s_extra or ())
     for p in extra:

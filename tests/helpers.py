@@ -98,7 +98,8 @@ def field_verdict(d1: int, d2: int) -> str:
     at_2 = frob_signs(*f.subfields, 2)
     if full_decomposition(at_2):
         return VERDICT_INADMISSIBLE
-    units = [prime_unit(p, at_2 if p == 2 else frob_signs(*f.subfields, p)) for p in ramified]
+    units = [prime_unit(p, at_2 if p == 2 else frob_signs(*f.subfields, p))
+             for p in ramified]
     return VERDICT_VANISHES if prod(units) % 4 == 1 else VERDICT_NONZERO
 
 
