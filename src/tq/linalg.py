@@ -66,8 +66,6 @@ def identity(n: int) -> Mat:
 def mat_mul(a: Mat, b: Mat) -> Mat:
     if not a:
         return []
-    if not b:
-        return [[] for _ in a]
     n, k, m = len(a), len(b), len(b[0])
     assert len(a[0]) == k, "shape mismatch"
     out = zeros(n, m)
@@ -91,8 +89,6 @@ def vec_mat(v: Vec, a: Mat) -> Vec:
 def rref(a: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form; returns (R, pivot column indices)."""
     r = mat(a)
-    if not r:
-        return [], []
     nrows, ncols = len(r), len(r[0])
     pivots: list[int] = []
     lead = 0

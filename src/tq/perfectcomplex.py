@@ -17,8 +17,7 @@ preimages of the next image, and det phi = det(targets) / prod det(adapted_j)
 with targets the images of those rows under phi.  Block by block, phi on
 the standard basis is adapted_j^-1 times its targets, so the quotient is
 det phi exactly, with no coordinate solve.  The result does not depend on
-the splittings or on the section either; a seeded random mode, which moves
-both, exists so tests can check exactly that.
+the splittings or on the section either.
 """
 
 from __future__ import annotations
@@ -156,28 +155,11 @@ def _section(c: RationalComplex, data: CohomologyData, j: int,
     return reps
 
 
-def _random_fraction(rng) -> Fraction:
-    """A small random rational drawn from `rng`, a seeded `random.Random`."""
-    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-
-
-def _shift(rows: Mat, by: Mat, rng) -> None:
-    """Add a seeded random combination of the rows of `by` to each row,
-    its coefficients drawn from `rng`, a seeded `random.Random`."""
-    for v in rows:
-        for b in by:
-            t = _random_fraction(rng)
-            for col in range(len(v)):
-                v[col] += t * b[col]
-
-
-def torsion_determinant(c: RationalComplex, comp: CohomologyIsoComponent,
-                        rng=None) -> Fraction:
+def torsion_determinant(c: RationalComplex, comp: CohomologyIsoComponent) -> Fraction:
     """Determinant of the composed isomorphism from the sum of odd-degree
     terms to the sum of even-degree terms, built from the supplied
     cohomology iso, with its cocycles as the section of kernel ->
-    cohomology, and splittings that are deterministic when `rng` is None
-    and moved at random when it is a seeded `random.Random`.
+    cohomology, and the deterministic splittings of `cohomology_basis`.
 
     Basis convention: both sides are ordered by ascending degree, then by
     index inside each term; det phi is det(targets) / prod det(adapted_j),
@@ -206,16 +188,6 @@ def torsion_determinant(c: RationalComplex, comp: CohomologyIsoComponent,
     if h_odd and linalg.det(psi) == 0:
         raise ContractViolationError("iso matrix is not invertible")
 
-    # the preimages split d_j : C^j ->> B_(j+1); the seeded mode moves the
-    # section by image vectors and each preimage by kernel vectors, choices
-    # det phi does not depend on
-    s_rows = data.preimages
-    if rng is not None:
-        for j in degs:
-            _shift(reps[j], data.images[j], rng)
-        for j in degs:
-            _shift(s_rows[j], data.kernels[j], rng)
-
     slot, acc = {}, 0
     for j in even_degs:
         slot[j] = acc
@@ -234,8 +206,8 @@ def torsion_determinant(c: RationalComplex, comp: CohomologyIsoComponent,
     targets: Mat = []
     adapted = 1
     for j in odd_degs:
-        adapted *= linalg.det(data.images[j] + reps[j] + s_rows.get(j, []))
-        targets += [placed(j - 1, v) for v in s_rows.get(j - 1, [])]
+        adapted *= linalg.det(data.images[j] + reps[j] + data.preimages[j])
+        targets += [placed(j - 1, v) for v in data.preimages.get(j - 1, [])]
         targets += [next(classes) for _ in reps[j]]
         targets += [placed(j + 1, v) for v in data.images.get(j + 1, [])]
     result = Fraction(linalg.det(targets), adapted)
@@ -245,15 +217,11 @@ def torsion_determinant(c: RationalComplex, comp: CohomologyIsoComponent,
 
 
 def class_representative(p: PerfectComplex,
-                         iso: Mapping[str, CohomologyIsoComponent],
-                         rng=None) -> HomRep:
+                         iso: Mapping[str, CohomologyIsoComponent]) -> HomRep:
     """The Hom-description representative of the class of (p, iso): the
-    per-character torsion determinant, `rng` (None or a seeded
-    `random.Random`) passed to `torsion_determinant`.  `iso`, a rational
-    isomorphism from total odd to total even cohomology, maps each
-    character label to its component, whose cocycles are the section of
-    kernel -> cohomology; the reciprocal class, of the inverse iso, is
-    `HomRep.inverse()`."""
-    return HomRep(torsion_determinant(char_specialize(p, chi),
-                                      iso[chi.label], rng)
+    per-character torsion determinant.  `iso`, a rational isomorphism
+    from total odd to total even cohomology, maps each character label to
+    its component, whose cocycles are the section of kernel -> cohomology;
+    the reciprocal class, of the inverse iso, is `HomRep.inverse()`."""
+    return HomRep(torsion_determinant(char_specialize(p, chi), iso[chi.label])
                   for chi in V4_CHARS)

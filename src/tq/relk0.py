@@ -3,17 +3,17 @@ Hom-description: a class is represented by a function from the four
 one-dimensional characters to nonzero rationals, and is classified by the
 complete invariant pair (rank vector of 2-adic valuations, a tuple of ints
 in `HOMREP_KEYS` order; torsion class in (Z/4)*, the int 1 or 3).  The
-pipeline reads only the torsion class; `v2` and the rank vector serve the
-induction formula of acceptance criterion 7 (`induce_from_subgroup`)."""
+pipeline reads only the torsion class; `v2` reads the rank vector, which
+the tests compare on induced classes (acceptance criterion 7)."""
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import InputError
-from .grouprings import HOMREP_KEYS, V4_CHARS, V4_E, label_index
+from .grouprings import HOMREP_KEYS, V4_CHARS, label_index
 from .linalg import Rational, exact
 
 
@@ -96,41 +96,3 @@ def torsion_class(h: HomRep) -> int:
     """Product of the four values, 2-power stripped, mod 4: the complete
     torsion invariant of the class represented by h, 1 or 3."""
     return odd_part_mod4(math.prod(h.as_tuple()))
-
-
-def _validate_subgroup(elements: Iterable[int]) -> frozenset[int]:
-    elems = frozenset(elements)
-    if not elems:
-        raise InputError("empty subgroup")
-    if V4_E not in elems:
-        raise InputError("subgroup must contain the identity")
-    for g in elems:
-        for h in elems:
-            if g ^ h not in elems:
-                raise InputError("not closed under multiplication")
-    return elems
-
-
-def induce_from_subgroup(subgroup: Iterable[int],
-                         f: Mapping[str, Rational]) -> tuple[tuple[int, ...], int]:
-    """Induction of a class from a subgroup H of order 1 or 2 up to V4,
-    read off through restriction of characters: the rank vector, in
-    `HOMREP_KEYS` order, whose entry at chi is v2(f(chi restricted to H)),
-    and the torsion class, always the trivial 1.
-
-    `f` maps "1" (and, when |H| = 2, "sign") to nonzero rationals.
-    """
-    elems = _validate_subgroup(subgroup)
-    if len(elems) not in (1, 2):
-        raise InputError("not a proper subgroup of order <= 2; "
-                         "induction formula does not apply")
-    f_triv = exact(f["1"])
-    if f_triv == 0:
-        raise InputError("character values must be nonzero")
-    f_sign = f_triv  # unused when |H| = 1: every character fixes H
-    if len(elems) == 2:
-        f_sign = exact(f["sign"])
-        if f_sign == 0:
-            raise InputError("character values must be nonzero")
-    exps = tuple(v2(f_triv if chi.fixes(elems) else f_sign) for chi in V4_CHARS)
-    return exps, 1

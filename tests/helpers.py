@@ -4,6 +4,7 @@ it needs them."""
 from fractions import Fraction
 from math import gcd, prod
 
+from tq import linalg
 from tq.arith import is_prime, is_squarefree
 from tq.biquadratic import (FieldData, field_and_ramified_set, field_data, frob_signs,
                             full_decomposition, local_galois, quad_field_disc,
@@ -12,6 +13,7 @@ from tq.grouprings import V4_CHARS, V4_E, GroupRingElem, GroupRingMatrix
 from tq.invariant import VERDICT_INADMISSIBLE, VERDICT_NONZERO, VERDICT_VANISHES
 from tq.localterms import LatticeExponent, local_term_closed_form
 from tq.lseries import quad_char_values
+from tq.perfectcomplex import char_specialize, class_representative, cohomology_basis
 from tq.relk0 import odd_part_mod4
 
 
@@ -31,6 +33,44 @@ def identity_matrix(n: int) -> GroupRingMatrix:
     """The n x n identity matrix over Q[V4]."""
     return GroupRingMatrix.from_rows([[GroupRingElem({V4_E: int(i == j)}) for j in range(n)]
                                      for i in range(n)])
+
+
+def _shifted(rows, by, rng):
+    """Each row plus a combination of the rows of `by` whose coefficients
+    are small rationals drawn from `rng`, a seeded `random.Random`."""
+    out = []
+    for v in rows:
+        for b in by:
+            t = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            v = [x + t * y for x, y in zip(v, b)]
+        out.append(list(v))
+    return out
+
+
+def seeded_class_representative(cplx, iso, rng):
+    """`class_representative(cplx, iso)` under other choices drawn from
+    `rng`, a seeded `random.Random`: each supplied cocycle is moved by
+    image vectors of its degree, which keeps its class, and each preimage
+    that `linalg.reduce_rows` returns by kernel vectors, which keeps its
+    image.  The class depends on neither choice."""
+    moved = {}
+    for chi in V4_CHARS:
+        images = cohomology_basis(char_specialize(cplx, chi)).images
+        comp = iso[chi.label]
+        moved[chi.label] = comp._replace(
+            odd_reps={j: _shifted(r, images[j], rng) for j, r in comp.odd_reps.items()},
+            even_reps={j: _shifted(r, images[j], rng) for j, r in comp.even_reps.items()})
+    reduce_rows = linalg.reduce_rows
+
+    def moved_reduce_rows(a):
+        images, preimages, kernel = reduce_rows(a)
+        return images, _shifted(preimages, kernel, rng), kernel
+
+    linalg.reduce_rows = moved_reduce_rows
+    try:
+        return class_representative(cplx, moved)
+    finally:
+        linalg.reduce_rows = reduce_rows
 
 
 def squarefree_pairs(dmax: int):

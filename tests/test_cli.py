@@ -516,7 +516,8 @@ def test_cli_fuzz_exits_cleanly_and_fast(argv):
 def run_main_with(parse, argv):
     """main(argv) with `parse` in place of `tq.cli.parse_args`, at a fixed
     terminal width: its exit code, stdout, stderr, and the namespace that
-    parse gave, without `command`."""
+    parse gave, without `command`, a NaN in it (`--tol nan`) written as
+    the string "nan", as NaN is unequal to itself."""
     parsed = {}
 
     def recording(argv):
@@ -532,6 +533,7 @@ def run_main_with(parse, argv):
             code = main(argv)
         except SystemExit as exc:  # argparse's --help
             code = exc.code
+    parsed = {k: "nan" if v != v else v for k, v in parsed.items()}
     return code, out.getvalue(), err.getvalue(), parsed
 
 
@@ -557,6 +559,7 @@ NAMED_COMMAND_LINES = [
     ["selftest", "--"],
     ["lemma38", "--conductor-max", "5", "--tol", "1e-3"],
     ["lemma38", "--con", "5", "stray", "--tol", "x"],
+    ["lemma38", "--conductor-max", "0", "--tol", "nan"],
 ]
 
 

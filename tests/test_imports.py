@@ -57,10 +57,9 @@ def test_traced_names_exist(monkeypatch):
 def test_import_tq_needs_neither_dataclasses_nor_inspect():
     """`import tq` and `import tq.cli` build every record class as a
     `collections.namedtuple` subclass, without `dataclasses`, which would
-    pull in `inspect`, or `typing`, and load no `random`, which only the
-    seeded mode of the complex route's callers pass in; they still import
-    every `tq` module.  `-S` keeps `site` from importing any of the four
-    first."""
+    pull in `inspect`, or `typing`, and load no `random`; they still
+    import every `tq` module.  `-S` keeps `site` from importing any of the
+    four first."""
     code = ("import sys\n"
             f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
             "import tq, tq.cli\n"

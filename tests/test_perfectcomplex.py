@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import identity_matrix
+from helpers import identity_matrix, seeded_class_representative
 from tq import linalg
 from tq.errors import ContractViolationError, InputError
 from tq.grouprings import (V4_A, V4_AB, V4_B, V4_CHARS, V4_E, GroupRingElem,
@@ -73,9 +73,15 @@ def test_specialize_lambda_row_unramified_char():
 
 
 def test_specialize_zero_complex():
-    zero = PerfectComplex((0, 1), {0: 0, 1: 0}, {})
-    c = char_specialize(zero, V4_CHARS[0])
-    assert c.rank(0) == 0 and c.rank(1) == 0
+    """The zero complex, with no differential or with a 0 x 0 one between
+    its rank-zero terms, specializes to rank zero and has the trivial
+    class under the empty iso."""
+    empty = {chi.label: CohomologyIsoComponent({}, {}, []) for chi in V4_CHARS}
+    for diffs in ({}, {0: GroupRingMatrix(())}):
+        zero = PerfectComplex((0, 1), {0: 0, 1: 0}, diffs)
+        c = char_specialize(zero, V4_CHARS[0])
+        assert c.rank(0) == 0 and c.rank(1) == 0
+        assert class_representative(zero, empty).as_tuple() == (1, 1, 1, 1)
 
 
 # ---------- cohomology ----------
@@ -144,7 +150,7 @@ def test_splitting_independence_seeded():
         baseline = class_representative(cplx, iso)
         rng = random.Random(p)
         for _ in range(30):
-            assert class_representative(cplx, iso, rng) == baseline
+            assert seeded_class_representative(cplx, iso, rng) == baseline
 
 
 def test_scalar_rescaling_of_iso():
@@ -267,7 +273,7 @@ def test_two_odd_degree_sum_exact_values():
         assert class_representative(cplx, iso).as_tuple() == expected, (p, q)
         rng = random.Random(p)
         for _ in range(5):
-            assert class_representative(cplx, iso, rng).as_tuple() == expected, (p, q)
+            assert seeded_class_representative(cplx, iso, rng).as_tuple() == expected, (p, q)
 
 
 def assert_preimages_map_to_images(c):

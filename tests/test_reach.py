@@ -11,8 +11,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 TRACED = "wrapped by perfbench/spans.py's TRACED, which names it until its dead spans go"
-CRITERION_7 = "acceptance criterion 7: induction from a subgroup of order <= 2"
-CRITERION_2 = "acceptance criterion 2: a seeded splitting of a perfect complex"
 SHOWN = "shows the value in the message of a failing test"
 
 KEPT = {
@@ -26,11 +24,8 @@ KEPT = {
     "relk0.HomRep.inverse": TRACED,
     "lseries.l_prime_zero_lgamma": TRACED + ", and tests/fixtures/lseries_floats.json "
                                    "pins its floats",
-    "relk0.induce_from_subgroup": CRITERION_7,
-    "relk0._validate_subgroup": CRITERION_7,
-    "relk0.v2": CRITERION_7,
-    "perfectcomplex._random_fraction": CRITERION_2,
-    "perfectcomplex._shift": CRITERION_2,
+    "relk0.v2": "the rank vector of a class, which acceptance criterion 7 reads on "
+                "induced classes and ROADMAP item 5 puts in the per-prime report",
     "grouprings.GroupRingElem.__repr__": SHOWN,
     "relk0.HomRep.__repr__": SHOWN,
     "relk0.HomRep.__eq__": "tests compare representatives: criterion 2, ts_representative",
