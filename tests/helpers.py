@@ -1,6 +1,7 @@
 """Helpers shared by the tests, kept out of the package because nothing in
 it needs them."""
 
+import math
 from fractions import Fraction
 from math import gcd, prod
 
@@ -149,6 +150,18 @@ def _tail_power_sum(k0: int, j: int) -> float:
     s = x ** (1 - j) / (j - 1) + 0.5 * x ** (-j) + j * x ** (-j - 1) / 12.0
     s -= j * (j + 1) * (j + 2) * x ** (-j - 3) / 720.0
     return s
+
+
+def l_one_logsin_full(disc: int) -> float:
+    """L(1, chi) by the log-sine closed form summed over every residue
+    1 <= a <= f-1, the reference for `l_one_logsin`'s half-range sum."""
+    chi = quad_char_values(disc)
+    f = len(chi)
+    total = 0.0
+    for a in range(1, f):
+        if chi[a]:
+            total += chi[a] * math.log(2.0 * math.sin(math.pi * a / f))
+    return -total / math.sqrt(f)
 
 
 def l_one_series(disc: int, blocks: int = 2000) -> float:

@@ -394,11 +394,14 @@ def run_subprocess(*argv):
                           capture_output=True, text=True, timeout=30, env=env)
 
 
-@pytest.mark.parametrize("argv", [["sweep", "--max", "3000"],
+@pytest.mark.parametrize("argv", [["sweep", "--max", "2000"],
+                                  ["sweep", "--max", "3000"],
                                   ["sweep", "--max", "3000", "--json"]], ids=" ".join)
 def test_closed_stdout_exits_1_without_traceback(argv):
     """A reader that takes one line and closes the pipe (`| head -1`) ends
-    the command with exit 1, and nothing on stderr about the pipe."""
+    the command with exit 1 (`main`'s `BrokenPipeError` branch), and with
+    nothing on stderr.  Each output is far more than a pipe buffer holds:
+    `sweep --max 400` writes only 58 KB."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -408,8 +411,7 @@ def test_closed_stdout_exits_1_without_traceback(argv):
         proc.stdout.close()
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=30) == 1, err
-    assert "Traceback" not in err
-    assert "Exception ignored" not in err
+    assert err == ""
 
 
 def test_compute_large_prime_pair_finishes():

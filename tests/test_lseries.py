@@ -5,8 +5,9 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy.external.ntheory import kronecker
 
 import tq.lseries
-from helpers import (even_table_that_is_no_character, l_one_series, odd_primes_up_to,
-                     real_fundamental_discs)
+import helpers
+from helpers import (even_table_that_is_no_character, l_one_logsin_full, l_one_series,
+                     odd_primes_up_to, real_fundamental_discs)
 from tq.arith import is_squarefree
 from tq.biquadratic import field_data
 from tq.errors import InputError, TqError
@@ -109,6 +110,32 @@ def test_series_validates_logsin_oracle():
         series = l_one_series(disc)
         closed = l_one_logsin(disc)
         assert abs(series - closed) < 1e-10, (disc, series, closed)
+
+
+def test_half_range_sum_equals_the_full_range_sum():
+    # pairing a with f - a regroups the sum over 1..f-1, within a relative
+    # D * 2^-52, on every real fundamental D <= 2000 and the ten largest
+    # up to 16000, the top of the lseries benchmark's range
+    discs = real_fundamental_discs(2000) + real_fundamental_discs(16000)[-10:]
+    for disc in discs:
+        full = l_one_logsin_full(disc)
+        assert abs(l_one_logsin(disc) - full) <= abs(full) * disc * 2.0 ** -52, disc
+
+
+def test_half_range_sum_keeps_a_table_corrupted_above_half(monkeypatch):
+    # negate chi_101(100) = chi_101(-1) = 1 only: the paired sum still
+    # gives the full-range sum over the table, far from L(1, chi_101),
+    # which a doubled sum over 1 <= a < f/2 would still return
+    disc, true = 101, l_one_logsin(101)
+    chi = list(quad_char_values(disc))
+    chi[100] = -chi[100]
+    chi = tuple(chi)
+    monkeypatch.setattr(tq.lseries, "quad_char_values", lambda d: chi)
+    monkeypatch.setattr(helpers, "quad_char_values", lambda d: chi)
+    full = l_one_logsin_full(disc)
+    assert abs(l_one_logsin(disc) - full) <= abs(full) * disc * 2.0 ** -52
+    assert abs(full - true) > 0.5
+    assert not leading_ratio_check("chi1", field_data(101, 2)).ok
 
 
 def test_l_one_chi5_class_number_value():
