@@ -15,8 +15,23 @@ and loops over far fewer than f values.  `invariant.leading_ratio_check`
 divides the log-sine sum by h+ R+ / 2; `l_prime_zero_lgamma` is not on its
 path, and its floats stay pinned with those of `l_one_logsin`.
 
+`l_one_logsin` sums the log-sine form over half the residues.  As
+sin(pi (f-a)/f) = sin(pi a/f), the terms at a and f - a share one
+logarithm, and when f is even the term at a = f/2 is chi(f/2) log 2, as
+sin(pi/2) = 1:
+
+  sum_{a=1}^{f-1} chi(a) log(2 sin(pi a / f))
+    = sum_{1 <= a < f/2} (chi(a) + chi(f-a)) log(2 sin(pi a / f))
+      [+ chi(f/2) log 2 if f is even]
+
+This regroups the sum and reads nothing of chi, so a table that is not
+even (say, one corrupted above f/2) still gets its full-range value.  For
+an even chi each pair is 2 chi(a), and chi(f/2) = 0 as 4 | f.
+
 The tests validate the log-sine form against a direct summation of the
-defining series, kept with them (`l_one_series` in tests/helpers.py).
+defining series, and the half-range sum against the full-range one, both
+kept with them (`l_one_series` and `l_one_logsin_full` in
+tests/helpers.py).
 
 The table chi(0..D-1) is built from the prime discriminants of D (H. Cohen,
 A Course in Computational Algebraic Number Theory, ch. 5).  A fundamental
@@ -76,13 +91,20 @@ def quad_char_values(disc: int) -> tuple[int, ...]:
 
 
 def l_one_logsin(disc: int) -> float:
-    """L(1, chi) by the finite log-sine closed form."""
+    """L(1, chi) by the finite log-sine closed form, its sum over
+    1 <= a <= f-1 regrouped by sin(pi (f-a)/f) = sin(pi a/f) into
+    (chi(a) + chi(f-a)) log(2 sin(pi a/f)) over 1 <= a < f/2, plus
+    chi(f/2) log 2 when f is even.  The regrouping reads no property of
+    the table, so a table that is not even still gets the full sum."""
     chi = quad_char_values(disc)
     f = len(chi)
     total = 0.0
-    for a in range(1, f):
-        if chi[a]:
-            total += chi[a] * math.log(2.0 * math.sin(math.pi * a / f))
+    for a in range(1, (f + 1) // 2):
+        c = chi[a] + chi[f - a]
+        if c:
+            total += c * math.log(2.0 * math.sin(math.pi * a / f))
+    if f % 2 == 0:
+        total += chi[f // 2] * math.log(2.0)
     return -total / math.sqrt(f)
 
 
