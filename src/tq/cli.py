@@ -8,7 +8,7 @@ Subcommands:
   tq lemma38 --conductor-max N --tol T   (5 <= N <= CONDUCTOR_MAX = 7000)
 
 Time grows as N^2; at the caps, `tq sweep --max 7000 --json` takes about
-1.1 s (0.4 s of it in `sweep`) and lemma38 about 2.5 s on a shared 2-CPU
+1.1 s (0.4 s of it in `sweep`) and lemma38 about 1.7 s on a shared 2-CPU
 Intel Xeon x86-64 machine (medians; see README).
 
 Exit codes: 0 vanishes / all checks pass, 1 any other `tq` error or a

@@ -126,7 +126,7 @@ def test_half_range_sum_keeps_a_table_corrupted_above_half(monkeypatch):
     # negate chi_101(100) = chi_101(-1) = 1 only: the paired sum still
     # gives the full-range sum over the table, far from L(1, chi_101),
     # which a doubled sum over 1 <= a < f/2 would still return
-    disc, true = 101, l_one_logsin(101)
+    disc, l_value = 101, l_one_logsin(101)
     chi = list(quad_char_values(disc))
     chi[100] = -chi[100]
     chi = tuple(chi)
@@ -134,7 +134,7 @@ def test_half_range_sum_keeps_a_table_corrupted_above_half(monkeypatch):
     monkeypatch.setattr(helpers, "quad_char_values", lambda d: chi)
     full = l_one_logsin_full(disc)
     assert abs(l_one_logsin(disc) - full) <= abs(full) * disc * 2.0 ** -52
-    assert abs(full - true) > 0.5
+    assert abs(full - l_value) > 0.5
     assert not leading_ratio_check("chi1", field_data(101, 2)).ok
 
 
