@@ -9,29 +9,28 @@ For every admissible squarefree pair d1 < d2 <= 100 it splits the torsion
 unit in (Z/4)* by prime of S and by part: the inverse Euler factors, the
 power-of-two term and, at fully decomposed odd primes, the inverse local
 term, itself split into eps(chi) = (-1)^dim(chi^I/chi^D) and the rest.
-Each part is the odd part mod 4 of the product over the four characters of
-its exact values (that of a reduced fraction is that of the numerator and
-denominator `invariant._parts_unit` multiplies unreduced), and the parts
-multiply back to the unit of the field's verdict, which it takes from
-its report, `invariant.omega_loc_torsion(d1, d2).verdict`.  It then
-lists the supported 2-ramified fields whose resolvent quotient check
-fails, with the odd part of the square root of the conductor product.
+It reads every part from the report that gives the field its verdict,
+`invariant.omega_loc_torsion(d1, d2)`: per prime p of S, the `Fraction`
+values of `per_prime[p]`'s Euler factors, power-of-two term and local
+term, and eps from `per_prime[p].local`.  Each part is the odd part mod 4
+of the product over the four characters of those values (that of a
+reduced fraction is that of the numerator and denominator
+`invariant._parts_unit` multiplies unreduced), and the parts multiply
+back to the unit of the report's verdict.  It then lists the supported
+2-ramified fields whose resolvent quotient check fails, with the odd
+part of the square root of the conductor product.
 """
 
 import math
 from collections import Counter
 
 from tq.arith import is_squarefree
-from tq.biquadratic import (artin_conductor, euler_factor, field_data,
-                            local_galois, ramified_set)
+from tq.biquadratic import artin_conductor
 from tq.grouprings import V4_CHARS
-from tq.invariant import (VERDICT_INADMISSIBLE, VERDICT_NONZERO, delta1_term,
-                          omega_loc_torsion)
-from tq.localterms import LatticeExponent, local_term_closed_form
+from tq.invariant import VERDICT_INADMISSIBLE, VERDICT_NONZERO, omega_loc_torsion
 from tq.relk0 import odd_part_mod4
 
 DMAX = 100
-LAT = LatticeExponent()
 DS = [d for d in range(2, DMAX + 1) if is_squarefree(d)]
 PAIRS = [(d1, d2) for i, d2 in enumerate(DS) for d1 in DS[:i]]
 
@@ -50,26 +49,23 @@ def main() -> None:
     fields = Counter()
     full, partial = Counter(), Counter()
     for d1, d2 in PAIRS:
-        f = field_data(d1, d2)
-        s_f = ramified_set(f)
-        verdict = reports[d1, d2].verdict
-        if verdict == VERDICT_INADMISSIBLE:
+        report = reports[d1, d2]
+        if report.verdict == VERDICT_INADMISSIBLE:
             fields["inadmissible"] += 1
             continue
         fields["admissible"] += 1
-        unit = 3 if verdict == VERDICT_NONZERO else 1
+        unit = 3 if report.verdict == VERDICT_NONZERO else 1
         fields["nonzero"] += unit == 3
         product = 1
         n_full = 0
-        for p in s_f:
-            loc = local_galois(f, p)
-            euler = part_unit(euler_factor(chi, p, loc) for chi in V4_CHARS)
-            delta1 = part_unit(delta1_term(f, p, loc).as_tuple())
+        for p, parts in report.per_prime.items():
+            euler = part_unit(parts.euler.as_tuple())
+            delta1 = part_unit(parts.delta1.as_tuple())
             row = (f"euler {euler}", f"delta1 {delta1}")
             total = euler * delta1 % 4
-            if loc.full_decomposition and p % 2:
-                term = part_unit(local_term_closed_form(p, loc, LAT).as_tuple())
-                sign = part_unit(eps(chi, loc) for chi in V4_CHARS)
+            if parts.local_term is not None:
+                term = part_unit(parts.local_term.as_tuple())
+                sign = part_unit(eps(chi, parts.local) for chi in V4_CHARS)
                 total = total * term % 4
                 full[row + (f"local {term} = eps {sign} x rest {term * sign % 4}",
                             f"prime {total}")] += 1

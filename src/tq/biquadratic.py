@@ -99,8 +99,7 @@ def field_data(d1: int, d2: int) -> FieldData:
 
 
 class PrimeLocalData(namedtuple("PrimeLocalData",
-                                 "p in_s inertia decomposition frob a_p b_p",
-                                 defaults=(None, None))):
+                                 "p in_s inertia decomposition frob a_p b_p")):
     """Inertia and decomposition subgroups of V4 at p, a Frobenius
     representative, and (when the decomposition group is everything) the
     canonical inertia generator a_p and Frobenius lift b_p."""

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from itertools import starmap
@@ -316,9 +315,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # stdout was closed early (`tq sweep ... | head`). Point fd 1 at
-        # devnull so that the flush at shutdown fails no more.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # stdout was closed early (`tq sweep ... | head`)
         return 1
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

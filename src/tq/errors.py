@@ -9,10 +9,6 @@ class InputError(TqError, ValueError):
     """Invalid user-supplied data (non-squarefree d, zero rational, ...)."""
 
 
-class UnsupportedGroupError(TqError):
-    """A character label that is not one of V4's."""
-
-
 class ContractViolationError(TqError):
-    """Structured data does not satisfy a documented precondition
-    (non-invertible cohomology iso, shape mismatch, dimension mismatch)."""
+    """Structured data does not satisfy a documented precondition (a character
+    label not V4's, non-invertible cohomology iso, shape or dimension mismatch)."""

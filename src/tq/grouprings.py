@@ -22,7 +22,7 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from operator import add
 
-from .errors import UnsupportedGroupError
+from .errors import ContractViolationError
 from .linalg import Rational, exact
 
 
@@ -73,7 +73,7 @@ V4_CHARS = (
 def label_index(label: str) -> int:
     """The position of a character label in HOMREP_KEYS."""
     if label not in HOMREP_KEYS:
-        raise UnsupportedGroupError(f"{label!r} is not a character label of V4")
+        raise ContractViolationError(f"{label!r} is not a character label of V4")
     return HOMREP_KEYS.index(label)
 
 

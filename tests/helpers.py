@@ -2,8 +2,10 @@
 it needs them."""
 
 import math
+import os
 from fractions import Fraction
 from math import gcd, prod
+from pathlib import Path
 
 from tq import linalg
 from tq.arith import is_prime, is_squarefree
@@ -16,6 +18,14 @@ from tq.localterms import LatticeExponent, local_term_closed_form
 from tq.lseries import quad_char_values
 from tq.perfectcomplex import char_specialize, class_representative, cohomology_basis
 from tq.relk0 import odd_part_mod4
+
+
+def src_env() -> dict[str, str]:
+    """The environment with this repository's `src` first on PYTHONPATH,
+    for a subprocess that imports `tq`."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def odd_primes_up_to(bound: int) -> list[int]:

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import time
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
-from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -15,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import tq.cli
 import tq.lseries
-from helpers import even_table_that_is_no_character
+from helpers import even_table_that_is_no_character, src_env
 from test_golden_output import PARSE_COMMANDS
 from test_invariant import SWEEP_3000_JSON_SHA256
 from tq.cli import COMMANDS, CONDUCTOR_MAX, SWEEP_MAX, main, parse_args
@@ -387,30 +386,47 @@ def test_plain_read_declines(argv):
 
 
 def run_subprocess(*argv):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "tq.cli", *argv],
-                          capture_output=True, text=True, timeout=30, env=env)
+                          capture_output=True, text=True, timeout=30, env=src_env())
 
 
-@pytest.mark.parametrize("argv", [["sweep", "--max", "2000"],
-                                  ["sweep", "--max", "3000"],
-                                  ["sweep", "--max", "3000", "--json"]], ids=" ".join)
-def test_closed_stdout_exits_1_without_traceback(argv):
-    """A reader that takes one line and closes the pipe (`| head -1`) ends
-    the command with exit 1 (`main`'s `BrokenPipeError` branch), and with
-    nothing on stderr.  Each output is far more than a pipe buffer holds:
-    `sweep --max 400` writes only 58 KB."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    with subprocess.Popen([sys.executable, "-m", "tq.cli", *argv], env=env,
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        assert proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        assert proc.wait(timeout=30) == 1, err
+# a reader takes one line and closes the pipe (`| head -1`); each output is
+# far more than a pipe buffer holds: `sweep --max 400` writes only 58 KB
+HEAD_1 = [["sweep", "--max", "2000"], ["sweep", "--max", "3000"],
+          ["sweep", "--max", "3000", "--json"]]
+# the pipe's read end is closed before the command starts: no reader from the
+# first write on, so even the one flush of a short output fails
+NO_READER = [["compute", "--d1", "5", "--d2", "13", "--json"],
+             ["compute", "--d1", "5", "--d2", "13"], ["selftest"],
+             ["lemma38", "--conductor-max", "300"], ["sweep", "--max", "10"]]
+
+
+@pytest.mark.parametrize("argv, head_1",
+                         [pytest.param(argv, True, id=" ".join(argv)) for argv in HEAD_1]
+                         + [pytest.param(argv, False, id=" ".join(argv))
+                            for argv in NO_READER])
+def test_closed_stdout_exits_1_without_traceback(argv, head_1):
+    """A closed stdout ends the command with exit 1 (`main`'s
+    `BrokenPipeError` branch), and with nothing on stderr, whether it is
+    closed mid-output (`HEAD_1`) or before the command writes (`NO_READER`)."""
+    command = [sys.executable, "-m", "tq.cli", *argv]
+    if head_1:
+        with subprocess.Popen(command, env=src_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=30) == 1, err
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(command, env=src_env(), stdout=write_end,
+                                  stderr=subprocess.PIPE, timeout=30)
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert proc.returncode == 1, err
     assert err == ""
 
 

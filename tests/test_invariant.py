@@ -18,7 +18,7 @@ from tq.invariant import (INADMISSIBLE_NOTE, VERDICT_INADMISSIBLE,
                                leading_ratio_check, omega_loc_torsion, prime_parts,
                                resolvent_factor_check, sweep, ts_representative,
                                _parts_unit)
-from tq.errors import InputError, UnsupportedGroupError
+from tq.errors import ContractViolationError, InputError
 from tq.grouprings import V4_CHARS
 from tq.localterms import LatticeExponent, local_term_closed_form
 from tq.relk0 import HomRep, odd_part_mod4, torsion_class, v2
@@ -175,7 +175,7 @@ LABEL_LOOKUPS = {
 def test_unknown_character_label_is_named(lookup, label):
     """A label that is no character of V4 is reported as such, by name,
     and not as the trivial character."""
-    with pytest.raises(UnsupportedGroupError, match=f"^{label!r} is not a character"):
+    with pytest.raises(ContractViolationError, match=f"^{label!r} is not a character"):
         LABEL_LOOKUPS[lookup](label)
 
 

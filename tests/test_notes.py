@@ -1,11 +1,12 @@
 """The scripts under notes/ that back notes/decisions.md, run as they are
 documented and compared byte for byte with their recorded output."""
 
-import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from helpers import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -16,11 +17,9 @@ def test_per_prime_table_output():
     nonzero; 942 fully decomposed odd primes, each contributing 3 through
     eps; 1 198 other primes of S; criterion 9 fails on (33, 42), (42, 57)
     and (57, 66)."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "notes" / "per_prime_table.py")],
-        capture_output=True, text=True, timeout=120, env=env, cwd=ROOT)
+        capture_output=True, text=True, timeout=120, env=src_env(), cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (FIXTURES / "per_prime_table.txt").read_text()
 
@@ -35,10 +34,9 @@ def test_output_hash_is_pinned():
     every output byte-identical keeps it.  It was re-pinned once, when the
     half-range log-sine sum moved the |ratio^2 - 4/f| figures that
     `lemma38 --conductor-max 300` prints, and no other line's output."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, str(ROOT / "notes" / "output_hash.py")],
-                          capture_output=True, text=True, timeout=120, env=env, cwd=ROOT)
+                          capture_output=True, text=True, timeout=120, env=src_env(),
+                          cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == OUTPUT_HASH + "\n"
 
@@ -49,13 +47,11 @@ def test_line_coverage_runs():
     names a statement of `src/tq`; a `relk0` statement that the tests run is
     not listed, and the first statement of `invariant.sweep`, which they
     never call, is."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "notes" / "line_coverage.py"), "-q",
          "-p", "no:cacheprovider", "tests/test_relk0.py",
          "-k", "examples or group_law"],
-        capture_output=True, text=True, timeout=120, env=env, cwd=ROOT)
+        capture_output=True, text=True, timeout=120, env=src_env(), cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines and all(re.fullmatch(r"src/tq/\w+\.py:[1-9]\d*: \S.*", line)

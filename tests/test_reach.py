@@ -3,10 +3,12 @@ none of notes/reach.py's command lines reaches is kept here, with the
 reason it stays.  A new unreached function fails this test until it is
 deleted, reached by a command, or given a reason below."""
 
-import os
+import ast
 import subprocess
 import sys
 from pathlib import Path
+
+from helpers import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,9 +35,23 @@ KEPT = {
 
 
 def test_unreached_functions_are_the_kept_ones():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, str(ROOT / "notes" / "reach.py")],
-                          capture_output=True, text=True, timeout=120, env=env, cwd=ROOT)
+                          capture_output=True, text=True, timeout=120, env=src_env(),
+                          cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == sorted(KEPT)
+
+
+def test_no_notes_script_imports_a_traced_only_function():
+    """No script under notes/ imports from `tq` a function that stays only
+    for TRACED: each of those goes when perfbench's spans do, and a script
+    that reads one would go stale with it."""
+    traced = {name for name, reason in KEPT.items() if reason.startswith(TRACED)}
+    found = []
+    for path in sorted((ROOT / "notes").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("tq."):
+                module = node.module.removeprefix("tq.")
+                found += [f"{path.name}: {module}.{alias.name}" for alias in node.names
+                          if f"{module}.{alias.name}" in traced]
+    assert not found

@@ -11,8 +11,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tq"
 RECORDS = {
     ("biquadratic", "FieldData"): (("d1", "d2", "d3"), {}),
     ("biquadratic", "PrimeLocalData"): (
-        ("p", "in_s", "inertia", "decomposition", "frob", "a_p", "b_p"),
-        {"a_p": None, "b_p": None}),
+        ("p", "in_s", "inertia", "decomposition", "frob", "a_p", "b_p"), {}),
     ("grouprings", "GaloisChar"): (("label", "kernel"), {}),
     ("grouprings", "GroupRingMatrix"): (("entries",), {}),
     ("invariant", "ResolventCheck"): (
